@@ -16,6 +16,7 @@ from .errors import (
     InvalidDeformationError,
     NCKeplerError,
     NonCompactError,
+    SamplingError,
     SingularConfigurationError,
     StepFailureError,
     TurningPointError,
@@ -23,7 +24,6 @@ from .errors import (
 from .geometry import (
     BivectorField,
     Chart,
-    CovectorField,
     MixedTensor,
     PhasePoint,
     ScalarField,

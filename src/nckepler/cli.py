@@ -16,7 +16,7 @@ from .deformation import DeformationParams
 from .errors import NCKeplerError
 from .geometry import Chart, PhasePoint
 from .charts import convert
-from .kepler import hamiltonian_field, integrate
+from .kepler import MONITOR_NAMES, hamiltonian_field, integrate
 from .reduced import ReducedParams
 from .suites import SUITE_NAMES, SUITES, VerifyConfig, run_suites
 from .symmetry import angular_momentum_field, lrl_field
@@ -49,6 +49,9 @@ def _reduced_from(doc: dict) -> ReducedParams:
     )
 
 
+# The scalar field each monitor name stands for.  ``integrate`` evaluates
+# all of them from one primed vector per state; the tests hold the two to
+# bit-identical values.
 _MONITOR_BUILDERS = {
     "H": lambda p: hamiltonian_field(p),
     "L1": lambda p: angular_momentum_field(p, 0),
@@ -74,8 +77,10 @@ def cmd_simulate(args) -> int:
         method = integ.get("method", "rk4")
         dt = float(integ.get("dt", 1e-3))
         n_steps = int(integ.get("n_steps", 1000))
-        monitor_names = doc.get("monitors", ["H", "L1", "L2", "L3", "A1", "A2", "A3"])
-        monitors = [_MONITOR_BUILDERS[name](params) for name in monitor_names]
+        monitor_names = doc.get("monitors", list(MONITOR_NAMES))
+        unknown = [name for name in monitor_names if name not in _MONITOR_BUILDERS]
+        if unknown:
+            raise ValueError(f"unknown monitors {unknown}; choose from {list(_MONITOR_BUILDERS)}")
         drift_tol = float(doc.get("drift_tolerance", 1e-8))
         out_path = doc.get("output", {}).get("trajectory_csv", "trajectory.csv")
         if args.out:
@@ -85,10 +90,17 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     try:
-        traj = integrate(x0, params, dt=dt, n_steps=n_steps, method=method, monitors=monitors)
+        traj = integrate(x0, params, dt=dt, n_steps=n_steps, method=method,
+                         monitors=monitor_names)
     except NCKeplerError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    print(
+        f"simulate: {len(traj.states) - 1}/{n_steps} steps; "
+        f"stop: {traj.termination_reason or 'completed'}; "
+        f"max energy jump {traj.max_energy_jump:.3e} (relative to 1 + |H0|)",
+        file=sys.stderr,
+    )
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write(traj.to_csv())
@@ -134,6 +146,16 @@ def _build_config(args) -> VerifyConfig:
     return cfg
 
 
+def _run_suite(name: str, cfg: VerifyConfig):
+    """The suite's report, or None after a message when the configuration
+    admits no run (for example, a sampler finds no valid point)."""
+    try:
+        return SUITES[name](cfg)
+    except NCKeplerError as err:
+        print(f"configuration error: suite {name}: {err}", file=sys.stderr)
+        return None
+
+
 def cmd_verify(args) -> int:
     if args.suites is not None and len(args.suites) == 0:
         print("nothing to verify: empty suite list", file=sys.stderr)
@@ -152,7 +174,9 @@ def cmd_verify(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True
     for name in names:
-        rep = SUITES[name](cfg)
+        rep = _run_suite(name, cfg)
+        if rep is None:
+            return EXIT_CONFIG
         path = os.path.join(out_dir, f"{name}.json")
         rep.save(path)
         status = "pass" if rep.all_passed else "FAIL"
@@ -194,7 +218,9 @@ def cmd_hierarchy(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    rep = SUITES["hierarchy"](cfg)
+    rep = _run_suite("hierarchy", cfg)
+    if rep is None:
+        return EXIT_CONFIG
     payload = json.dumps([e.to_dict() for e in rep.entries], sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
@@ -211,7 +237,9 @@ def cmd_master(args) -> int:
     except (ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    rep = SUITES["master"](cfg)
+    rep = _run_suite("master", cfg)
+    if rep is None:
+        return EXIT_CONFIG
     payload = json.dumps(rep.to_dict(), sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

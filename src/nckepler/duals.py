@@ -132,12 +132,6 @@ def arcsin(x):
     return math.asin(x)
 
 
-def arccos(x):
-    if isinstance(x, Dual):
-        return Dual(arccos(x.a), -x.b / sqrt(1.0 - x.a * x.a))
-    return math.acos(x)
-
-
 def atan2(y, x):
     ya, xa = isinstance(y, Dual), isinstance(x, Dual)
     if not ya and not xa:

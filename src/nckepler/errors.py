@@ -31,3 +31,7 @@ class DegenerateMapError(NCKeplerError):
 
 class StepFailureError(NCKeplerError):
     """An implicit integrator stage iteration failed to converge."""
+
+
+class SamplingError(NCKeplerError):
+    """A rejection sampler found no admissible draw for its parameters."""

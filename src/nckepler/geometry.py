@@ -112,16 +112,6 @@ class VectorField:
         return list(self.func(_coords_of(x)))
 
 
-@dataclass(frozen=True)
-class CovectorField:
-    chart: Chart
-    func: Evaluator
-    name: str = ""
-
-    def __call__(self, x):
-        return list(self.func(_coords_of(x)))
-
-
 def _fill_antisymmetric(upper, c):
     mat = [[0.0] * DIM for _ in range(DIM)]
     for i in range(DIM):

@@ -368,33 +368,6 @@ def displayed_two_form_table(h: int, rp: ReducedParams, c) -> list:
     return out
 
 
-def displayed_recursion_blocks(h: int, rp: ReducedParams, c) -> tuple:
-    """The displayed action-block and angle-block matrices of the level-h
-    recursion operator on (J, varphi)."""
-    M = rp.M
-    table = displayed_bivector_table(h, rp, c)
-    p14, p25, p36 = table[0][3], table[1][4], table[2][5]
-    p24 = table[1][3]
-    R = [[0.0] * 3 for _ in range(3)]
-    S = [[0.0] * 3 for _ in range(3)]
-    R[0][0] = p14
-    R[0][2] = p14  # displayed as both the (1,1) and (3,1) entries
-    R[1][0] = M * p14
-    R[0][1] = p14 / M
-    R[1][1] = p14 + p25
-    R[1][2] = R[1][1] / M
-    R[2][1] = M * R[1][1]
-    R[2][2] = R[1][1] + p36
-    S[0][0] = R[1][1]
-    S[0][1] = -p25 / M
-    S[1][0] = -M * p25
-    S[1][1] = p36 + p25
-    S[1][2] = -M * p36
-    S[2][1] = -p36 / M
-    S[2][2] = p36
-    return R, S
-
-
 # -- canonical rescaling of the third pair ------------------------------------
 
 

@@ -55,6 +55,46 @@ def hamiltonian_field(params: DeformationParams) -> ScalarField:
     return ScalarField(Chart.CARTESIAN, lambda c: hamiltonian(c, params), name="H")
 
 
+# Observables ``integrate`` can record, in the order ``state_observables``
+# returns them after Y^2.
+MONITOR_NAMES = ("H", "L1", "L2", "L3", "A1", "A2", "A3")
+
+
+def state_observables(c, params: DeformationParams, vectors: bool = True) -> tuple:
+    """``(Y^2, H, L1, L2, L3, A1, A2, A3)`` at a cartesian state of floats,
+    all from one primed vector; only ``(Y^2, H)`` when ``vectors`` is false.
+
+    Each value is bit-identical to :func:`hamiltonian`,
+    ``symmetry.angular_momentum`` and ``symmetry.lrl_vector``, which stay the
+    scalar-generic references: the operations and their order are theirs.
+    """
+    q1, q2, q3, p1, p2, p3 = c
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = params.alpha
+    (l11, l12, l13), (l21, l22, l23), (l31, l32, l33) = params.lam
+    x1 = q1 - 0.5 * sum((a11 * p1, a12 * p2, a13 * p3))
+    x2 = q2 - 0.5 * sum((a21 * p1, a22 * p2, a23 * p3))
+    x3 = q3 - 0.5 * sum((a31 * p1, a32 * p2, a33 * p3))
+    u1 = p1 + 0.5 * sum((l11 * q1, l12 * q2, l13 * q3))
+    u2 = p2 + 0.5 * sum((l21 * q1, l22 * q2, l23 * q3))
+    u3 = p3 + 0.5 * sum((l31 * q1, l32 * q2, l33 * q3))
+    y2 = x1**2 + x2**2 + x3**2
+    if y2 <= 0.0:
+        raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
+    y = math.sqrt(y2)
+    m, k = params.mass, params.k
+    h = (u1**2 + u2**2 + u3**2) / (2.0 * m) - k / y
+    if not vectors:
+        return y2, h
+    L1, L2, L3 = x2 * u3 - x3 * u2, x3 * u1 - x1 * u3, x1 * u2 - x2 * u1
+    mk = m * k
+    return (
+        y2, h, L1, L2, L3,
+        u2 * L3 - u3 * L2 - mk * x1 / y,
+        u3 * L1 - u1 * L3 - mk * x2 / y,
+        u1 * L2 - u2 * L1 - mk * x3 / y,
+    )
+
+
 @dataclass(frozen=True)
 class KeplerAux:
     """Radial coefficients of the closed-form equations of motion."""
@@ -143,10 +183,19 @@ def hamiltonian_vector_field_nc(params: DeformationParams) -> VectorField:
     return hamiltonian_vector_field(bivector, hamiltonian_field(params))
 
 
-def _rhs_fast(params: DeformationParams) -> Callable[[Sequence[float]], list]:
-    """Closed-form right-hand side specialized for speed inside integrators."""
+def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
+    """Closed-form right-hand side for the integrators, built once per params.
+
+    In the commutative limit it is the plain Kepler force.  Otherwise it is
+    :func:`hamilton_rhs_closed_form` with every alpha/lambda-only
+    subexpression computed here instead of on each call.  The result is
+    bit-identical to that reference: each hoisted constant is a
+    left-to-right prefix of the reference expression, and the ``**``,
+    ``math.sqrt`` and ``sum()`` calls are kept (``sum()`` starts from the
+    integer 0, which turns a -0.0 first term into 0.0).
+    """
+    m, k = params.mass, params.k
     if params.is_commutative:
-        m, k = params.mass, params.k
 
         def rhs(c):
             q1, q2, q3, p1, p2, p3 = c
@@ -157,7 +206,63 @@ def _rhs_fast(params: DeformationParams) -> Callable[[Sequence[float]], list]:
             return [p1 / m, p2 / m, p3 / m, f * q1, f * q2, f * q3]
 
         return rhs
-    return lambda c: hamilton_rhs_closed_form(c, params)
+
+    a, l = params.alpha, params.lam
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    th1, th2, th3 = params.theta
+    inv_m = 1.0 / m
+    # sigma = 1/m + (0.25 ky3) sa, sigma-tilde = ky3 + cl, R = rl - ra ky3
+    sa1, sa2, sa3 = (sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3))
+    cl1, cl2, cl3 = (0.25 / m * sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3))
+    (rl11, rl12, rl13), (rl21, rl22, rl23), (rl31, rl32, rl33) = (
+        [l[mu][s] / (2.0 * m) for s in range(3)] for mu in range(3)
+    )
+    (ra11, ra12, ra13), (ra21, ra22, ra23), (ra31, ra32, ra33) = (
+        [a[s][mu] * 0.5 for s in range(3)] for mu in range(3)
+    )
+    # off-diagonal couplings (0.25 ky3) saa[mu][nu] and cll[mu][nu], nu != mu
+    pairs = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+    saa12, saa13, saa21, saa23, saa31, saa32 = (
+        sum(a[li][mu] * a[li][nu] for li in range(3)) for mu, nu in pairs
+    )
+    cll12, cll13, cll21, cll23, cll31, cll32 = (
+        0.25 / m * sum(l[li][mu] * l[li][nu] for li in range(3)) for mu, nu in pairs
+    )
+
+    def rhs(c):
+        q1, q2, q3, p1, p2, p3 = c
+        x1 = q1 - 0.5 * sum((a11 * p1, a12 * p2, a13 * p3))
+        x2 = q2 - 0.5 * sum((a21 * p1, a22 * p2, a23 * p3))
+        x3 = q3 - 0.5 * sum((a31 * p1, a32 * p2, a33 * p3))
+        y2 = x1**2 + x2**2 + x3**2
+        if y2 <= 0.0:
+            raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
+        ky3 = k / math.sqrt(y2) ** 3
+        k4 = 0.25 * ky3
+        r11, r12, r13 = rl11 - ra11 * ky3, rl12 - ra12 * ky3, rl13 - ra13 * ky3
+        r21, r22, r23 = rl21 - ra21 * ky3, rl22 - ra22 * ky3, rl23 - ra23 * ky3
+        r31, r32, r33 = rl31 - ra31 * ky3, rl32 - ra32 * ky3, rl33 - ra33 * ky3
+        dq1 = (inv_m + k4 * sa1) * p1 + sum((r11 * q1, r12 * q2, r13 * q3))
+        dq1 += k4 * saa12 * p2
+        dq1 += k4 * saa13 * p3
+        dq2 = (inv_m + k4 * sa2) * p2 + sum((r21 * q1, r22 * q2, r23 * q3))
+        dq2 += k4 * saa21 * p1
+        dq2 += k4 * saa23 * p3
+        dq3 = (inv_m + k4 * sa3) * p3 + sum((r31 * q1, r32 * q2, r33 * q3))
+        dq3 += k4 * saa31 * p1
+        dq3 += k4 * saa32 * p2
+        dp1 = (ky3 + cl1) * q1 - sum((r11 * p1, r12 * p2, r13 * p3))
+        dp1 += cll12 * q2
+        dp1 += cll13 * q3
+        dp2 = (ky3 + cl2) * q2 - sum((r21 * p1, r22 * p2, r23 * p3))
+        dp2 += cll21 * q1
+        dp2 += cll23 * q3
+        dp3 = (ky3 + cl3) * q3 - sum((r31 * p1, r32 * p2, r33 * p3))
+        dp3 += cll31 * q1
+        dp3 += cll32 * q2
+        return [dq1 / th1, dq2 / th2, dq3 / th3, -dp1 / th1, -dp2 / th2, -dp3 / th3]
+
+    return rhs
 
 
 @dataclass
@@ -169,6 +274,9 @@ class Trajectory:
     monitor_names: list = field(default_factory=list)
     monitors: list = field(default_factory=list)  # one row per state
     termination_reason: str | None = None
+    # largest per-step energy change over 1 + |E0|, the collision
+    # detector's scale; the step that stopped a run counts
+    max_energy_jump: float = 0.0
 
     @property
     def completed(self) -> bool:
@@ -220,18 +328,25 @@ def integrate_field(
     dt: float,
     n_steps: int,
     method: str = "rk4",
-    monitors: Sequence[ScalarField] = (),
-    guard: Callable[[Sequence[float]], str | None] | None = None,
-    energy_monitor: Callable[[Sequence[float]], float] | None = None,
+    *,
+    observe: Callable[[Sequence[float]], tuple],
+    monitor_names: Sequence[str] = (),
     energy_step_tol: float = 1e-2,
 ) -> Trajectory:
     """Fixed-step integration with singularity guards.
 
-    Termination reasons: the configured guard firing, a non-finite state, an
-    implicit stage failure, or a per-step jump of the monitored energy beyond
-    ``energy_step_tol`` relative (the collision detector: near a singular
-    configuration a fixed step cannot hold the energy, and the run is
-    truncated rather than continued through garbage states).
+    ``observe(coords)`` is the per-state hook, called once on every state:
+    it returns ``(stop_reason, energy, monitor_row)``.  A stop reason other
+    than None truncates the run before that state; the energy (None turns
+    the check off) feeds the collision detector; the row is recorded under
+    ``monitor_names``.
+
+    Termination reasons: the hook's stop reason, a non-finite state, a
+    singular configuration or implicit stage failure raised by a step or the
+    hook, or a per-step jump of the energy beyond ``energy_step_tol``
+    relative (the collision detector: near a singular configuration a fixed
+    step cannot hold the energy, and the run is truncated rather than
+    continued through garbage states).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -239,44 +354,39 @@ def integrate_field(
         raise ValueError(f"unknown method {method!r}")
     stepper = _rk4_step if method == "rk4" else _implicit_midpoint_step
 
-    traj = Trajectory(monitor_names=[m.name or f"monitor{i}" for i, m in enumerate(monitors)])
+    traj = Trajectory(monitor_names=list(monitor_names))
 
-    def record(t, coords):
+    def record(t, coords, row):
         traj.times.append(t)
         traj.states.append(PhasePoint(tuple(coords), x0.chart))
-        traj.monitors.append([duals.value(m.func(coords)) for m in monitors])
+        traj.monitors.append(row)
 
     c = list(x0.coords)
-    record(0.0, c)
-    e_prev = energy_monitor(c) if energy_monitor is not None else None
+    _, e_prev, row = observe(c)
+    record(0.0, c, row)
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
     for step in range(1, n_steps + 1):
         try:
             c_new = stepper(rhs, c, dt)
+            if any(not math.isfinite(v) for v in c_new):
+                reason = "singular configuration: state left the chart (non-finite)"
+            else:
+                reason, e_new, row = observe(c_new)
         except SingularConfigurationError as err:
-            traj.termination_reason = f"singular configuration: {err}"
-            return traj
+            reason = f"singular configuration: {err}"
         except StepFailureError as err:
-            traj.termination_reason = f"step failure: {err}"
-            return traj
-        if any(not math.isfinite(v) for v in c_new):
-            traj.termination_reason = "singular configuration: state left the chart (non-finite)"
-            return traj
-        if guard is not None:
-            reason = guard(c_new)
-            if reason is not None:
-                traj.termination_reason = reason
-                return traj
-        if energy_monitor is not None:
-            e_new = energy_monitor(c_new)
-            if not math.isfinite(e_new) or abs(e_new - e_prev) > energy_step_tol * e_scale:
-                traj.termination_reason = (
-                    "singular configuration: energy step error exploded (collision)"
-                )
-                return traj
+            reason = f"step failure: {err}"
+        if reason is None and e_scale is not None:
+            jump = abs(e_new - e_prev)
+            traj.max_energy_jump = max(traj.max_energy_jump, jump / e_scale)
+            if not math.isfinite(e_new) or jump > energy_step_tol * e_scale:
+                reason = "singular configuration: energy step error exploded (collision)"
             e_prev = e_new
+        if reason is not None:
+            traj.termination_reason = reason
+            return traj
         c = c_new
-        record(step * dt, c)
+        record(step * dt, c, row)
     return traj
 
 
@@ -286,30 +396,37 @@ def integrate(
     dt: float,
     n_steps: int,
     method: str = "rk4",
-    monitors: Sequence[ScalarField] = (),
+    monitors: Sequence[str] = (),
 ) -> Trajectory:
     """Integrate the deformed Kepler flow from a cartesian point.
 
-    Aborts with a singularity reason when the deformed radius falls below
-    1e-9 of its initial value or a step loses energy accuracy (collision).
+    ``monitors`` are names from :data:`MONITOR_NAMES`.  Each state costs one
+    :func:`state_observables` call, which feeds the radius guard, the energy
+    detector and every monitor.  Aborts with a singularity reason when the
+    deformed radius falls below 1e-9 of its initial value or a step loses
+    energy accuracy (collision).
     """
-    y0 = duals.value(deformed_radius(x0, params))
-    floor = 1e-9 * y0
+    unknown = [name for name in monitors if name not in MONITOR_NAMES]
+    if unknown:
+        raise ValueError(f"unknown monitors {unknown}; choose from {MONITOR_NAMES}")
+    columns = [1 + MONITOR_NAMES.index(name) for name in monitors]
+    vectors = any(col > 1 for col in columns)
+    floor = 1e-9 * math.sqrt(state_observables(x0.coords, params, False)[0])
+    floor2 = floor * floor
 
-    def guard(coords):
-        primed = transform_coordinates(coords, params)
-        y2 = primed[0] ** 2 + primed[1] ** 2 + primed[2] ** 2
-        if y2 < floor * floor:
-            return "singular configuration: deformed radius below 1e-9 of its initial value"
-        return None
+    def observe(c):
+        obs = state_observables(c, params, vectors)
+        reason = None
+        if obs[0] < floor2:
+            reason = "singular configuration: deformed radius below 1e-9 of its initial value"
+        return reason, obs[1], [obs[col] for col in columns]
 
     return integrate_field(
         x0,
-        _rhs_fast(params),
+        flow_rhs(params),
         dt,
         n_steps,
         method=method,
-        monitors=monitors,
-        guard=guard,
-        energy_monitor=lambda c: duals.value(hamiltonian(c, params)),
+        observe=observe,
+        monitor_names=monitors,
     )

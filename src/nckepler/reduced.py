@@ -218,10 +218,6 @@ def spherical_hamiltonian(s, rp: ReducedParams):
     return kin / (2.0 * rp.m) - rp.k / r
 
 
-def spherical_hamiltonian_field(rp: ReducedParams) -> ScalarField:
-    return ScalarField(Chart.SPHERICAL, lambda c: spherical_hamiltonian(c, rp), name="H")
-
-
 def spherical_structures(rp: ReducedParams):
     """Canonical two-form and bivector on the spherical chart."""
     w = [[0.0] * 6 for _ in range(6)]
@@ -326,10 +322,6 @@ def energy_from_actions(J, rp: ReducedParams):
     if duals.value(s) <= 0.0:
         raise ChartDomainError(f"action sum S must be positive, got {duals.value(s)}")
     return -rp.m * rp.k**2 / (2.0 * s**2)
-
-
-def energy_field(rp: ReducedParams) -> ScalarField:
-    return ScalarField(Chart.ACTION_ANGLE, lambda c: energy_from_actions(c[:3], rp), name="H")
 
 
 def frequencies(J, rp: ReducedParams) -> tuple:

@@ -11,11 +11,37 @@ import math
 import numpy as np
 
 from .deformation import DeformationParams
+from .errors import NCKeplerError, SamplingError
 from .geometry import Chart, PhasePoint
 from .kepler import deformed_radius, hamiltonian
 from .reduced import ReducedParams, SphericalState, first_integrals, spherical_hamiltonian
 
 DEFAULT_SEED = 42
+
+# Consecutive rejected draws after which a rejection sampler gives up.  The
+# tests and the acceptance configuration never need more than 163 draws in
+# one sampler call (sample_cartesian, 100 points with an energy sign), so a
+# run this long means the parameters admit (next to) no valid point.
+MAX_REJECTIONS = 10_000
+
+
+def _collect(n: int, sampler: str, draw) -> list:
+    """``n`` accepted draws; ``draw()`` returns None for a rejected one."""
+    out = []
+    rejected = 0
+    while len(out) < n:
+        item = draw()
+        if item is None:
+            rejected += 1
+            if rejected >= MAX_REJECTIONS:
+                raise SamplingError(
+                    f"{sampler}: {MAX_REJECTIONS} consecutive draws rejected after "
+                    f"{len(out)} of {n} points; the parameters admit no valid sample"
+                )
+            continue
+        rejected = 0
+        out.append(item)
+    return out
 
 
 def sample_cartesian(
@@ -31,25 +57,25 @@ def sample_cartesian(
     """
     params = params or DeformationParams()
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
+
+    def draw():
         q = rng.uniform(-1.6, 1.6, size=3)
         p = rng.uniform(-1.1, 1.1, size=3)
-        coords = (*q, *p)
         try:
-            x = PhasePoint(coords, Chart.CARTESIAN)
+            x = PhasePoint((*q, *p), Chart.CARTESIAN)
             if deformed_radius(x, params) < 0.35:
-                continue
+                return None
             if energy_sign is not None:
                 H = hamiltonian(x, params)
                 if energy_sign == "minus" and H > -0.05:
-                    continue
+                    return None
                 if energy_sign == "plus" and H < 0.05:
-                    continue
-        except Exception:
-            continue
-        out.append(x)
-    return out
+                    return None
+        except NCKeplerError:
+            return None
+        return x
+
+    return _collect(n, "sample_cartesian", draw)
 
 
 def sample_spherical_bound(n: int, seed: int = DEFAULT_SEED, rp: ReducedParams | None = None) -> list:
@@ -57,8 +83,8 @@ def sample_spherical_bound(n: int, seed: int = DEFAULT_SEED, rp: ReducedParams |
     L~ > |D| > 0)."""
     rp = rp or ReducedParams()
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
+
+    def draw():
         s = SphericalState(
             r=float(rng.uniform(0.7, 1.8)),
             theta=float(rng.uniform(0.7, math.pi - 0.7)),
@@ -69,12 +95,13 @@ def sample_spherical_bound(n: int, seed: int = DEFAULT_SEED, rp: ReducedParams |
         )
         E = spherical_hamiltonian(s, rp)
         if E > -0.08:
-            continue
+            return None
         _, d, lt = first_integrals(s, rp)
         if abs(d) < 0.08 or lt < abs(d) + 0.03:
-            continue
-        out.append(s)
-    return out
+            return None
+        return s
+
+    return _collect(n, "sample_spherical_bound", draw)
 
 
 def sample_action_angle(n: int, seed: int = DEFAULT_SEED) -> list:
@@ -103,8 +130,8 @@ def sample_delaunay(n: int, seed: int = DEFAULT_SEED, zero_angles: bool = False)
 def sample_deformations(n: int, seed: int = DEFAULT_SEED, scale: float = 0.25) -> list:
     """Random valid deformation parameter sets (antisymmetric, theta != 0)."""
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
+
+    def draw():
         a = rng.uniform(-scale, scale, size=3)
         l = rng.uniform(-scale, scale, size=3)
         alpha = [[0.0, a[0], a[1]], [-a[0], 0.0, a[2]], [-a[1], -a[2], 0.0]]
@@ -112,10 +139,11 @@ def sample_deformations(n: int, seed: int = DEFAULT_SEED, scale: float = 0.25) -
         mass = float(rng.uniform(0.8, 1.5))
         k = float(rng.uniform(0.8, 1.8))
         try:
-            out.append(DeformationParams(alpha=alpha, lam=lam, mass=mass, k=k))
-        except Exception:
-            continue
-    return out
+            return DeformationParams(alpha=alpha, lam=lam, mass=mass, k=k)
+        except NCKeplerError:
+            return None
+
+    return _collect(n, "sample_deformations", draw)
 
 
 def random_polynomial_field(rng, chart: Chart):

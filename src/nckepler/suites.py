@@ -65,6 +65,7 @@ from .hierarchy import (
     weight_vector,
 )
 from .kepler import (
+    MONITOR_NAMES,
     deformed_radius,
     hamilton_rhs_closed_form,
     hamilton_rhs_primed_form,
@@ -474,8 +475,6 @@ def suite_algebra(cfg: VerifyConfig) -> SuiteReport:
     )
 
     # conservation along commutative orbits (circular and e = 0.6)
-    monitors = [hamiltonian_field(comm)] + [angular_momentum_field(comm, i) for i in range(3)] \
-        + [lrl_field(comm, i) for i in range(3)]
     m, k = comm.mass, comm.k
     # eccentric orbit starts at pericenter: r = a(1-e) with e = 0.6, a = 1,
     # v_peri = sqrt((k/m a) (1+e)/(1-e))
@@ -487,7 +486,8 @@ def suite_algebra(cfg: VerifyConfig) -> SuiteReport:
         "eccentric": PhasePoint((r_peri, 0.0, 0.0, 0.0, m * v_peri, 0.0), Chart.CARTESIAN),
     }
     for label, x0_run in runs.items():
-        traj = integrate(x0_run, comm, dt=1e-3, n_steps=10_000, method="rk4", monitors=monitors)
+        traj = integrate(x0_run, comm, dt=1e-3, n_steps=10_000, method="rk4",
+                         monitors=MONITOR_NAMES)
         if not traj.completed:
             rep.add(f"conservation-{label}", "orbit integration completed",
                     x0_run.coords, 0.0, 1.0, 1.0, 0.5)
@@ -504,9 +504,8 @@ def suite_algebra(cfg: VerifyConfig) -> SuiteReport:
 
     # deformed case: monitored dL/dt equals the closed-form bracket along the flow
     x_nc = sample_cartesian(1, cfg.seed + 7, params, energy_sign="minus")[0]
-    mon = [angular_momentum_field(params, i) for i in range(3)]
     dt = 2e-4
-    traj = integrate(x_nc, params, dt=dt, n_steps=400, method="rk4", monitors=mon)
+    traj = integrate(x_nc, params, dt=dt, n_steps=400, method="rk4", monitors=("L1", "L2", "L3"))
     w_flow = 0.0
     nonzero = 0.0
     for idx in range(5, len(traj.states) - 5, 25):
@@ -595,7 +594,7 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
     s0 = states[0]
     dt, n = 2e-4, 4000
     traj = integrate_field(s0.as_point(), rhs, dt, n, method="rk4",
-                           energy_monitor=lambda c: spherical_hamiltonian(c, rp))
+                           observe=lambda c: (None, spherical_hamiltonian(c, rp), ()))
     E0 = spherical_hamiltonian(s0, rp)
     _, d0, lt0 = first_integrals(s0, rp)
     J0 = actions_from_integrals(E0, lt0, d0, rp)
@@ -871,7 +870,7 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
     s0 = sample_spherical_bound(1, cfg.seed + 2, rp)[0]
     rhs = spherical_rhs(rp)
     traj = integrate_field(s0.as_point(), rhs, 1e-3, 10_000, method="rk4",
-                           energy_monitor=lambda c: spherical_hamiltonian(c, rp))
+                           observe=lambda c: (None, spherical_hamiltonian(c, rp), ()))
     eig0 = None
     w_drift = 0.0
     for st in traj.states[::50]:

@@ -8,8 +8,10 @@ from nckepler.deformation import DeformationParams, nc_symplectic_structures, tr
 from nckepler.errors import SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product
 from nckepler.kepler import (
+    MONITOR_NAMES,
     Trajectory,
     deformed_radius,
+    flow_rhs,
     hamilton_rhs_closed_form,
     hamilton_rhs_primed_form,
     hamiltonian,
@@ -17,9 +19,10 @@ from nckepler.kepler import (
     hamiltonian_vector_field_nc,
     integrate,
     kepler_aux,
+    state_observables,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
-from nckepler.symmetry import angular_momentum_field, lrl_field
+from nckepler.symmetry import angular_momentum, lrl_vector
 
 COMM = DeformationParams()
 
@@ -116,14 +119,40 @@ def test_flow_satisfies_interior_product_identity():
         assert max(abs(duals.value(ip[i]) + duals.value(dH[i])) for i in range(6)) < 1e-10
 
 
+def test_hoisted_flow_equals_closed_form_exactly():
+    for params in sample_deformations(10):
+        assert not params.is_commutative
+        rhs = flow_rhs(params)
+        for x in sample_cartesian(200, params=params):
+            assert rhs(list(x.coords)) == hamilton_rhs_closed_form(x, params)
+
+
+def test_state_observables_equal_reference_evaluators_exactly():
+    from nckepler.cli import _MONITOR_BUILDERS
+
+    assert tuple(_MONITOR_BUILDERS) == MONITOR_NAMES
+    for params in sample_deformations(10):
+        fields = [_MONITOR_BUILDERS[name](params) for name in MONITOR_NAMES]
+        for x in sample_cartesian(200, params=params):
+            y2, *values = state_observables(x.coords, params)
+            assert math.sqrt(y2) == deformed_radius(x, params)
+            assert values[0] == hamiltonian(x, params)
+            assert values[1:4] == angular_momentum(x, params)
+            assert values[4:] == lrl_vector(x, params)
+            assert values == [f.func(list(x.coords)) for f in fields]
+            assert state_observables(x.coords, params, vectors=False) == (y2, values[0])
+
+
 def test_rk4_circular_orbit_energy_drift():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
-    traj = integrate(x0, COMM, dt=1e-3, n_steps=10_000, method="rk4",
-                     monitors=[hamiltonian_field(COMM)])
+    traj = integrate(x0, COMM, dt=1e-3, n_steps=10_000, method="rk4", monitors=["H"])
     assert traj.completed
     series = traj.monitor_series("H")
     drift = max(abs(v - series[0]) for v in series) / abs(series[0])
     assert drift < 1e-8
+    assert 0.0 < traj.max_energy_jump <= max(
+        abs(b - a) for a, b in zip(series, series[1:])
+    ) / (1.0 + abs(series[0]))
 
 
 def test_radial_fall_terminates_with_singularity_reason():
@@ -132,12 +161,14 @@ def test_radial_fall_terminates_with_singularity_reason():
     assert not traj.completed
     assert "singular" in traj.termination_reason
     assert len(traj.states) < 2_001
+    # the step that tripped the collision detector is the largest jump
+    assert traj.max_energy_jump > 1e-2
 
 
 def test_implicit_midpoint_drift_bounded_and_non_secular():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.05, 0.0), Chart.CARTESIAN)
     traj = integrate(x0, COMM, dt=1e-3, n_steps=10_000, method="implicit_midpoint",
-                     monitors=[hamiltonian_field(COMM)])
+                     monitors=["H"])
     assert traj.completed
     series = np.array(traj.monitor_series("H"))
     dev = np.abs(series - series[0]) / abs(series[0])
@@ -160,9 +191,8 @@ def test_deformed_monitor_derivative_matches_bracket():
 
     params = sample_deformations(1, seed=17)[0]
     x0 = sample_cartesian(1, seed=7, params=params, energy_sign="minus")[0]
-    mon = [angular_momentum_field(params, i) for i in range(3)]
     dt = 2e-4
-    traj = integrate(x0, params, dt=dt, n_steps=200, method="rk4", monitors=mon)
+    traj = integrate(x0, params, dt=dt, n_steps=200, method="rk4", monitors=["L1", "L2", "L3"])
     assert traj.completed
     for idx in (50, 100, 150):
         for i in range(3):
@@ -174,8 +204,7 @@ def test_deformed_monitor_derivative_matches_bracket():
 
 def test_trajectory_csv_format():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
-    traj = integrate(x0, COMM, dt=1e-3, n_steps=5, method="rk4",
-                     monitors=[hamiltonian_field(COMM), angular_momentum_field(COMM, 2)])
+    traj = integrate(x0, COMM, dt=1e-3, n_steps=5, method="rk4", monitors=["H", "L3"])
     text = traj.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "t,q1,q2,q3,p1,p2,p3,H,L3"
@@ -192,12 +221,13 @@ def test_integrator_rejects_bad_arguments():
         integrate(x0, COMM, dt=-1.0, n_steps=10)
     with pytest.raises(ValueError):
         integrate(x0, COMM, dt=1e-3, n_steps=10, method="euler")
+    with pytest.raises(ValueError):
+        integrate(x0, COMM, dt=1e-3, n_steps=10, monitors=["E"])
 
 
 def test_trajectory_invariants():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
-    traj = integrate(x0, COMM, dt=1e-3, n_steps=50, method="rk4",
-                     monitors=[hamiltonian_field(COMM)])
+    traj = integrate(x0, COMM, dt=1e-3, n_steps=50, method="rk4", monitors=["H"])
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
     assert len(traj.monitors) == len(traj.states) == len(traj.times)
     assert all(math.isfinite(v) for s in traj.states for v in s.coords)

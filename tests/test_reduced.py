@@ -255,7 +255,7 @@ def test_angle_rates_match_frequencies_along_flow():
     _, d, lt = first_integrals(s0, RP)
     J = actions_from_integrals(E, lt, d, RP)
     traj = integrate_field(s0.as_point(), spherical_rhs(RP), 5e-4, 1500, method="rk4",
-                           energy_monitor=lambda c: spherical_hamiltonian(c, RP))
+                           observe=lambda c: (None, spherical_hamiltonian(c, RP), ()))
     assert traj.completed
     phi_seq = np.unwrap([st.coords[2] for st in traj.states])
     angles = np.array([

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,13 +11,70 @@ from nckepler.suites import SUITE_NAMES, SUITES, VerifyConfig
 
 SMALL = VerifyConfig(samples=24, deformation_sets=3)
 
+# SHA-256 of each suite report at SMALL, as written by ``SuiteReport.save``.
+# A refactor that claims byte-identical output must leave these unchanged.
+GOLDEN_REPORTS = {
+    "brackets": "94a9f146d643f2fb4b188f8490df0917e4ca47e0cae642bc51b97c6a72a97de3",
+    "algebra": "b42b5044801a8255d312c3473c5e212a7bca1a87a352127f6fe1317f75799897",
+    "action-angle": "25fbe3639f5e64b99cb1325c1a0b9c87b6745fb21de9d5b434cc683678c7a18c",
+    "hierarchy": "41e0393929e45fd55a17ad660a4f72916ca8e2015340246dc5249baddf7e8051",
+    "master": "d65eecac99d2242874408c18f229ee6cdfdda8d1ab847231a3610c8234b44a8c",
+}
 
-def test_all_suites_pass_at_reduced_sample_count():
+# Short ``simulate`` scenarios and the SHA-256 of the trajectory CSV each writes.
+GOLDEN_SCENARIOS = {
+    "deformed-rk4": (
+        {
+            "deformation": {
+                "alpha": [[0, 0.04, -0.03], [-0.04, 0, 0.02], [0.03, -0.02, 0]],
+                "lambda": [[0, -0.05, 0.01], [0.05, 0, 0.03], [-0.01, -0.03, 0]],
+                "mass": 1.2, "k": 0.9,
+            },
+            "initial_state": {"chart": "cartesian", "coords": [1.1, 0.1, -0.2, 0.05, 0.85, 0.1]},
+            "integrator": {"method": "rk4", "dt": 1e-3, "n_steps": 300},
+            "monitors": ["H", "L1", "L2", "L3", "A1", "A2", "A3"],
+        },
+        "d1afa1ee27a4ba99638e0d4099ba80ef93d7b231598b8d8d644aff0e302d668c",
+    ),
+    "commutative-midpoint": (
+        {
+            "initial_state": {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, 0.0, 1.05, 0.0]},
+            "integrator": {"method": "implicit_midpoint", "dt": 1e-3, "n_steps": 300},
+            "monitors": ["H"],
+            "drift_tolerance": 1e-5,
+        },
+        "0ddbc80387981029c3aeacd110b74dd2b936a4fba94de97a6251f68414cd4b15",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    return {name: SUITES[name](SMALL) for name in SUITE_NAMES}
+
+
+def test_all_suites_pass_at_reduced_sample_count(small_reports):
     for name in SUITE_NAMES:
-        rep = SUITES[name](SMALL)
+        rep = small_reports[name]
         assert rep.all_passed, (name, [e.identity for e in rep.entries if not e.passed])
         assert rep.total == rep.passed
         assert rep.to_dict()["summary"]["failed"] == 0
+
+
+def test_suite_reports_match_golden_digests(small_reports, tmp_path):
+    for name in SUITE_NAMES:
+        path = tmp_path / f"{name}.json"
+        small_reports[name].save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORTS[name], name
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SCENARIOS))
+def test_simulate_csv_matches_golden_digest(scenario, tmp_path):
+    doc, digest = GOLDEN_SCENARIOS[scenario]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({**doc, "output": {"trajectory_csv": "traj.csv"}}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == digest
 
 
 def test_reports_are_deterministic():
@@ -88,7 +146,7 @@ def test_cli_verify_determinism(tmp_path):
     assert (d1 / "brackets.json").read_bytes() == (d2 / "brackets.json").read_bytes()
 
 
-def test_cli_simulate_and_collision(tmp_path):
+def test_cli_simulate_and_collision(tmp_path, capsys):
     config = {
         "deformation": {},
         "initial_state": {"coords": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0], "chart": "cartesian"},
@@ -102,11 +160,34 @@ def test_cli_simulate_and_collision(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 0
     header = (tmp_path / "traj.csv").read_text().splitlines()[0]
     assert header == "t,q1,q2,q3,p1,p2,p3,H,L3"
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: 500/500 steps; stop: completed; max energy jump ")
 
     config["initial_state"]["coords"] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     config["integrator"]["n_steps"] = 2000
     path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "terminated early: singular configuration" in captured.out
+    steps = int(captured.err.split()[1].split("/")[0])
+    assert 0 < steps < 2000
+    assert "; stop: singular configuration: energy step error exploded" in captured.err
+    jump = float(captured.err.split("max energy jump ")[1].split()[0])
+    assert jump > 1e-2
+
+
+def test_cli_verify_sampler_exhaustion_is_config_error(tmp_path):
+    # k = 0.01 leaves no bound state in the sampling box: the sampler used to
+    # loop forever here
+    config = tmp_path / "weak.json"
+    config.write_text(json.dumps({"reduced": {"thetadot": 0.006, "phidot": 0.3, "k": 0.01}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nckepler.cli", "verify", "--config", str(config),
+         "--suites", "action-angle", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "sample_spherical_bound" in proc.stderr
 
 
 def test_cli_simulate_malformed_config(tmp_path):
@@ -114,6 +195,11 @@ def test_cli_simulate_malformed_config(tmp_path):
     path.write_text("{not json")
     assert main(["simulate", "--config", str(path)]) == 2
     path.write_text(json.dumps({"initial_state": {"coords": [1, 2], "chart": "cartesian"}}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    path.write_text(json.dumps({
+        "initial_state": {"coords": [1, 0, 0, 0, 1, 0], "chart": "cartesian"},
+        "monitors": ["H", "E"],
+    }))
     assert main(["simulate", "--config", str(path)]) == 2
 
 
