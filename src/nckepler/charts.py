@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from . import duals
 from .errors import ChartDomainError, DegenerateMapError
 from .geometry import Chart, PhasePoint
 from .reduced import (

@@ -18,7 +18,7 @@ from .geometry import Chart, PhasePoint
 from .charts import convert
 from .kepler import MONITOR_NAMES, hamiltonian_field, integrate
 from .reduced import ReducedParams
-from .suites import SUITE_NAMES, SUITES, VerifyConfig, run_suites
+from .suites import SUITE_NAMES, SUITES, VerifyConfig
 from .symmetry import angular_momentum_field, lrl_field
 
 EXIT_OK = 0

@@ -1,27 +1,41 @@
-"""Forward-mode automatic differentiation on scalars via dual numbers.
+"""Forward-mode automatic differentiation on scalars via vector-mode duals.
 
 Every tensor-field evaluator in this package is written against plain
-arithmetic on its six coordinates, so seeding a coordinate with a ``Dual``
-yields the exact directional derivative of the evaluator, with no truncation
-error beyond floating-point rounding.  Second derivatives come from nesting:
-the coefficient slots of a ``Dual`` may themselves hold ``Dual`` values.
+arithmetic on its six coordinates, so seeding the coordinates with ``Dual``
+values yields exact directional derivatives of the evaluator, with no
+truncation error beyond floating-point rounding.
+
+A ``Dual`` carries one tangent per seeded direction (ForwardDiff's chunk
+mode), so a single evaluator pass on :func:`seed`-ed coordinates gives the
+whole gradient or Jacobian.  Each tangent component is updated with exactly
+the operations a one-direction pass would apply to it, so every derivative
+is bit-for-bit the one a per-direction pass computes.
+
+Second derivatives come from nesting: the value and the tangents of a
+``Dual`` may themselves be ``Dual`` values of an outer layer.
+:func:`hessian` seeds an outer layer with a single tangent per column and
+takes the gradient of that inside it.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, neg, sub
 
 
 class Dual:
-    """A first-order jet ``a + b*eps`` with ``eps**2 = 0``.
+    """A first-order jet ``a + sum_k b[k] eps_k`` with ``eps_j eps_k = 0``.
 
-    ``a`` and ``b`` are floats or (for nested differentiation) ``Dual``
-    instances.  Only the operations the field evaluators need are defined.
+    ``a`` is a float or, for nested differentiation, a ``Dual`` of an outer
+    layer; ``b`` is a tuple with one tangent per seeded direction, each a
+    float or an outer-layer ``Dual``.  Two duals combined in one operation
+    must belong to the same layer and carry the same number of tangents.
+    Only the operations the field evaluators need are defined.
     """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b=0.0):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
 
@@ -31,40 +45,44 @@ class Dual:
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.a + other.a, self.b + other.b)
+            return Dual(self.a + other.a, tuple(map(add, self.b, other.b)))
         return Dual(self.a + other, self.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.a - other.a, self.b - other.b)
+            return Dual(self.a - other.a, tuple(map(sub, self.b, other.b)))
         return Dual(self.a - other, self.b)
 
     def __rsub__(self, other):
-        return Dual(other - self.a, -self.b)
+        return Dual(other - self.a, tuple(map(neg, self.b)))
 
     def __mul__(self, other):
+        a = self.a
         if isinstance(other, Dual):
-            return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-        return Dual(self.a * other, self.b * other)
+            oa = other.a
+            return Dual(a * oa, tuple([a * y + x * oa for x, y in zip(self.b, other.b)]))
+        return Dual(a * other, tuple([x * other for x in self.b]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.a
-            return Dual(self.a * inv, (self.b - self.a * inv * other.b) * inv)
+            val = self.a * inv
+            return Dual(val, tuple([(x - val * y) * inv for x, y in zip(self.b, other.b)]))
         inv = 1.0 / other
-        return Dual(self.a * inv, self.b * inv)
+        return Dual(self.a * inv, tuple([x * inv for x in self.b]))
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.a
         val = other * inv
-        return Dual(val, -val * inv * self.b)
+        scale = -val * inv
+        return Dual(val, tuple([scale * x for x in self.b]))
 
     def __neg__(self):
-        return Dual(-self.a, -self.b)
+        return Dual(-self.a, tuple(map(neg, self.b)))
 
     def __pos__(self):
         return self
@@ -73,14 +91,16 @@ class Dual:
         # constant exponent only; integer powers keep exactness at a = 0
         if isinstance(exponent, int):
             if exponent == 0:
-                return Dual(1.0, self.b * 0.0)
+                return Dual(1.0, tuple([x * 0.0 for x in self.b]))
             if exponent == 1:
                 return self
             if exponent >= 2:
                 ap = self.a ** (exponent - 1)
-                return Dual(ap * self.a, self.b * (exponent * ap))
+                scale = exponent * ap
+                return Dual(ap * self.a, tuple([x * scale for x in self.b]))
         ap = self.a ** (exponent - 1.0)
-        return Dual(ap * self.a, self.b * (exponent * ap))
+        scale = exponent * ap
+        return Dual(ap * self.a, tuple([x * scale for x in self.b]))
 
 
 def value(x):
@@ -90,45 +110,66 @@ def value(x):
     return float(x)
 
 
-def _chain(x, f, df):
-    if isinstance(x, Dual):
-        return Dual(f(x.a), x.b * df(x.a))
-    return f(x)
+def seed(coords) -> list:
+    """Wrap each coordinate in a new dual layer, with unit tangents.
+
+    Coordinate ``i`` gets the tangent tuple of the ``i``-th unit vector, so
+    one evaluator pass on the result carries every partial derivative.
+    ``coords`` may hold ``Dual`` entries of outer layers, which pass through
+    untouched as the values of the new layer.
+    """
+    n = len(coords)
+    return [
+        Dual(c, tuple([1.0 if j == i else 0.0 for j in range(n)]))
+        for i, c in enumerate(coords)
+    ]
+
+
+def tangents(v, n: int) -> tuple:
+    """The ``n`` tangents of ``v``: zeros when ``v`` is no ``Dual``."""
+    return v.b if isinstance(v, Dual) else (0.0,) * n
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.a)
-        return Dual(r, x.b / (2.0 * r))
+        d = 2.0 * r
+        return Dual(r, tuple([y / d for y in x.b]))
     return math.sqrt(x)
 
 
 def sin(x):
-    return _chain(x, sin, cos) if isinstance(x, Dual) else math.sin(x)
+    if isinstance(x, Dual):
+        c = cos(x.a)
+        return Dual(sin(x.a), tuple([y * c for y in x.b]))
+    return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        return Dual(cos(x.a), -x.b * sin(x.a))
+        s = sin(x.a)
+        return Dual(cos(x.a), tuple([(-y) * s for y in x.b]))
     return math.cos(x)
 
 
 def log(x):
     if isinstance(x, Dual):
-        return Dual(log(x.a), x.b / x.a)
+        a = x.a
+        return Dual(log(a), tuple([y / a for y in x.b]))
     return math.log(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.a)
-        return Dual(e, x.b * e)
+        return Dual(e, tuple([y * e for y in x.b]))
     return math.exp(x)
 
 
 def arcsin(x):
     if isinstance(x, Dual):
-        return Dual(arcsin(x.a), x.b / sqrt(1.0 - x.a * x.a))
+        d = sqrt(1.0 - x.a * x.a)
+        return Dual(arcsin(x.a), tuple([y / d for y in x.b]))
     return math.asin(x)
 
 
@@ -136,52 +177,48 @@ def atan2(y, x):
     ya, xa = isinstance(y, Dual), isinstance(x, Dual)
     if not ya and not xa:
         return math.atan2(y, x)
-    yv = y if ya else Dual(y)
-    xv = x if xa else Dual(x)
+    n = len((y if ya else x).b)
+    yv = y if ya else Dual(y, (0.0,) * n)
+    xv = x if xa else Dual(x, (0.0,) * n)
     denom = xv.a * xv.a + yv.a * yv.a
-    return Dual(atan2(yv.a, xv.a), (xv.a * yv.b - yv.a * xv.b) / denom)
+    return Dual(
+        atan2(yv.a, xv.a),
+        tuple([(xv.a * yb - yv.a * xb) / denom for yb, xb in zip(yv.b, xv.b)]),
+    )
 
 
 def grad(func, coords):
     """Exact gradient of ``func`` with respect to each coordinate.
 
-    ``coords`` may itself contain ``Dual`` entries (nested differentiation).
-    Every coordinate is wrapped into the new dual layer, zero-seeded unless
-    it is the active direction, so outer layers pass through untouched.
+    One evaluator pass on :func:`seed`-ed coordinates.  ``coords`` may
+    itself contain ``Dual`` entries (nested differentiation); the gradient
+    entries are then duals of that outer layer.
     """
     coords = list(coords)
-    n = len(coords)
-    out = []
-    for i in range(n):
-        seeded = [Dual(c, 1.0 if j == i else 0.0) for j, c in enumerate(coords)]
-        v = func(seeded)
-        out.append(v.b if isinstance(v, Dual) else 0.0)
-    return out
+    return list(tangents(func(seed(coords)), len(coords)))
 
 
 def jacobian(vec_func, coords):
-    """Exact Jacobian J[i][j] = d(vec_func_i)/d(coords_j)."""
+    """Exact Jacobian J[i][j] = d(vec_func_i)/d(coords_j), in one pass."""
     coords = list(coords)
     n = len(coords)
-    cols = []
-    for j in range(n):
-        seeded = [Dual(c, 1.0 if i == j else 0.0) for i, c in enumerate(coords)]
-        v = vec_func(seeded)
-        cols.append([c.b if isinstance(c, Dual) else 0.0 for c in v])
-    rows = len(cols[0])
-    return [[cols[j][i] for j in range(n)] for i in range(rows)]
+    return [list(tangents(v, n)) for v in vec_func(seed(coords))]
 
 
 def hessian(func, coords):
-    """Exact Hessian via nested duals: H[i][j] = d^2 f / dx_i dx_j."""
+    """Exact Hessian via nested duals: H[i][j] = d^2 f / dx_i dx_j.
+
+    Column ``i`` seeds an outer layer with one tangent on coordinate ``i``
+    only and takes the gradient inside it; the other coordinates stay
+    plain floats in that layer.
+    """
     coords = list(coords)
     n = len(coords)
     H = [[0.0] * n for _ in range(n)]
     for i in range(n):
         outer = list(coords)
-        outer[i] = Dual(coords[i], 1.0)
+        outer[i] = Dual(coords[i], (1.0,))
         gi = grad(func, outer)
         for j in range(n):
-            gij = gi[j]
-            H[j][i] = gij.b if isinstance(gij, Dual) else 0.0
+            H[j][i] = tangents(gi[j], 1)[0]
     return H

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import duals
@@ -307,13 +307,8 @@ def schouten_bracket(P: BivectorField, Q: BivectorField, x) -> list:
 
     def matrices_and_derivs(B):
         mat = B(coords)
-        dmat = [None] * DIM  # dmat[l][i][j] = d_l B^{ij}
-        for l in range(DIM):
-            seeded = [Dual(c, 1.0 if m == l else 0.0) for m, c in enumerate(coords)]
-            full = B.func(seeded)
-            dmat[l] = [
-                [e.b if isinstance(e, Dual) else 0.0 for e in row] for row in full
-            ]
+        # dmat[i][j][l] = d_l B^{ij}, from one seeded pass
+        dmat = [[duals.tangents(e, DIM) for e in row] for row in B.func(duals.seed(coords))]
         return [[value(mat[i][j]) for j in range(DIM)] for i in range(DIM)], dmat
 
     Pm, dP = matrices_and_derivs(P)
@@ -323,7 +318,7 @@ def schouten_bracket(P: BivectorField, Q: BivectorField, x) -> list:
         total = 0.0
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for l in range(DIM):
-                total += Pm[l][a] * dQ[l][b][c] + Qm[l][a] * dP[l][b][c]
+                total += Pm[l][a] * dQ[b][c][l] + Qm[l][a] * dP[b][c][l]
         return total
 
     out = [[[0.0] * DIM for _ in range(DIM)] for _ in range(DIM)]
@@ -365,17 +360,14 @@ def lie_derivative(Z: VectorField, T, x):
 
     def directional(mat_func):
         # derivative of each matrix entry along Z
+        mm = mat_func(duals.seed(coords))
         out = [[0.0] * DIM for _ in range(DIM)]
-        for l in range(DIM):
-            if Zv[l] == 0.0:
-                continue
-            seeded = [Dual(c, 1.0 if m == l else 0.0) for m, c in enumerate(coords)]
-            mm = mat_func(seeded)
-            for i in range(DIM):
-                for j in range(DIM):
-                    e = mm[i][j]
-                    d = e.b if isinstance(e, Dual) else 0.0
-                    out[i][j] += Zv[l] * d
+        for i in range(DIM):
+            for j in range(DIM):
+                d = duals.tangents(mm[i][j], DIM)
+                for l in range(DIM):
+                    if Zv[l] != 0.0:
+                        out[i][j] += Zv[l] * d[l]
         return out
 
     mat = [[value(e) for e in row] for row in T(coords)]

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from . import duals
 from .charts import forward_jacobian, inverse_jacobian

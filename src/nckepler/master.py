@@ -21,7 +21,6 @@ list of scaling relations generated by the recursion operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,14 +29,12 @@ from .errors import ChartDomainError
 from .geometry import (
     BivectorField,
     Chart,
-    MixedTensor,
     PhasePoint,
     ScalarField,
     TwoForm,
     VectorField,
 )
 from .hierarchy import (
-    delaunay_flow_field,
     level_bivector,
     level_two_form,
     recursion_operator,

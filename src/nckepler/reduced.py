@@ -25,18 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import duals
 from .errors import ChartDomainError, NonCompactError, TurningPointError
 from .geometry import (
-    BivectorField,
     Chart,
     PhasePoint,
     ScalarField,
-    TwoForm,
     VectorField,
     constant_bivector,
     constant_two_form,

@@ -10,14 +10,13 @@ document rather than hide the ambiguities of the source material.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import duals
 from .charts import (
     action_angle_to_delaunay,
-    cartesian_to_spherical,
     delaunay_to_action_angle,
     forward_jacobian,
     spherical_to_cartesian,
@@ -31,11 +30,8 @@ from .deformation import (
     nc_bracket_field,
     nc_symplectic_structures,
     primed_coordinate_function,
-    transform_matrix,
 )
-from .errors import NCKeplerError
 from .geometry import (
-    BivectorField,
     Chart,
     PhasePoint,
     ScalarField,
@@ -44,7 +40,6 @@ from .geometry import (
     flat_sharp_composition,
     gradient,
     interior_product,
-    lie_derivative,
     max_abs,
     nijenhuis_torsion,
     schouten_bracket,
@@ -66,10 +61,8 @@ from .hierarchy import (
 )
 from .kepler import (
     MONITOR_NAMES,
-    deformed_radius,
     hamilton_rhs_closed_form,
     hamilton_rhs_primed_form,
-    hamiltonian,
     hamiltonian_field,
     hamiltonian_vector_field_nc,
     integrate,
@@ -82,10 +75,7 @@ from .master import (
     family_energy_field,
     family_flow_field,
     family_gamma_field,
-    family_two_form,
     apply_recursion_to_vector,
-    master_family,
-    master_integral,
     master_symmetry_field,
     pairing_residual,
     scaling_ledger,
@@ -100,14 +90,12 @@ from .reduced import (
     frequencies,
     isochronous_derivative,
     kolmogorov_determinant,
-    azimuthal_period_integral,
     polar_action_quadrature,
     radial_action_quadrature,
     reduced_structures,
     spherical_hamiltonian,
     spherical_rhs,
     quadratic_condition_value,
-    lambda_matrix,
 )
 from .report import SuiteReport
 from .sampling import (
@@ -127,11 +115,8 @@ from .symmetry import (
     closure_fit,
     generator_sets,
     involution_parameter_search,
-    levi_civita,
     lrl_field,
     pairwise_bracket_table,
-    primed_chain_bracket,
-    primed_observables,
     structure_matrices,
 )
 

@@ -19,7 +19,6 @@ the generator sets assemble the 4x4 antisymmetric patterns from them.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import duals
 from .deformation import DeformationParams, nc_bracket, transform_coordinates
-from .errors import ChartDomainError, SingularConfigurationError
+from .errors import ChartDomainError
 from .geometry import Chart, PhasePoint, ScalarField
 from .kepler import deformed_radius, hamiltonian
 
