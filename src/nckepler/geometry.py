@@ -258,42 +258,41 @@ def pairing(alpha: Sequence, X: Sequence):
     return sum(a * v for a, v in zip(alpha, X))
 
 
-def _tensor_matrix(T, coords):
-    mat = T.func(coords) if isinstance(T, MixedTensor) else T(coords)
-    return [list(row) for row in mat]
+def nijenhuis_torsion(T: MixedTensor, x) -> list:
+    """Nijenhuis torsion of ``T`` on the coordinate frame at ``x``.
 
+    Returns ``N[a][b]``, the six components of ``N_T(d_a, d_b)`` for every
+    frame pair, where ``N_T(X,Y) = [TX,TY] - T[TX,Y] - T[X,TY] + T^2[X,Y]``.
+    Coordinate fields commute, so the last term vanishes, and with
+    ``m[i][j] = T^i_j`` and ``d[i][j][l] = d_l T^i_j`` the rest reads
 
-def apply_mixed(T: MixedTensor, X: VectorField) -> VectorField:
-    """The vector field ``x -> T(x) X(x)``."""
+        N^i = sum_j (m[j][a] d[i][b][j] - m[j][b] d[i][a][j])
+              - sum_k m[i][k] (-d[k][a][b]) - sum_k m[i][k] d[k][b][a].
 
-    def evaluate(coords):
-        mat = _tensor_matrix(T, coords)
-        Xv = X.func(coords)
-        return [sum(mat[i][j] * Xv[j] for j in range(DIM)) for i in range(DIM)]
-
-    return VectorField(T.chart, evaluate, name=f"{T.name}{X.name}")
-
-
-def nijenhuis_torsion(T: MixedTensor, X: VectorField, Y: VectorField, x) -> list:
-    """``N_T(X,Y) = [TX,TY] - T[TX,Y] - T[X,TY] + T^2 [X,Y]`` at ``x``."""
+    ``T.func`` runs twice per point: one plain pass for ``m`` and one
+    seeded pass for every ``d``.  The terms are summed in the order the
+    four Lie brackets of the definition produce them, so each component
+    equals the bracket-by-bracket value exactly.  ``N[b][a]`` is stored
+    as ``-N[a][b]``, so the result is antisymmetric to the bit.
+    """
     coords = _coords_of(x)
-    TX = apply_mixed(T, X)
-    TY = apply_mixed(T, Y)
-    mat = _tensor_matrix(T, coords)
+    m = T.func(coords)
+    d = [[duals.tangents(e, DIM) for e in row] for row in T.func(duals.seed(coords))]
 
     def tmul(vec):
-        return [sum(mat[i][j] * vec[j] for j in range(DIM)) for i in range(DIM)]
+        return [sum(m[i][j] * vec[j] for j in range(DIM)) for i in range(DIM)]
 
-    term1 = lie_bracket(TX, TY, coords)
-    term2 = tmul(lie_bracket(TX, Y, coords))
-    term3 = tmul(lie_bracket(X, TY, coords))
-    term4 = tmul(tmul(lie_bracket(X, Y, coords)))
-    return [term1[i] - term2[i] - term3[i] + term4[i] for i in range(DIM)]
-
-
-def coordinate_field(chart: Chart, index: int) -> VectorField:
-    comp = [1.0 if i == index else 0.0 for i in range(DIM)]
-    return VectorField(chart, lambda c: list(comp), name=f"d/dx{index}")
+    N = [[[0.0] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for a in range(DIM):
+        for b in range(a + 1, DIM):
+            t2 = tmul([-d[k][a][b] for k in range(DIM)])
+            t3 = tmul([d[k][b][a] for k in range(DIM)])
+            for i in range(DIM):
+                t1 = sum(m[j][a] * d[i][b][j] - m[j][b] * d[i][a][j] for j in range(DIM))
+                n = t1 - t2[i] - t3[i]
+                N[a][b][i] = n
+                N[b][a][i] = -n
+    return N
 
 
 def schouten_bracket(P: BivectorField, Q: BivectorField, x) -> list:

@@ -335,10 +335,7 @@ def isochronous_derivative(E: float, rp: ReducedParams) -> float:
 
 def action_hessian(J, rp: ReducedParams) -> list:
     """Exact 3x3 Hessian of the energy in the actions, via nested duals."""
-    f = lambda c: energy_from_actions(c[:3], rp)
-    coords = [J[0], J[1], J[2], 0.0, 0.0, 0.0]
-    H6 = duals.hessian(f, coords)
-    return [row[:3] for row in H6[:3]]
+    return duals.hessian(lambda c: energy_from_actions(c, rp), list(J[:3]))
 
 
 def kolmogorov_determinant(J, rp: ReducedParams) -> float:

@@ -36,7 +36,6 @@ from .geometry import (
     PhasePoint,
     ScalarField,
     bivector_bracket,
-    coordinate_field,
     flat_sharp_composition,
     gradient,
     interior_product,
@@ -710,11 +709,7 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
 
         w = 0.0
         for x in subset:
-            for a in range(6):
-                for b in range(a + 1, 6):
-                    t = nijenhuis_torsion(Th, coordinate_field(Chart.DELAUNAY, a),
-                                          coordinate_field(Chart.DELAUNAY, b), x)
-                    w = max(w, max_abs(t))
+            w = max(w, max_abs(nijenhuis_torsion(Th, x)))
         rep.add(f"torsion-h{h}", "recursion operator has vanishing torsion on the coordinate frame",
                 x0, w, 0.0, w, cfg.tol_bracket)
 
@@ -770,11 +765,7 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
             w_pair = max(w_pair, max(abs(duals.value(ip[i]) + duals.value(dF[i])) for i in range(6)))
         for x in aa_points[:6]:
             w_compat = max(w_compat, max_abs(schouten_bracket(Paa, P0aa, x)))
-            for a in range(6):
-                for b in range(a + 1, 6):
-                    t = nijenhuis_torsion(Taa, coordinate_field(Chart.ACTION_ANGLE, a),
-                                          coordinate_field(Chart.ACTION_ANGLE, b), x)
-                    w_tors = max(w_tors, max_abs(t))
+            w_tors = max(w_tors, max_abs(nijenhuis_torsion(Taa, x)))
         rep.add(f"transport-pairing-h{h}",
                 "transported level form pairs with the in-chart flow and energy",
                 aa_points[0].coords, w_pair, 0.0, w_pair, cfg.tol_transport)

@@ -15,7 +15,6 @@ from nckepler.geometry import (
     VectorField,
     bivector_bracket,
     constant_bivector,
-    coordinate_field,
     gradient,
     hamiltonian_vector_field,
     interior_product,
@@ -26,7 +25,10 @@ from nckepler.geometry import (
     schouten_bracket,
     MixedTensor,
 )
+from nckepler.hierarchy import hierarchy_in_action_angle, recursion_operator
 from nckepler.kepler import hamiltonian_field
+from nckepler.sampling import sample_action_angle, sample_delaunay
+from nckepler.suites import VerifyConfig
 
 CANONICAL = [[0.0] * 6 for _ in range(6)]
 for _nu in range(3):
@@ -202,19 +204,134 @@ def test_schouten_symmetric_in_its_bivector_arguments():
     assert diff < 1e-14
 
 
+def _contract(N, Xv, Yv):
+    """``sum_ab X^a Y^b N[a][b]``: the torsion on two vectors at a point."""
+    return [
+        sum(Xv[a] * Yv[b] * N[a][b][i] for a in range(6) for b in range(6))
+        for i in range(6)
+    ]
+
+
 def test_nijenhuis_identity_operator():
     T = MixedTensor(Chart.CARTESIAN, lambda c: [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)])
     rng = np.random.default_rng(1)
     X = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
     Y = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
-    assert max_abs(nijenhuis_torsion(T, X, Y, POINT)) < 1e-13
+    N = nijenhuis_torsion(T, POINT)
+    assert max_abs(_contract(N, X(POINT), Y(POINT))) < 1e-13
+    assert max_abs(N) < 1e-13
 
 
 def test_nijenhuis_constant_diagonal():
     T = MixedTensor(Chart.CARTESIAN, lambda c: [[float(i + 1) if i == j else 0.0 for j in range(6)] for i in range(6)])
-    X = coordinate_field(Chart.CARTESIAN, 0)
-    Y = coordinate_field(Chart.CARTESIAN, 4)
-    assert max_abs(nijenhuis_torsion(T, X, Y, POINT)) == 0.0
+    assert max_abs(nijenhuis_torsion(T, POINT)) == 0.0
+
+
+def _diag_x1(c):
+    """``diag(x_1, 1, 1, 1, 1, 1)``: the simplest operator with torsion."""
+    return [[(c[1] if i == 0 else 1.0) if i == j else 0.0 for j in range(6)] for i in range(6)]
+
+
+def test_nijenhuis_nonzero_torsion_on_the_frame():
+    # T d_0 = x_1 d_0 and T d_1 = d_1, so [T d_0, T d_1] = -d_0 and
+    # T[T d_0, d_1] = -x_1 d_0 leave N(d_0, d_1) = (x_1 - 1) d_0; every
+    # other frame pair commutes through T.
+    T = MixedTensor(Chart.CARTESIAN, _diag_x1)
+    x = PhasePoint((0.3, 2.5, 0.1, 0.2, 0.4, 0.6), Chart.CARTESIAN)
+    N = nijenhuis_torsion(T, x)
+    assert N[0][1] == [1.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert N[1][0] == [-1.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for a in range(6):
+        for b in range(6):
+            if {a, b} != {0, 1}:
+                assert N[a][b] == [0.0] * 6
+
+
+def _torsion_by_definition(T, X, Y, x):
+    """Reference ``N_T(X,Y) = [TX,TY] - T[TX,Y] - T[X,TY] + T^2[X,Y]`` at
+    ``x``, one Lie bracket per term."""
+    coords = list(x.coords)
+
+    def apply(V):
+        def evaluate(c):
+            mat = [list(row) for row in T.func(c)]
+            Vv = V.func(c)
+            return [sum(mat[i][j] * Vv[j] for j in range(6)) for i in range(6)]
+
+        return VectorField(T.chart, evaluate)
+
+    mat = [list(row) for row in T.func(coords)]
+
+    def tmul(vec):
+        return [sum(mat[i][j] * vec[j] for j in range(6)) for i in range(6)]
+
+    TX, TY = apply(X), apply(Y)
+    term1 = lie_bracket(TX, TY, coords)
+    term2 = tmul(lie_bracket(TX, Y, coords))
+    term3 = tmul(lie_bracket(X, TY, coords))
+    term4 = tmul(tmul(lie_bracket(X, Y, coords)))
+    return [term1[i] - term2[i] - term3[i] + term4[i] for i in range(6)]
+
+
+def test_nijenhuis_frame_components_contract_to_the_definition():
+    T = MixedTensor(Chart.CARTESIAN, _diag_x1)
+    rng = np.random.default_rng(5)
+    X = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
+    Y = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
+    definition = _torsion_by_definition(T, X, Y, POINT)
+    frame = _contract(nijenhuis_torsion(T, POINT), X(POINT), Y(POINT))
+    scale = max_abs(definition)
+    assert scale > 0.1
+    assert max(abs(frame[i] - definition[i]) for i in range(6)) <= 1e-12 * scale
+
+
+def _polynomial_tensor(seed):
+    """A dense operator, quadratic in the coordinates, with nonzero torsion."""
+    coef = np.random.default_rng(seed).uniform(-1, 1, size=(6, 6, 3))
+
+    def func(c):
+        return [[coef[i][j][0] + coef[i][j][1] * c[j] + coef[i][j][2] * c[i] * c[(j + 1) % 6]
+                 for j in range(6)] for i in range(6)]
+
+    return MixedTensor(Chart.CARTESIAN, func)
+
+
+def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pass():
+    # the hierarchy suite's torsion checks: its points, levels and operators
+    cfg = VerifyConfig()
+    rp = cfg.reduced
+    n = max(12, cfg.samples // 8)
+    delaunay = sample_delaunay(cfg.samples, cfg.seed)[:n]
+    action_angle = sample_action_angle(n, cfg.seed + 1)[:6]
+    cases = [(recursion_operator(h, rp), delaunay) for h in range(cfg.h_max + 1)]
+    cases += [(hierarchy_in_action_angle(h, rp)[2], action_angle) for h in range(1, cfg.h_max + 1)]
+    cartesian = [PhasePoint(tuple(np.random.default_rng(s).uniform(-1, 1, size=6)), Chart.CARTESIAN)
+                 for s in range(3)]
+    cases += [(_polynomial_tensor(s), cartesian) for s in range(3)]
+
+    def frame(chart, k):
+        return VectorField(chart, lambda c: [1.0 if i == k else 0.0 for i in range(6)])
+
+    largest = 0.0
+    for T, pts in cases:
+        calls = []
+
+        def counted(c, func=T.func):
+            calls.append(any(isinstance(e, duals.Dual) for e in c))
+            return func(c)
+
+        for x in pts:
+            calls.clear()
+            N = nijenhuis_torsion(MixedTensor(T.chart, counted), x)
+            assert calls == [False, True]
+            for a in range(6):
+                assert N[a][a] == [0.0] * 6
+                for b in range(a + 1, 6):
+                    ref = _torsion_by_definition(T, frame(T.chart, a), frame(T.chart, b), x)
+                    assert N[a][b] == ref
+                    assert N[b][a] == [-v for v in ref]
+                    largest = max(largest, max_abs(ref))
+    assert largest > 0.1
 
 
 def test_interior_product_zero_field():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nckepler import duals
+from nckepler import duals, reduced
 from nckepler.deformation import DeformationParams
 from nckepler.errors import ChartDomainError, NonCompactError, TurningPointError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product, flat_sharp_composition
@@ -12,6 +12,7 @@ from nckepler.reduced import (
     ActionSet,
     ReducedParams,
     SphericalState,
+    action_hessian,
     actions_from_integrals,
     angles_from_state,
     azimuthal_period_integral,
@@ -180,6 +181,30 @@ def test_frequencies_and_isochronous_derivative():
 
 def test_kolmogorov_determinant_vanishes():
     assert abs(kolmogorov_determinant((0.3, 0.5, 0.7), RP)) < 1e-14
+
+
+def test_action_hessian_runs_one_outer_column_per_action(monkeypatch):
+    calls = []
+    energy = reduced.energy_from_actions
+
+    def counted(J, rp):
+        calls.append(len(J))
+        return energy(J, rp)
+
+    monkeypatch.setattr(reduced, "energy_from_actions", counted)
+    H = action_hessian((0.3, 0.5, 0.7), RP)
+    assert calls == [3, 3, 3]
+    assert len(H) == 3 and all(len(row) == 3 for row in H)
+
+
+def test_action_hessian_equals_the_six_coordinate_hessian_bitwise():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        J = [float(v) for v in rng.uniform(0.3, 2.0, size=3)]
+        padded = duals.hessian(lambda c: energy_from_actions(c[:3], RP), J + [0.0, 0.0, 0.0])
+        H = action_hessian(J, RP)
+        for i in range(3):
+            assert [v.hex() for v in H[i]] == [v.hex() for v in padded[i][:3]]
 
 
 def test_polar_action_quadrature_matches_closed_form():
