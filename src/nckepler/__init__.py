@@ -22,12 +22,10 @@ from .errors import (
     TurningPointError,
 )
 from .geometry import (
-    BivectorField,
     Chart,
-    MixedTensor,
     PhasePoint,
     ScalarField,
-    TwoForm,
+    TensorField,
     VectorField,
     gradient,
     hamiltonian_vector_field,
@@ -41,6 +39,6 @@ from .kepler import Trajectory, deformed_radius, hamiltonian, hamiltonian_vector
 from .reduced import ActionAngleState, ReducedParams, SphericalState
 from .hierarchy import DelaunayState, OrbitalElements, classical_delaunay, hierarchy_level, verify_level
 from .report import CheckRecord, SuiteReport
-from .suites import SUITE_NAMES, VerifyConfig, run_suites
+from .suites import SUITE_NAMES, VerifyConfig
 
 __version__ = "0.1.0"

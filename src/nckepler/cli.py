@@ -13,7 +13,7 @@ import os
 import sys
 
 from .deformation import DeformationParams
-from .errors import NCKeplerError
+from .errors import NCKeplerError, config_object
 from .geometry import Chart, PhasePoint
 from .charts import convert
 from .kepler import MONITOR_NAMES, hamiltonian_field, integrate
@@ -31,22 +31,8 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _deformation_from(doc: dict) -> DeformationParams:
-    return DeformationParams(
-        alpha=doc.get("alpha", ((0.0,) * 3,) * 3),
-        lam=doc.get("lambda", ((0.0,) * 3,) * 3),
-        mass=doc.get("mass", 1.0),
-        k=doc.get("k", 1.0),
-    )
-
-
-def _reduced_from(doc: dict) -> ReducedParams:
-    return ReducedParams(
-        thetadot=doc.get("thetadot", 0.0),
-        phidot=doc.get("phidot", 0.0),
-        m=doc.get("m", 1.0),
-        k=doc.get("k", 1.0),
-    )
+# Kept under this name because the benchmark harness parses scenarios with it.
+_deformation_from = DeformationParams.from_dict
 
 
 # The scalar field each monitor name stands for.  ``integrate`` evaluates
@@ -65,15 +51,15 @@ _MONITOR_BUILDERS = {
 
 def cmd_simulate(args) -> int:
     try:
-        doc = _load_json(args.config)
-        params = _deformation_from(doc.get("deformation", {}))
-        state = doc["initial_state"]
+        doc = config_object(_load_json(args.config), "config")
+        params = DeformationParams.from_dict(doc.get("deformation", {}))
+        state = config_object(doc["initial_state"], "initial_state")
         chart = Chart(state.get("chart", "cartesian"))
         if chart is not Chart.CARTESIAN:
             print("simulate requires a cartesian initial state", file=sys.stderr)
             return EXIT_CONFIG
         x0 = PhasePoint(tuple(state["coords"]), chart)
-        integ = doc.get("integrator", {})
+        integ = config_object(doc.get("integrator", {}), "integrator")
         method = integ.get("method", "rk4")
         dt = float(integ.get("dt", 1e-3))
         n_steps = int(integ.get("n_steps", 1000))
@@ -82,7 +68,8 @@ def cmd_simulate(args) -> int:
         if unknown:
             raise ValueError(f"unknown monitors {unknown}; choose from {list(_MONITOR_BUILDERS)}")
         drift_tol = float(doc.get("drift_tolerance", 1e-8))
-        out_path = doc.get("output", {}).get("trajectory_csv", "trajectory.csv")
+        output = config_object(doc.get("output", {}), "output")
+        out_path = output.get("trajectory_csv", "trajectory.csv")
         if args.out:
             out_path = os.path.join(args.out, os.path.basename(out_path))
     except (KeyError, ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
@@ -192,8 +179,8 @@ def cmd_chart(args) -> int:
         target = Chart(args.to)
         rp = None
         if args.params:
-            pdoc = _load_json(args.params)
-            rp = _reduced_from(pdoc.get("reduced", pdoc))
+            pdoc = config_object(_load_json(args.params), "params")
+            rp = ReducedParams.from_dict(pdoc.get("reduced", pdoc))
     except (KeyError, ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

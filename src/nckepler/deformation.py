@@ -25,16 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .errors import InvalidDeformationError
-from .geometry import (
-    BivectorField,
-    Chart,
-    PhasePoint,
-    ScalarField,
-    TwoForm,
-    constant_bivector,
-    constant_two_form,
-)
+from .errors import InvalidDeformationError, config_number, config_object, is_number
+from .geometry import Chart, PhasePoint, ScalarField, TensorField, constant_tensor
 
 _ZERO3 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -113,14 +105,32 @@ class DeformationParams:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "DeformationParams":
-        doc = json.loads(text)
+    def from_dict(cls, doc) -> "DeformationParams":
+        """Parse a ``deformation`` config block; absent keys keep the defaults.
+
+        Valid numbers pass through unconverted.  A block that is not an
+        object, a matrix that is not 3x3 numbers or a scalar that is not a
+        finite number is rejected with a message.
+        """
+        config_object(doc, "deformation block")
         return cls(
-            alpha=doc.get("alpha", _ZERO3),
-            lam=doc.get("lambda", _ZERO3),
-            mass=doc.get("mass", 1.0),
-            k=doc.get("k", 1.0),
+            alpha=_config_matrix(doc, "alpha"),
+            lam=_config_matrix(doc, "lambda"),
+            mass=config_number(doc, "mass", 1.0, "deformation", InvalidDeformationError),
+            k=config_number(doc, "k", 1.0, "deformation", InvalidDeformationError),
         )
+
+
+def _config_matrix(doc: dict, key: str):
+    m = doc.get(key, _ZERO3)
+    if not (
+        isinstance(m, (list, tuple)) and len(m) == 3
+        and all(isinstance(r, (list, tuple)) and len(r) == 3 and all(map(is_number, r)) for r in m)
+    ):
+        raise InvalidDeformationError(
+            f"deformation {key} must be a 3x3 matrix of numbers, got {m!r}"
+        )
+    return m
 
 
 def theta_weights(params: DeformationParams) -> tuple:
@@ -237,7 +247,7 @@ def canonical_bracket(f: ScalarField, g: ScalarField, x):
     return sum(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
 
 
-def nc_symplectic_structures(params: DeformationParams) -> tuple[TwoForm, BivectorField]:
+def nc_symplectic_structures(params: DeformationParams) -> tuple[TensorField, TensorField]:
     """Constant two-form ``sum theta_nu dp_nu ^ dq^nu`` and its inverse bivector.
 
     The bivector's induced bracket coincides with :func:`nc_bracket`, and the
@@ -251,6 +261,6 @@ def nc_symplectic_structures(params: DeformationParams) -> tuple[TwoForm, Bivect
         w[nu][3 + nu] = -th[nu]
         p[3 + nu][nu] = 1.0 / th[nu]
         p[nu][3 + nu] = -1.0 / th[nu]
-    omega = constant_two_form(Chart.CARTESIAN, w, name="omega_nc")
-    bivector = constant_bivector(Chart.CARTESIAN, p, name="P_nc")
+    omega = constant_tensor(Chart.CARTESIAN, w, "dd", name="omega_nc")
+    bivector = constant_tensor(Chart.CARTESIAN, p, "uu", name="P_nc")
     return omega, bivector

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that config
+parsers use to reject malformed input with a message."""
+
+import math
+import numbers
 
 
 class NCKeplerError(Exception):
@@ -35,3 +39,23 @@ class StepFailureError(NCKeplerError):
 
 class SamplingError(NCKeplerError):
     """A rejection sampler found no admissible draw for its parameters."""
+
+
+def is_number(v) -> bool:
+    """A finite real number and not a bool: what a numeric config value must be."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def config_object(doc, what: str) -> dict:
+    """``doc`` itself if it is a JSON object; ``ValueError`` naming ``what`` if not."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {doc!r}")
+    return doc
+
+
+def config_number(doc: dict, key: str, default, block: str, error=ValueError):
+    """``doc[key]`` (``default`` when absent), unconverted, if it is a number."""
+    v = doc.get(key, default)
+    if not is_number(v):
+        raise error(f"{block} {key} must be a finite number, got {v!r}")
+    return v

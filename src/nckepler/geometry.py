@@ -5,6 +5,11 @@ derivative taken here (gradients, Lie brackets and derivatives, the
 Schouten bracket, Nijenhuis torsion) is exact via dual-number forward mode.
 Identities are verified pointwise at sampled points, never symbolically.
 
+Every rank-2 tensor is a :class:`TensorField` whose ``slots`` name the
+variance of its two indices: ``"uu"`` for a bivector ``P^{ab}``, ``"dd"``
+for a two-form ``w_{ab}`` and ``"ud"`` for a mixed tensor ``T^a_b`` such as
+a recursion operator.
+
 Sign and slot conventions, used consistently everywhere:
 
 * wedge components: ``(a ^ b)^{ij} = a^i b^j - a^j b^i`` and likewise with
@@ -15,7 +20,12 @@ Sign and slot conventions, used consistently everywhere:
 * interior product: ``(iota_X w)_j = sum_i X^i w_{ij}``;
 * a two-form ``w`` and bivector ``P`` are mutually inverse when the flat map
   ``X -> iota_X w`` composed with the sharp map ``alpha -> alpha . P`` is the
-  identity, which in matrices reads ``w^T P = 1``.
+  identity, which in matrices reads ``w^T P = 1``;
+* Lie derivative of a tensor along ``Z``: the derivative of each component
+  along ``Z``, then per slot a contravariant index subtracts and a covariant
+  one adds the contraction with ``dZ``: slot 0 gives
+  ``-sum_c T[c][b] d_c Z^a`` or ``+sum_c T[c][b] d_a Z^c``, slot 1 gives
+  ``-sum_c T[a][c] d_c Z^b`` or ``+sum_c T[a][c] d_b Z^c``.
 """
 
 from __future__ import annotations
@@ -112,78 +122,38 @@ class VectorField:
         return list(self.func(_coords_of(x)))
 
 
-def _fill_antisymmetric(upper, c):
-    mat = [[0.0] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            e = upper(c, i, j)
-            mat[i][j] = e
-            mat[j][i] = -e
-    return mat
+_SLOTS = ("uu", "dd", "ud")
 
 
 @dataclass(frozen=True)
-class BivectorField:
-    """Antisymmetric contravariant 2-tensor.
+class TensorField:
+    """Rank-2 tensor field; ``slots`` marks each index up (``u``) or down (``d``).
 
-    ``func`` returns the full 6x6 component matrix in one pass; use
-    :meth:`from_upper` to guarantee exact antisymmetry by construction."""
+    ``func`` returns the full 6x6 component matrix in one pass.  A ``"ud"``
+    tensor acts on vectors as ``(T v)^i = sum_j T[i][j] v^j`` and on
+    covectors by transposition."""
 
     chart: Chart
-    func: Evaluator  # coords -> 6x6 antisymmetric matrix
+    func: Evaluator  # coords -> 6x6 component matrix
+    slots: str
     name: str = ""
 
-    @classmethod
-    def from_upper(cls, chart, upper, name=""):
-        return cls(chart, lambda c: _fill_antisymmetric(upper, c), name=name)
+    def __post_init__(self):
+        if self.slots not in _SLOTS:
+            raise ValueError(f"tensor slots must be one of {_SLOTS}, got {self.slots!r}")
 
     def __call__(self, x):
         return [list(row) for row in self.func(_coords_of(x))]
 
 
-@dataclass(frozen=True)
-class TwoForm:
-    chart: Chart
-    func: Evaluator  # coords -> 6x6 antisymmetric matrix
-    name: str = ""
-
-    @classmethod
-    def from_upper(cls, chart, upper, name=""):
-        return cls(chart, lambda c: _fill_antisymmetric(upper, c), name=name)
-
-    def __call__(self, x):
-        return [list(row) for row in self.func(_coords_of(x))]
-
-
-@dataclass(frozen=True)
-class MixedTensor:
-    """One contravariant, one covariant slot: acts on vectors as
-    ``(T v)^i = sum_j T[i][j] v^j`` and on covectors by transposition."""
-
-    chart: Chart
-    func: Evaluator  # coords -> 6x6 matrix T^i_j
-    name: str = ""
-
-    def __call__(self, x):
-        return [list(row) for row in self.func(_coords_of(x))]
-
-
-def constant_bivector(chart: Chart, matrix, name: str = "") -> BivectorField:
+def constant_tensor(chart: Chart, matrix, slots: str, name: str = "") -> TensorField:
+    """Tensor field with constant components; a bivector (``"uu"``) or
+    two-form (``"dd"``) matrix must be antisymmetric."""
     m = [[float(matrix[i][j]) for j in range(DIM)] for i in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            if m[i][j] != -m[j][i]:
-                raise ValueError("constant bivector matrix must be antisymmetric")
-    return BivectorField(chart, lambda c: [list(row) for row in m], name=name)
-
-
-def constant_two_form(chart: Chart, matrix, name: str = "") -> TwoForm:
-    m = [[float(matrix[i][j]) for j in range(DIM)] for i in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            if m[i][j] != -m[j][i]:
-                raise ValueError("constant two-form matrix must be antisymmetric")
-    return TwoForm(chart, lambda c: [list(row) for row in m], name=name)
+    field = TensorField(chart, lambda c: [list(row) for row in m], slots, name=name)
+    if slots != "ud" and any(m[i][j] != -m[j][i] for i in range(DIM) for j in range(DIM)):
+        raise ValueError(f"constant {slots!r} tensor matrix must be antisymmetric")
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +170,7 @@ def gradient(f: ScalarField, x) -> list:
     return duals.grad(f.func, _coords_of(x))
 
 
-def hamiltonian_vector_field(P: BivectorField, f: ScalarField) -> VectorField:
+def hamiltonian_vector_field(P: TensorField, f: ScalarField) -> VectorField:
     """The field ``X_f = P(df, .)`` whose action on g is ``{f, g}_P``."""
 
     def evaluate(coords):
@@ -212,7 +182,7 @@ def hamiltonian_vector_field(P: BivectorField, f: ScalarField) -> VectorField:
     return VectorField(P.chart, evaluate, name=name)
 
 
-def bivector_bracket(P: BivectorField, f: ScalarField, g: ScalarField) -> ScalarField:
+def bivector_bracket(P: TensorField, f: ScalarField, g: ScalarField) -> ScalarField:
     """The function ``{f, g}_P = sum df P dg`` as a scalar field."""
 
     def evaluate(coords):
@@ -245,7 +215,7 @@ def lie_bracket_field(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.chart, lambda c: lie_bracket(X, Y, c), name=f"[{X.name},{Y.name}]")
 
 
-def interior_product(X: VectorField, omega: TwoForm, x) -> list:
+def interior_product(X: VectorField, omega: TensorField, x) -> list:
     """``(iota_X omega)_j = sum_i X^i omega_{ij}``."""
     coords = _coords_of(x)
     Xv = X.func(coords)
@@ -253,12 +223,7 @@ def interior_product(X: VectorField, omega: TwoForm, x) -> list:
     return [sum(Xv[i] * w[i][j] for i in range(DIM)) for j in range(DIM)]
 
 
-def pairing(alpha: Sequence, X: Sequence):
-    """Natural pairing of a covector with a vector."""
-    return sum(a * v for a, v in zip(alpha, X))
-
-
-def nijenhuis_torsion(T: MixedTensor, x) -> list:
+def nijenhuis_torsion(T: TensorField, x) -> list:
     """Nijenhuis torsion of ``T`` on the coordinate frame at ``x``.
 
     Returns ``N[a][b]``, the six components of ``N_T(d_a, d_b)`` for every
@@ -295,7 +260,7 @@ def nijenhuis_torsion(T: MixedTensor, x) -> list:
     return N
 
 
-def schouten_bracket(P: BivectorField, Q: BivectorField, x) -> list:
+def schouten_bracket(P: TensorField, Q: TensorField, x) -> list:
     """Schouten bracket of two bivectors as a fully antisymmetric 3-index array.
 
     Convention: ``[P,Q]^{ijk} = sum_cyc(i,j,k) sum_l (P^{li} d_l Q^{jk}
@@ -342,9 +307,9 @@ def schouten_bracket(P: BivectorField, Q: BivectorField, x) -> list:
 def lie_derivative(Z: VectorField, T, x):
     """Lie derivative of ``T`` along ``Z`` at ``x``; rank follows ``T``.
 
-    Scalars give ``Z(f)``, vectors the Lie bracket, and bivectors, two-forms
-    and mixed tensors use the Leibniz component formulas with exact
-    derivatives.
+    Scalars give ``Z(f)``, vectors the Lie bracket, and a tensor field the
+    directional derivative of its components plus one Leibniz term per slot
+    (see the module docstring for the signs), derivatives exact.
     """
     coords = _coords_of(x)
     if isinstance(T, ScalarField):
@@ -353,55 +318,33 @@ def lie_derivative(Z: VectorField, T, x):
         return sum(Zv[j] * df[j] for j in range(DIM))
     if isinstance(T, VectorField):
         return lie_bracket(Z, T, coords)
+    if not isinstance(T, TensorField):
+        raise TypeError(f"unsupported tensor type {type(T)!r}")
 
     Zv = [value(v) for v in Z.func(coords)]
     dZ = duals.jacobian(Z.func, coords)  # dZ[i][j] = d_j Z^i
-
-    def directional(mat_func):
-        # derivative of each matrix entry along Z
-        mm = mat_func(duals.seed(coords))
-        out = [[0.0] * DIM for _ in range(DIM)]
-        for i in range(DIM):
-            for j in range(DIM):
-                d = duals.tangents(mm[i][j], DIM)
-                for l in range(DIM):
-                    if Zv[l] != 0.0:
-                        out[i][j] += Zv[l] * d[l]
-        return out
-
     mat = [[value(e) for e in row] for row in T(coords)]
-
-    if isinstance(T, BivectorField):
-        adv = directional(lambda c: T(c))
-        out = [[0.0] * DIM for _ in range(DIM)]
-        for a in range(DIM):
-            for b in range(DIM):
-                s = adv[a][b]
+    # derivative of each matrix entry along Z, from one seeded pass
+    seeded = T.func(duals.seed(coords))
+    up0, up1 = (slot == "u" for slot in T.slots)
+    out = [[0.0] * DIM for _ in range(DIM)]
+    for a in range(DIM):
+        for b in range(DIM):
+            d = duals.tangents(seeded[a][b], DIM)
+            s = 0.0
+            for l in range(DIM):
+                if Zv[l] != 0.0:
+                    s += Zv[l] * d[l]
+            if up0:
                 s -= sum(mat[c][b] * dZ[a][c] for c in range(DIM))
-                s -= sum(mat[a][c] * dZ[b][c] for c in range(DIM))
-                out[a][b] = s
-        return out
-    if isinstance(T, TwoForm):
-        adv = directional(lambda c: T(c))
-        out = [[0.0] * DIM for _ in range(DIM)]
-        for a in range(DIM):
-            for b in range(DIM):
-                s = adv[a][b]
+            else:
                 s += sum(mat[c][b] * dZ[c][a] for c in range(DIM))
+            if up1:
+                s -= sum(mat[a][c] * dZ[b][c] for c in range(DIM))
+            else:
                 s += sum(mat[a][c] * dZ[c][b] for c in range(DIM))
-                out[a][b] = s
-        return out
-    if isinstance(T, MixedTensor):
-        adv = directional(lambda c: T.func(c))
-        out = [[0.0] * DIM for _ in range(DIM)]
-        for a in range(DIM):
-            for b in range(DIM):
-                s = adv[a][b]
-                s -= sum(mat[c][b] * dZ[a][c] for c in range(DIM))
-                s += sum(mat[a][c] * dZ[c][b] for c in range(DIM))
-                out[a][b] = s
-        return out
-    raise TypeError(f"unsupported tensor type {type(T)!r}")
+            out[a][b] = s
+    return out
 
 
 def flat_sharp_composition(omega_mat, P_mat):

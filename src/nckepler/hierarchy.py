@@ -32,15 +32,20 @@ from . import duals
 from .charts import forward_jacobian, inverse_jacobian
 from .errors import ChartDomainError
 from .geometry import (
-    BivectorField,
     Chart,
-    MixedTensor,
     PhasePoint,
     ScalarField,
-    TwoForm,
+    TensorField,
     VectorField,
+    flat_sharp_composition,
+    gradient,
+    interior_product,
+    max_abs,
+    nijenhuis_torsion,
+    schouten_bracket,
 )
 from .reduced import ReducedParams
+from .report import SuiteReport
 
 
 @dataclass(frozen=True)
@@ -145,38 +150,36 @@ def delaunay_flow_field(rp: ReducedParams) -> VectorField:
     return VectorField(Chart.DELAUNAY, f, name="X_H")
 
 
-def _diag_pair_matrix(weights):
-    """6x6 antisymmetric matrix coupling (I_j, phi^j) with the given weights."""
-    def build(w):
-        mat = [[0.0] * 6 for _ in range(6)]
-        for j in range(3):
-            mat[j][3 + j] = w[j]
-            mat[3 + j][j] = -w[j]
-        return mat
-    return build(weights)
+def _diag_pair_matrix(w):
+    """6x6 antisymmetric matrix coupling (I_j, phi^j) with the weights ``w``."""
+    mat = [[0.0] * 6 for _ in range(6)]
+    for j in range(3):
+        mat[j][3 + j] = w[j]
+        mat[3 + j][j] = -w[j]
+    return mat
 
 
-def level_bivector(h: int, rp: ReducedParams) -> BivectorField:
+def level_bivector(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
         w = [N[j] ** (h + 1) * c[j] ** h for j in range(3)]
         return _diag_pair_matrix(w)
 
-    return BivectorField(Chart.DELAUNAY, func, name=f"P{h}")
+    return TensorField(Chart.DELAUNAY, func, "uu", name=f"P{h}")
 
 
-def level_two_form(h: int, rp: ReducedParams) -> TwoForm:
+def level_two_form(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
         w = [1.0 / (N[j] ** (h + 1) * c[j] ** h) for j in range(3)]
         return _diag_pair_matrix(w)
 
-    return TwoForm(Chart.DELAUNAY, func, name=f"omega{h}")
+    return TensorField(Chart.DELAUNAY, func, "dd", name=f"omega{h}")
 
 
-def recursion_operator(h: int, rp: ReducedParams) -> MixedTensor:
+def recursion_operator(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
@@ -187,7 +190,7 @@ def recursion_operator(h: int, rp: ReducedParams) -> MixedTensor:
             mat[3 + j][3 + j] = t
         return mat
 
-    return MixedTensor(Chart.DELAUNAY, func, name=f"T{h}")
+    return TensorField(Chart.DELAUNAY, func, "ud", name=f"T{h}")
 
 
 def level_weight_matrix(h: int, rp: ReducedParams, c) -> list:
@@ -219,12 +222,9 @@ def lambda_bracket(f: ScalarField, g: ScalarField, x, h: int, rp: ReducedParams)
 class HierarchyLevel:
     h: int
     energy: ScalarField
-    bivector: BivectorField
-    two_form: TwoForm
-    recursion: MixedTensor
-
-    def weight_matrix(self, c):
-        return None  # populated by hierarchy_level
+    bivector: TensorField
+    two_form: TensorField
+    recursion: TensorField
 
 
 def hierarchy_level(h: int, rp: ReducedParams) -> HierarchyLevel:
@@ -258,7 +258,7 @@ def _fwd_map(rp: ReducedParams):
     return fwd, Dfwd
 
 
-def transported_bivector(h: int, rp: ReducedParams) -> BivectorField:
+def transported_bivector(h: int, rp: ReducedParams) -> TensorField:
     """Level-h bivector pushed to the action-angle chart (exact Jacobians)."""
     src = level_bivector(h, rp)
     fwd, _ = _fwd_map(rp)
@@ -278,10 +278,10 @@ def transported_bivector(h: int, rp: ReducedParams) -> BivectorField:
                 out[j][i] = -full[i][j]
         return out
 
-    return BivectorField(Chart.ACTION_ANGLE, func, name=f"P{h}_aa")
+    return TensorField(Chart.ACTION_ANGLE, func, "uu", name=f"P{h}_aa")
 
 
-def transported_two_form(h: int, rp: ReducedParams) -> TwoForm:
+def transported_two_form(h: int, rp: ReducedParams) -> TensorField:
     src = level_two_form(h, rp)
     fwd, Dfwd = _fwd_map(rp)
 
@@ -299,10 +299,10 @@ def transported_two_form(h: int, rp: ReducedParams) -> TwoForm:
                 out[j][i] = -full[i][j]
         return out
 
-    return TwoForm(Chart.ACTION_ANGLE, func, name=f"omega{h}_aa")
+    return TensorField(Chart.ACTION_ANGLE, func, "dd", name=f"omega{h}_aa")
 
 
-def transported_recursion(h: int, rp: ReducedParams) -> MixedTensor:
+def transported_recursion(h: int, rp: ReducedParams) -> TensorField:
     src = recursion_operator(h, rp)
     fwd, Dfwd = _fwd_map(rp)
     Dinv = [list(row) for row in inverse_jacobian(rp)]
@@ -311,7 +311,7 @@ def transported_recursion(h: int, rp: ReducedParams) -> MixedTensor:
         T = src.func(fwd(c))
         return _matmul(_matmul(Dinv, T), Dfwd)
 
-    return MixedTensor(Chart.ACTION_ANGLE, func, name=f"T{h}_aa")
+    return TensorField(Chart.ACTION_ANGLE, func, "ud", name=f"T{h}_aa")
 
 
 def hierarchy_in_action_angle(h: int, rp: ReducedParams):
@@ -389,7 +389,7 @@ def energy_rescaled_map(rp: ReducedParams):
 # -- negative control ----------------------------------------------------------
 
 
-def corrupted_first_level_bivector(rp: ReducedParams) -> BivectorField:
+def corrupted_first_level_bivector(rp: ReducedParams) -> TensorField:
     """Deliberately broken level-1 bivector for the negative control.
 
     A bare sign flip of a weight keeps the diagonal family compatible (any
@@ -409,7 +409,7 @@ def corrupted_first_level_bivector(rp: ReducedParams) -> BivectorField:
         mat[5][2] = -c[2]
         return mat
 
-    return BivectorField(Chart.DELAUNAY, func, name="P1_corrupted")
+    return TensorField(Chart.DELAUNAY, func, "uu", name="P1_corrupted")
 
 
 def verify_level(h: int, points, rp: ReducedParams, tolerance: float = 1e-9):
@@ -421,17 +421,6 @@ def verify_level(h: int, points, rp: ReducedParams, tolerance: float = 1e-9):
     recursion operator on the coordinate frame, (e) flow-invariance of its
     eigenvalues, plus the mutual-inverse identity of the level pair.
     """
-    from . import duals
-    from .geometry import (
-        flat_sharp_composition,
-        gradient,
-        interior_product,
-        max_abs,
-        nijenhuis_torsion,
-        schouten_bracket,
-    )
-    from .report import SuiteReport
-
     if h < 0:
         raise ValueError("level index must be non-negative")
     rep = SuiteReport(f"hierarchy-level-{h}")
@@ -475,9 +464,7 @@ def verify_level(h: int, points, rp: ReducedParams, tolerance: float = 1e-9):
         Xv = X(x)
         for j in range(3):
             eig = ScalarField(Chart.DELAUNAY, lambda c, j=j: N[j] ** h * c[j] ** h)
-            from .geometry import gradient as _grad
-
-            deig = _grad(eig, x)
+            deig = gradient(eig, x)
             w = max(w, abs(sum(duals.value(Xv[a]) * duals.value(deig[a]) for a in range(6))))
     rep.add("eigenvalue-invariance", "recursion eigenvalues are annihilated by the flow",
             x0, w, 0.0, w, tolerance)

@@ -27,12 +27,15 @@ from fractions import Fraction
 from . import duals
 from .errors import ChartDomainError
 from .geometry import (
-    BivectorField,
     Chart,
     PhasePoint,
     ScalarField,
-    TwoForm,
+    TensorField,
     VectorField,
+    gradient,
+    interior_product,
+    lie_derivative,
+    max_abs,
 )
 from .hierarchy import (
     level_bivector,
@@ -101,20 +104,10 @@ class MasterFamily:
     integral: ScalarField
     pairing_residual_on_section: float
 
-    @property
-    def pairing_obstruction_note(self) -> str:
-        return (
-            "the symplectic pairing of the master field is closed only for mu = 1; "
-            "off the zero-angle section the residual one-form has I_j components "
-            "(mu - 1) N_j^{mu-1} phi^j / ((3 + i) I_j^mu)"
-        )
-
 
 def master_family(i: int, mu: int, rp: ReducedParams, probe_actions=(0.7, 1.3, 2.1)) -> MasterFamily:
     """Build the field/potential pair, verifying the pairing on the section
     where the angles vanish (the identity's exact locus for mu != 1)."""
-    from .geometry import gradient, interior_product
-
     field = master_symmetry_field(i, mu, rp)
     integral = master_integral(i, mu, rp)
     omega = level_two_form(0, rp)
@@ -129,8 +122,6 @@ def master_family(i: int, mu: int, rp: ReducedParams, probe_actions=(0.7, 1.3, 2
 def pairing_residual(i: int, mu: int, rp: ReducedParams, x) -> float:
     """|iota_Gamma omega + dFtilde| at an arbitrary point (nonzero off the
     zero-angle section for mu != 1)."""
-    from .geometry import gradient, interior_product
-
     field = master_symmetry_field(i, mu, rp)
     integral = master_integral(i, mu, rp)
     omega = level_two_form(0, rp)
@@ -152,8 +143,6 @@ class ConformalCoefficients:
 def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficients:
     """(-1/(3+i), 0, -2/(3+i)) with all three Lie-derivative identities
     verified numerically at ``x``."""
-    from .geometry import lie_derivative, max_abs
-
     g = master_symmetry_field(i, 0, rp)
     P = level_bivector(0, rp)
     P1 = level_bivector(1, rp)
@@ -184,8 +173,8 @@ def _delaunay_energy(rp: ReducedParams) -> ScalarField:
 class RecursionFamily:
     h: int
     flow: VectorField          # X'_h
-    bivector: BivectorField    # P'_h
-    two_form: TwoForm          # omega'_h
+    bivector: TensorField      # P'_h
+    two_form: TensorField      # omega'_h
     energy: ScalarField        # H'_h (log form at h = 2)
 
 
@@ -198,7 +187,7 @@ def family_flow_field(h: int, rp: ReducedParams) -> VectorField:
     return VectorField(Chart.DELAUNAY, f, name=f"X'{h}")
 
 
-def family_two_form(h: int, rp: ReducedParams) -> TwoForm:
+def family_two_form(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
@@ -209,7 +198,7 @@ def family_two_form(h: int, rp: ReducedParams) -> TwoForm:
             mat[3 + j][j] = -w
         return mat
 
-    return TwoForm(Chart.DELAUNAY, func, name=f"omega'{h}")
+    return TensorField(Chart.DELAUNAY, func, "dd", name=f"omega'{h}")
 
 
 def family_energy_field(h: int, rp: ReducedParams) -> ScalarField:
@@ -315,8 +304,6 @@ def scaling_ledger(i: int, h: int, l: int, rp: ReducedParams, x) -> list:
     the l-th differential with Gamma'_{i,h}.  Residuals compare against the
     closed-form right-hand sides with the displayed rational coefficients.
     """
-    from .geometry import lie_derivative
-
     entries = []
     gih = family_gamma_field(i, h, rp)
     den = 3.0 + i

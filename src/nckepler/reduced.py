@@ -29,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duals
-from .errors import ChartDomainError, NonCompactError, TurningPointError
-from .geometry import (
-    Chart,
-    PhasePoint,
-    ScalarField,
-    VectorField,
-    constant_bivector,
-    constant_two_form,
+from .errors import (
+    ChartDomainError,
+    NonCompactError,
+    TurningPointError,
+    config_number,
+    config_object,
 )
+from .geometry import Chart, PhasePoint, ScalarField, VectorField, constant_tensor
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +64,17 @@ class ReducedParams:
             )
         if self.M_squared <= 0.0:
             raise ValueError("M^2 must be positive")
+
+    @classmethod
+    def from_dict(cls, doc) -> "ReducedParams":
+        """Parse a ``reduced`` config block; absent keys keep the defaults.
+
+        Valid numbers pass through unconverted; a block that is not an
+        object or a value that is not a finite number is a ``ValueError``.
+        """
+        config_object(doc, "reduced block")
+        defaults = {"thetadot": 0.0, "phidot": 0.0, "m": 1.0, "k": 1.0}
+        return cls(**{key: config_number(doc, key, v, "reduced") for key, v in defaults.items()})
 
     @property
     def M_squared(self) -> float:
@@ -225,8 +235,8 @@ def spherical_structures(rp: ReducedParams):
         p[3 + i][i] = 1.0
         p[i][3 + i] = -1.0
     return (
-        constant_two_form(Chart.SPHERICAL, w, name="omega_sph"),
-        constant_bivector(Chart.SPHERICAL, p, name="P_sph"),
+        constant_tensor(Chart.SPHERICAL, w, "dd", name="omega_sph"),
+        constant_tensor(Chart.SPHERICAL, p, "uu", name="P_sph"),
     )
 
 
@@ -539,8 +549,8 @@ def reduced_structures(rp: ReducedParams):
         w[3 + h][h] = -1.0
         p[h][3 + h] = 1.0
         p[3 + h][h] = -1.0
-    bivector = constant_bivector(Chart.ACTION_ANGLE, p, name="P_aa")
-    omega = constant_two_form(Chart.ACTION_ANGLE, w, name="omega_aa")
+    bivector = constant_tensor(Chart.ACTION_ANGLE, p, "uu", name="P_aa")
+    omega = constant_tensor(Chart.ACTION_ANGLE, w, "dd", name="omega_aa")
 
     M = rp.M
 

@@ -31,6 +31,7 @@ from .deformation import (
     nc_symplectic_structures,
     primed_coordinate_function,
 )
+from .errors import config_object
 from .geometry import (
     Chart,
     PhasePoint,
@@ -140,46 +141,37 @@ class VerifyConfig:
 
     def __post_init__(self):
         for name in ("tol_bracket", "tol_transport", "tol_drift", "tol_exact"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be positive and finite")
         if self.samples <= 0 or self.deformation_sets <= 0:
             raise ValueError("sample counts must be positive")
         if min(self.h_max, self.i_max, self.l_max) < 0:
             raise ValueError("index caps must be non-negative")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "VerifyConfig":
+    def from_dict(cls, doc) -> "VerifyConfig":
+        """Parse a scenario document; absent blocks and keys keep the defaults."""
         kwargs = {}
-        if "deformation" in doc:
-            d = doc["deformation"]
-            kwargs["deformation"] = DeformationParams(
-                alpha=d.get("alpha", ((0,) * 3,) * 3),
-                lam=d.get("lambda", ((0,) * 3,) * 3),
-                mass=d.get("mass", 1.0),
-                k=d.get("k", 1.0),
-            )
+        if "deformation" in config_object(doc, "config"):
+            kwargs["deformation"] = DeformationParams.from_dict(doc["deformation"])
         if "reduced" in doc:
-            r = doc["reduced"]
-            kwargs["reduced"] = ReducedParams(
-                thetadot=r.get("thetadot", 0.0),
-                phidot=r.get("phidot", 0.0),
-                m=r.get("m", 1.0),
-                k=r.get("k", 1.0),
-            )
-        ver = doc.get("verification", {})
+            kwargs["reduced"] = ReducedParams.from_dict(doc["reduced"])
+        ver = config_object(doc.get("verification", {}), "verification block")
+        tols = config_object(ver.get("tolerances", {}), "verification tolerances")
         for key in ("seed", "samples", "deformation_sets", "h_max", "i_max", "l_max"):
             if key in ver:
-                kwargs[key] = int(ver[key])
-        tols = ver.get("tolerances", {})
-        for key, attr in (
-            ("bracket", "tol_bracket"),
-            ("transport", "tol_transport"),
-            ("drift", "tol_drift"),
-            ("exact", "tol_exact"),
-        ):
+                kwargs[key] = _convert(int, ver[key], f"verification {key}")
+        for key in ("bracket", "transport", "drift", "exact"):
             if key in tols:
-                kwargs[attr] = float(tols[key])
+                kwargs[f"tol_{key}"] = _convert(float, tols[key], f"tolerance {key}")
         return cls(**kwargs)
+
+
+def _convert(kind, v, what: str):
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {v!r}") from None
 
 
 GENERAL_NOTES = (
@@ -1024,13 +1016,3 @@ SUITES = {
     "hierarchy": suite_hierarchy,
     "master": suite_master,
 }
-
-
-def run_suites(cfg: VerifyConfig, names=None) -> dict:
-    names = list(names) if names else list(SUITE_NAMES)
-    out = {}
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        out[name] = SUITES[name](cfg)
-    return out

@@ -183,7 +183,7 @@ def test_bivector_bracket_equals_weighted_bracket():
 def test_json_round_trip_and_validation():
     params = pair_deformation(0.12, -0.07, mass=1.3, k=2.0)
     doc = params.to_json()
-    back = DeformationParams.from_json(doc)
+    back = DeformationParams.from_dict(json.loads(doc))
     assert back.alpha == params.alpha
     assert back.lam == params.lam
     assert back.mass == params.mass
@@ -191,4 +191,4 @@ def test_json_round_trip_and_validation():
     bad = json.loads(doc)
     bad["alpha"][0][1] = 99.0  # breaks antisymmetry
     with pytest.raises(InvalidDeformationError):
-        DeformationParams.from_json(json.dumps(bad))
+        DeformationParams.from_dict(bad)

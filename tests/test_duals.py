@@ -5,7 +5,7 @@ import pytest
 from nckepler import duals
 from nckepler.deformation import DeformationParams
 from nckepler.duals import Dual, grad, hessian, jacobian, value
-from nckepler.geometry import BivectorField, Chart, VectorField, lie_derivative, schouten_bracket
+from nckepler.geometry import Chart, TensorField, VectorField, lie_derivative, schouten_bracket
 from nckepler.hierarchy import level_bivector
 from nckepler.kepler import hamiltonian
 from nckepler.reduced import ReducedParams
@@ -158,7 +158,7 @@ def test_schouten_bracket_seeds_each_bivector_once():
 
     def tracked(B):
         func, calls[B.name] = counted(B.func)
-        return BivectorField(B.chart, func, name=B.name)
+        return TensorField(B.chart, func, "uu", name=B.name)
 
     P, Q = level_bivector(1, RP), level_bivector(2, RP)
     expected = schouten_bracket(P, Q, DELAUNAY_POINT)
@@ -172,7 +172,7 @@ def test_lie_derivative_seeds_the_tensor_once():
     func, calls = counted(P.func)
     Z = VectorField(Chart.DELAUNAY, lambda c: [c[1], 0.0, c[0] * c[2], 1.0, 0.0, c[4]])
     expected = lie_derivative(Z, P, DELAUNAY_POINT)
-    assert lie_derivative(Z, BivectorField(P.chart, func), DELAUNAY_POINT) == expected
+    assert lie_derivative(Z, TensorField(P.chart, func, "uu"), DELAUNAY_POINT) == expected
     assert sum(is_seeded(c) for c in calls) == 1
 
 

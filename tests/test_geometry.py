@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from nckepler import duals
 from nckepler.deformation import DeformationParams
 from nckepler.geometry import (
-    BivectorField,
     Chart,
     PhasePoint,
     ScalarField,
     VectorField,
     bivector_bracket,
-    constant_bivector,
+    TensorField,
+    constant_tensor,
     gradient,
     hamiltonian_vector_field,
     interior_product,
@@ -23,10 +23,10 @@ from nckepler.geometry import (
     max_abs,
     nijenhuis_torsion,
     schouten_bracket,
-    MixedTensor,
 )
-from nckepler.hierarchy import hierarchy_in_action_angle, recursion_operator
+from nckepler.hierarchy import hierarchy_in_action_angle, level_bivector, recursion_operator
 from nckepler.kepler import hamiltonian_field
+from nckepler.master import family_gamma_field, family_two_form
 from nckepler.sampling import sample_action_angle, sample_delaunay
 from nckepler.suites import VerifyConfig
 
@@ -35,7 +35,7 @@ for _nu in range(3):
     CANONICAL[3 + _nu][_nu] = 1.0
     CANONICAL[_nu][3 + _nu] = -1.0
 
-P_CANONICAL = constant_bivector(Chart.CARTESIAN, CANONICAL, name="P")
+P_CANONICAL = constant_tensor(Chart.CARTESIAN, CANONICAL, "uu", name="P")
 
 POINT = PhasePoint((1.0, 0.5, -0.3, 0.2, 1.1, 0.4), Chart.CARTESIAN)
 
@@ -82,7 +82,7 @@ def test_hamiltonian_field_of_constant_vanishes():
 
 
 def test_hamiltonian_field_with_zero_bivector():
-    zero = constant_bivector(Chart.CARTESIAN, [[0.0] * 6 for _ in range(6)])
+    zero = constant_tensor(Chart.CARTESIAN, [[0.0] * 6 for _ in range(6)], "uu")
     f = ScalarField(Chart.CARTESIAN, lambda c: c[0] * c[4])
     assert hamiltonian_vector_field(zero, f)(POINT) == [0.0] * 6
 
@@ -160,7 +160,7 @@ def _jacobiator(P, x):
     return worst
 
 
-def test_schouten_constant_bivector_vanishes():
+def test_schouten_of_constant_tensor_vanishes():
     assert max_abs(schouten_bracket(P_CANONICAL, P_CANONICAL, POINT)) == 0.0
 
 
@@ -176,7 +176,7 @@ def test_schouten_vanishes_iff_jacobi_holds():
         mat[1][0] = -c[2]
         return mat
 
-    P_bad = BivectorField(Chart.CARTESIAN, bad, name="bad")
+    P_bad = TensorField(Chart.CARTESIAN, bad, "uu", name="bad")
     s = max_abs(schouten_bracket(P_bad, P_bad, POINT))
     j = _jacobiator(P_bad, POINT)
     assert s > 1e-3
@@ -194,7 +194,7 @@ def test_schouten_symmetric_in_its_bivector_arguments():
         mat[5][2] = -1.0
         return mat
 
-    Q = BivectorField(Chart.CARTESIAN, other)
+    Q = TensorField(Chart.CARTESIAN, other, "uu")
     spq = schouten_bracket(P_CANONICAL, Q, POINT)
     sqp = schouten_bracket(Q, P_CANONICAL, POINT)
     diff = max(
@@ -213,7 +213,7 @@ def _contract(N, Xv, Yv):
 
 
 def test_nijenhuis_identity_operator():
-    T = MixedTensor(Chart.CARTESIAN, lambda c: [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)])
+    T = TensorField(Chart.CARTESIAN, lambda c: [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)], "ud")
     rng = np.random.default_rng(1)
     X = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
     Y = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
@@ -223,7 +223,7 @@ def test_nijenhuis_identity_operator():
 
 
 def test_nijenhuis_constant_diagonal():
-    T = MixedTensor(Chart.CARTESIAN, lambda c: [[float(i + 1) if i == j else 0.0 for j in range(6)] for i in range(6)])
+    T = TensorField(Chart.CARTESIAN, lambda c: [[float(i + 1) if i == j else 0.0 for j in range(6)] for i in range(6)], "ud")
     assert max_abs(nijenhuis_torsion(T, POINT)) == 0.0
 
 
@@ -236,7 +236,7 @@ def test_nijenhuis_nonzero_torsion_on_the_frame():
     # T d_0 = x_1 d_0 and T d_1 = d_1, so [T d_0, T d_1] = -d_0 and
     # T[T d_0, d_1] = -x_1 d_0 leave N(d_0, d_1) = (x_1 - 1) d_0; every
     # other frame pair commutes through T.
-    T = MixedTensor(Chart.CARTESIAN, _diag_x1)
+    T = TensorField(Chart.CARTESIAN, _diag_x1, "ud")
     x = PhasePoint((0.3, 2.5, 0.1, 0.2, 0.4, 0.6), Chart.CARTESIAN)
     N = nijenhuis_torsion(T, x)
     assert N[0][1] == [1.5, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -274,7 +274,7 @@ def _torsion_by_definition(T, X, Y, x):
 
 
 def test_nijenhuis_frame_components_contract_to_the_definition():
-    T = MixedTensor(Chart.CARTESIAN, _diag_x1)
+    T = TensorField(Chart.CARTESIAN, _diag_x1, "ud")
     rng = np.random.default_rng(5)
     X = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
     Y = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
@@ -293,7 +293,7 @@ def _polynomial_tensor(seed):
         return [[coef[i][j][0] + coef[i][j][1] * c[j] + coef[i][j][2] * c[i] * c[(j + 1) % 6]
                  for j in range(6)] for i in range(6)]
 
-    return MixedTensor(Chart.CARTESIAN, func)
+    return TensorField(Chart.CARTESIAN, func, "ud")
 
 
 def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pass():
@@ -322,7 +322,7 @@ def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pas
 
         for x in pts:
             calls.clear()
-            N = nijenhuis_torsion(MixedTensor(T.chart, counted), x)
+            N = nijenhuis_torsion(TensorField(T.chart, counted, "ud"), x)
             assert calls == [False, True]
             for a in range(6):
                 assert N[a][a] == [0.0] * 6
@@ -332,6 +332,72 @@ def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pas
                     assert N[b][a] == [-v for v in ref]
                     largest = max(largest, max_abs(ref))
     assert largest > 0.1
+
+
+def _lie_derivative_by_type(Z, T, x):
+    """Reference: the per-type Lie-derivative formulas that one slot loop
+    replaced, one branch each for a bivector, a two-form and a mixed tensor."""
+    coords = list(x.coords)
+    Zv = [duals.value(v) for v in Z.func(coords)]
+    dZ = duals.jacobian(Z.func, coords)
+    seeded = T.func(duals.seed(coords))
+    adv = [[0.0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(6):
+            d = duals.tangents(seeded[i][j], 6)
+            for l in range(6):
+                if Zv[l] != 0.0:
+                    adv[i][j] += Zv[l] * d[l]
+    mat = [[duals.value(e) for e in row] for row in T(coords)]
+    out = [[0.0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            s = adv[a][b]
+            if T.slots == "uu":
+                s -= sum(mat[c][b] * dZ[a][c] for c in range(6))
+                s -= sum(mat[a][c] * dZ[b][c] for c in range(6))
+            elif T.slots == "dd":
+                s += sum(mat[c][b] * dZ[c][a] for c in range(6))
+                s += sum(mat[a][c] * dZ[c][b] for c in range(6))
+            else:
+                s -= sum(mat[c][b] * dZ[a][c] for c in range(6))
+                s += sum(mat[a][c] * dZ[c][b] for c in range(6))
+            out[a][b] = s
+    return out
+
+
+def test_lie_derivative_equals_the_per_type_formulas_bitwise():
+    # the master suite's Delaunay points and its ledger tensors and fields
+    cfg = VerifyConfig()
+    rp = cfg.reduced
+    points = sample_delaunay(max(50, cfg.samples // 2), cfg.seed)
+    tensors = [build(h, rp) for h in range(3)
+               for build in (level_bivector, family_two_form, recursion_operator)]
+    assert [T.slots for T in tensors[:3]] == ["uu", "dd", "ud"]
+    largest = 0.0
+    for i in range(3):
+        for h in range(3):
+            Z = family_gamma_field(i, h, rp)
+            for T in tensors:
+                for x in points:
+                    ref = _lie_derivative_by_type(Z, T, x)
+                    assert lie_derivative(Z, T, x) == ref
+                    largest = max(largest, max_abs(ref))
+    assert largest > 0.1
+
+
+@pytest.mark.parametrize("slots", ["uu", "dd"])
+def test_constant_tensor_rejects_a_non_antisymmetric_matrix(slots):
+    bad = [list(row) for row in CANONICAL]
+    bad[0][1] = 1.0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        constant_tensor(Chart.CARTESIAN, bad, slots)
+    assert constant_tensor(Chart.CARTESIAN, bad, "ud")(POINT) == bad
+
+
+def test_tensor_field_rejects_unknown_slots():
+    with pytest.raises(ValueError, match="slots"):
+        TensorField(Chart.CARTESIAN, lambda c: CANONICAL, "du")
 
 
 def test_interior_product_zero_field():

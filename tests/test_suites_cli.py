@@ -203,6 +203,51 @@ def test_cli_simulate_malformed_config(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+_STATE = {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, 0.0, 1.05, 0.0]}
+
+MALFORMED = [
+    pytest.param("verify", {"deformation": [1, 2]}, id="verify-deformation-list"),
+    pytest.param("verify", [1], id="verify-top-level-list"),
+    pytest.param("verify", {"deformation": {"alpha": 5}}, id="verify-alpha-scalar"),
+    pytest.param("verify", {"deformation": {"mass": "x"}}, id="verify-mass-string"),
+    pytest.param("verify", {"reduced": {"k": "a"}}, id="verify-reduced-k-string"),
+    pytest.param("verify", {"verification": {"tolerances": {"bracket": None}}},
+                 id="verify-tolerance-null"),
+    pytest.param("verify", {"verification": {"tolerances": {"drift": float("nan")}}},
+                 id="verify-tolerance-nan"),
+    pytest.param("verify", {"verification": {"tolerances": {"bracket": float("inf")}}},
+                 id="verify-tolerance-inf"),
+    pytest.param("simulate", {"deformation": [1, 2], "initial_state": _STATE},
+                 id="simulate-deformation-list"),
+    pytest.param("simulate", {"deformation": {"alpha": 5}, "initial_state": _STATE},
+                 id="simulate-alpha-scalar"),
+    pytest.param("simulate", {"deformation": {"k": None}, "initial_state": _STATE},
+                 id="simulate-k-null"),
+    pytest.param("simulate", {"initial_state": _STATE, "integrator": 5},
+                 id="simulate-integrator-number"),
+    pytest.param("chart", {"reduced": {"m": "z"}}, id="chart-reduced-m-string"),
+    pytest.param("chart", [1], id="chart-params-list"),
+]
+
+
+@pytest.mark.parametrize("command, doc", MALFORMED)
+def test_cli_malformed_block_is_config_error(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(_STATE))
+    argv = {
+        "verify": ["verify", "--config", str(path), "--suites", "brackets", "--out", str(tmp_path)],
+        "simulate": ["simulate", "--config", str(path), "--out", str(tmp_path)],
+        "chart": ["chart", "--state", str(state), "--to", "spherical", "--params", str(path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_chart_round_trip(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"coords": [1.0, 0.3, -0.4, 0.1, 0.9, 0.2], "chart": "cartesian"}))
