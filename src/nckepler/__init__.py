@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .kepler import Trajectory, deformed_radius, hamiltonian, hamiltonian_vector_field_nc, hamilton_rhs_closed_form, integrate
 from .reduced import ActionAngleState, ReducedParams, SphericalState
-from .hierarchy import DelaunayState, OrbitalElements, classical_delaunay, hierarchy_level, verify_level
+from .hierarchy import DelaunayState, OrbitalElements, classical_delaunay, hierarchy_level
 from .report import CheckRecord, SuiteReport
 from .suites import SUITE_NAMES, VerifyConfig
 

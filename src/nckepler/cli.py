@@ -11,12 +11,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 
 from .deformation import DeformationParams
-from .errors import NCKeplerError, config_object
+from .errors import NCKeplerError, config_int, config_number, config_object
 from .geometry import Chart, PhasePoint
 from .charts import convert
-from .kepler import MONITOR_NAMES, hamiltonian_field, integrate
+from .kepler import METHODS, MONITOR_NAMES, hamiltonian_field, integrate
 from .reduced import ReducedParams
 from .suites import SUITE_NAMES, SUITES, VerifyConfig
 from .symmetry import angular_momentum_field, lrl_field
@@ -49,88 +50,111 @@ _MONITOR_BUILDERS = {
 }
 
 
-def cmd_simulate(args) -> int:
-    try:
-        doc = config_object(_load_json(args.config), "config")
-        params = DeformationParams.from_dict(doc.get("deformation", {}))
-        state = config_object(doc["initial_state"], "initial_state")
-        chart = Chart(state.get("chart", "cartesian"))
-        if chart is not Chart.CARTESIAN:
-            print("simulate requires a cartesian initial state", file=sys.stderr)
-            return EXIT_CONFIG
-        x0 = PhasePoint(tuple(state["coords"]), chart)
+@dataclass(frozen=True)
+class SimulateConfig:
+    """A ``simulate`` scenario document, parsed."""
+
+    params: DeformationParams
+    x0: PhasePoint
+    method: str
+    dt: float
+    n_steps: int
+    monitors: list
+    drift_tolerance: float
+    trajectory_csv: str
+
+    @classmethod
+    def from_dict(cls, doc) -> "SimulateConfig":
+        """Parse a scenario; absent keys other than ``initial_state`` keep
+        the defaults.  A malformed value is a ``ValueError`` or an
+        :class:`NCKeplerError` whose message names it."""
+        state = config_object(config_object(doc, "config").get("initial_state"), "initial_state")
+        x0 = PhasePoint.from_dict({"chart": "cartesian", **state})
+        if x0.chart is not Chart.CARTESIAN:
+            raise ValueError("simulate requires a cartesian initial state")
         integ = config_object(doc.get("integrator", {}), "integrator")
         method = integ.get("method", "rk4")
-        dt = float(integ.get("dt", 1e-3))
-        n_steps = int(integ.get("n_steps", 1000))
-        monitor_names = doc.get("monitors", list(MONITOR_NAMES))
-        unknown = [name for name in monitor_names if name not in _MONITOR_BUILDERS]
-        if unknown:
-            raise ValueError(f"unknown monitors {unknown}; choose from {list(_MONITOR_BUILDERS)}")
-        drift_tol = float(doc.get("drift_tolerance", 1e-8))
+        if method not in METHODS:
+            raise ValueError(f"integrator method must be one of {list(METHODS)}, got {method!r}")
+        dt = float(config_number(integ, "dt", 1e-3, "integrator"))
+        if dt <= 0.0:
+            raise ValueError(f"integrator dt must be positive, got {dt!r}")
+        n_steps = config_int(integ, "n_steps", 1000, "integrator")
+        if n_steps < 0:
+            raise ValueError(f"integrator n_steps must be non-negative, got {n_steps!r}")
+        monitors = doc.get("monitors", list(MONITOR_NAMES))
+        if not isinstance(monitors, list) or any(name not in MONITOR_NAMES for name in monitors):
+            raise ValueError(f"monitors must be a list drawn from {list(MONITOR_NAMES)}, "
+                             f"got {monitors!r}")
         output = config_object(doc.get("output", {}), "output")
-        out_path = output.get("trajectory_csv", "trajectory.csv")
-        if args.out:
-            out_path = os.path.join(args.out, os.path.basename(out_path))
-    except (KeyError, ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
+        csv_path = output.get("trajectory_csv", "trajectory.csv")
+        if not isinstance(csv_path, str) or not csv_path:
+            raise ValueError(f"output trajectory_csv must be a file name, got {csv_path!r}")
+        return cls(
+            params=DeformationParams.from_dict(doc.get("deformation", {})),
+            x0=x0,
+            method=method,
+            dt=dt,
+            n_steps=n_steps,
+            monitors=monitors,
+            drift_tolerance=float(config_number(doc, "drift_tolerance", 1e-8, "config")),
+            trajectory_csv=csv_path,
+        )
+
+
+def cmd_simulate(args) -> int:
+    try:
+        cfg = SimulateConfig.from_dict(_load_json(args.config))
+    except (ValueError, OSError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    out_path = cfg.trajectory_csv
+    if args.out:
+        out_path = os.path.join(args.out, os.path.basename(out_path))
 
     try:
-        traj = integrate(x0, params, dt=dt, n_steps=n_steps, method=method,
-                         monitors=monitor_names)
+        traj = integrate(cfg.x0, cfg.params, dt=cfg.dt, n_steps=cfg.n_steps, method=cfg.method,
+                         monitors=cfg.monitors)
     except NCKeplerError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     print(
-        f"simulate: {len(traj.states) - 1}/{n_steps} steps; "
+        f"simulate: {len(traj.states) - 1}/{cfg.n_steps} steps; "
         f"stop: {traj.termination_reason or 'completed'}; "
         f"max energy jump {traj.max_energy_jump:.3e} (relative to 1 + |H0|)",
         file=sys.stderr,
     )
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path, "w") as fh:
-        fh.write(traj.to_csv())
+    try:
+        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+        with open(out_path, "w") as fh:
+            fh.write(traj.to_csv())
+    except OSError as err:
+        print(f"configuration error: cannot write the trajectory: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"trajectory written to {out_path} ({len(traj.states)} states)")
 
     ok = traj.completed
     if not traj.completed:
         print(f"terminated early: {traj.termination_reason}")
-    for name in monitor_names:
-        series = traj.monitor_series(name)
-        ref = series[0]
-        scale = max(abs(ref), 1.0 if name != "H" else abs(ref) or 1.0)
-        drift = max(abs(v - ref) for v in series) / scale
+    for name in cfg.monitors:
+        drift = traj.drift(name)
         flag = ""
-        if name == "H" and drift > drift_tol:
+        if name == "H" and drift > cfg.drift_tolerance:
             ok = False
             flag = "  (over budget)"
-        print(f"monitor {name}: initial {ref:+.12e} max drift {drift:.3e}{flag}")
+        print(f"monitor {name}: initial {traj.monitor_series(name)[0]:+.12e} "
+              f"max drift {drift:.3e}{flag}")
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
 def _build_config(args) -> VerifyConfig:
-    cfg = VerifyConfig()
-    if getattr(args, "config", None):
-        cfg = VerifyConfig.from_dict(_load_json(args.config))
-    overrides = {}
-    for attr, key in (
-        ("seed", "seed"),
-        ("samples", "samples"),
-        ("h_max", "h_max"),
-        ("i_max", "i_max"),
-        ("l_max", "l_max"),
-    ):
-        v = getattr(args, key, None)
-        if v is not None:
-            overrides[attr] = v
+    """The ``--config`` document's settings, overridden by the flags given."""
+    cfg = VerifyConfig.from_dict(_load_json(args.config)) if args.config else VerifyConfig()
+    flags = {key: getattr(args, key, None)
+             for key in ("seed", "samples", "h_max", "i_max", "l_max")}
     if getattr(args, "negative_control", False):
-        overrides["negative_control"] = True
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+        flags["negative_control"] = True
+    return replace(cfg, **{key: v for key, v in flags.items() if v is not None})
 
 
 def _run_suite(name: str, cfg: VerifyConfig):
@@ -154,7 +178,7 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     try:
         cfg = _build_config(args)
-    except (ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
+    except (ValueError, OSError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or "."
@@ -174,17 +198,17 @@ def cmd_verify(args) -> int:
 
 def cmd_chart(args) -> int:
     try:
-        doc = _load_json(args.state)
-        x = PhasePoint(tuple(doc["coords"]), Chart(doc["chart"]))
+        x = PhasePoint.from_dict(_load_json(args.state))
+        source = Chart(args.source) if args.source else x.chart
         target = Chart(args.to)
         rp = None
         if args.params:
             pdoc = config_object(_load_json(args.params), "params")
             rp = ReducedParams.from_dict(pdoc.get("reduced", pdoc))
-    except (KeyError, ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
+    except (ValueError, OSError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.source and Chart(args.source) is not x.chart:
+    if source is not x.chart:
         print(
             f"state file declares chart {x.chart.value}, not {args.source}",
             file=sys.stderr,
@@ -199,39 +223,22 @@ def cmd_chart(args) -> int:
     return EXIT_OK
 
 
-def cmd_hierarchy(args) -> int:
+def cmd_report(args) -> int:
+    """``hierarchy`` writes its suite's entry list, ``master`` its full report."""
     try:
         cfg = _build_config(args)
-    except (ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
+    except (ValueError, OSError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    rep = _run_suite("hierarchy", cfg)
+    rep = _run_suite(args.command, cfg)
     if rep is None:
         return EXIT_CONFIG
-    payload = json.dumps([e.to_dict() for e in rep.entries], sort_keys=True, indent=1)
+    doc = [e.to_dict() for e in rep.entries] if args.command == "hierarchy" else rep.to_dict()
+    payload = json.dumps(doc, sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
-        print(f"hierarchy report -> {args.out} ({rep.passed}/{rep.total} passed)")
-    else:
-        print(payload)
-    return EXIT_OK if rep.all_passed else EXIT_RUNTIME
-
-
-def cmd_master(args) -> int:
-    try:
-        cfg = _build_config(args)
-    except (ValueError, OSError, json.JSONDecodeError, NCKeplerError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    rep = _run_suite("master", cfg)
-    if rep is None:
-        return EXIT_CONFIG
-    payload = json.dumps(rep.to_dict(), sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-        print(f"master report -> {args.out} ({rep.passed}/{rep.total} passed)")
+        print(f"{args.command} report -> {args.out} ({rep.passed}/{rep.total} passed)")
     else:
         print(payload)
     return EXIT_OK if rep.all_passed else EXIT_RUNTIME
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output JSON path")
-    p.set_defaults(func=cmd_hierarchy)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("master", help="emit the master-symmetry ledger report")
     p.add_argument("--config", help="scenario JSON")
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output JSON path")
-    p.set_defaults(func=cmd_master)
+    p.set_defaults(func=cmd_report)
     return parser
 
 

@@ -26,7 +26,15 @@ import numpy as np
 
 from . import duals
 from .errors import InvalidDeformationError, config_number, config_object, is_number
-from .geometry import Chart, PhasePoint, ScalarField, TensorField, constant_tensor
+from .geometry import (
+    Chart,
+    PhasePoint,
+    ScalarField,
+    TensorField,
+    constant_tensor,
+    coords_of,
+    pair_matrix,
+)
 
 _ZERO3 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -152,7 +160,7 @@ def theta_weights(params: DeformationParams) -> tuple:
 
 def nc_bracket(f: ScalarField, g: ScalarField, x, params: DeformationParams):
     """The deformed bracket of two observables at a cartesian point."""
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     df = duals.grad(f.func, coords)
     dg = duals.grad(g.func, coords)
     th = params.theta
@@ -173,7 +181,7 @@ def nc_bracket_field(f: ScalarField, g: ScalarField, params: DeformationParams) 
 
 def transform_coordinates(x, params: DeformationParams):
     """Primed coordinates of a cartesian point (generic in the scalar type)."""
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     q = coords[:3]
     p = coords[3:]
     a, l = params.alpha, params.lam
@@ -241,7 +249,7 @@ def primed_coordinate_function(index: int, params: DeformationParams) -> ScalarF
 
 def canonical_bracket(f: ScalarField, g: ScalarField, x):
     """Undeformed bracket sum_i (df/dq^i dg/dp_i - df/dp_i dg/dq^i)."""
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     df = duals.grad(f.func, coords)
     dg = duals.grad(g.func, coords)
     return sum(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
@@ -254,13 +262,7 @@ def nc_symplectic_structures(params: DeformationParams) -> tuple[TensorField, Te
     flat/sharp composition of the pair is the identity.
     """
     th = params.theta
-    w = [[0.0] * 6 for _ in range(6)]
-    p = [[0.0] * 6 for _ in range(6)]
-    for nu in range(3):
-        w[3 + nu][nu] = th[nu]
-        w[nu][3 + nu] = -th[nu]
-        p[3 + nu][nu] = 1.0 / th[nu]
-        p[nu][3 + nu] = -1.0 / th[nu]
-    omega = constant_tensor(Chart.CARTESIAN, w, "dd", name="omega_nc")
-    bivector = constant_tensor(Chart.CARTESIAN, p, "uu", name="P_nc")
+    omega = constant_tensor(Chart.CARTESIAN, pair_matrix([-t for t in th]), "dd", name="omega_nc")
+    bivector = constant_tensor(Chart.CARTESIAN, pair_matrix([-1.0 / t for t in th]), "uu",
+                               name="P_nc")
     return omega, bivector

@@ -42,8 +42,13 @@ class SamplingError(NCKeplerError):
 
 
 def is_number(v) -> bool:
-    """A finite real number and not a bool: what a numeric config value must be."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite real number and not a bool: what a numeric config value must be.
+
+    An integer too large for a float is not one."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def config_object(doc, what: str) -> dict:
@@ -58,4 +63,12 @@ def config_number(doc: dict, key: str, default, block: str, error=ValueError):
     v = doc.get(key, default)
     if not is_number(v):
         raise error(f"{block} {key} must be a finite number, got {v!r}")
+    return v
+
+
+def config_int(doc: dict, key: str, default, block: str) -> int:
+    """``doc[key]`` (``default`` when absent) if it is an integer and not a bool."""
+    v = doc.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{block} {key} must be an integer, got {v!r}")
     return v

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from . import duals
 from .duals import Dual, value
-from .errors import ChartDomainError
+from .errors import ChartDomainError, config_object, is_number
 
 DIM = 6
 
@@ -84,9 +84,17 @@ class PhasePoint:
             if not 0.0 < theta < math.pi:
                 raise ChartDomainError(f"coordinate theta must lie in (0, pi), got {theta}")
 
+    @classmethod
+    def from_dict(cls, doc) -> "PhasePoint":
+        """Parse a state document ``{"coords": [six numbers], "chart": name}``.
 
-def point(coords: Sequence[float], chart: Chart) -> PhasePoint:
-    return PhasePoint(tuple(coords), chart)
+        A document that is not an object, names no chart or holds anything
+        but finite numbers as coordinates is a ``ValueError``; a point
+        outside its chart is a :class:`ChartDomainError`."""
+        coords = config_object(doc, "state").get("coords")
+        if not isinstance(coords, list) or not all(is_number(v) for v in coords):
+            raise ValueError(f"state coords must be a list of finite numbers, got {coords!r}")
+        return cls(tuple(coords), Chart(doc.get("chart")))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,8 @@ def point(coords: Sequence[float], chart: Chart) -> PhasePoint:
 Evaluator = Callable[[Sequence], object]
 
 
-def _coords_of(x) -> list:
+def coords_of(x) -> list:
+    """The coordinates of a :class:`PhasePoint` or of a plain sequence, as a list."""
     if isinstance(x, PhasePoint):
         return list(x.coords)
     return list(x)
@@ -109,7 +118,7 @@ class ScalarField:
     name: str = ""
 
     def __call__(self, x):
-        return self.func(_coords_of(x))
+        return self.func(coords_of(x))
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ class VectorField:
     name: str = ""
 
     def __call__(self, x):
-        return list(self.func(_coords_of(x)))
+        return list(self.func(coords_of(x)))
 
 
 _SLOTS = ("uu", "dd", "ud")
@@ -143,7 +152,19 @@ class TensorField:
             raise ValueError(f"tensor slots must be one of {_SLOTS}, got {self.slots!r}")
 
     def __call__(self, x):
-        return [list(row) for row in self.func(_coords_of(x))]
+        return [list(row) for row in self.func(coords_of(x))]
+
+
+def pair_matrix(w) -> list:
+    """6x6 antisymmetric matrix pairing coordinate ``j`` with ``3 + j``
+    (an action with its angle, a position with its momentum) by the
+    weights ``w``: ``m[j][3+j] = w[j]`` and ``m[3+j][j] = -w[j]``; pass
+    negated weights for the opposite orientation."""
+    mat = [[0.0] * DIM for _ in range(DIM)]
+    for j in range(3):
+        mat[j][3 + j] = w[j]
+        mat[3 + j][j] = -w[j]
+    return mat
 
 
 def constant_tensor(chart: Chart, matrix, slots: str, name: str = "") -> TensorField:
@@ -167,7 +188,7 @@ def gradient(f: ScalarField, x) -> list:
     Works at dual-seeded coordinates too, which is what lets brackets of
     brackets differentiate through this function.
     """
-    return duals.grad(f.func, _coords_of(x))
+    return duals.grad(f.func, coords_of(x))
 
 
 def hamiltonian_vector_field(P: TensorField, f: ScalarField) -> VectorField:
@@ -200,7 +221,7 @@ def bivector_bracket(P: TensorField, f: ScalarField, g: ScalarField) -> ScalarFi
 
 def lie_bracket(X: VectorField, Y: VectorField, x) -> list:
     """``[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)``, derivatives exact."""
-    coords = _coords_of(x)
+    coords = coords_of(x)
     Xv = X.func(coords)
     Yv = Y.func(coords)
     dY = duals.jacobian(Y.func, coords)
@@ -217,7 +238,7 @@ def lie_bracket_field(X: VectorField, Y: VectorField) -> VectorField:
 
 def interior_product(X: VectorField, omega: TensorField, x) -> list:
     """``(iota_X omega)_j = sum_i X^i omega_{ij}``."""
-    coords = _coords_of(x)
+    coords = coords_of(x)
     Xv = X.func(coords)
     w = omega(coords)
     return [sum(Xv[i] * w[i][j] for i in range(DIM)) for j in range(DIM)]
@@ -240,7 +261,7 @@ def nijenhuis_torsion(T: TensorField, x) -> list:
     equals the bracket-by-bracket value exactly.  ``N[b][a]`` is stored
     as ``-N[a][b]``, so the result is antisymmetric to the bit.
     """
-    coords = _coords_of(x)
+    coords = coords_of(x)
     m = T.func(coords)
     d = [[duals.tangents(e, DIM) for e in row] for row in T.func(duals.seed(coords))]
 
@@ -267,7 +288,7 @@ def schouten_bracket(P: TensorField, Q: TensorField, x) -> list:
     + Q^{li} d_l P^{jk})``, then antisymmetrized over (i,j,k); the result
     vanishes for P = Q exactly when the bracket of P satisfies Jacobi.
     """
-    coords = _coords_of(x)
+    coords = coords_of(x)
 
     def matrices_and_derivs(B):
         mat = B(coords)
@@ -311,7 +332,7 @@ def lie_derivative(Z: VectorField, T, x):
     directional derivative of its components plus one Leibniz term per slot
     (see the module docstring for the signs), derivatives exact.
     """
-    coords = _coords_of(x)
+    coords = coords_of(x)
     if isinstance(T, ScalarField):
         df = duals.grad(T.func, coords)
         Zv = Z.func(coords)
@@ -358,6 +379,22 @@ def flat_sharp_composition(omega_mat, P_mat):
         [sum(omega_mat[k][i] * P_mat[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def inverse_pair_residual(omega_mat, P_mat) -> float:
+    """Largest entry of ``flat_sharp_composition(omega_mat, P_mat) - 1``;
+    zero exactly when the two-form and bivector are mutually inverse."""
+    comp = flat_sharp_composition(omega_mat, P_mat)
+    n = len(comp)
+    return max(abs(comp[i][j] - (1.0 if i == j else 0.0)) for i in range(n) for j in range(n))
+
+
+def flow_pairing_residual(X: VectorField, omega: TensorField, F: ScalarField, x) -> float:
+    """``max_a |(iota_X omega)_a + (dF)_a|`` at ``x``; zero exactly when
+    ``X`` is the Hamiltonian flow of ``F`` under the two-form ``omega``."""
+    ip = interior_product(X, omega, x)
+    dF = gradient(F, x)
+    return max(abs(value(ip[a]) + value(dF[a])) for a in range(DIM))
 
 
 def max_abs(x) -> float:

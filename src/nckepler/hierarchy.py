@@ -37,15 +37,10 @@ from .geometry import (
     ScalarField,
     TensorField,
     VectorField,
-    flat_sharp_composition,
-    gradient,
-    interior_product,
-    max_abs,
-    nijenhuis_torsion,
-    schouten_bracket,
+    coords_of,
+    pair_matrix,
 )
 from .reduced import ReducedParams
-from .report import SuiteReport
 
 
 @dataclass(frozen=True)
@@ -117,15 +112,6 @@ def weight_vector(rp: ReducedParams) -> tuple:
     return (1.0, rp.M, 1.0)
 
 
-def delaunay_energy_field(rp: ReducedParams) -> ScalarField:
-    m, k = rp.m, rp.k
-
-    def f(c):
-        return -m * k**2 / (2.0 * c[2] ** 2)
-
-    return ScalarField(Chart.DELAUNAY, f, name="H")
-
-
 def ladder_energy_field(h: int, rp: ReducedParams, chart: Chart = Chart.DELAUNAY) -> ScalarField:
     """Level-h energy ``F_h = -m k^2 / ((2 + h) I3^{2+h})``; level 0 is H."""
     m, k, M = rp.m, rp.k, rp.M
@@ -150,21 +136,12 @@ def delaunay_flow_field(rp: ReducedParams) -> VectorField:
     return VectorField(Chart.DELAUNAY, f, name="X_H")
 
 
-def _diag_pair_matrix(w):
-    """6x6 antisymmetric matrix coupling (I_j, phi^j) with the weights ``w``."""
-    mat = [[0.0] * 6 for _ in range(6)]
-    for j in range(3):
-        mat[j][3 + j] = w[j]
-        mat[3 + j][j] = -w[j]
-    return mat
-
-
 def level_bivector(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
         w = [N[j] ** (h + 1) * c[j] ** h for j in range(3)]
-        return _diag_pair_matrix(w)
+        return pair_matrix(w)
 
     return TensorField(Chart.DELAUNAY, func, "uu", name=f"P{h}")
 
@@ -174,7 +151,7 @@ def level_two_form(h: int, rp: ReducedParams) -> TensorField:
 
     def func(c):
         w = [1.0 / (N[j] ** (h + 1) * c[j] ** h) for j in range(3)]
-        return _diag_pair_matrix(w)
+        return pair_matrix(w)
 
     return TensorField(Chart.DELAUNAY, func, "dd", name=f"omega{h}")
 
@@ -205,7 +182,7 @@ def level_weight_matrix(h: int, rp: ReducedParams, c) -> list:
 
 def lambda_bracket(f: ScalarField, g: ScalarField, x, h: int, rp: ReducedParams):
     """Level-h bracket sum_ij W^i_j (d_I_i f d_phi_j g - d_phi_j f d_I_i g)."""
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     W = level_weight_matrix(h, rp, coords)
     df = duals.grad(f.func, coords)
     dg = duals.grad(g.func, coords)
@@ -249,6 +226,16 @@ def _matmul(A, B):
     ]
 
 
+def _antisymmetric(entries) -> list:
+    """6x6 matrix with ``m[i][j] = v`` and ``m[j][i] = -v`` for each
+    ``(i, j): v`` of ``entries``, zero elsewhere."""
+    out = [[0.0] * 6 for _ in range(6)]
+    for (i, j), v in entries.items():
+        out[i][j] = v
+        out[j][i] = -v
+    return out
+
+
 def _fwd_map(rp: ReducedParams):
     Dfwd = [list(row) for row in forward_jacobian(rp)]
 
@@ -271,12 +258,7 @@ def transported_bivector(h: int, rp: ReducedParams) -> TensorField:
             [sum(M1[i][k] * Dinv[j][k] for k in range(6)) for j in range(6)]
             for i in range(6)
         ]
-        out = [[0.0] * 6 for _ in range(6)]
-        for i in range(6):
-            for j in range(i + 1, 6):
-                out[i][j] = full[i][j]
-                out[j][i] = -full[i][j]
-        return out
+        return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})
 
     return TensorField(Chart.ACTION_ANGLE, func, "uu", name=f"P{h}_aa")
 
@@ -292,12 +274,7 @@ def transported_two_form(h: int, rp: ReducedParams) -> TensorField:
             [sum(Dfwd[k][i] * M1[k][j] for k in range(6)) for j in range(6)]
             for i in range(6)
         ]
-        out = [[0.0] * 6 for _ in range(6)]
-        for i in range(6):
-            for j in range(i + 1, 6):
-                out[i][j] = full[i][j]
-                out[j][i] = -full[i][j]
-        return out
+        return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})
 
     return TensorField(Chart.ACTION_ANGLE, func, "dd", name=f"omega{h}_aa")
 
@@ -339,12 +316,8 @@ def displayed_bivector_table(h: int, rp: ReducedParams, c) -> list:
     p24 = (p14 - p25) / M
     p34 = M * p24
     p35 = M * (p25 - p36)
-    out = [[0.0] * 6 for _ in range(6)]
-    entries = {(0, 3): p14, (1, 3): p24, (1, 4): p25, (2, 3): p34, (2, 4): p35, (2, 5): p36}
-    for (i, j), v in entries.items():
-        out[i][j] = v
-        out[j][i] = -v
-    return out
+    return _antisymmetric({(0, 3): p14, (1, 3): p24, (1, 4): p25,
+                           (2, 3): p34, (2, 4): p35, (2, 5): p36})
 
 
 def displayed_two_form_table(h: int, rp: ReducedParams, c) -> list:
@@ -358,12 +331,8 @@ def displayed_two_form_table(h: int, rp: ReducedParams, c) -> list:
     w42 = M * (w41 - w52)
     w43 = w42 / M
     w53 = (w52 - w63) / M
-    out = [[0.0] * 6 for _ in range(6)]
-    entries = {(3, 0): w41, (3, 1): w42, (4, 1): w52, (3, 2): w43, (4, 2): w53, (5, 2): w63}
-    for (i, j), v in entries.items():
-        out[i][j] = v
-        out[j][i] = -v
-    return out
+    return _antisymmetric({(3, 0): w41, (3, 1): w42, (4, 1): w52,
+                           (3, 2): w43, (4, 2): w53, (5, 2): w63})
 
 
 # -- canonical rescaling of the third pair ------------------------------------
@@ -410,62 +379,3 @@ def corrupted_first_level_bivector(rp: ReducedParams) -> TensorField:
         return mat
 
     return TensorField(Chart.DELAUNAY, func, "uu", name="P1_corrupted")
-
-
-def verify_level(h: int, points, rp: ReducedParams, tolerance: float = 1e-9):
-    """Per-level verification battery, one report entry per check.
-
-    Checks at every sample point: (a) Schouten compatibility with the base
-    bivector, (b) flow pairing with the level form against dF_h, (c)
-    compatibility with every lower level, (d) vanishing torsion of the
-    recursion operator on the coordinate frame, (e) flow-invariance of its
-    eigenvalues, plus the mutual-inverse identity of the level pair.
-    """
-    if h < 0:
-        raise ValueError("level index must be non-negative")
-    rep = SuiteReport(f"hierarchy-level-{h}")
-    P0 = level_bivector(0, rp)
-    Ph = level_bivector(h, rp)
-    om = level_two_form(h, rp)
-    Fh = ladder_energy_field(h, rp)
-    Th = recursion_operator(h, rp)
-    X = delaunay_flow_field(rp)
-    N = weight_vector(rp)
-    x0 = points[0].coords if points else (0.0,) * 6
-
-    w = max(max_abs(schouten_bracket(Ph, P0, x)) for x in points)
-    rep.add("compatibility-base", "level bivector is Schouten-compatible with the base one",
-            x0, w, 0.0, w, tolerance)
-    for hp in range(1, h):
-        w = max(max_abs(schouten_bracket(Ph, level_bivector(hp, rp), x)) for x in points)
-        rep.add(f"compatibility-level-{hp}", "level bivectors are mutually Schouten-compatible",
-                x0, w, 0.0, w, tolerance)
-    w = 0.0
-    for x in points:
-        ip = interior_product(X, om, x)
-        dF = gradient(Fh, x)
-        w = max(w, max(abs(duals.value(ip[i]) + duals.value(dF[i])) for i in range(6)))
-    rep.add("flow-pairing", "flow contraction with the level form is minus dF_h",
-            x0, w, 0.0, w, tolerance)
-    w = 0.0
-    for x in points:
-        comp = flat_sharp_composition(om(x), Ph(x))
-        w = max(w, max(abs(comp[i][j] - (1.0 if i == j else 0.0))
-                       for i in range(6) for j in range(6)))
-    rep.add("inverse-pair", "level form and bivector are mutually inverse",
-            x0, w, 0.0, w, tolerance)
-    w = 0.0
-    for x in points:
-        w = max(w, max_abs(nijenhuis_torsion(Th, x)))
-    rep.add("torsion", "recursion operator has vanishing torsion on the coordinate frame",
-            x0, w, 0.0, w, tolerance)
-    w = 0.0
-    for x in points:
-        Xv = X(x)
-        for j in range(3):
-            eig = ScalarField(Chart.DELAUNAY, lambda c, j=j: N[j] ** h * c[j] ** h)
-            deig = gradient(eig, x)
-            w = max(w, abs(sum(duals.value(Xv[a]) * duals.value(deig[a]) for a in range(6))))
-    rep.add("eigenvalue-invariance", "recursion eigenvalues are annihilated by the flow",
-            x0, w, 0.0, w, tolerance)
-    return rep

@@ -30,6 +30,7 @@ from .geometry import (
     PhasePoint,
     ScalarField,
     VectorField,
+    coords_of,
     hamiltonian_vector_field,
 )
 
@@ -58,6 +59,9 @@ def hamiltonian_field(params: DeformationParams) -> ScalarField:
 # Observables ``integrate`` can record, in the order ``state_observables``
 # returns them after Y^2.
 MONITOR_NAMES = ("H", "L1", "L2", "L3", "A1", "A2", "A3")
+
+# Fixed-step methods ``integrate_field`` accepts.
+METHODS = ("rk4", "implicit_midpoint")
 
 
 def state_observables(c, params: DeformationParams, vectors: bool = True) -> tuple:
@@ -129,7 +133,7 @@ def kepler_aux(x, params: DeformationParams) -> KeplerAux:
 
 def hamilton_rhs_closed_form(x, params: DeformationParams) -> list:
     """Closed-form (qdot, pdot); the double sums skip the nu = mu diagonal."""
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     q, p = coords[:3], coords[3:]
     aux = kepler_aux(coords, params)
     a, l = params.alpha, params.lam
@@ -158,7 +162,7 @@ def hamilton_rhs_primed_form(x, params: DeformationParams) -> list:
     sign chosen so its commutative limit is the attractive force; the
     opposite overall sign fails that limit.
     """
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     primed = transform_coordinates(coords, params)
     qp, pp = primed[:3], primed[3:]
     y = duals.value(deformed_radius(coords, params))
@@ -286,6 +290,15 @@ class Trajectory:
         idx = self.monitor_names.index(name)
         return [row[idx] for row in self.monitors]
 
+    def drift(self, name: str) -> float:
+        """Largest deviation of monitor ``name`` from its initial value
+        ``ref``, relative to ``|ref|`` for ``H`` (1.0 when ``ref == 0``) and
+        to ``max(|ref|, 1)`` for every other monitor."""
+        series = self.monitor_series(name)
+        ref = series[0]
+        scale = (abs(ref) or 1.0) if name == "H" else max(abs(ref), 1.0)
+        return max(abs(v - ref) for v in series) / scale
+
     def to_csv(self) -> str:
         names = ("q1", "q2", "q3", "p1", "p2", "p3")
         header = "t," + ",".join(names) + (
@@ -350,7 +363,7 @@ def integrate_field(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if method not in ("rk4", "implicit_midpoint"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     stepper = _rk4_step if method == "rk4" else _implicit_midpoint_step
 

@@ -28,16 +28,17 @@ from . import duals
 from .errors import ChartDomainError
 from .geometry import (
     Chart,
-    PhasePoint,
     ScalarField,
     TensorField,
     VectorField,
-    gradient,
-    interior_product,
+    coords_of,
+    flow_pairing_residual,
     lie_derivative,
     max_abs,
+    pair_matrix,
 )
 from .hierarchy import (
+    ladder_energy_field,
     level_bivector,
     level_two_form,
     recursion_operator,
@@ -96,38 +97,11 @@ def master_integral(i: int, mu: int, rp: ReducedParams) -> ScalarField:
     return ScalarField(Chart.DELAUNAY, f, name=f"Ftilde{i}{mu}")
 
 
-@dataclass(frozen=True)
-class MasterFamily:
-    i: int
-    mu: int
-    field: VectorField
-    integral: ScalarField
-    pairing_residual_on_section: float
-
-
-def master_family(i: int, mu: int, rp: ReducedParams, probe_actions=(0.7, 1.3, 2.1)) -> MasterFamily:
-    """Build the field/potential pair, verifying the pairing on the section
-    where the angles vanish (the identity's exact locus for mu != 1)."""
-    field = master_symmetry_field(i, mu, rp)
-    integral = master_integral(i, mu, rp)
-    omega = level_two_form(0, rp)
-    pt = PhasePoint((*probe_actions, 0.0, 0.0, 0.0), Chart.DELAUNAY)
-    ip = interior_product(field, omega, pt)
-    dF = gradient(integral, pt)
-    resid = max(abs(duals.value(ip[a]) + duals.value(dF[a])) for a in range(6))
-    return MasterFamily(i=i, mu=mu, field=field, integral=integral,
-                        pairing_residual_on_section=resid)
-
-
 def pairing_residual(i: int, mu: int, rp: ReducedParams, x) -> float:
     """|iota_Gamma omega + dFtilde| at an arbitrary point (nonzero off the
     zero-angle section for mu != 1)."""
-    field = master_symmetry_field(i, mu, rp)
-    integral = master_integral(i, mu, rp)
-    omega = level_two_form(0, rp)
-    ip = interior_product(field, omega, x)
-    dF = gradient(integral, x)
-    return max(abs(duals.value(ip[a]) + duals.value(dF[a])) for a in range(6))
+    return flow_pairing_residual(master_symmetry_field(i, mu, rp), level_two_form(0, rp),
+                                 master_integral(i, mu, rp), x)
 
 
 @dataclass(frozen=True)
@@ -146,7 +120,7 @@ def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficient
     g = master_symmetry_field(i, 0, rp)
     P = level_bivector(0, rp)
     P1 = level_bivector(1, rp)
-    H = _delaunay_energy(rp)
+    H = ladder_energy_field(0, rp)
     a = -1.0 / (3.0 + i)
     b = 0.0
     c = -2.0 / (3.0 + i)
@@ -162,11 +136,6 @@ def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficient
     rH = abs(LH - c * Hv)
     return ConformalCoefficients(alpha=a, beta=b, gamma=c, residual_P=rP,
                                  residual_P1=rP1, residual_H=rH)
-
-
-def _delaunay_energy(rp: ReducedParams) -> ScalarField:
-    m, k = rp.m, rp.k
-    return ScalarField(Chart.DELAUNAY, lambda c: -m * k**2 / (2.0 * c[2] ** 2), name="H")
 
 
 @dataclass(frozen=True)
@@ -191,12 +160,7 @@ def family_two_form(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
-        mat = [[0.0] * 6 for _ in range(6)]
-        for j in range(3):
-            w = N[j] ** (h - 1) * c[j] ** h
-            mat[j][3 + j] = w
-            mat[3 + j][j] = -w
-        return mat
+        return pair_matrix([N[j] ** (h - 1) * c[j] ** h for j in range(3)])
 
     return TensorField(Chart.DELAUNAY, func, "dd", name=f"omega'{h}")
 
@@ -354,7 +318,7 @@ def scaling_ledger(i: int, h: int, l: int, rp: ReducedParams, x) -> list:
     ))
 
     m, k = rp.m, rp.k
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     dh_l = m * k**2 * coords[2] ** (l - 3)  # I3-component of the l-th differential
     gval = gih(x)
     pair = duals.value(gval[2]) * dh_l

@@ -36,7 +36,15 @@ from .errors import (
     config_number,
     config_object,
 )
-from .geometry import Chart, PhasePoint, ScalarField, VectorField, constant_tensor
+from .geometry import (
+    Chart,
+    PhasePoint,
+    ScalarField,
+    VectorField,
+    constant_tensor,
+    coords_of,
+    pair_matrix,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,7 +183,7 @@ def perturbation_field(rp: ReducedParams) -> ScalarField:
 
 def quadratic_condition_value(x, rp: ReducedParams) -> float:
     """The separability quadratic form sum_i ((lam q)_i)^2 at a cartesian point."""
-    coords = list(x.coords) if isinstance(x, PhasePoint) else list(x)
+    coords = coords_of(x)
     q = coords[:3]
     phi = math.atan2(duals.value(q[1]), duals.value(q[0]))
     lam = lambda_matrix(rp, phi)
@@ -211,7 +219,7 @@ def spherical_hamiltonian(s, rp: ReducedParams):
     if isinstance(s, SphericalState):
         c = [s.r, s.theta, s.phi, s.p_r, s.p_theta, s.p_phi]
     else:
-        c = list(s.coords) if isinstance(s, PhasePoint) else list(s)
+        c = coords_of(s)
     r, theta, phi, p_r, p_t, p_p = c
     rv = duals.value(r)
     sv = math.sin(duals.value(theta))
@@ -227,16 +235,10 @@ def spherical_hamiltonian(s, rp: ReducedParams):
 
 def spherical_structures(rp: ReducedParams):
     """Canonical two-form and bivector on the spherical chart."""
-    w = [[0.0] * 6 for _ in range(6)]
-    p = [[0.0] * 6 for _ in range(6)]
-    for i in range(3):
-        w[3 + i][i] = 1.0
-        w[i][3 + i] = -1.0
-        p[3 + i][i] = 1.0
-        p[i][3 + i] = -1.0
+    mat = pair_matrix([-1.0] * 3)
     return (
-        constant_tensor(Chart.SPHERICAL, w, "dd", name="omega_sph"),
-        constant_tensor(Chart.SPHERICAL, p, "uu", name="P_sph"),
+        constant_tensor(Chart.SPHERICAL, mat, "dd", name="omega_sph"),
+        constant_tensor(Chart.SPHERICAL, mat, "uu", name="P_sph"),
     )
 
 
@@ -272,7 +274,7 @@ def first_integrals(s, rp: ReducedParams) -> tuple:
     if isinstance(s, SphericalState):
         c = [s.r, s.theta, s.phi, s.p_r, s.p_theta, s.p_phi]
     else:
-        c = list(s.coords) if isinstance(s, PhasePoint) else list(s)
+        c = coords_of(s)
     _, theta, phi, _, p_t, p_p = c
     u = _azimuthal_factor(rp, phi)
     d_phi = duals.sqrt(u) * p_p
@@ -387,7 +389,6 @@ def polar_action_quadrature(l_tilde: float, d_phi: float, rp: ReducedParams) -> 
     if l_tilde <= abs(d_phi):
         return 0.0
     c2 = 1.0 - (d_phi / l_tilde) ** 2
-    c = math.sqrt(c2)
 
     def integrand(psi):
         s2 = 1.0 - c2 * math.sin(psi) ** 2
@@ -542,15 +543,9 @@ def continuous_angles(s: SphericalState, J, rp: ReducedParams, phi_unwrapped: fl
 
 def reduced_structures(rp: ReducedParams):
     """Canonical bivector, two-form and flow field on the action-angle chart."""
-    w = [[0.0] * 6 for _ in range(6)]
-    p = [[0.0] * 6 for _ in range(6)]
-    for h in range(3):
-        w[h][3 + h] = 1.0
-        w[3 + h][h] = -1.0
-        p[h][3 + h] = 1.0
-        p[3 + h][h] = -1.0
-    bivector = constant_tensor(Chart.ACTION_ANGLE, p, "uu", name="P_aa")
-    omega = constant_tensor(Chart.ACTION_ANGLE, w, "dd", name="omega_aa")
+    mat = pair_matrix([1.0] * 3)
+    bivector = constant_tensor(Chart.ACTION_ANGLE, mat, "uu", name="P_aa")
+    omega = constant_tensor(Chart.ACTION_ANGLE, mat, "dd", name="omega_aa")
 
     M = rp.M
 

@@ -31,17 +31,18 @@ from .deformation import (
     nc_symplectic_structures,
     primed_coordinate_function,
 )
-from .errors import config_object
+from .errors import config_int, config_number, config_object
 from .geometry import (
     Chart,
     PhasePoint,
     ScalarField,
     bivector_bracket,
-    flat_sharp_composition,
+    flow_pairing_residual,
     gradient,
-    interior_product,
+    inverse_pair_residual,
     max_abs,
     nijenhuis_torsion,
+    pair_matrix,
     schouten_bracket,
 )
 from .hierarchy import (
@@ -145,6 +146,8 @@ class VerifyConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.samples <= 0 or self.deformation_sets <= 0:
             raise ValueError("sample counts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if min(self.h_max, self.i_max, self.l_max) < 0:
             raise ValueError("index caps must be non-negative")
 
@@ -160,18 +163,11 @@ class VerifyConfig:
         tols = config_object(ver.get("tolerances", {}), "verification tolerances")
         for key in ("seed", "samples", "deformation_sets", "h_max", "i_max", "l_max"):
             if key in ver:
-                kwargs[key] = _convert(int, ver[key], f"verification {key}")
+                kwargs[key] = config_int(ver, key, None, "verification")
         for key in ("bracket", "transport", "drift", "exact"):
             if key in tols:
-                kwargs[f"tol_{key}"] = _convert(float, tols[key], f"tolerance {key}")
+                kwargs[f"tol_{key}"] = float(config_number(tols, key, None, "tolerance"))
         return cls(**kwargs)
-
-
-def _convert(kind, v, what: str):
-    try:
-        return kind(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {v!r}") from None
 
 
 GENERAL_NOTES = (
@@ -185,20 +181,6 @@ GENERAL_NOTES = (
     "coefficients require the coupling constant factor; both choices are pinned "
     "by the autodiff bracket route",
 )
-
-
-def _energy_drift(traj, name: str = "H") -> float:
-    series = traj.monitor_series(name)
-    ref = series[0]
-    scale = max(abs(ref), 1e-30)
-    return max(abs(v - ref) for v in series) / scale
-
-
-def _abs_drift(traj, name: str) -> float:
-    series = traj.monitor_series(name)
-    ref = series[0]
-    scale = max(abs(ref), 1.0)
-    return max(abs(v - ref) for v in series) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +251,7 @@ def suite_brackets(cfg: VerifyConfig) -> SuiteReport:
             x0, wp, 0.0, wp, cfg.tol_exact)
 
     omega, bivector = nc_symplectic_structures(params)
-    comp = flat_sharp_composition(omega(points[0]), bivector(points[0]))
-    res = max(abs(comp[i][j] - (1.0 if i == j else 0.0)) for i in range(6) for j in range(6))
+    res = inverse_pair_residual(omega(points[0]), bivector(points[0]))
     rep.add("symplectic-inverse", "flat/sharp composition of the pair is the identity",
             x0, res, 0.0, res, 1e-14)
 
@@ -315,9 +296,7 @@ def suite_brackets(cfg: VerifyConfig) -> SuiteReport:
             pf = hamilton_rhs_primed_form(x, pset)
             w_closed = max(w_closed, max(abs(cf[i] - bf[i]) for i in range(6)))
             w_primed = max(w_primed, max(abs(cf[i] - pf[i]) for i in range(6)))
-            ip = interior_product(X, omega_p, x)
-            dH = gradient(Hf, x)
-            w_iota = max(w_iota, max(abs(duals.value(ip[i]) + duals.value(dH[i])) for i in range(6)))
+            w_iota = max(w_iota, flow_pairing_residual(X, omega_p, Hf, x))
     rep.add("eom-closed-vs-bivector",
             "closed-form equations of motion equal the bivector flow",
             x0, w_closed, 0.0, w_closed, 1e-10)
@@ -417,7 +396,7 @@ def suite_algebra(cfg: VerifyConfig) -> SuiteReport:
                 abs(fit_plus.coefficient_LG - fit_plus.coefficient_LL)),
             1e-8)
 
-    for kind, pts, tau in (("so4", comm_points, EnergySign.MINUS), ("so13", plus_points, EnergySign.PLUS)):
+    for kind, pts in (("so4", comm_points), ("so13", plus_points)):
         gs = generator_sets(comm, kind)
         x = pts[0]
         mat = gs.evaluate(x)
@@ -468,11 +447,11 @@ def suite_algebra(cfg: VerifyConfig) -> SuiteReport:
             rep.add(f"conservation-{label}", "orbit integration completed",
                     x0_run.coords, 0.0, 1.0, 1.0, 0.5)
             continue
-        hd = _energy_drift(traj)
+        hd = traj.drift("H")
         rep.add(f"conservation-{label}-H", f"relative energy drift on the {label} orbit",
                 x0_run.coords, hd, 0.0, hd, cfg.tol_drift)
-        wlm = max(_abs_drift(traj, f"L{i + 1}") for i in range(3))
-        wam = max(_abs_drift(traj, f"A{i + 1}") for i in range(3))
+        wlm = max(traj.drift(f"L{i + 1}") for i in range(3))
+        wam = max(traj.drift(f"A{i + 1}") for i in range(3))
         rep.add(f"conservation-{label}-L", f"angular momentum drift on the {label} orbit",
                 x0_run.coords, wlm, 0.0, wlm, 1e-7)
         rep.add(f"conservation-{label}-A", f"Runge-Lenz drift on the {label} orbit",
@@ -548,15 +527,11 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
     # canonical structures on the chart
     bivector, omega, flow = reduced_structures(rp)
     aa_points = sample_action_angle(20, cfg.seed + 1)
+    H_aa = ScalarField(Chart.ACTION_ANGLE, lambda c: energy_from_actions(c[:3], rp), name="H")
     w_iota = w_inv = w_ann = 0.0
     for x in aa_points:
-        ip = interior_product(flow, omega, x)
-        dH = gradient(ScalarField(Chart.ACTION_ANGLE,
-                                  lambda c: energy_from_actions(c[:3], rp), name="H"), x)
-        w_iota = max(w_iota, max(abs(duals.value(ip[i]) + duals.value(dH[i])) for i in range(6)))
-        comp = flat_sharp_composition(omega(x), bivector(x))
-        w_inv = max(w_inv, max(abs(comp[i][j] - (1.0 if i == j else 0.0))
-                               for i in range(6) for j in range(6)))
+        w_iota = max(w_iota, flow_pairing_residual(flow, omega, H_aa, x))
+        w_inv = max(w_inv, inverse_pair_residual(omega(x), bivector(x)))
         w_ann = max(w_ann, max(abs(duals.value(v)) for v in flow(x)[:3]))
     rep.add("aa-interior-product", "flow contraction with the chart form is minus dH",
             x0, w_iota, 0.0, w_iota, 1e-11)
@@ -663,6 +638,7 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
     x0 = points[0].coords
     P0 = level_bivector(0, rp)
     X = delaunay_flow_field(rp)
+    N = weight_vector(rp)
     levels = list(range(0, cfg.h_max + 1))
     subset = points[: max(12, cfg.samples // 8)]
 
@@ -683,19 +659,11 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
                     "level bivectors are mutually Schouten-compatible",
                     x0, w, 0.0, w, cfg.tol_bracket)
 
-        w = 0.0
-        for x in points:
-            ip = interior_product(X, om, x)
-            dF = gradient(Fh, x)
-            w = max(w, max(abs(duals.value(ip[i]) + duals.value(dF[i])) for i in range(6)))
+        w = max(flow_pairing_residual(X, om, Fh, x) for x in points)
         rep.add(f"pairing-h{h}", "flow contraction with the level form is minus dF_h",
                 x0, w, 0.0, w, cfg.tol_bracket)
 
-        w = 0.0
-        for x in points[:20]:
-            comp = flat_sharp_composition(om(x), Ph(x))
-            w = max(w, max(abs(comp[i][j] - (1.0 if i == j else 0.0))
-                           for i in range(6) for j in range(6)))
+        w = max(inverse_pair_residual(om(x), Ph(x)) for x in points[:20])
         rep.add(f"inverse-pair-h{h}", "level form and bivector are mutually inverse",
                 x0, w, 0.0, w, cfg.tol_exact)
 
@@ -707,7 +675,6 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
 
         # eigenvalues constant along the flow (pointwise directional derivative)
         w = 0.0
-        N = weight_vector(rp)
         for x in points[:20]:
             Xv = X(x)
             for j in range(3):
@@ -745,16 +712,14 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
 
     # chart transport consistency in the action-angle chart
     aa_points = sample_action_angle(max(12, cfg.samples // 8), cfg.seed + 1)
-    Xaa = _aa_flow_field(rp)
+    Xaa = reduced_structures(rp)[2]
     for h in levels[1:]:
         Paa, Waa, Taa = hierarchy_in_action_angle(h, rp)
         Fh_aa = ladder_energy_field(h, rp, chart=Chart.ACTION_ANGLE)
         w_pair = w_compat = w_tors = 0.0
         P0aa = hierarchy_in_action_angle(0, rp)[0]
         for x in aa_points:
-            ip = interior_product(Xaa, Waa, x)
-            dF = gradient(Fh_aa, x)
-            w_pair = max(w_pair, max(abs(duals.value(ip[i]) + duals.value(dF[i])) for i in range(6)))
+            w_pair = max(w_pair, flow_pairing_residual(Xaa, Waa, Fh_aa, x))
         for x in aa_points[:6]:
             w_compat = max(w_compat, max_abs(schouten_bracket(Paa, P0aa, x)))
             w_tors = max(w_tors, max_abs(nijenhuis_torsion(Taa, x)))
@@ -795,15 +760,8 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
     # canonical transformations
     w_lin = 0.0
     Dfwd = forward_jacobian(rp)
-    N = weight_vector(rp)
-    omega_w = np.zeros((6, 6))
-    for j in range(3):
-        omega_w[j][3 + j] = 1.0 / N[j]
-        omega_w[3 + j][j] = -1.0 / N[j]
-    omega_aa = np.zeros((6, 6))
-    for j in range(3):
-        omega_aa[j][3 + j] = 1.0
-        omega_aa[3 + j][j] = -1.0
+    omega_w = np.array(pair_matrix([1.0 / n for n in N]))
+    omega_aa = np.array(pair_matrix([1.0] * 3))
     pull = Dfwd.T @ omega_w @ Dfwd
     w_lin = float(np.max(np.abs(pull - omega_aa)))
     rep.add("delaunay-symplectic", "pullback of the weighted form is the canonical form",
@@ -854,19 +812,6 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
             "recursion eigenvalues drift below tolerance along an integrated orbit",
             x0, w_drift, 0.0, w_drift, cfg.tol_drift)
     return rep
-
-
-def _aa_flow_field(rp: ReducedParams):
-    from .geometry import VectorField
-
-    M = rp.M
-
-    def flow(c):
-        s = c[0] + M * c[1] + c[2]
-        base = rp.m * rp.k**2 / s**3
-        return [0.0, 0.0, 0.0, base, M * base, base]
-
-    return VectorField(Chart.ACTION_ANGLE, flow, name="X_H")
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,7 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
     ``closed`` the structure-constant pattern (exact in the commutative
     limit; residuals elsewhere are reported, not suppressed).
     """
-    ham_z, L_z, A_z = primed_observables(params)
+    _, L_z, A_z = primed_observables(params)
     L_f = [angular_momentum_field(params, i) for i in range(3)]
     A_f = [lrl_field(params, i) for i in range(3)]
     table = {"LL": {}, "AA": {}, "LA": {}}
@@ -364,15 +364,9 @@ class InvolutionReport:
     bracket_H_A: tuple
 
 
-def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> InvolutionReport:
-    """Diagnostics for the sufficient involution conditions at a point.
-
-    Condition 1 constrains the products lam_ij alpha_ij, condition 2 the
-    primed coordinates of the point, condition 3 the symmetry of F.  All are
-    reported with residuals; nothing is asserted.
-    """
-    a, l = params.alpha, params.lam
-    th = params.theta
+def _condition1_residual(a, l) -> float:
+    """Largest violation of ``lam_ij alpha_ij = -((lam_ik alpha_ik +
+    lam_jk alpha_jk) / 2 + 4)`` over the ordered pairs ``i != j``."""
     r1 = 0.0
     for i in range(3):
         for j in range(3):
@@ -382,6 +376,28 @@ def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> I
             lhs = l[i][j] * a[i][j]
             rhs = -(0.5 * (l[i][kap] * a[i][kap] + l[j][kap] * a[j][kap]) + 4.0)
             r1 = max(r1, abs(lhs - rhs))
+    return r1
+
+
+def _condition3_residual(sm: StructureMatrices) -> float:
+    """Largest asymmetry of ``F`` or spread of its diagonal."""
+    r3 = 0.0
+    for i in range(3):
+        for j in range(3):
+            r3 = max(r3, abs(sm.F[i][j] - sm.F[j][i]))
+    return max(r3, abs(sm.F[0][0] - sm.F[1][1]), abs(sm.F[0][0] - sm.F[2][2]))
+
+
+def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> InvolutionReport:
+    """Diagnostics for the sufficient involution conditions at a point.
+
+    Condition 1 constrains the products lam_ij alpha_ij, condition 2 the
+    primed coordinates of the point, condition 3 the symmetry of F.  All are
+    reported with residuals; nothing is asserted.
+    """
+    a, l = params.alpha, params.lam
+    th = params.theta
+    r1 = _condition1_residual(a, l)
     qp, pp = _primed_split(x, params)
     r2 = 0.0
     for i in range(3):
@@ -393,12 +409,7 @@ def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> I
                 r2 = max(r2, abs(qp[i] * a[kap][i] * th[j] + qp[j] * a[kap][j] * th[i]))
                 r2 = max(r2, abs(pp[i] * a[kap][j] * th[i] - pp[j] * a[kap][i] * th[j]))
                 r2 = max(r2, abs(pp[i] * l[kap][i] * th[j] + pp[j] * l[kap][j] * th[i]))
-    sm = structure_matrices(params)
-    r3 = 0.0
-    for i in range(3):
-        for j in range(3):
-            r3 = max(r3, abs(sm.F[i][j] - sm.F[j][i]))
-    r3 = max(r3, abs(sm.F[0][0] - sm.F[1][1]), abs(sm.F[0][0] - sm.F[2][2]))
+    r3 = _condition3_residual(structure_matrices(params))
     L_f = [angular_momentum_field(params, i) for i in range(3)]
     A_f = [lrl_field(params, i) for i in range(3)]
     Hf = ScalarField(Chart.CARTESIAN, lambda c: hamiltonian(c, params), name="H")
@@ -443,21 +454,7 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
             params = DeformationParams(alpha=a, lam=l)
         except Exception:
             continue
-        rep_r1 = 0.0
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                kap = 3 - i - j
-                lhs = l[i][j] * a[i][j]
-                rhs = -(0.5 * (l[i][kap] * a[i][kap] + l[j][kap] * a[j][kap]) + 4.0)
-                rep_r1 = max(rep_r1, abs(lhs - rhs))
-        sm = structure_matrices(params)
-        r3 = max(
-            abs(sm.F[i][j] - sm.F[j][i]) for i in range(3) for j in range(3)
-        )
-        r3 = max(r3, abs(sm.F[0][0] - sm.F[1][1]), abs(sm.F[0][0] - sm.F[2][2]))
-        resid = max(rep_r1, r3)
+        resid = max(_condition1_residual(a, l), _condition3_residual(structure_matrices(params)))
         if resid < best:
             best = resid
             best_params = params
@@ -510,7 +507,6 @@ class GeneratorSet:
     fields: tuple  # 4x4 (or 3x3 for so3) matrix of ScalarField or None
 
     def evaluate(self, x) -> list:
-        n = len(self.fields)
         return [
             [0.0 if f is None else duals.value(f(x)) for f in row] for row in self.fields
         ]
@@ -606,19 +602,6 @@ def closure_fit(points: Sequence[PhasePoint], params: DeformationParams, tau: En
     L_f = [angular_momentum_field(params, i) for i in range(3)]
     G_f = [scaled_runge_lenz_field(params, tau, i) for i in range(3)]
     basis = L_f + G_f
-
-    def fit_block(pairs, targets):
-        rows, rhs = [], []
-        for x in points:
-            bevals = [duals.value(b(x)) for b in basis]
-            for (f, g), tgt in zip(pairs, targets):
-                rows.append([bevals[t] for t in tgt])
-                rhs.append(nc_bracket(f, g, x, params))
-        A = np.array(rows)
-        b = np.array(rhs)
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.max(np.abs(A @ coef - b))) if len(b) else 0.0
-        return coef, resid
 
     # {L_i, L_j} ~ c_LL eps_ijh L_h ; {G_i, G_j} ~ c_GG eps_ijh L_h ;
     # {L_i, G_j} ~ c_LG eps_ijh G_h    (single-coefficient fits per block)

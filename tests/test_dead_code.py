@@ -85,3 +85,66 @@ def test_scan_ignores_private_names_and_counts_attribute_loads():
 def test_package_has_no_unused_public_definitions():
     modules = {p.name: p.read_text() for p in MODULES}
     assert unused_definitions(modules, [p.read_text() for p in TESTS]) == []
+
+
+# -- names inside functions ---------------------------------------------------
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_scope(node):
+    """The nodes of ``node``'s body outside any nested scope; a nested
+    definition is yielded itself, but not its body."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_scope(child)
+
+
+def unused_locals(source: str) -> list:
+    """``function:name`` for each nested definition or local variable that
+    its function binds and never loads; ``_`` is exempt.
+
+    A load anywhere in the function counts, nested functions included, so
+    a closure that reads a local keeps it alive.  Names declared ``global``
+    or ``nonlocal`` are not locals.
+    """
+    dead = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_scope(fn))
+        declared = {n for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for n in node.names}
+        bound = [(node.id, node) for node in own
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        bound += [(node.name, node) for node in own if isinstance(node, _DEFS)]
+        for name, node in bound:
+            if name == "_" or name in declared:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == name and id(n) not in inside for n in ast.walk(fn)):
+                dead.append(f"{fn.name}:{name}")
+    return sorted(set(dead))
+
+
+def test_local_scan_finds_unused_nested_defs_and_locals():
+    src = (
+        "def f(xs):\n"
+        "    total = 0\n"
+        "    unused = 1\n"
+        "    first, _ = xs\n"
+        "    for i, label in xs:\n"
+        "        total += i\n"
+        "    def helper():\n        return helper()\n"
+        "    def used():\n        return total\n"
+        "    return used()\n"
+    )
+    assert unused_locals(src) == ["f:first", "f:helper", "f:label", "f:unused"]
+
+
+def test_package_has_no_unused_locals():
+    found = [f"{p.name}:{d}" for p in MODULES for d in unused_locals(p.read_text())]
+    assert found == []

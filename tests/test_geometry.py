@@ -15,19 +15,30 @@ from nckepler.geometry import (
     bivector_bracket,
     TensorField,
     constant_tensor,
+    flow_pairing_residual,
     gradient,
     hamiltonian_vector_field,
     interior_product,
+    inverse_pair_residual,
     lie_bracket,
     lie_derivative,
     max_abs,
     nijenhuis_torsion,
+    pair_matrix,
     schouten_bracket,
 )
-from nckepler.hierarchy import hierarchy_in_action_angle, level_bivector, recursion_operator
+from nckepler.deformation import nc_symplectic_structures
+from nckepler.hierarchy import (
+    hierarchy_in_action_angle,
+    level_bivector,
+    level_two_form,
+    recursion_operator,
+    weight_vector,
+)
 from nckepler.kepler import hamiltonian_field
 from nckepler.master import family_gamma_field, family_two_form
-from nckepler.sampling import sample_action_angle, sample_delaunay
+from nckepler.reduced import ReducedParams, reduced_structures, spherical_structures
+from nckepler.sampling import sample_action_angle, sample_deformations, sample_delaunay
 from nckepler.suites import VerifyConfig
 
 CANONICAL = [[0.0] * 6 for _ in range(6)]
@@ -424,3 +435,105 @@ def test_interior_product_of_flow_is_minus_differential():
         ip = interior_product(X, omega, x)
         dH = gradient(H, x)
         assert max(abs(duals.value(ip[i]) + duals.value(dH[i])) for i in range(6)) < 1e-10
+
+
+def _pair_matrices_by_loops(params, rp, h, c):
+    """Reference: the hand-written loops that built each canonical pair
+    matrix before ``pair_matrix`` replaced them, one block per builder."""
+    out = {}
+    th = params.theta
+    w = [[0.0] * 6 for _ in range(6)]
+    p = [[0.0] * 6 for _ in range(6)]
+    for nu in range(3):
+        w[3 + nu][nu] = th[nu]
+        w[nu][3 + nu] = -th[nu]
+        p[3 + nu][nu] = 1.0 / th[nu]
+        p[nu][3 + nu] = -1.0 / th[nu]
+    out["nc-omega"], out["nc-bivector"] = w, p
+
+    w = [[0.0] * 6 for _ in range(6)]
+    p = [[0.0] * 6 for _ in range(6)]
+    for i in range(3):
+        w[3 + i][i] = 1.0
+        w[i][3 + i] = -1.0
+        p[3 + i][i] = 1.0
+        p[i][3 + i] = -1.0
+    out["spherical-omega"], out["spherical-bivector"] = w, p
+
+    w = [[0.0] * 6 for _ in range(6)]
+    p = [[0.0] * 6 for _ in range(6)]
+    for k in range(3):
+        w[k][3 + k] = 1.0
+        w[3 + k][k] = -1.0
+        p[k][3 + k] = 1.0
+        p[3 + k][k] = -1.0
+    out["aa-bivector"], out["aa-omega"] = p, w
+
+    N = weight_vector(rp)
+    for name, wts in (
+        ("level-bivector", [N[j] ** (h + 1) * c[j] ** h for j in range(3)]),
+        ("level-two-form", [1.0 / (N[j] ** (h + 1) * c[j] ** h) for j in range(3)]),
+    ):
+        mat = [[0.0] * 6 for _ in range(6)]
+        for j in range(3):
+            mat[j][3 + j] = wts[j]
+            mat[3 + j][j] = -wts[j]
+        out[name] = mat
+
+    mat = [[0.0] * 6 for _ in range(6)]
+    for j in range(3):
+        wj = N[j] ** (h - 1) * c[j] ** h
+        mat[j][3 + j] = wj
+        mat[3 + j][j] = -wj
+    out["family-two-form"] = mat
+    return out
+
+
+def test_pair_matrix_builders_equal_the_loops_they_replaced_bitwise():
+    rp = ReducedParams(thetadot=0.005, phidot=0.3)
+    sph = PhasePoint((1.2, 0.7, 0.3, 0.1, 0.4, 0.9), Chart.SPHERICAL)
+    checked = 0
+    for params in sample_deformations(3, 5):
+        for x in sample_delaunay(4, seed=11):
+            c = list(x.coords)
+            for h in range(4):
+                ref = _pair_matrices_by_loops(params, rp, h, c)
+                nc_omega, nc_bivector = nc_symplectic_structures(params)
+                sph_omega, sph_bivector = spherical_structures(rp)
+                aa_bivector, aa_omega, _ = reduced_structures(rp)
+                new = {
+                    "nc-omega": nc_omega(POINT),
+                    "nc-bivector": nc_bivector(POINT),
+                    "spherical-omega": sph_omega(sph),
+                    "spherical-bivector": sph_bivector(sph),
+                    "aa-bivector": aa_bivector(c),
+                    "aa-omega": aa_omega(c),
+                    "level-bivector": level_bivector(h, rp).func(c),
+                    "level-two-form": level_two_form(h, rp).func(c),
+                    "family-two-form": family_two_form(h, rp).func(c),
+                }
+                assert set(new) == set(ref)
+                for name, mat in new.items():
+                    # float.hex tells -0.0 from 0.0, so this is bit equality
+                    assert [[v.hex() for v in row] for row in mat] == \
+                        [[float(v).hex() for v in row] for row in ref[name]], (name, h)
+                    checked += 1
+    assert checked == 3 * 4 * 4 * 9
+
+
+def test_flow_pairing_residual_reads_the_pairing_defect():
+    omega = constant_tensor(Chart.CARTESIAN, pair_matrix([1.0, 2.0, 3.0]), "dd")
+    X = VectorField(Chart.CARTESIAN, lambda c: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # iota_X omega is row 0 of omega: 1.0 in slot 3
+    F = ScalarField(Chart.CARTESIAN, lambda c: -c[3])
+    assert flow_pairing_residual(X, omega, F, POINT) == 0.0
+    G = ScalarField(Chart.CARTESIAN, lambda c: -c[3] + 0.25 * c[1])
+    assert flow_pairing_residual(X, omega, G, POINT) == 0.25
+
+
+def test_inverse_pair_residual_reads_the_composition_defect():
+    P = pair_matrix([2.0, 4.0, 0.5])
+    assert inverse_pair_residual(pair_matrix([0.5, 0.25, 2.0]), P) == 0.0
+    assert inverse_pair_residual(pair_matrix([0.5, 0.25, 1.0]), P) == 0.5
+    assert inverse_pair_residual(CANONICAL, CANONICAL) == 0.0
+

@@ -22,7 +22,6 @@ from nckepler.hierarchy import (
     OrbitalElements,
     classical_delaunay,
     corrupted_first_level_bivector,
-    delaunay_energy_field,
     delaunay_flow_field,
     displayed_bivector_table,
     displayed_two_form_table,
@@ -36,7 +35,7 @@ from nckepler.hierarchy import (
     recursion_operator,
     weight_vector,
 )
-from nckepler.reduced import ReducedParams
+from nckepler.reduced import ReducedParams, reduced_structures
 from nckepler.sampling import sample_action_angle, sample_delaunay
 
 RP = ReducedParams(thetadot=0.005, phidot=0.3)
@@ -46,9 +45,8 @@ PT = PhasePoint((0.5, 1.2, 2.0, 0.7, 1.9, 4.1), Chart.DELAUNAY)
 
 def test_level_zero_energy_is_hamiltonian():
     F0 = ladder_energy_field(0, RP)
-    H = delaunay_energy_field(RP)
     for x in sample_delaunay(10, seed=0):
-        assert abs(duals.value(F0(x)) - duals.value(H(x))) < 1e-15
+        assert abs(duals.value(F0(x)) - (-RP.m * RP.k**2 / (2.0 * x.coords[2] ** 2))) < 1e-15
 
 
 def test_level_zero_recursion_is_identity():
@@ -173,10 +171,8 @@ def test_transported_tensors_keep_identities():
 
 
 def test_transported_pairing_with_in_chart_flow():
-    from nckepler.suites import _aa_flow_field
-
     x = PhasePoint((0.35, 0.6, 1.1, 0.5, 2.0, 1.3), Chart.ACTION_ANGLE)
-    X = _aa_flow_field(RP)
+    X = reduced_structures(RP)[2]
     for h in (1, 2, 3):
         Waa = hierarchy_in_action_angle(h, RP)[1]
         F = ladder_energy_field(h, RP, chart=Chart.ACTION_ANGLE)
@@ -283,14 +279,3 @@ def test_transport_of_base_level_is_canonical_pair():
             assert abs(T[i][j] - (1.0 if i == j else 0.0)) < 1e-14
             if j != i + 3 and i != j + 3:
                 assert abs(P[i][j]) < 1e-14
-
-
-def test_verify_level_battery():
-    from nckepler.hierarchy import verify_level
-
-    points = sample_delaunay(12, seed=9)
-    for h in (0, 1, 3):
-        rep = verify_level(h, points, RP)
-        assert rep.all_passed, [e.identity for e in rep.entries if not e.passed]
-    with pytest.raises(ValueError):
-        verify_level(-1, points, RP)

@@ -215,6 +215,17 @@ def test_trajectory_csv_format():
     assert float(row[1]) == traj.states[1].coords[0]
 
 
+def test_trajectory_drift_scales_h_by_its_start_and_others_by_at_least_one():
+    traj = Trajectory(monitor_names=["H", "L1", "A1"],
+                      monitors=[[-0.5, 0.25, 4.0], [-0.25, 0.75, 5.0], [-0.625, 0.0, 3.0]])
+    assert traj.drift("H") == 0.5  # 0.25 / |-0.5|
+    assert traj.drift("L1") == 0.5  # 0.5 / max(0.25, 1)
+    assert traj.drift("A1") == 0.25  # 1 / max(4, 1)
+    zero = Trajectory(monitor_names=["H", "L1"], monitors=[[0.0, 0.0], [0.375, -0.5]])
+    assert zero.drift("H") == 0.375  # H0 == 0 is measured against 1.0
+    assert zero.drift("L1") == 0.5
+
+
 def test_integrator_rejects_bad_arguments():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
     with pytest.raises(ValueError):

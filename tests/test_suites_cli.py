@@ -203,6 +203,21 @@ def test_cli_simulate_malformed_config(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_cli_simulate_unwritable_output_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("")
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({
+        "initial_state": {"coords": [1, 0, 0, 0, 1, 0]},
+        "integrator": {"n_steps": 5},
+        "output": {"trajectory_csv": str(blocker / "traj.csv")},
+    }))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write the trajectory" in err
+    assert "Traceback" not in err
+
+
 _STATE = {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, 0.0, 1.05, 0.0]}
 
 MALFORMED = [
@@ -217,6 +232,10 @@ MALFORMED = [
                  id="verify-tolerance-nan"),
     pytest.param("verify", {"verification": {"tolerances": {"bracket": float("inf")}}},
                  id="verify-tolerance-inf"),
+    pytest.param("verify", {"verification": {"tolerances": {"bracket": 10**400}}},
+                 id="verify-tolerance-huge-int"),
+    pytest.param("verify", {"deformation": {"mass": 10**400}}, id="verify-mass-huge-int"),
+    pytest.param("verify", {"verification": {"seed": -1}}, id="verify-seed-negative"),
     pytest.param("simulate", {"deformation": [1, 2], "initial_state": _STATE},
                  id="simulate-deformation-list"),
     pytest.param("simulate", {"deformation": {"alpha": 5}, "initial_state": _STATE},
@@ -225,8 +244,26 @@ MALFORMED = [
                  id="simulate-k-null"),
     pytest.param("simulate", {"initial_state": _STATE, "integrator": 5},
                  id="simulate-integrator-number"),
+    pytest.param("simulate", {"initial_state": {"coords": [None, 0, 0, 0, 1, 0]}},
+                 id="simulate-coords-null"),
+    pytest.param("simulate", {"initial_state": {"coords": 5}}, id="simulate-coords-number"),
+    pytest.param("simulate", {"initial_state": _STATE, "monitors": 5},
+                 id="simulate-monitors-number"),
+    pytest.param("simulate", {"initial_state": _STATE, "integrator": {"dt": None}},
+                 id="simulate-dt-null"),
+    pytest.param("simulate", {"initial_state": _STATE, "integrator": {"n_steps": 2.7}},
+                 id="simulate-n-steps-fraction"),
+    pytest.param("simulate", {"initial_state": _STATE, "integrator": {"method": ["rk4"]}},
+                 id="simulate-method-list"),
+    pytest.param("simulate", {"initial_state": _STATE, "drift_tolerance": None},
+                 id="simulate-drift-tolerance-null"),
+    pytest.param("simulate", {"initial_state": _STATE, "output": {"trajectory_csv": 5}},
+                 id="simulate-output-number"),
     pytest.param("chart", {"reduced": {"m": "z"}}, id="chart-reduced-m-string"),
     pytest.param("chart", [1], id="chart-params-list"),
+    pytest.param("chart-state", [1], id="chart-state-list"),
+    pytest.param("chart-state", {"chart": "cartesian", "coords": [1, 0, None, 0, 1, 0]},
+                 id="chart-state-coords-null"),
 ]
 
 
@@ -240,6 +277,7 @@ def test_cli_malformed_block_is_config_error(command, doc, tmp_path, capsys):
         "verify": ["verify", "--config", str(path), "--suites", "brackets", "--out", str(tmp_path)],
         "simulate": ["simulate", "--config", str(path), "--out", str(tmp_path)],
         "chart": ["chart", "--state", str(state), "--to", "spherical", "--params", str(path)],
+        "chart-state": ["chart", "--state", str(path), "--to", "spherical"],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -275,6 +313,7 @@ def test_cli_chart_source_mismatch(tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"coords": [1, 0, 0, 0, 1, 0], "chart": "cartesian"}))
     assert main(["chart", "--state", str(state), "--from", "spherical", "--to", "spherical"]) == 2
+    assert main(["chart", "--state", str(state), "--from", "nonsense", "--to", "spherical"]) == 2
 
 
 def test_cli_hierarchy_and_master_outputs(tmp_path):
@@ -304,3 +343,7 @@ def test_config_validation():
         VerifyConfig(samples=0)
     with pytest.raises(ValueError):
         VerifyConfig(h_max=-1)
+    for key, bad in (("samples", 2.7), ("seed", True), ("h_max", "3"), ("l_max", None)):
+        with pytest.raises(ValueError, match=f"verification {key} must be an integer"):
+            VerifyConfig.from_dict({"verification": {key: bad}})
+    assert VerifyConfig.from_dict({"verification": {"samples": 7}}).samples == 7
