@@ -36,8 +36,8 @@ from .geometry import (
     schouten_bracket,
 )
 from .kepler import Trajectory, deformed_radius, hamiltonian, hamiltonian_vector_field_nc, hamilton_rhs_closed_form, integrate
-from .reduced import ActionAngleState, ReducedParams, SphericalState
-from .hierarchy import DelaunayState, OrbitalElements, classical_delaunay, hierarchy_level
+from .reduced import ReducedParams
+from .hierarchy import OrbitalElements, classical_delaunay
 from .report import CheckRecord, SuiteReport
 from .suites import SUITE_NAMES, VerifyConfig
 

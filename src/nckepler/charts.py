@@ -23,7 +23,6 @@ from .errors import ChartDomainError, DegenerateMapError
 from .geometry import Chart, PhasePoint
 from .reduced import (
     ReducedParams,
-    SphericalState,
     actions_from_integrals,
     angles_from_state,
     first_integrals,
@@ -60,12 +59,15 @@ def spherical_to_cartesian(x: PhasePoint) -> PhasePoint:
     r, theta, phi, p_r, p_t, p_p = x.coords
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
-    q = (r * st * cp, r * st * sp, r * ct)
+    rs = r * st
+    if rs == 0.0:
+        raise ChartDomainError("coordinate theta hit the polar axis (r sin theta = 0)")
+    q = (rs * cp, rs * sp, r * ct)
     rhat = (st * cp, st * sp, ct)
     that = (ct * cp, ct * sp, -st)
     phat = (-sp, cp, 0.0)
     p = tuple(
-        p_r * rhat[i] + (p_t / r) * that[i] + (p_p / (r * st)) * phat[i] for i in range(3)
+        p_r * rhat[i] + (p_t / r) * that[i] + (p_p / rs) * phat[i] for i in range(3)
     )
     return PhasePoint(q + p, Chart.CARTESIAN)
 
@@ -113,14 +115,10 @@ def delaunay_to_action_angle(x: PhasePoint, rp: ReducedParams) -> PhasePoint:
 def spherical_to_action_angle(x: PhasePoint, rp: ReducedParams) -> PhasePoint:
     if x.chart is not Chart.SPHERICAL:
         raise ChartDomainError("expected a spherical point")
-    s = SphericalState.from_point(x)
-    E = spherical_hamiltonian(s, rp)
-    _, d_phi, l_tilde = first_integrals(s, rp)
+    E = spherical_hamiltonian(x, rp)
+    _, d_phi, l_tilde = first_integrals(x, rp)
     J = actions_from_integrals(E, l_tilde, d_phi, rp)
-    angles = angles_from_state(s, J, rp)
-    return PhasePoint(
-        (J.J1, J.J2, J.J3, angles.phi1, angles.phi2, angles.phi3), Chart.ACTION_ANGLE
-    )
+    return PhasePoint(J + angles_from_state(x, J, rp), Chart.ACTION_ANGLE)
 
 
 _CONVERSIONS = {

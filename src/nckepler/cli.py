@@ -32,6 +32,11 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _cannot_write(what: str, err: OSError) -> int:
+    print(f"configuration error: cannot write {what}: {err}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 # Kept under this name because the benchmark harness parses scenarios with it.
 _deformation_from = DeformationParams.from_dict
 
@@ -118,6 +123,10 @@ def cmd_simulate(args) -> int:
     except NCKeplerError as err:
         print(f"integration failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OverflowError:
+        print("integration failed: the initial state or the deformation leaves the float range",
+              file=sys.stderr)
+        return EXIT_RUNTIME
     print(
         f"simulate: {len(traj.states) - 1}/{cfg.n_steps} steps; "
         f"stop: {traj.termination_reason or 'completed'}; "
@@ -129,8 +138,7 @@ def cmd_simulate(args) -> int:
         with open(out_path, "w") as fh:
             fh.write(traj.to_csv())
     except OSError as err:
-        print(f"configuration error: cannot write the trajectory: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _cannot_write("the trajectory", err)
     print(f"trajectory written to {out_path} ({len(traj.states)} states)")
 
     ok = traj.completed
@@ -159,12 +167,16 @@ def _build_config(args) -> VerifyConfig:
 
 def _run_suite(name: str, cfg: VerifyConfig):
     """The suite's report, or None after a message when the configuration
-    admits no run (for example, a sampler finds no valid point)."""
+    admits no run (for example, a sampler finds no valid point, or the
+    parameters drive a value out of the float range)."""
     try:
         return SUITES[name](cfg)
     except NCKeplerError as err:
         print(f"configuration error: suite {name}: {err}", file=sys.stderr)
-        return None
+    except ArithmeticError as err:
+        print(f"configuration error: suite {name}: arithmetic failure at these parameters "
+              f"({type(err).__name__}: {err})", file=sys.stderr)
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -182,14 +194,20 @@ def cmd_verify(args) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        return _cannot_write(f"the report directory {out_dir}", err)
     all_ok = True
     for name in names:
         rep = _run_suite(name, cfg)
         if rep is None:
             return EXIT_CONFIG
         path = os.path.join(out_dir, f"{name}.json")
-        rep.save(path)
+        try:
+            rep.save(path)
+        except OSError as err:
+            return _cannot_write(f"the report {path}", err)
         status = "pass" if rep.all_passed else "FAIL"
         print(f"suite {name}: {status} ({rep.passed}/{rep.total}) -> {path}")
         all_ok = all_ok and rep.all_passed
@@ -219,6 +237,9 @@ def cmd_chart(args) -> int:
     except NCKeplerError as err:
         print(f"conversion failed: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError:
+        print("conversion failed: the state leaves the float range", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps({"coords": list(out.coords), "chart": out.chart.value}, sort_keys=True))
     return EXIT_OK
 
@@ -236,8 +257,11 @@ def cmd_report(args) -> int:
     doc = [e.to_dict() for e in rep.entries] if args.command == "hierarchy" else rep.to_dict()
     payload = json.dumps(doc, sort_keys=True, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as err:
+            return _cannot_write(f"the report {args.out}", err)
         print(f"{args.command} report -> {args.out} ({rep.passed}/{rep.total} passed)")
     else:
         print(payload)

@@ -13,8 +13,8 @@ with weights N = (1, M, 1).  For every level h >= 0 the ladder members are
     T_h = P_h o P^{-1},  diagonal with entries N_j^h I_j^h on both blocks,
 
 and the level-h bracket weight matrix is diag(I1^h, M^{h+1} I2^h, I3^h).
-The flow field is the same at every level: the h-th energy generates it
-through the h-th bracket.
+The flow field, ``master.dynamical_symmetry(0, rp)``, is the same at every
+level: the h-th energy generates it through the h-th bracket.
 
 Action-angle images of all tensors are produced by exact transport through
 the constant linear chart map; the separately displayed component tables for
@@ -30,39 +30,14 @@ from typing import Callable
 
 from . import duals
 from .charts import forward_jacobian, inverse_jacobian
-from .errors import ChartDomainError
 from .geometry import (
     Chart,
-    PhasePoint,
     ScalarField,
     TensorField,
-    VectorField,
     coords_of,
     pair_matrix,
 )
 from .reduced import ReducedParams
-
-
-@dataclass(frozen=True)
-class DelaunayState:
-    I1: float
-    I2: float
-    I3: float
-    phi1: float
-    phi2: float
-    phi3: float
-
-    def __post_init__(self):
-        if self.I3 == 0.0:
-            raise ChartDomainError("Delaunay action I3 must be nonzero")
-
-    def as_point(self) -> PhasePoint:
-        return PhasePoint((self.I1, self.I2, self.I3, self.phi1, self.phi2, self.phi3),
-                          Chart.DELAUNAY)
-
-    @classmethod
-    def from_point(cls, x: PhasePoint) -> "DelaunayState":
-        return cls(*x.coords)
 
 
 @dataclass(frozen=True)
@@ -127,15 +102,6 @@ def ladder_energy_field(h: int, rp: ReducedParams, chart: Chart = Chart.DELAUNAY
     return ScalarField(chart, f, name=f"F{h}")
 
 
-def delaunay_flow_field(rp: ReducedParams) -> VectorField:
-    m, k = rp.m, rp.k
-
-    def f(c):
-        return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 / c[2] ** 3]
-
-    return VectorField(Chart.DELAUNAY, f, name="X_H")
-
-
 def level_bivector(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
@@ -193,27 +159,6 @@ def lambda_bracket(f: ScalarField, g: ScalarField, x, h: int, rp: ReducedParams)
                 continue
             total = total + W[i][j] * (df[i] * dg[3 + j] - df[3 + j] * dg[i])
     return total
-
-
-@dataclass(frozen=True)
-class HierarchyLevel:
-    h: int
-    energy: ScalarField
-    bivector: TensorField
-    two_form: TensorField
-    recursion: TensorField
-
-
-def hierarchy_level(h: int, rp: ReducedParams) -> HierarchyLevel:
-    if h < 0:
-        raise ValueError("level index must be non-negative")
-    return HierarchyLevel(
-        h=h,
-        energy=ladder_energy_field(h, rp),
-        bivector=level_bivector(h, rp),
-        two_form=level_two_form(h, rp),
-        recursion=recursion_operator(h, rp),
-    )
 
 
 # -- exact transport into the action-angle chart ------------------------------

@@ -35,21 +35,29 @@ from .geometry import (
 )
 
 
-def deformed_radius(x, params: DeformationParams):
-    """``Y = |q - (1/2) alpha p|``; raises when the configuration is singular."""
-    primed = transform_coordinates(x, params)
-    y2 = primed[0] ** 2 + primed[1] ** 2 + primed[2] ** 2
+def primed_radius(z):
+    """``Y = |q'|`` from the primed coordinates ``z``; raises when the
+    configuration is singular."""
+    y2 = z[0] ** 2 + z[1] ** 2 + z[2] ** 2
     if duals.value(y2) <= 0.0:
         raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
     return duals.sqrt(y2)
 
 
+def primed_hamiltonian(z, params: DeformationParams):
+    """Energy from the primed coordinates ``z`` (kinetic term in ``p'``)."""
+    kinetic = (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * params.mass)
+    return kinetic - params.k / primed_radius(z)
+
+
+def deformed_radius(x, params: DeformationParams):
+    """``Y = |q - (1/2) alpha p|``; raises when the configuration is singular."""
+    return primed_radius(transform_coordinates(x, params))
+
+
 def hamiltonian(x, params: DeformationParams):
-    """Energy at a cartesian point (kinetic term in primed momenta)."""
-    primed = transform_coordinates(x, params)
-    y = deformed_radius(x, params)
-    kinetic = (primed[3] ** 2 + primed[4] ** 2 + primed[5] ** 2) / (2.0 * params.mass)
-    return kinetic - params.k / y
+    """Energy at a cartesian point (generic in the scalar type)."""
+    return primed_hamiltonian(transform_coordinates(x, params), params)
 
 
 def hamiltonian_field(params: DeformationParams) -> ScalarField:
@@ -165,7 +173,7 @@ def hamilton_rhs_primed_form(x, params: DeformationParams) -> list:
     coords = coords_of(x)
     primed = transform_coordinates(coords, params)
     qp, pp = primed[:3], primed[3:]
-    y = duals.value(deformed_radius(coords, params))
+    y = duals.value(primed_radius(primed))
     a, l = params.alpha, params.lam
     th = params.theta
     m, k = params.mass, params.k
@@ -355,11 +363,11 @@ def integrate_field(
     ``monitor_names``.
 
     Termination reasons: the hook's stop reason, a non-finite state, a
-    singular configuration or implicit stage failure raised by a step or the
-    hook, or a per-step jump of the energy beyond ``energy_step_tol``
-    relative (the collision detector: near a singular configuration a fixed
-    step cannot hold the energy, and the run is truncated rather than
-    continued through garbage states).
+    singular configuration, implicit stage failure or float overflow raised
+    by a step or the hook, or a per-step jump of the energy beyond
+    ``energy_step_tol`` relative (the collision detector: near a singular
+    configuration a fixed step cannot hold the energy, and the run is
+    truncated rather than continued through garbage states).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -389,6 +397,8 @@ def integrate_field(
             reason = f"singular configuration: {err}"
         except StepFailureError as err:
             reason = f"step failure: {err}"
+        except OverflowError:
+            reason = "overflow: the state left the float range"
         if reason is None and e_scale is not None:
             jump = abs(e_new - e_prev)
             traj.max_energy_jump = max(traj.max_energy_jump, jump / e_scale)

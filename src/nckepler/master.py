@@ -48,7 +48,8 @@ from .reduced import ReducedParams
 
 
 def dynamical_symmetry(h: int, rp: ReducedParams) -> VectorField:
-    """``X_h = (m k^2 / I3^{h+3}) d/dphi^3``; commutes with the flow."""
+    """``X_h = (m k^2 / I3^{h+3}) d/dphi^3``; commutes with the flow, and
+    ``X_0`` is the flow of ``H`` itself."""
     if h < 0:
         raise ValueError("index must be non-negative")
     m, k = rp.m, rp.k
@@ -138,15 +139,6 @@ def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficient
                                  residual_P1=rP1, residual_H=rH)
 
 
-@dataclass(frozen=True)
-class RecursionFamily:
-    h: int
-    flow: VectorField          # X'_h
-    bivector: TensorField      # P'_h
-    two_form: TensorField      # omega'_h
-    energy: ScalarField        # H'_h (log form at h = 2)
-
-
 def family_flow_field(h: int, rp: ReducedParams) -> VectorField:
     m, k = rp.m, rp.k
 
@@ -192,18 +184,6 @@ def family_gamma_field(i: int, h: int, rp: ReducedParams) -> VectorField:
         return out
 
     return VectorField(Chart.DELAUNAY, f, name=f"Gamma'{i}{h}")
-
-
-def recursion_family(h: int, rp: ReducedParams) -> RecursionFamily:
-    if h < 0:
-        raise ValueError("index must be non-negative")
-    return RecursionFamily(
-        h=h,
-        flow=family_flow_field(h, rp),
-        bivector=level_bivector(h, rp),
-        two_form=family_two_form(h, rp),
-        energy=family_energy_field(h, rp),
-    )
 
 
 def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> VectorField:

@@ -48,30 +48,37 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 
+# Largest |thetadot| / m: below it the azimuthal identification J3 = D_phi
+# sits in its expansion regime.
+MAX_RATE_RATIO = 0.01
+
 
 @dataclass(frozen=True)
 class ReducedParams:
     """Angular-rate constants of the momentum deformation plus mass/coupling.
 
-    ``thetadot`` must stay small against the mass (default cap 1 percent) for
-    the azimuthal-action identification to sit in its validity regime.
+    ``|thetadot|`` may not exceed ``MAX_RATE_RATIO * m``, so the
+    azimuthal-action identification always sits in its validity regime.
     """
 
     thetadot: float = 0.0
     phidot: float = 0.0
     m: float = 1.0
     k: float = 1.0
-    max_rate_ratio: float = 0.01
 
     def __post_init__(self):
         if self.m <= 0.0 or self.k <= 0.0:
             raise ValueError("mass and coupling must be positive")
-        if abs(self.thetadot) > self.max_rate_ratio * self.m:
+        if abs(self.thetadot) > MAX_RATE_RATIO * self.m:
             raise ValueError(
-                f"|thetadot| = {abs(self.thetadot)} exceeds {self.max_rate_ratio} * m"
+                f"|thetadot| = {abs(self.thetadot)} exceeds {MAX_RATE_RATIO} * m"
             )
-        if self.M_squared <= 0.0:
-            raise ValueError("M^2 must be positive")
+        try:
+            m2 = self.M_squared
+        except OverflowError:
+            m2 = math.inf
+        if not 0.0 < m2 < math.inf:
+            raise ValueError(f"M^2 must be positive and finite, got {m2}")
 
     @classmethod
     def from_dict(cls, doc) -> "ReducedParams":
@@ -91,47 +98,6 @@ class ReducedParams:
     @property
     def M(self) -> float:
         return math.sqrt(self.M_squared)
-
-
-@dataclass(frozen=True)
-class SphericalState:
-    r: float
-    theta: float
-    phi: float
-    p_r: float
-    p_theta: float
-    p_phi: float
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ChartDomainError(f"coordinate r must be positive, got {self.r}")
-        if not 0.0 < self.theta < math.pi:
-            raise ChartDomainError(f"coordinate theta must lie in (0, pi), got {self.theta}")
-
-    def as_point(self) -> PhasePoint:
-        return PhasePoint(
-            (self.r, self.theta, self.phi, self.p_r, self.p_theta, self.p_phi),
-            Chart.SPHERICAL,
-        )
-
-    @classmethod
-    def from_point(cls, x: PhasePoint) -> "SphericalState":
-        return cls(*x.coords)
-
-
-@dataclass(frozen=True)
-class ActionAngleState:
-    J1: float
-    J2: float
-    J3: float
-    phi1: float
-    phi2: float
-    phi3: float
-    M: float = 1.0
-
-    def as_point(self) -> PhasePoint:
-        return PhasePoint((self.J1, self.J2, self.J3, self.phi1, self.phi2, self.phi3),
-                          Chart.ACTION_ANGLE)
 
 
 def lambda_matrix(rp: ReducedParams, phi) -> tuple:
@@ -191,36 +157,13 @@ def quadratic_condition_value(x, rp: ReducedParams) -> float:
     return lq[0] ** 2 + lq[1] ** 2 + lq[2] ** 2
 
 
-@dataclass(frozen=True)
-class ReductionConditions:
-    quadratic_value: float
-    quadratic_ok: bool
-    alpha_is_zero: bool
-
-
-def reduced_hamiltonian_conditions_check(
-    x, rp: ReducedParams, tol: float = 1e-10, alpha=None
-) -> ReductionConditions:
-    """Report whether the separability conditions hold at ``x``."""
-    val = quadratic_condition_value(x, rp)
-    a_zero = True
-    if alpha is not None:
-        a_zero = all(v == 0.0 for row in alpha for v in row)
-    return ReductionConditions(quadratic_value=val, quadratic_ok=abs(val) <= tol,
-                               alpha_is_zero=a_zero)
-
-
 def _azimuthal_factor(rp: ReducedParams, phi):
     return 1.0 + (rp.thetadot / rp.m) * duals.sin(2.0 * phi)
 
 
 def spherical_hamiltonian(s, rp: ReducedParams):
     """Energy of a spherical state under the reduced Hamiltonian."""
-    if isinstance(s, SphericalState):
-        c = [s.r, s.theta, s.phi, s.p_r, s.p_theta, s.p_phi]
-    else:
-        c = coords_of(s)
-    r, theta, phi, p_r, p_t, p_p = c
+    r, theta, phi, p_r, p_t, p_p = coords_of(s)
     rv = duals.value(r)
     sv = math.sin(duals.value(theta))
     if rv <= 0.0:
@@ -271,11 +214,7 @@ def spherical_rhs(rp: ReducedParams):
 
 def first_integrals(s, rp: ReducedParams) -> tuple:
     """(M, D_phi, L~) at a spherical state; all three commute with the flow."""
-    if isinstance(s, SphericalState):
-        c = [s.r, s.theta, s.phi, s.p_r, s.p_theta, s.p_phi]
-    else:
-        c = coords_of(s)
-    _, theta, phi, _, p_t, p_p = c
+    _, theta, phi, _, p_t, p_p = coords_of(s)
     u = _azimuthal_factor(rp, phi)
     d_phi = duals.sqrt(u) * p_p
     st = duals.sin(theta)
@@ -290,24 +229,9 @@ def inclination(d_phi: float, l_tilde: float) -> float:
     return math.acos(max(-1.0, min(1.0, d_phi / l_tilde)))
 
 
-@dataclass(frozen=True)
-class ActionSet:
-    J1: float
-    J2: float
-    J3: float
-    maclaurin_ok: bool = True
-    azimuthal_action_average: float | None = None
-
-    def __iter__(self):
-        return iter((self.J1, self.J2, self.J3))
-
-    def __getitem__(self, i):
-        return (self.J1, self.J2, self.J3)[i]
-
-
-def actions_from_integrals(E: float, l_tilde: float, d_phi: float, rp: ReducedParams) -> ActionSet:
-    """Actions of a bound state: J3 = D_phi, J2 = (L~ - D_phi)/M, and
-    J1 = -L~ + m k / sqrt(-2 m E)."""
+def actions_from_integrals(E: float, l_tilde: float, d_phi: float, rp: ReducedParams) -> tuple:
+    """Actions ``(J1, J2, J3)`` of a bound state: J3 = D_phi,
+    J2 = (L~ - D_phi)/M, and J1 = -L~ + m k / sqrt(-2 m E)."""
     if E >= 0.0:
         raise NonCompactError(f"bound-state actions require E < 0, got E = {E}")
     if d_phi == 0.0 or l_tilde < abs(d_phi):
@@ -315,13 +239,7 @@ def actions_from_integrals(E: float, l_tilde: float, d_phi: float, rp: ReducedPa
     j3 = d_phi
     j2 = (l_tilde - d_phi) / rp.M
     j1 = -l_tilde + rp.m * rp.k / math.sqrt(-2.0 * rp.m * E)
-    # the azimuthal identification J3 = D_phi sits in its expansion regime
-    # only while the polar rate stays below one percent of the mass
-    ok = abs(rp.thetadot) <= 0.01 * rp.m
-    avg = None
-    if not ok:
-        avg = d_phi * azimuthal_period_integral(rp) / TWO_PI
-    return ActionSet(j1, j2, j3, maclaurin_ok=ok, azimuthal_action_average=avg)
+    return j1, j2, j3
 
 
 def energy_from_actions(J, rp: ReducedParams):
@@ -427,18 +345,6 @@ def radial_action_quadrature(E: float, l_tilde: float, rp: ReducedParams) -> flo
 # -- angle variables ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    phi1: float
-    phi2: float
-    phi3: float
-    branch_r: int
-    branch_theta: int
-
-    def __iter__(self):
-        return iter((self.phi1, self.phi2, self.phi3))
-
-
 def _clamped_arcsin(arg: float, which: str, tol: float = 1e-9) -> float:
     if abs(arg) > 1.0 + tol:
         raise TurningPointError(
@@ -447,19 +353,17 @@ def _clamped_arcsin(arg: float, which: str, tol: float = 1e-9) -> float:
     return math.asin(max(-1.0, min(1.0, arg)))
 
 
-def angles_from_state(s: SphericalState, J, rp: ReducedParams) -> AngleSet:
-    """Principal-branch angle variables at a spherical state.
-
-    The returned values use the principal arcsin branch together with branch
-    flags (signs of p_r and p_theta); :func:`continuous_angles` assembles the
-    time-continuous representatives from them.
+def angles_from_state(s: PhasePoint, J, rp: ReducedParams) -> tuple:
+    """Principal-branch angle variables ``(phi1, phi2, phi3)`` at a spherical
+    state; :func:`continuous_angles` gives the time-continuous
+    representatives, which also read the signs of p_r and p_theta.
     """
     m, k, M = rp.m, rp.k, rp.M
     j1, j2, j3 = J[0], J[1], J[2]
     S = j1 + M * j2 + j3
     lt = M * j2 + j3
     d = j3
-    r, theta = s.r, s.theta
+    r, theta, phi = s.coords[:3]
 
     G = -(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S
     if G < -1e-9 * (m * k * r) ** 2:
@@ -487,21 +391,16 @@ def angles_from_state(s: SphericalState, J, rp: ReducedParams) -> AngleSet:
         )
 
     phi2 = M * phi1 - M * v_term - lat_term
-    phi3 = phi2 / M + node_term / M + azimuthal_phase(s.phi, rp)
-    return AngleSet(
-        phi1=phi1,
-        phi2=phi2,
-        phi3=phi3,
-        branch_r=1 if s.p_r >= 0.0 else -1,
-        branch_theta=1 if s.p_theta >= 0.0 else -1,
-    )
+    phi3 = phi2 / M + node_term / M + azimuthal_phase(phi, rp)
+    return phi1, phi2, phi3
 
 
-def continuous_angles(s: SphericalState, J, rp: ReducedParams, phi_unwrapped: float | None = None) -> tuple:
+def continuous_angles(s: PhasePoint, J, rp: ReducedParams, phi_unwrapped: float | None = None) -> tuple:
     """Time-continuous angle representatives over one orbital revolution.
 
     Reflects each principal arcsin across its turning points using the
-    branch flags, so that along the flow every angle advances linearly.
+    signs of p_r and p_theta, so that along the flow every angle advances
+    linearly.
     ``phi_unwrapped`` supplies the cumulative azimuth when the trajectory
     wraps past 2 pi.
     """
@@ -510,8 +409,9 @@ def continuous_angles(s: SphericalState, J, rp: ReducedParams, phi_unwrapped: fl
     S = j1 + M * j2 + j3
     lt = M * j2 + j3
     d = j3
-    r, theta = s.r, s.theta
-    phi = s.phi if phi_unwrapped is None else phi_unwrapped
+    r, theta, phi, p_r, p_theta, _ = s.coords
+    if phi_unwrapped is not None:
+        phi = phi_unwrapped
 
     G = max(-(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S, 0.0)
     disc = max(S * S - lt * lt, 0.0)
@@ -522,18 +422,18 @@ def continuous_angles(s: SphericalState, J, rp: ReducedParams, phi_unwrapped: fl
         v = 0.0
     else:
         base = _clamped_arcsin((m * k * r - S * S) / Q, "radial") - math.sqrt(G) / (S * S) + 0.5 * math.pi
-        ell = base if s.p_r >= 0.0 else TWO_PI - base
+        ell = base if p_r >= 0.0 else TWO_PI - base
         vb = _clamped_arcsin((1.0 - lt * lt / (m * k * r)) * S * S / Q, "radial-apsidal") + 0.5 * math.pi
-        v = vb if s.p_r >= 0.0 else TWO_PI - vb
+        v = vb if p_r >= 0.0 else TWO_PI - vb
 
     if lt * lt - d * d <= 1e-14 * lt * lt:
         u_lat = 0.0
         node = 0.0
     else:
         C = _clamped_arcsin(lt / math.sqrt(lt * lt - d * d) * math.cos(theta), "latitude")
-        u_lat = math.pi - C if s.p_theta >= 0.0 else (C if C >= 0.0 else TWO_PI + C)
+        u_lat = math.pi - C if p_theta >= 0.0 else (C if C >= 0.0 else TWO_PI + C)
         chi = _clamped_arcsin(d / math.tan(theta) / math.sqrt(lt * lt - d * d), "node")
-        node = math.pi - chi if s.p_theta >= 0.0 else (chi if chi >= 0.0 else TWO_PI + chi)
+        node = math.pi - chi if p_theta >= 0.0 else (chi if chi >= 0.0 else TWO_PI + chi)
 
     phi1 = ell
     phi2 = M * ell - M * v + u_lat

@@ -14,7 +14,7 @@ from .deformation import DeformationParams
 from .errors import NCKeplerError, SamplingError
 from .geometry import Chart, PhasePoint
 from .kepler import deformed_radius, hamiltonian
-from .reduced import ReducedParams, SphericalState, first_integrals, spherical_hamiltonian
+from .reduced import ReducedParams, first_integrals, spherical_hamiltonian
 
 DEFAULT_SEED = 42
 
@@ -85,14 +85,14 @@ def sample_spherical_bound(n: int, seed: int = DEFAULT_SEED, rp: ReducedParams |
     rng = np.random.default_rng(seed)
 
     def draw():
-        s = SphericalState(
-            r=float(rng.uniform(0.7, 1.8)),
-            theta=float(rng.uniform(0.7, math.pi - 0.7)),
-            phi=float(rng.uniform(0.1, 6.1)),
-            p_r=float(rng.uniform(-0.35, 0.35)),
-            p_theta=float(rng.uniform(-0.45, 0.45)),
-            p_phi=float(rng.uniform(0.15, 0.65)),
-        )
+        s = PhasePoint((
+            float(rng.uniform(0.7, 1.8)),             # r
+            float(rng.uniform(0.7, math.pi - 0.7)),   # theta
+            float(rng.uniform(0.1, 6.1)),             # phi
+            float(rng.uniform(-0.35, 0.35)),          # p_r
+            float(rng.uniform(-0.45, 0.45)),          # p_theta
+            float(rng.uniform(0.15, 0.65)),           # p_phi
+        ), Chart.SPHERICAL)
         E = spherical_hamiltonian(s, rp)
         if E > -0.08:
             return None

@@ -49,7 +49,6 @@ from .hierarchy import (
     OrbitalElements,
     classical_delaunay,
     corrupted_first_level_bivector,
-    delaunay_flow_field,
     displayed_bivector_table,
     energy_rescaled_map,
     hierarchy_in_action_angle,
@@ -83,7 +82,6 @@ from .master import (
 )
 from .reduced import (
     ReducedParams,
-    SphericalState,
     actions_from_integrals,
     continuous_angles,
     energy_from_actions,
@@ -491,7 +489,7 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
     rep = _new_report("action-angle")
     rp = cfg.reduced
     states = sample_spherical_bound(max(20, cfg.samples // 2), cfg.seed, rp)
-    x0 = states[0].as_point().coords
+    x0 = states[0].coords
 
     w_round = w_freq = w_iso = w_det = 0.0
     w_jtheta = w_jr = 0.0
@@ -504,8 +502,8 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
         w_freq = max(w_freq, abs(fr[0] - fr[2]), abs(fr[1] - rp.M * fr[0]))
         w_iso = max(w_iso, abs(fr[0] - isochronous_derivative(E, rp)))
         w_det = max(w_det, abs(kolmogorov_determinant(J, rp)))
-        w_jtheta = max(w_jtheta, abs(polar_action_quadrature(lt, d, rp) - J.J2))
-        w_jr = max(w_jr, abs(radial_action_quadrature(E, lt, rp) - J.J1))
+        w_jtheta = max(w_jtheta, abs(polar_action_quadrature(lt, d, rp) - J[1]))
+        w_jr = max(w_jr, abs(radial_action_quadrature(E, lt, rp) - J[0]))
     rep.add("energy-roundtrip", "actions reproduce the energy they were built from",
             x0, w_round, 0.0, w_round, cfg.tol_exact)
     rep.add("frequency-degeneracy",
@@ -544,7 +542,7 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
     rhs = spherical_rhs(rp)
     s0 = states[0]
     dt, n = 2e-4, 4000
-    traj = integrate_field(s0.as_point(), rhs, dt, n, method="rk4",
+    traj = integrate_field(s0, rhs, dt, n, method="rk4",
                            observe=lambda c: (None, spherical_hamiltonian(c, rp), ()))
     E0 = spherical_hamiltonian(s0, rp)
     _, d0, lt0 = first_integrals(s0, rp)
@@ -558,7 +556,7 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
 
     phi_series = np.unwrap([st.coords[2] for st in traj.states])
     angles = np.array([
-        continuous_angles(SphericalState.from_point(st), J0, rp, phi_unwrapped=float(pu))
+        continuous_angles(st, J0, rp, phi_unwrapped=float(pu))
         for st, pu in zip(traj.states, phi_series)
     ])
     t = np.array(traj.times)
@@ -582,20 +580,21 @@ def suite_action_angle(cfg: VerifyConfig) -> SuiteReport:
     # spherical Hamiltonian vs the cartesian reduced Hamiltonian (linear order)
     w_chart = 0.0
     for s in states[:50]:
-        td0 = s.p_theta / (rp.m * s.r**2)
-        pd0 = s.p_phi / (rp.m * s.r**2 * math.sin(s.theta) ** 2)
-        cart = spherical_to_cartesian(s.as_point())
+        r, theta, phi, p_r, p_t, p_p = s.coords
+        td0 = p_t / (rp.m * r**2)
+        pd0 = p_p / (rp.m * r**2 * math.sin(theta) ** 2)
+        cart = spherical_to_cartesian(s)
         q, p = cart.coords[:3], cart.coords[3:]
-        lam = ((0.0, -td0 * pd0 * math.sin(2 * s.phi), math.sqrt(2) * td0 * pd0 * math.cos(s.phi)),
-               (td0 * pd0 * math.sin(2 * s.phi), 0.0, math.sqrt(2) * td0 * pd0 * math.sin(s.phi)),
-               (-math.sqrt(2) * td0 * pd0 * math.cos(s.phi), -math.sqrt(2) * td0 * pd0 * math.sin(s.phi), 0.0))
+        lam = ((0.0, -td0 * pd0 * math.sin(2 * phi), math.sqrt(2) * td0 * pd0 * math.cos(phi)),
+               (td0 * pd0 * math.sin(2 * phi), 0.0, math.sqrt(2) * td0 * pd0 * math.sin(phi)),
+               (-math.sqrt(2) * td0 * pd0 * math.cos(phi), -math.sqrt(2) * td0 * pd0 * math.sin(phi), 0.0))
         lq = [sum(lam[i][j] * q[j] for j in range(3)) for i in range(3)]
         h_cart = (sum(v * v for v in p) + sum(p[i] * lq[i] for i in range(3))) / (2.0 * rp.m) \
             - rp.k / math.sqrt(sum(v * v for v in q))
         m2t = 1.0 + math.sqrt(2.0) * pd0 / rp.m
-        u = 1.0 + (td0 / rp.m) * math.sin(2.0 * s.phi)
-        h_sph = (s.p_r**2 + m2t * s.p_theta**2 / s.r**2
-                 + u * s.p_phi**2 / (s.r**2 * math.sin(s.theta) ** 2)) / (2.0 * rp.m) - rp.k / s.r
+        u = 1.0 + (td0 / rp.m) * math.sin(2.0 * phi)
+        h_sph = (p_r**2 + m2t * p_t**2 / r**2
+                 + u * p_p**2 / (r**2 * math.sin(theta) ** 2)) / (2.0 * rp.m) - rp.k / r
         w_chart = max(w_chart, abs(h_sph - h_cart))
     rep.add("chart-reduction-oracle",
             "spherical energy equals the cartesian reduced energy at kinematically "
@@ -637,7 +636,7 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
     points = sample_delaunay(cfg.samples, cfg.seed)
     x0 = points[0].coords
     P0 = level_bivector(0, rp)
-    X = delaunay_flow_field(rp)
+    X = dynamical_symmetry(0, rp)
     N = weight_vector(rp)
     levels = list(range(0, cfg.h_max + 1))
     subset = points[: max(12, cfg.samples // 8)]
@@ -795,15 +794,15 @@ def suite_hierarchy(cfg: VerifyConfig) -> SuiteReport:
     # eigenvalue drift along an integrated bound orbit
     s0 = sample_spherical_bound(1, cfg.seed + 2, rp)[0]
     rhs = spherical_rhs(rp)
-    traj = integrate_field(s0.as_point(), rhs, 1e-3, 10_000, method="rk4",
+    traj = integrate_field(s0, rhs, 1e-3, 10_000, method="rk4",
                            observe=lambda c: (None, spherical_hamiltonian(c, rp), ()))
     eig0 = None
     w_drift = 0.0
     for st in traj.states[::50]:
         E = spherical_hamiltonian(st, rp)
         _, d, lt = first_integrals(st, rp)
-        J = actions_from_integrals(E, lt, d, rp)
-        I = (J.J3, rp.M * J.J2 + J.J3, J.J1 + rp.M * J.J2 + J.J3)
+        j1, j2, j3 = actions_from_integrals(E, lt, d, rp)
+        I = (j3, rp.M * j2 + j3, j1 + rp.M * j2 + j3)
         eig = tuple(N[j] ** 1 * I[j] ** 1 for j in range(3))
         if eig0 is None:
             eig0 = eig
@@ -825,7 +824,7 @@ def suite_master(cfg: VerifyConfig) -> SuiteReport:
     points = sample_delaunay(max(50, cfg.samples // 2), cfg.seed)
     section = sample_delaunay(max(50, cfg.samples // 2), cfg.seed + 1, zero_angles=True)
     x0 = points[0].coords
-    XH = delaunay_flow_field(rp)
+    XH = dynamical_symmetry(0, rp)
     from .geometry import lie_bracket, lie_bracket_field
 
     # ladder and commutation

@@ -29,7 +29,7 @@ from . import duals
 from .deformation import DeformationParams, nc_bracket, transform_coordinates
 from .errors import ChartDomainError
 from .geometry import Chart, PhasePoint, ScalarField
-from .kepler import deformed_radius, hamiltonian
+from .kepler import deformed_radius, hamiltonian, hamiltonian_field, primed_radius
 
 
 def levi_civita(i: int, j: int, k: int) -> float:
@@ -74,9 +74,8 @@ def structure_matrices(params: DeformationParams) -> StructureMatrices:
     return StructureMatrices(F=to_t(F), D=to_t(D), E=to_t(E))
 
 
-def angular_momentum(x, params: DeformationParams) -> list:
-    """Components of L = q' x p' (generic in the scalar type)."""
-    z = transform_coordinates(x, params)
+def primed_angular_momentum(z) -> list:
+    """Components of L = q' x p' from the primed coordinates ``z``."""
     q, p = z[:3], z[3:]
     return [
         q[1] * p[2] - q[2] * p[1],
@@ -85,18 +84,27 @@ def angular_momentum(x, params: DeformationParams) -> list:
     ]
 
 
-def lrl_vector(x, params: DeformationParams) -> list:
-    """Components of A = p' x L - m k q' / Y."""
-    z = transform_coordinates(x, params)
+def primed_lrl_vector(z, params: DeformationParams) -> list:
+    """Components of A = p' x L - m k q' / Y from the primed coordinates ``z``."""
     q, p = z[:3], z[3:]
-    L = angular_momentum(x, params)
-    y = deformed_radius(x, params)
+    L = primed_angular_momentum(z)
+    y = primed_radius(z)
     mk = params.mass * params.k
     return [
         p[1] * L[2] - p[2] * L[1] - mk * q[0] / y,
         p[2] * L[0] - p[0] * L[2] - mk * q[1] / y,
         p[0] * L[1] - p[1] * L[0] - mk * q[2] / y,
     ]
+
+
+def angular_momentum(x, params: DeformationParams) -> list:
+    """Components of L at a cartesian point (generic in the scalar type)."""
+    return primed_angular_momentum(transform_coordinates(x, params))
+
+
+def lrl_vector(x, params: DeformationParams) -> list:
+    """Components of A at a cartesian point (generic in the scalar type)."""
+    return primed_lrl_vector(transform_coordinates(x, params), params)
 
 
 def angular_momentum_field(params: DeformationParams, i: int) -> ScalarField:
@@ -131,35 +139,6 @@ def primed_chain_bracket(f_primed, g_primed, x, params: DeformationParams):
     return sum(
         df[u] * B[u][v] * dg[v] for u in range(6) for v in range(6) if B[u][v] != 0.0
     )
-
-
-def primed_observables(params: DeformationParams):
-    """H, L_i, A_i as functions of the primed coordinates (for the chain route)."""
-    m, k = params.mass, params.k
-
-    def ham(z):
-        y = duals.sqrt(z[0] ** 2 + z[1] ** 2 + z[2] ** 2)
-        return (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * m) - k / y
-
-    def ang(i):
-        def f(z, i=i):
-            q, p = z[:3], z[3:]
-            j, kk = (i + 1) % 3, (i + 2) % 3
-            return q[j] * p[kk] - q[kk] * p[j]
-
-        return f
-
-    def lrl(i):
-        def f(z, i=i):
-            q, p = z[:3], z[3:]
-            L = [ang(a)(z) for a in range(3)]
-            j, kk = (i + 1) % 3, (i + 2) % 3
-            y = duals.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
-            return p[j] * L[kk] - p[kk] * L[j] - m * k * q[i] / y
-
-        return f
-
-    return ham, [ang(i) for i in range(3)], [lrl(i) for i in range(3)]
 
 
 # -- closed forms for the brackets with the Hamiltonian ----------------------
@@ -326,7 +305,8 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
     ``closed`` the structure-constant pattern (exact in the commutative
     limit; residuals elsewhere are reported, not suppressed).
     """
-    _, L_z, A_z = primed_observables(params)
+    L_z = [lambda z, i=i: primed_angular_momentum(z)[i] for i in range(3)]
+    A_z = [lambda z, i=i: primed_lrl_vector(z, params)[i] for i in range(3)]
     L_f = [angular_momentum_field(params, i) for i in range(3)]
     A_f = [lrl_field(params, i) for i in range(3)]
     table = {"LL": {}, "AA": {}, "LA": {}}
@@ -412,7 +392,7 @@ def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> I
     r3 = _condition3_residual(structure_matrices(params))
     L_f = [angular_momentum_field(params, i) for i in range(3)]
     A_f = [lrl_field(params, i) for i in range(3)]
-    Hf = ScalarField(Chart.CARTESIAN, lambda c: hamiltonian(c, params), name="H")
+    Hf = hamiltonian_field(params)
     bl = tuple(nc_bracket(Hf, L_f[i], x, params) for i in range(3))
     ba = tuple(nc_bracket(Hf, A_f[i], x, params) for i in range(3))
     return InvolutionReport(

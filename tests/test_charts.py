@@ -16,7 +16,6 @@ from nckepler.errors import ChartDomainError
 from nckepler.geometry import Chart, PhasePoint
 from nckepler.reduced import (
     ReducedParams,
-    SphericalState,
     energy_from_actions,
     spherical_hamiltonian,
 )
@@ -83,8 +82,8 @@ def test_delaunay_map_symplectic_congruence():
 
 
 def test_spherical_to_action_angle_energy_consistency():
-    s = SphericalState(r=1.1, theta=1.2, phi=0.5, p_r=0.1, p_theta=0.3, p_phi=0.5)
-    aa = spherical_to_action_angle(s.as_point(), RP)
+    s = PhasePoint((1.1, 1.2, 0.5, 0.1, 0.3, 0.5), Chart.SPHERICAL)
+    aa = spherical_to_action_angle(s, RP)
     E_direct = spherical_hamiltonian(s, RP)
     E_actions = energy_from_actions(aa.coords[:3], RP)
     assert abs(E_direct - E_actions) < 1e-12

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package is used somewhere.
+"""Every public function, class and method of the package is used somewhere,
+and every dataclass field is read somewhere.
 
 A definition counts as used when its name is loaded (as a bare name or as
 an attribute) anywhere in the package or the tests, outside the definition
@@ -85,6 +86,53 @@ def test_scan_ignores_private_names_and_counts_attribute_loads():
 def test_package_has_no_unused_public_definitions():
     modules = {p.name: p.read_text() for p in MODULES}
     assert unused_definitions(modules, [p.read_text() for p in TESTS]) == []
+
+
+# -- dataclass fields ---------------------------------------------------------
+
+
+def _is_dataclass_decorator(node) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def unread_fields(module_sources: dict, other_sources: list) -> list:
+    """``file:Class.field`` for each field of a top-level dataclass in
+    ``module_sources`` whose name no source in either argument loads.
+
+    A field set only through the constructor is not read; a load of the
+    same name anywhere, as a bare name or an attribute, counts as a read.
+    """
+    trees = {name: ast.parse(src) for name, src in module_sources.items()}
+    read = {n for tree in trees.values() for n, _ in loads(tree)}
+    read |= {n for src in other_sources for n, _ in loads(ast.parse(src))}
+    return sorted(
+        f"{name}:{node.name}.{stmt.target.id}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    )
+
+
+def test_field_scan_finds_a_field_only_the_constructor_sets():
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    left: float\n    right: float = 0.0\n"
+        "@dataclass\nclass Box:\n    size: int\n"
+        "class Plain:\n    label: str\n"
+        "def make():\n    return Pair(left=1.0, right=2.0).left\n"
+    )
+    other = "import m\nsize = 3\nprint(size)\n"
+    assert unread_fields({"m.py": src}, [other]) == ["m.py:Pair.right"]
+
+
+def test_package_has_no_unread_dataclass_fields():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert unread_fields(modules, [p.read_text() for p in TESTS]) == []
 
 
 # -- names inside functions ---------------------------------------------------

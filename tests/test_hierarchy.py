@@ -18,16 +18,13 @@ from nckepler.geometry import (
 )
 from nckepler.hierarchy import (
     ClassicalDelaunay,
-    DelaunayState,
     OrbitalElements,
     classical_delaunay,
     corrupted_first_level_bivector,
-    delaunay_flow_field,
     displayed_bivector_table,
     displayed_two_form_table,
     energy_rescaled_map,
     hierarchy_in_action_angle,
-    hierarchy_level,
     ladder_energy_field,
     lambda_bracket,
     level_bivector,
@@ -35,6 +32,8 @@ from nckepler.hierarchy import (
     recursion_operator,
     weight_vector,
 )
+from nckepler.errors import ChartDomainError
+from nckepler.master import dynamical_symmetry
 from nckepler.reduced import ReducedParams, reduced_structures
 from nckepler.sampling import sample_action_angle, sample_delaunay
 
@@ -64,13 +63,6 @@ def test_level_two_recursion_frozen_diagonal():
     assert [mat[3 + j][3 + j] for j in range(3)] == [1.0, 4.0, 9.0]
 
 
-def test_hierarchy_level_bundle():
-    lvl = hierarchy_level(2, RP)
-    assert lvl.h == 2
-    with pytest.raises(ValueError):
-        hierarchy_level(-1, RP)
-
-
 def test_compatibility_of_all_levels():
     P0 = level_bivector(0, RP)
     for h in range(4):
@@ -81,7 +73,7 @@ def test_compatibility_of_all_levels():
 
 
 def test_flow_pairing_every_level():
-    X = delaunay_flow_field(RP)
+    X = dynamical_symmetry(0, RP)
     for h in range(4):
         omega = level_two_form(h, RP)
         F = ladder_energy_field(h, RP)
@@ -105,7 +97,7 @@ def test_recursion_torsion_vanishes_both_charts():
 
 
 def test_recursion_eigenvalues_flow_invariant():
-    X = delaunay_flow_field(RP)
+    X = dynamical_symmetry(0, RP)
     N = weight_vector(RP)
     for h in (1, 2, 3):
         for j in range(3):
@@ -137,7 +129,7 @@ def test_lambda_bracket_level_zero_is_weighted_canonical():
 
 
 def test_lambda_bracket_generates_flow_at_each_level():
-    X = delaunay_flow_field(RP)
+    X = dynamical_symmetry(0, RP)
     for h in range(3):
         F = ladder_energy_field(h, RP)
         for a in range(6):
@@ -261,8 +253,10 @@ def test_orbital_elements_validation():
 
 
 def test_delaunay_state_guard():
-    with pytest.raises(Exception):
-        DelaunayState(I1=0.5, I2=0.6, I3=0.0, phi1=0, phi2=0, phi3=0)
+    # the flow field is undefined at I3 = 0
+    x = PhasePoint((0.5, 0.6, 0.0, 0.0, 0.0, 0.0), Chart.DELAUNAY)
+    with pytest.raises(ChartDomainError, match="I3 = 0"):
+        dynamical_symmetry(0, RP)(x)
 
 
 def test_transport_of_base_level_is_canonical_pair():

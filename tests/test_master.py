@@ -18,7 +18,6 @@ from nckepler.geometry import (
     max_abs,
 )
 from nckepler.hierarchy import (
-    delaunay_flow_field,
     ladder_energy_field,
     level_bivector,
     weight_vector,
@@ -35,7 +34,6 @@ from nckepler.master import (
     master_integral,
     master_symmetry_field,
     pairing_residual,
-    recursion_family,
     scaling_ledger,
 )
 from nckepler.reduced import ReducedParams
@@ -46,16 +44,16 @@ PT = PhasePoint((0.6, 1.1, 1.9, 0.3, 2.2, 5.0), Chart.DELAUNAY)
 
 
 def test_dynamical_symmetries_commute_with_flow():
-    XH = delaunay_flow_field(RP)
+    XH = dynamical_symmetry(0, RP)
     for h in range(4):
         Xh = dynamical_symmetry(h, RP)
         assert max_abs(lie_bracket(XH, Xh, PT)) < 1e-13
 
 
 def test_level_zero_symmetry_is_the_flow():
+    # X_0 = (m k^2 / I3^3) d/dphi^3, the flow of H = -m k^2 / (2 I3^2)
     X0 = dynamical_symmetry(0, RP)
-    XH = delaunay_flow_field(RP)
-    assert [duals.value(v) for v in X0(PT)] == [duals.value(v) for v in XH(PT)]
+    assert X0(PT) == [0.0, 0.0, 0.0, 0.0, 0.0, RP.m * RP.k**2 / PT.coords[2] ** 3]
 
 
 def test_dynamical_symmetry_is_level_hamiltonian_field():
@@ -93,7 +91,7 @@ def test_generated_symmetries_commute():
 
 
 def test_degree_one_master_property():
-    XH = delaunay_flow_field(RP)
+    XH = dynamical_symmetry(0, RP)
     for mu in range(3):
         G = master_symmetry_field(0, mu, RP)
         first = lie_bracket_field(XH, G)
@@ -171,10 +169,9 @@ def test_conformal_energy_scaling_in_action_angle_chart():
 
 
 def test_recursion_family_closed_forms():
-    fam = recursion_family(0, RP)
-    XH = delaunay_flow_field(RP)
+    XH = dynamical_symmetry(0, RP)
     assert max(
-        abs(duals.value(a) - duals.value(b)) for a, b in zip(fam.flow(PT), XH(PT))
+        abs(duals.value(a) - duals.value(b)) for a, b in zip(family_flow_field(0, RP)(PT), XH(PT))
     ) < 1e-15
     for h in range(4):
         Xcf = family_flow_field(h, RP)

@@ -9,13 +9,11 @@ from nckepler.errors import ChartDomainError, NonCompactError, TurningPointError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product, flat_sharp_composition
 from nckepler.kepler import hamiltonian, integrate_field
 from nckepler.reduced import (
-    ActionSet,
+    MAX_RATE_RATIO,
     ReducedParams,
-    SphericalState,
     action_hessian,
     actions_from_integrals,
     angles_from_state,
-    azimuthal_period_integral,
     continuous_angles,
     energy_from_actions,
     first_integrals,
@@ -29,7 +27,6 @@ from nckepler.reduced import (
     polar_action_quadrature,
     quadratic_condition_value,
     radial_action_quadrature,
-    reduced_hamiltonian_conditions_check,
     reduced_structures,
     spherical_hamiltonian,
     spherical_rhs,
@@ -39,6 +36,10 @@ from nckepler.sampling import sample_spherical_bound
 
 RP = ReducedParams(thetadot=0.008, phidot=0.35, m=1.0, k=1.0)
 CLASSICAL = ReducedParams()
+
+
+def _spherical(*coords):
+    return PhasePoint(coords, Chart.SPHERICAL)
 
 
 def test_lambda_matrix_vanishes_without_polar_rate():
@@ -66,9 +67,12 @@ def test_lambda_matrix_antisymmetric():
 
 
 def test_rate_cap_enforced():
-    with pytest.raises(ValueError):
+    assert MAX_RATE_RATIO == 0.01
+    with pytest.raises(ValueError, match="exceeds 0.01 \\* m"):
         ReducedParams(thetadot=0.5, phidot=0.0, m=1.0)
-    ReducedParams(thetadot=0.5, phidot=0.0, m=1.0, max_rate_ratio=0.6)
+    with pytest.raises(ValueError):
+        ReducedParams(thetadot=-0.0201, phidot=0.0, m=2.0)
+    ReducedParams(thetadot=0.02, phidot=0.0, m=2.0)
 
 
 def test_quadratic_condition_values():
@@ -79,8 +83,6 @@ def test_quadratic_condition_values():
     assert quadratic_condition_value(generic, rp) > 0.0
     zero_rate = ReducedParams(thetadot=0.0, phidot=0.5)
     assert quadratic_condition_value(generic, zero_rate) == 0.0
-    rep = reduced_hamiltonian_conditions_check(generic, zero_rate)
-    assert rep.quadratic_ok
 
 
 def test_perturbation_field_matches_hamiltonian_difference():
@@ -102,19 +104,19 @@ def test_perturbation_field_matches_hamiltonian_difference():
 
 
 def test_spherical_hamiltonian_classical_circular_point():
-    s = SphericalState(r=1.0, theta=math.pi / 2, phi=0.3, p_r=0.0, p_theta=0.0, p_phi=1.0)
+    s = _spherical(1.0, math.pi / 2, 0.3, 0.0, 0.0, 1.0)
     assert abs(spherical_hamiltonian(s, CLASSICAL) - (-0.5)) < 1e-15
 
 
 def test_spherical_domain_errors():
-    with pytest.raises(ChartDomainError):
-        SphericalState(r=-1.0, theta=1.0, phi=0.0, p_r=0, p_theta=0, p_phi=0)
-    with pytest.raises(ChartDomainError):
-        SphericalState(r=1.0, theta=0.0, phi=0.0, p_r=0, p_theta=0, p_phi=0)
+    with pytest.raises(ChartDomainError, match="coordinate r must be positive"):
+        _spherical(-1.0, 1.0, 0.0, 0, 0, 0)
+    with pytest.raises(ChartDomainError, match="coordinate theta must lie in"):
+        _spherical(1.0, 0.0, 0.0, 0, 0, 0)
 
 
 def test_first_integrals_classical_limit():
-    s = SphericalState(r=1.2, theta=1.1, phi=0.4, p_r=0.2, p_theta=0.3, p_phi=0.5)
+    s = _spherical(1.2, 1.1, 0.4, 0.2, 0.3, 0.5)
     M, d, lt = first_integrals(s, CLASSICAL)
     assert M == 1.0
     assert abs(d - 0.5) < 1e-15
@@ -129,8 +131,8 @@ def test_inclination_recovery():
 
 
 def test_actions_classical_circular_equatorial():
-    J = actions_from_integrals(-0.5, 1.0, 1.0, CLASSICAL)
-    assert abs(J.J1) < 1e-15 and abs(J.J2) < 1e-15 and abs(J.J3 - 1.0) < 1e-15
+    j1, j2, j3 = actions_from_integrals(-0.5, 1.0, 1.0, CLASSICAL)
+    assert abs(j1) < 1e-15 and abs(j2) < 1e-15 and abs(j3 - 1.0) < 1e-15
 
 
 def test_action_sum_identity():
@@ -139,8 +141,8 @@ def test_action_sum_identity():
         E = -float(rng.uniform(0.1, 0.8))
         lt = float(rng.uniform(0.3, 1.2))
         d = float(rng.uniform(0.1, lt))
-        J = actions_from_integrals(E, lt, d, RP)
-        S = J.J1 + RP.M * J.J2 + J.J3
+        j1, j2, j3 = actions_from_integrals(E, lt, d, RP)
+        S = j1 + RP.M * j2 + j3
         assert abs(S - RP.m * RP.k / math.sqrt(-2 * RP.m * E)) < 1e-12
 
 
@@ -227,7 +229,7 @@ def test_radial_action_quadrature_matches_closed_form():
 
 
 def _bound_state():
-    return SphericalState(r=1.0, theta=1.1, phi=0.4, p_r=0.12, p_theta=0.35, p_phi=0.55)
+    return _spherical(1.0, 1.1, 0.4, 0.12, 0.35, 0.55)
 
 
 def test_angles_at_pericenter_hit_branch_value():
@@ -237,31 +239,31 @@ def test_angles_at_pericenter_hit_branch_value():
     E = spherical_hamiltonian(s0, RP)
     _, d, lt = first_integrals(s0, RP)
     J = actions_from_integrals(E, lt, d, RP)
-    S = J.J1 + RP.M * J.J2 + J.J3
+    S = J[0] + RP.M * J[1] + J[2]
     r_peri = (S / (RP.m * RP.k)) * (S - math.sqrt(S**2 - lt**2))
     u = 1.0 + (RP.thetadot / RP.m) * math.sin(2 * 0.4)
     p_phi = d / math.sqrt(u)
     # at pericenter p_r = 0; choose p_theta consistent with L~ at theta
     theta = 1.2
     p_theta = math.sqrt(max(lt**2 - d**2 / math.sin(theta) ** 2, 0.0)) / RP.M
-    s_peri = SphericalState(r=r_peri * (1 + 1e-14), theta=theta, phi=0.4,
-                            p_r=0.0, p_theta=p_theta, p_phi=p_phi)
-    ang = angles_from_state(s_peri, J, RP)
-    assert abs(ang.phi1 - (-math.pi / 2)) < 1e-5
-    assert ang.branch_r == 1
+    s_peri = _spherical(r_peri * (1 + 1e-14), theta, 0.4, 0.0, p_theta, p_phi)
+    phi1, _, _ = angles_from_state(s_peri, J, RP)
+    assert abs(phi1 - (-math.pi / 2)) < 1e-5
+    # p_r = 0 counts as outgoing: the continuous radial angle starts at 0
+    assert abs(continuous_angles(s_peri, J, RP)[0]) < 1e-5
 
 
 def test_angles_circular_orbit_defined():
     # circular: L~ = S, the radial arcsin degenerates and the angle is
     # reported on the declared branch
     rp = CLASSICAL
-    s = SphericalState(r=1.0, theta=math.pi / 2, phi=0.2, p_r=0.0, p_theta=0.0, p_phi=1.0)
+    s = _spherical(1.0, math.pi / 2, 0.2, 0.0, 0.0, 1.0)
     E = spherical_hamiltonian(s, rp)
     _, d, lt = first_integrals(s, rp)
     J = actions_from_integrals(E, lt, d, rp)
     ang = angles_from_state(s, J, rp)
-    assert ang.phi1 == 0.0
-    assert ang.branch_r in (-1, 1)
+    assert ang[0] == 0.0
+    assert all(math.isfinite(v) for v in ang)
 
 
 def test_angle_formula_outside_turning_region_raises():
@@ -269,7 +271,7 @@ def test_angle_formula_outside_turning_region_raises():
     E = spherical_hamiltonian(s0, RP)
     _, d, lt = first_integrals(s0, RP)
     J = actions_from_integrals(E, lt, d, RP)
-    far = SphericalState(r=50.0, theta=1.1, phi=0.4, p_r=0.0, p_theta=0.1, p_phi=0.5)
+    far = _spherical(50.0, 1.1, 0.4, 0.0, 0.1, 0.5)
     with pytest.raises(TurningPointError):
         angles_from_state(far, J, RP)
 
@@ -279,12 +281,12 @@ def test_angle_rates_match_frequencies_along_flow():
     E = spherical_hamiltonian(s0, RP)
     _, d, lt = first_integrals(s0, RP)
     J = actions_from_integrals(E, lt, d, RP)
-    traj = integrate_field(s0.as_point(), spherical_rhs(RP), 5e-4, 1500, method="rk4",
+    traj = integrate_field(s0, spherical_rhs(RP), 5e-4, 1500, method="rk4",
                            observe=lambda c: (None, spherical_hamiltonian(c, RP), ()))
     assert traj.completed
     phi_seq = np.unwrap([st.coords[2] for st in traj.states])
     angles = np.array([
-        continuous_angles(SphericalState.from_point(st), J, RP, phi_unwrapped=float(pu))
+        continuous_angles(st, J, RP, phi_unwrapped=float(pu))
         for st, pu in zip(traj.states, phi_seq)
     ])
     t = np.array(traj.times)
@@ -298,8 +300,7 @@ def test_angle_rates_match_frequencies_along_flow():
 def test_integrals_conserved_exactly_by_flow_equations():
     # directional derivative of D and L~ along the closed-form flow vanishes
     rhs = spherical_rhs(RP)
-    s = _bound_state()
-    c = [s.r, s.theta, s.phi, s.p_r, s.p_theta, s.p_phi]
+    c = list(_bound_state().coords)
     v = rhs(c)
 
     def d_func(cc):
@@ -339,8 +340,8 @@ def test_spherical_structures_generate_flow():
     Hf = ScalarField(Chart.SPHERICAL, lambda c: spherical_hamiltonian(c, RP), name="H")
     X = hamiltonian_vector_field(bivector, Hf)
     s = _bound_state()
-    v1 = [duals.value(v) for v in X(s.as_point())]
-    v2 = spherical_rhs(RP)([s.r, s.theta, s.phi, s.p_r, s.p_theta, s.p_phi])
+    v1 = [duals.value(v) for v in X(s)]
+    v2 = spherical_rhs(RP)(list(s.coords))
     assert max(abs(a - b) for a, b in zip(v1, v2)) < 1e-12
 
 
@@ -351,22 +352,3 @@ def test_maclaurin_regime_bound():
         for phi in np.linspace(0, 2 * math.pi, 201)
     )
     assert worst <= 0.5 * ratio + ratio**2
-
-
-def test_out_of_regime_action_reports_average():
-    rp = ReducedParams(thetadot=0.3, phidot=0.2, m=1.0, k=1.0, max_rate_ratio=0.5)
-    J = actions_from_integrals(-0.4, 0.9, 0.5, rp)
-    assert not J.maclaurin_ok
-    assert J.azimuthal_action_average is not None
-    expected = 0.5 * azimuthal_period_integral(rp) / (2 * math.pi)
-    assert abs(J.azimuthal_action_average - expected) < 1e-12
-
-
-def test_action_angle_state_container():
-    from nckepler.reduced import ActionAngleState
-
-    st = ActionAngleState(J1=0.2, J2=0.3, J3=0.5, phi1=0.1, phi2=0.2, phi3=0.3, M=RP.M)
-    pt = st.as_point()
-    assert pt.chart is Chart.ACTION_ANGLE
-    assert abs(energy_from_actions(pt.coords[:3], RP)
-               - energy_from_actions((0.2, 0.3, 0.5), RP)) < 1e-15

@@ -218,6 +218,65 @@ def test_cli_simulate_unwritable_output_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suites", "brackets", "--samples", "24", "--out", "{blocker}/d"],
+    ["hierarchy", "--samples", "16", "--h-max", "1", "--out", "{blocker}/x.json"],
+], ids=["verify", "hierarchy"])
+def test_cli_unwritable_out_is_config_error(argv, tmp_path, capsys):
+    blocker = tmp_path / "plainfile"
+    blocker.write_text("")
+    assert main([a.format(blocker=blocker) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ")
+    assert err.count("\n") == 1
+
+
+def _simulate(tmp_path, doc):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({**doc, "output": {"trajectory_csv": "traj.csv"}}))
+    return main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+
+
+def test_cli_simulate_overflow_mid_run_truncates_the_run(tmp_path, capsys):
+    # the first step moves q to about 1e297, whose square overflows
+    assert _simulate(tmp_path, {
+        "initial_state": {"coords": [1, 0, 0, 0, 1, 0]},
+        "deformation": {"mass": 1e-300},
+        "integrator": {"n_steps": 3},
+    }) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "simulate: 0/3 steps; stop: overflow: the state left the float range;")
+    assert "terminated early: overflow" in captured.out
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) == 2
+
+
+def test_cli_simulate_overflowing_initial_state_is_runtime_error(tmp_path, capsys):
+    assert _simulate(tmp_path, {
+        "initial_state": {"coords": [1e200, 0, 0, 0, 1, 0]},
+        "integrator": {"n_steps": 3},
+    }) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("integration failed: ") and err.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_cli_chart_overflow_is_conversion_failure(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"coords": [1.0, 1.2, 0.3, 1e200, 0.1, 0.2], "chart": "spherical"}))
+    assert main(["chart", "--state", str(state), "--to", "action_angle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("conversion failed: ") and err.count("\n") == 1
+
+
+def test_cli_verify_overflowing_parameters_are_config_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"deformation": {"alpha": [[0, 1e200, 0], [-1e200, 0, 0], [0, 0, 0]]}}))
+    assert main(["verify", "--config", str(path), "--suites", "brackets", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: suite brackets: arithmetic failure")
+
+
 _STATE = {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, 0.0, 1.05, 0.0]}
 
 MALFORMED = [
@@ -304,6 +363,9 @@ def test_cli_chart_domain_and_undefined_errors(tmp_path):
     state = tmp_path / "axis.json"
     state.write_text(json.dumps({"coords": [0.0, 0.0, 1.0, 0.0, 0.0, 0.1], "chart": "cartesian"}))
     assert main(["chart", "--state", str(state), "--to", "spherical"]) == 2
+    # r sin(theta) underflows to zero
+    state.write_text(json.dumps({"coords": [0.5, 5e-324, 0, 0, 0, 0], "chart": "spherical"}))
+    assert main(["chart", "--state", str(state), "--to", "cartesian"]) == 2
     dstate = tmp_path / "del.json"
     dstate.write_text(json.dumps({"coords": [0.5, 1.0, 1.5, 0, 0, 0], "chart": "delaunay"}))
     assert main(["chart", "--state", str(dstate), "--to", "spherical"]) == 2

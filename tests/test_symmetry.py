@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nckepler import duals
-from nckepler.deformation import DeformationParams, nc_bracket, transform_point
-from nckepler.errors import ChartDomainError
+from nckepler.deformation import DeformationParams, nc_bracket, transform_coordinates, transform_point
+from nckepler.errors import ChartDomainError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint
-from nckepler.kepler import hamiltonian, hamiltonian_field
+from nckepler.kepler import deformed_radius, hamiltonian, hamiltonian_field, primed_radius
 from nckepler.sampling import sample_cartesian, sample_deformations
 from nckepler.symmetry import (
     EnergySign,
@@ -26,8 +26,9 @@ from nckepler.symmetry import (
     lrl_field,
     lrl_vector,
     pairwise_bracket_table,
+    primed_angular_momentum,
     primed_chain_bracket,
-    primed_observables,
+    primed_lrl_vector,
     scaled_runge_lenz,
     structure_matrices,
 )
@@ -182,11 +183,14 @@ def test_aa_bracket_scales_with_energy():
 
 def test_involution_conditions_commutative():
     rep = involution_conditions(COMM, X)
-    assert rep.condition3_ok
+    assert rep.condition3_ok and rep.condition3_residual == 0.0
+    # without a deformation every condition-2 term carries a zero factor
+    assert rep.condition2_ok and rep.condition2_residual == 0.0
     assert max(abs(v) for v in rep.bracket_H_L) < 1e-13
     assert max(abs(v) for v in rep.bracket_H_A) < 1e-12
-    # condition 1 cannot hold: it demands pairwise products equal to -2
-    assert not rep.condition1_ok
+    # condition 1 cannot hold: it demands pairwise products equal to -2,
+    # and with zero products each pair misses its right-hand side -4 by 4
+    assert not rep.condition1_ok and rep.condition1_residual == 4.0
 
 
 def test_involution_conditions_generic_fail_with_nonzero_brackets():
@@ -204,6 +208,10 @@ def test_involution_conditional_assertion():
     for params in [COMM, GENERIC] + sample_deformations(5, seed=10):
         for x in sample_cartesian(3, seed=11, params=params):
             rep = involution_conditions(params, x)
+            residuals = (rep.condition1_residual, rep.condition2_residual,
+                         rep.condition3_residual)
+            assert (rep.condition1_ok, rep.condition2_ok, rep.condition3_ok) == \
+                tuple(r <= 1e-10 for r in residuals)
             if rep.condition1_ok and rep.condition2_ok and rep.condition3_ok:
                 assert max(abs(v) for v in rep.bracket_H_L) < 1e-9
                 assert max(abs(v) for v in rep.bracket_H_A) < 1e-9
@@ -267,3 +275,96 @@ def test_closure_fits_commutative_patterns():
     fit13 = closure_fit(plus, COMM, EnergySign.PLUS)
     assert fit13.residual < 1e-8
     assert abs(fit13.coefficient_GG + fit13.coefficient_LL) < 1e-9
+
+
+# -- the primed-coordinate evaluators against reference copies ----------------
+#
+# References: a cartesian route that transforms the point once per quantity
+# it reads, and one function per component on the primed vector z.  The
+# evaluators must match them bit for bit, values and tangents.
+
+
+def _ref_deformed_radius(x, params):
+    primed = transform_coordinates(x, params)
+    y2 = primed[0] ** 2 + primed[1] ** 2 + primed[2] ** 2
+    if duals.value(y2) <= 0.0:
+        raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
+    return duals.sqrt(y2)
+
+
+def _ref_hamiltonian(x, params):
+    primed = transform_coordinates(x, params)
+    y = _ref_deformed_radius(x, params)
+    kinetic = (primed[3] ** 2 + primed[4] ** 2 + primed[5] ** 2) / (2.0 * params.mass)
+    return kinetic - params.k / y
+
+
+def _ref_angular_momentum(x, params):
+    z = transform_coordinates(x, params)
+    q, p = z[:3], z[3:]
+    return [
+        q[1] * p[2] - q[2] * p[1],
+        q[2] * p[0] - q[0] * p[2],
+        q[0] * p[1] - q[1] * p[0],
+    ]
+
+
+def _ref_lrl_vector(x, params):
+    z = transform_coordinates(x, params)
+    q, p = z[:3], z[3:]
+    L = _ref_angular_momentum(x, params)
+    y = _ref_deformed_radius(x, params)
+    mk = params.mass * params.k
+    return [
+        p[1] * L[2] - p[2] * L[1] - mk * q[0] / y,
+        p[2] * L[0] - p[0] * L[2] - mk * q[1] / y,
+        p[0] * L[1] - p[1] * L[0] - mk * q[2] / y,
+    ]
+
+
+def _ref_chain_angular_momentum(i):
+    def f(z, i=i):
+        q, p = z[:3], z[3:]
+        j, kk = (i + 1) % 3, (i + 2) % 3
+        return q[j] * p[kk] - q[kk] * p[j]
+
+    return f
+
+
+def _ref_chain_lrl(i, params):
+    m, k = params.mass, params.k
+
+    def f(z, i=i):
+        q, p = z[:3], z[3:]
+        L = [_ref_chain_angular_momentum(a)(z) for a in range(3)]
+        j, kk = (i + 1) % 3, (i + 2) % 3
+        y = duals.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
+        return p[j] * L[kk] - p[kk] * L[j] - m * k * q[i] / y
+
+    return f
+
+
+def _bits(v):
+    """The value and every tangent of ``v``, as exact hex strings."""
+    if isinstance(v, duals.Dual):
+        return (v.a.hex(),) + tuple(t.hex() for t in v.b)
+    return (float(v).hex(),)
+
+
+def test_primed_evaluators_equal_the_reference_copies_bitwise():
+    for params in sample_deformations(10):
+        for x in sample_cartesian(100, params=params):
+            for c in (list(x.coords), duals.seed(x.coords)):
+                assert _bits(deformed_radius(c, params)) == _bits(_ref_deformed_radius(c, params))
+                assert _bits(hamiltonian(c, params)) == _bits(_ref_hamiltonian(c, params))
+                for new, ref in ((angular_momentum, _ref_angular_momentum),
+                                 (lrl_vector, _ref_lrl_vector)):
+                    assert [_bits(v) for v in new(c, params)] == \
+                        [_bits(v) for v in ref(c, params)]
+                z = transform_coordinates(c, params)
+                assert _bits(primed_radius(z)) == _bits(_ref_deformed_radius(c, params))
+                for i in range(3):
+                    assert _bits(primed_angular_momentum(z)[i]) == \
+                        _bits(_ref_chain_angular_momentum(i)(z))
+                    assert _bits(primed_lrl_vector(z, params)[i]) == \
+                        _bits(_ref_chain_lrl(i, params)(z))
