@@ -251,6 +251,12 @@ def cmd_report(args) -> int:
     except (ValueError, OSError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.out:  # fail before the run, not after it
+        try:
+            with open(args.out, "a"):
+                pass
+        except OSError as err:
+            return _cannot_write(f"the report {args.out}", err)
     rep = _run_suite(args.command, cfg)
     if rep is None:
         return EXIT_CONFIG

@@ -386,7 +386,7 @@ def inverse_pair_residual(omega_mat, P_mat) -> float:
     zero exactly when the two-form and bivector are mutually inverse."""
     comp = flat_sharp_composition(omega_mat, P_mat)
     n = len(comp)
-    return max(abs(comp[i][j] - (1.0 if i == j else 0.0)) for i in range(n) for j in range(n))
+    return max_abs(comp[i][j] - (1.0 if i == j else 0.0) for i in range(n) for j in range(n))
 
 
 def flow_pairing_residual(X: VectorField, omega: TensorField, F: ScalarField, x) -> float:
@@ -394,11 +394,19 @@ def flow_pairing_residual(X: VectorField, omega: TensorField, F: ScalarField, x)
     ``X`` is the Hamiltonian flow of ``F`` under the two-form ``omega``."""
     ip = interior_product(X, omega, x)
     dF = gradient(F, x)
-    return max(abs(value(ip[a]) + value(dF[a])) for a in range(DIM))
+    return max_abs(value(ip[a]) + value(dF[a]) for a in range(DIM))
 
 
 def max_abs(x) -> float:
-    """Largest absolute value in a scalar or arbitrarily nested sequence."""
+    """Largest absolute value in a scalar or arbitrarily nested sequence
+    (0.0 when empty), and NaN when any value is NaN: ``max`` would drop a
+    NaN that is not its first argument, so a residual that cannot be
+    evaluated would read as a pass."""
     if isinstance(x, (int, float, Dual)):
         return abs(value(x))
-    return max((max_abs(e) for e in x), default=0.0)
+    worst = 0.0
+    for e in x:
+        v = abs(e) if type(e) is float else max_abs(e)
+        if v > worst or v != v:  # once NaN, no value is greater
+            worst = v
+    return worst

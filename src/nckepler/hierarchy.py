@@ -12,7 +12,8 @@ with weights N = (1, M, 1).  For every level h >= 0 the ladder members are
     omega_h = its inverse, entries N_j^{-(h+1)} I_j^{-h},
     T_h = P_h o P^{-1},  diagonal with entries N_j^h I_j^h on both blocks,
 
-and the level-h bracket weight matrix is diag(I1^h, M^{h+1} I2^h, I3^h).
+and the level-h bracket is the bracket of P_h, whose weight matrix is
+diag(I1^h, M^{h+1} I2^h, I3^h).
 The flow field, ``master.dynamical_symmetry(0, rp)``, is the same at every
 level: the h-th energy generates it through the h-th bracket.
 
@@ -28,13 +29,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import duals
 from .charts import forward_jacobian, inverse_jacobian
 from .geometry import (
     Chart,
     ScalarField,
     TensorField,
-    coords_of,
+    bivector_bracket,
     pair_matrix,
 )
 from .reduced import ReducedParams
@@ -136,29 +136,10 @@ def recursion_operator(h: int, rp: ReducedParams) -> TensorField:
     return TensorField(Chart.DELAUNAY, func, "ud", name=f"T{h}")
 
 
-def level_weight_matrix(h: int, rp: ReducedParams, c) -> list:
-    """diag(I1^h, M^{h+1} I2^h, I3^h), the level-h bracket weights."""
-    M = rp.M
-    return [
-        [c[0] ** h, 0.0, 0.0],
-        [0.0, M ** (h + 1) * c[1] ** h, 0.0],
-        [0.0, 0.0, c[2] ** h],
-    ]
-
-
 def lambda_bracket(f: ScalarField, g: ScalarField, x, h: int, rp: ReducedParams):
-    """Level-h bracket sum_ij W^i_j (d_I_i f d_phi_j g - d_phi_j f d_I_i g)."""
-    coords = coords_of(x)
-    W = level_weight_matrix(h, rp, coords)
-    df = duals.grad(f.func, coords)
-    dg = duals.grad(g.func, coords)
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            if W[i][j] == 0.0:
-                continue
-            total = total + W[i][j] * (df[i] * dg[3 + j] - df[3 + j] * dg[i])
-    return total
+    """Level-h bracket of ``f`` and ``g`` at ``x``: the bracket of the
+    level bivector, ``sum_j W_j (d_I_j f d_phi_j g - d_phi_j f d_I_j g)``."""
+    return bivector_bracket(level_bivector(h, rp), f, g)(x)
 
 
 # -- exact transport into the action-angle chart ------------------------------

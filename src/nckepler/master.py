@@ -127,9 +127,7 @@ def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficient
     c = -2.0 / (3.0 + i)
     LP = lie_derivative(g, P, x)
     Pm = P(x)
-    rP = max(
-        abs(LP[u][v] - a * Pm[u][v]) for u in range(6) for v in range(6)
-    )
+    rP = max_abs(LP[u][v] - a * Pm[u][v] for u in range(6) for v in range(6))
     LP1 = lie_derivative(g, P1, x)
     rP1 = max_abs(LP1)
     LH = duals.value(lie_derivative(g, H, x))
@@ -229,15 +227,12 @@ class LedgerEntry:
 
 def _vec_residual(lhs, rhs_field, coeff, x):
     rhs = rhs_field(x)
-    return max(abs(duals.value(lhs[a]) - coeff * duals.value(rhs[a])) for a in range(6))
+    return max_abs(duals.value(lhs[a]) - coeff * duals.value(rhs[a]) for a in range(6))
 
 
 def _mat_residual(lhs, rhs_mat, coeff):
-    return max(
-        abs(duals.value(lhs[a][b]) - coeff * duals.value(rhs_mat[a][b]))
-        for a in range(6)
-        for b in range(6)
-    )
+    return max_abs(duals.value(lhs[a][b]) - coeff * duals.value(rhs_mat[a][b])
+                   for a in range(6) for b in range(6))
 
 
 def scaling_ledger(i: int, h: int, l: int, rp: ReducedParams, x) -> list:

@@ -453,24 +453,15 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
 # -- scaled vectors and generator sets ----------------------------------------
 
 
-def scaled_runge_lenz(x, params: DeformationParams, tau: EnergySign) -> list:
-    """A / sqrt(-2mH) on the negative-energy region, A / sqrt(2mH) on the
-    positive one; zero energy is excluded."""
-    H = duals.value(hamiltonian(x, params))
-    if abs(H) < 1e-12:
-        raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
-    if tau is EnergySign.MINUS and H >= 0.0:
-        raise ChartDomainError(f"energy sign mismatch: H = {H} is not negative")
-    if tau is EnergySign.PLUS and H <= 0.0:
-        raise ChartDomainError(f"energy sign mismatch: H = {H} is not positive")
-    scale = math.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
-    return [duals.value(v) / scale for v in lrl_vector(x, params)]
-
-
 def scaled_runge_lenz_field(params: DeformationParams, tau: EnergySign, i: int) -> ScalarField:
+    """``A_i / sqrt(-2mH)`` on the negative-energy region, ``A_i / sqrt(2mH)``
+    on the positive one; zero energy is excluded."""
+
     def evaluate(c):
         H = hamiltonian(c, params)
         Hv = duals.value(H)
+        if abs(Hv) < 1e-12:
+            raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
         if tau is EnergySign.MINUS and Hv >= 0.0:
             raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not negative")
         if tau is EnergySign.PLUS and Hv <= 0.0:

@@ -536,4 +536,16 @@ def test_inverse_pair_residual_reads_the_composition_defect():
     assert inverse_pair_residual(pair_matrix([0.5, 0.25, 2.0]), P) == 0.0
     assert inverse_pair_residual(pair_matrix([0.5, 0.25, 1.0]), P) == 0.5
     assert inverse_pair_residual(CANONICAL, CANONICAL) == 0.0
+    assert math.isnan(inverse_pair_residual(pair_matrix([0.5, math.nan, 2.0]), P))
+
+
+def test_max_abs_folds_nested_values_and_keeps_nan():
+    assert max_abs([]) == 0.0
+    assert max_abs(-3.5) == 3.5
+    nested = [(0.5, -2.0), [[1.0], np.array([[-1.5, 0.25]])], duals.Dual(-1.75, (1.0,)), []]
+    assert max_abs(nested) == 2.0
+    assert max_abs(x for x in (-4.0, 1.0)) == 4.0
+    # max(0.0, nan) is 0.0: a NaN after the first value would read as a pass
+    for values in ([0.0, math.nan], [math.nan, 1.0], [[1.0, [2.0, math.nan]], 3.0]):
+        assert math.isnan(max_abs(values)), values
 

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from nckepler import suites
 from nckepler.cli import main
-from nckepler.suites import SUITE_NAMES, SUITES, VerifyConfig
+from nckepler.report import SuiteReport
+from nckepler.suites import GENERAL_NOTES, SUITE_NAMES, SUITES, VerifyConfig, run_checks
 
 SMALL = VerifyConfig(samples=24, deformation_sets=3)
 
@@ -66,6 +69,32 @@ def test_suite_reports_match_golden_digests(small_reports, tmp_path):
         path = tmp_path / f"{name}.json"
         small_reports[name].save(str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORTS[name], name
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_check_alone_yields_its_share_of_the_report(name, small_reports):
+    """Run on a freshly built context, every check yields exactly the
+    entries and notes it adds to its suite's report, in the same order."""
+    suite, full = SUITES[name], small_reports[name]
+    n_entries, n_notes = 0, len(GENERAL_NOTES)
+    for check in suite.checks:
+        rep = run_checks(SuiteReport(name), suite.context(SMALL), (check,))
+        assert rep.entries or rep.notes, check.__name__
+        assert rep.entries == full.entries[n_entries:n_entries + len(rep.entries)], check.__name__
+        assert rep.notes == full.notes[n_notes:n_notes + len(rep.notes)], check.__name__
+        n_entries += len(rep.entries)
+        n_notes += len(rep.notes)
+    assert (n_entries, n_notes) == (len(full.entries), len(full.notes))
+
+
+def test_nan_residual_fails_its_entry(monkeypatch):
+    """``max(0.0, nan)`` is 0.0; the runner's fold keeps the NaN, so the
+    entry fails instead of passing with residual 0.0."""
+    monkeypatch.setattr(suites, "hamilton_rhs_primed_form", lambda x, params: [math.nan] * 6)
+    rep = SUITES["brackets"](SMALL)
+    failed = [e for e in rep.entries if not e.passed]
+    assert [e.identity for e in failed] == ["eom-primed-vs-closed"]
+    assert math.isnan(failed[0].residual)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_SCENARIOS))
@@ -221,8 +250,15 @@ def test_cli_simulate_unwritable_output_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suites", "brackets", "--samples", "24", "--out", "{blocker}/d"],
     ["hierarchy", "--samples", "16", "--h-max", "1", "--out", "{blocker}/x.json"],
-], ids=["verify", "hierarchy"])
-def test_cli_unwritable_out_is_config_error(argv, tmp_path, capsys):
+    ["master", "--samples", "16", "--out", "{blocker}/x.json"],
+], ids=["verify", "hierarchy", "master"])
+def test_cli_unwritable_out_is_config_error(argv, tmp_path, capsys, monkeypatch):
+    """The output path is checked before any suite runs."""
+    def must_not_run(cfg):
+        pytest.fail("a suite ran before its unwritable output path was rejected")
+
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(SUITES, name, must_not_run)
     blocker = tmp_path / "plainfile"
     blocker.write_text("")
     assert main([a.format(blocker=blocker) for a in argv]) == 2

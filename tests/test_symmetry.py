@@ -29,7 +29,7 @@ from nckepler.symmetry import (
     primed_angular_momentum,
     primed_chain_bracket,
     primed_lrl_vector,
-    scaled_runge_lenz,
+    scaled_runge_lenz_field,
     structure_matrices,
 )
 
@@ -220,7 +220,7 @@ def test_involution_conditional_assertion():
 def test_scaled_runge_lenz_matches_unit_scale_at_half_energy():
     x = PhasePoint((1, 0, 0, 0, 0.5, 0), Chart.CARTESIAN)  # H = -0.875
     H = hamiltonian(x, COMM)
-    G = scaled_runge_lenz(x, COMM, EnergySign.MINUS)
+    G = [duals.value(scaled_runge_lenz_field(COMM, EnergySign.MINUS, i)(x)) for i in range(3)]
     A = lrl_vector(x, COMM)
     s = math.sqrt(-2 * COMM.mass * H)
     assert max(abs(G[i] - A[i] / s) for i in range(3)) < 1e-15
@@ -229,13 +229,14 @@ def test_scaled_runge_lenz_matches_unit_scale_at_half_energy():
 def test_scaled_runge_lenz_sign_guards():
     bound = PhasePoint((1, 0, 0, 0, 0.5, 0), Chart.CARTESIAN)
     free = PhasePoint((1, 0, 0, 0, 2.0, 0), Chart.CARTESIAN)
-    with pytest.raises(ChartDomainError):
-        scaled_runge_lenz(bound, COMM, EnergySign.PLUS)
-    with pytest.raises(ChartDomainError):
-        scaled_runge_lenz(free, COMM, EnergySign.MINUS)
+    with pytest.raises(ChartDomainError, match="not positive"):
+        scaled_runge_lenz_field(COMM, EnergySign.PLUS, 0)(bound)
+    with pytest.raises(ChartDomainError, match="not negative"):
+        scaled_runge_lenz_field(COMM, EnergySign.MINUS, 0)(free)
     near_zero = PhasePoint((1, 0, 0, 0, math.sqrt(2.0), 0), Chart.CARTESIAN)
-    with pytest.raises(ChartDomainError):
-        scaled_runge_lenz(near_zero, COMM, EnergySign.MINUS)
+    for tau in EnergySign:
+        with pytest.raises(ChartDomainError, match="zero energy"):
+            scaled_runge_lenz_field(COMM, tau, 0)(near_zero)
 
 
 def test_generator_set_patterns():
