@@ -158,16 +158,19 @@ def theta_weights(params: DeformationParams) -> tuple:
     return tuple(out)
 
 
+def weighted_bracket(df, dg, theta):
+    """The deformed bracket from the cartesian gradients ``df`` and ``dg``:
+    ``sum_nu (df/dp_nu dg/dq^nu - df/dq^nu dg/dp_nu) / theta_nu``."""
+    total = 0.0
+    for nu in range(3):
+        total = total + (df[3 + nu] * dg[nu] - df[nu] * dg[3 + nu]) / theta[nu]
+    return total
+
+
 def nc_bracket(f: ScalarField, g: ScalarField, x, params: DeformationParams):
     """The deformed bracket of two observables at a cartesian point."""
     coords = coords_of(x)
-    df = duals.grad(f.func, coords)
-    dg = duals.grad(g.func, coords)
-    th = params.theta
-    total = 0.0
-    for nu in range(3):
-        total = total + (df[3 + nu] * dg[nu] - df[nu] * dg[3 + nu]) / th[nu]
-    return total
+    return weighted_bracket(duals.grad(f.func, coords), duals.grad(g.func, coords), params.theta)
 
 
 def nc_bracket_field(f: ScalarField, g: ScalarField, params: DeformationParams) -> ScalarField:

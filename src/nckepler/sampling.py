@@ -12,7 +12,7 @@ import numpy as np
 
 from .deformation import DeformationParams
 from .errors import NCKeplerError, SamplingError
-from .geometry import Chart, PhasePoint
+from .geometry import Chart, PhasePoint, ScalarField
 from .kepler import deformed_radius, hamiltonian
 from .reduced import ReducedParams, first_integrals, spherical_hamiltonian
 
@@ -148,8 +148,6 @@ def sample_deformations(n: int, seed: int = DEFAULT_SEED, scale: float = 0.25) -
 
 def random_polynomial_field(rng, chart: Chart):
     """A random quadratic observable (smooth everywhere) for bracket tests."""
-    from .geometry import ScalarField
-
     lin = rng.uniform(-1.0, 1.0, size=6)
     quad = rng.uniform(-0.5, 0.5, size=(6, 6))
 

@@ -39,6 +39,7 @@ from .deformation import (
     nc_bracket_field,
     nc_symplectic_structures,
     primed_coordinate_function,
+    weighted_bracket,
 )
 from .errors import config_int, config_number, config_object
 from .geometry import (
@@ -127,6 +128,7 @@ from .symmetry import (
     generator_sets,
     involution_parameter_search,
     lrl_field,
+    observables_jacobian,
     pairwise_bracket_table,
     structure_matrices,
 )
@@ -405,15 +407,14 @@ def _algebra_context(cfg: VerifyConfig) -> AlgebraContext:
 
 
 def _bracket_closed_forms(ctx: AlgebraContext):
-    params = ctx.params
-    Hf = hamiltonian_field(params)
-    Lf = [angular_momentum_field(params, i) for i in range(3)]
-    Af = [lrl_field(params, i) for i in range(3)]
-    wL, wA = zip(*[
-        (nc_bracket(Hf, Lf[i], x, params) - bracket_H_with_L(x, params, i),
-         nc_bracket(Hf, Af[i], x, params) - bracket_H_with_A(x, params, i))
-        for x in ctx.points for i in range(3)
-    ])
+    params, th = ctx.params, ctx.params.theta
+    wL, wA = [], []
+    for x in ctx.points:
+        J = observables_jacobian(x, params)
+        cL, cA = bracket_H_with_L(x, params), bracket_H_with_A(x, params)
+        for i in range(3):
+            wL.append(weighted_bracket(J[0], J[1 + i], th) - cL[i])
+            wA.append(weighted_bracket(J[0], J[4 + i], th) - cA[i])
     yield Entry("bracket-H-L", "closed form of {H, L_i} matches autodiff at generic deformation",
                 wL, ctx.cfg.tol_bracket)
     yield Entry("bracket-H-A", "closed form of {H, A_i} matches autodiff at generic deformation",
@@ -423,19 +424,17 @@ def _bracket_closed_forms(ctx: AlgebraContext):
            "angular-momentum index instead fails the autodiff cross-check")
 
 
-def _pairwise_chain(ctx: AlgebraContext):
+def _pairwise_tables(ctx: AlgebraContext):
+    """Pairwise tables at the generic deformation, then in the commutative
+    limit; the first 10 generic tables also give the LA deviation note."""
     tables = [pairwise_bracket_table(x, ctx.params)
               for x in ctx.points[: max(10, ctx.cfg.samples // 10)]]
     yield Entry("pairwise-chain", "structure-matrix route equals autodiff for every pairwise bracket",
                 [e.ad_vs_chain for t in tables for block in t.values() for e in block.values()],
                 ctx.cfg.tol_bracket)
-
-
-def _pairwise_closed(ctx: AlgebraContext):
     closed = [e.ad_vs_closed for x in ctx.comm_points
               for block in pairwise_bracket_table(x, ctx.comm).values() for e in block.values()]
-    generic = max_abs(e.ad_vs_closed for x in ctx.points[:10]
-                      for e in pairwise_bracket_table(x, ctx.params)["LA"].values())
+    generic = max_abs(e.ad_vs_closed for t in tables[:10] for e in t["LA"].values())
     yield Entry("pairwise-closed-commutative",
                 "structure-constant bracket table matches autodiff in the commutative limit",
                 closed, ctx.cfg.tol_bracket, point=ctx.comm_points[0].coords)
@@ -524,11 +523,9 @@ def _flow_bracket_consistency(ctx: AlgebraContext):
     traj = integrate(x_nc, params, dt=dt, n_steps=400, method="rk4", monitors=("L1", "L2", "L3"))
     gaps, rates = [], []
     for idx in range(5, len(traj.states) - 5, 25):
-        x = traj.states[idx]
-        for i in range(3):
+        for i, cf in enumerate(bracket_H_with_L(traj.states[idx], params)):
             s = traj.monitor_series(f"L{i + 1}")
             fd = (-s[idx + 2] + 8.0 * s[idx + 1] - 8.0 * s[idx - 1] + s[idx - 2]) / (12.0 * dt)
-            cf = bracket_H_with_L(x, params, i)
             rates.append(cf)
             gaps.append(abs(fd - cf) / max(abs(cf), 1e-3))
     yield Entry("flow-bracket-consistency", "time derivative of monitored L_i along the flow equals {H, L_i}",
@@ -944,7 +941,7 @@ SUITES = {suite.name: suite for suite in (
         _bracket_patterns, _structure_brackets, _beta_table, _symplectic_inverse,
         _random_brackets, _equations_of_motion)),
     Suite("algebra", _algebra_context, (
-        _bracket_closed_forms, _pairwise_chain, _pairwise_closed, _closure_fits,
+        _bracket_closed_forms, _pairwise_tables, _closure_fits,
         _generator_patterns, _algebra_jacobi, _involution_search, _conservation,
         _flow_bracket_consistency)),
     Suite("action-angle", _action_angle_context, (

@@ -12,6 +12,9 @@ brackets close in several layered forms:
 * structure-constant forms (so(3), so(4), so(1,3) patterns), exact in the
   commutative limit and reported with residuals elsewhere.
 
+Each route differentiates (H, L, A) once per point and chart, and the
+closed forms read one float frame (q', p', Y, H, L, A) per point.
+
 Scaled Runge-Lenz vectors live on the negative/positive-energy regions, and
 the generator sets assemble the 4x4 antisymmetric patterns from them.
 """
@@ -21,15 +24,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import duals
-from .deformation import DeformationParams, nc_bracket, transform_coordinates
-from .errors import ChartDomainError
-from .geometry import Chart, PhasePoint, ScalarField
-from .kepler import deformed_radius, hamiltonian, hamiltonian_field, primed_radius
+from .deformation import DeformationParams, nc_bracket, transform_coordinates, weighted_bracket
+from .errors import ChartDomainError, InvalidDeformationError
+from .geometry import Chart, PhasePoint, ScalarField, coords_of
+from .kepler import hamiltonian, primed_hamiltonian, primed_radius
 
 
 def levi_civita(i: int, j: int, k: int) -> float:
@@ -55,6 +58,13 @@ class StructureMatrices:
     @property
     def Fprime(self) -> tuple:
         return tuple(tuple(-v for v in row) for row in self.F)
+
+    @property
+    def chain_matrix(self) -> list:
+        """The 6x6 brackets of ``(q', p')``: blocks ``E, -F^T`` over ``F, D``."""
+        F, D, E = self.F, self.D, self.E
+        return ([list(E[i]) + [-F[j][i] for j in range(3)] for i in range(3)]
+                + [list(F[i]) + list(D[i]) for i in range(3)])
 
 
 def structure_matrices(params: DeformationParams) -> StructureMatrices:
@@ -119,94 +129,107 @@ def lrl_field(params: DeformationParams, i: int) -> ScalarField:
     )
 
 
-# -- chain-rule bracket through the structure matrices -----------------------
+# -- one seeded pass and one float frame per point ---------------------------
 
 
-def primed_chain_bracket(f_primed, g_primed, x, params: DeformationParams):
-    """Bracket of observables given as functions of the primed coordinates,
-    computed from the constant structure matrices rather than the weights."""
-    sm = structure_matrices(params)
-    z = [duals.value(v) for v in transform_coordinates(x, params)]
-    B = [[0.0] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            B[i][j] = sm.E[i][j]
-            B[i][3 + j] = -sm.F[j][i]
-            B[3 + i][j] = sm.F[i][j]
-            B[3 + i][3 + j] = sm.D[i][j]
-    df = duals.grad(f_primed, z)
-    dg = duals.grad(g_primed, z)
-    return sum(
-        df[u] * B[u][v] * dg[v] for u in range(6) for v in range(6) if B[u][v] != 0.0
+def primed_observables(z, params: DeformationParams) -> list:
+    """``(H, L1, L2, L3, A1, A2, A3)`` from the primed coordinates ``z``."""
+    return [primed_hamiltonian(z, params)] + primed_angular_momentum(z) + primed_lrl_vector(z, params)
+
+
+def observables_jacobian(x, params: DeformationParams) -> list:
+    """Rows ``dH, dL1..dL3, dA1..dA3`` in the cartesian coordinates of ``x``,
+    all from one seeded pass."""
+    return duals.jacobian(
+        lambda c: primed_observables(transform_coordinates(c, params), params), coords_of(x)
     )
+
+
+class _Frame(NamedTuple):
+    """Float values at one point: ``q'``, ``p'``, ``Y`` and (H, L, A)."""
+
+    qp: list
+    pp: list
+    y: float
+    H: float
+    L: list
+    A: list
+
+
+def _frame(x, params: DeformationParams) -> _Frame:
+    z = [duals.value(v) for v in transform_coordinates(x, params)]
+    H, *LA = primed_observables(z, params)
+    return _Frame(z[:3], z[3:], primed_radius(z), H, LA[:3], LA[3:])
 
 
 # -- closed forms for the brackets with the Hamiltonian ----------------------
 
 
-def _primed_split(x, params):
-    z = transform_coordinates(x, params)
-    return [duals.value(v) for v in z[:3]], [duals.value(v) for v in z[3:]]
-
-
-def bracket_H_with_L(x, params: DeformationParams, i: int) -> float:
-    """Closed form of the bracket of H with L_i at a cartesian point."""
-    qp, pp = _primed_split(x, params)
-    y = duals.value(deformed_radius(x, params))
-    sm = structure_matrices(params)
+def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> list:
+    qp, pp = fr.qp, fr.pp
     m, k = params.mass, params.k
-    ky3 = k / y**3
+    ky3 = k / fr.y**3
     Dp = [sum(sm.D[nu][j] * pp[j] for j in range(3)) for nu in range(3)]
     Fq = [sum(sm.F[nu][j] * qp[j] for j in range(3)) for nu in range(3)]
     Fp = [sum(sm.F[j][nu] * pp[j] for j in range(3)) for nu in range(3)]
     Eq = [sum(sm.E[j][nu] * qp[j] for j in range(3)) for nu in range(3)]
-    total = 0.0
-    for mu in range(3):
-        for nu in range(3):
-            eps = levi_civita(mu, i, nu)
-            if eps == 0.0:
-                continue
-            total += eps * (
-                (Dp[nu] / m + ky3 * Fq[nu]) * qp[mu] + (Fp[nu] / m + ky3 * Eq[nu]) * pp[mu]
-            )
-    return total
+    out = []
+    for i in range(3):
+        total = 0.0
+        for mu in range(3):
+            for nu in range(3):
+                eps = levi_civita(mu, i, nu)
+                if eps == 0.0:
+                    continue
+                total += eps * (
+                    (Dp[nu] / m + ky3 * Fq[nu]) * qp[mu] + (Fp[nu] / m + ky3 * Eq[nu]) * pp[mu]
+                )
+        out.append(total)
+    return out
 
 
-def bracket_H_with_A(x, params: DeformationParams, i: int) -> float:
-    """Closed form of the bracket of H with A_i at a cartesian point.
+def bracket_H_with_L(x, params: DeformationParams) -> list:
+    """Closed forms of the brackets of H with L_1, L_2, L_3 at a cartesian point."""
+    return _H_with_L(_frame(x, params), structure_matrices(params), params)
+
+
+def bracket_H_with_A(x, params: DeformationParams) -> list:
+    """Closed forms of the brackets of H with A_1, A_2, A_3 at a cartesian point.
 
     The middle group pairs the coefficient row with the Levi-Civita index
     that also labels the momentum derivative of H (pairing it with the
     angular-momentum index instead fails the autodiff cross-check).
     """
-    qp, pp = _primed_split(x, params)
-    y = duals.value(deformed_radius(x, params))
+    fr = _frame(x, params)
+    qp, pp, y, L = fr.qp, fr.pp, fr.y, fr.L
     sm = structure_matrices(params)
     m, k = params.mass, params.k
     ky3 = k / y**3
-    L = [duals.value(v) for v in angular_momentum(x, params)]
     G = [
         sum(sm.D[rho][j] * pp[j] for j in range(3)) / m
         + ky3 * sum(sm.F[rho][j] * qp[j] for j in range(3))
         for rho in range(3)
     ]
-    B = [bracket_H_with_L(x, params, rho) for rho in range(3)]
-    total = 0.0
-    for eta in range(3):
-        for rho in range(3):
-            eps = levi_civita(i, eta, rho)
-            if eps == 0.0:
-                continue
-            total += eps * (B[rho] * pp[eta] + G[rho] * L[eta])
-    total -= (m * k / y) * sum(
-        sm.F[j][i] * pp[j] / m + ky3 * sm.E[j][i] * qp[j] for j in range(3)
-    )
-    total += (m * k / y**3) * sum(
-        (sm.F[j][h] * pp[j] / m + ky3 * sm.E[j][h] * qp[j]) * qp[h] * qp[i]
-        for j in range(3)
-        for h in range(3)
-    )
-    return total
+    B = _H_with_L(fr, sm, params)
+    out = []
+    for i in range(3):
+        total = 0.0
+        for eta in range(3):
+            for rho in range(3):
+                eps = levi_civita(i, eta, rho)
+                if eps == 0.0:
+                    continue
+                total += eps * (B[rho] * pp[eta] + G[rho] * L[eta])
+        total -= (m * k / y) * sum(
+            sm.F[j][i] * pp[j] / m + ky3 * sm.E[j][i] * qp[j] for j in range(3)
+        )
+        total += (m * k / y**3) * sum(
+            (sm.F[j][h] * pp[j] / m + ky3 * sm.E[j][h] * qp[j]) * qp[h] * qp[i]
+            for j in range(3)
+            for h in range(3)
+        )
+        out.append(total)
+    return out
 
 
 # -- pairwise bracket closed forms -------------------------------------------
@@ -214,7 +237,7 @@ def bracket_H_with_A(x, params: DeformationParams, i: int) -> float:
 
 def ll_bracket_bilinear(x, params: DeformationParams, i: int, j: int) -> float:
     """{L_i, L_j} expanded through the constant primed brackets."""
-    qp, pp = _primed_split(x, params)
+    qp, pp = _frame(x, params)[:2]
     sm = structure_matrices(params)
     total = 0.0
     for a in range(3):
@@ -236,49 +259,31 @@ def ll_bracket_bilinear(x, params: DeformationParams, i: int, j: int) -> float:
     return total
 
 
-def ll_structure_form(x, params: DeformationParams, i: int, j: int) -> float:
-    """so(3) pattern sum_h eps_ijh Fprime_hh L_h."""
-    sm = structure_matrices(params)
-    L = [duals.value(v) for v in angular_momentum(x, params)]
-    return sum(levi_civita(i, j, h) * (-sm.F[h][h]) * L[h] for h in range(3))
-
-
-def aa_structure_form(x, params: DeformationParams, i: int, j: int) -> float:
-    """Pattern -2 m sum_h eps_ijh Fprime_hh H L_h."""
-    sm = structure_matrices(params)
-    L = [duals.value(v) for v in angular_momentum(x, params)]
-    H = duals.value(hamiltonian(x, params))
-    return -2.0 * params.mass * sum(
-        levi_civita(i, j, h) * (-sm.F[h][h]) * H * L[h] for h in range(3)
-    )
-
-
-def lai_structure_form(x, params: DeformationParams) -> float:
-    """Pattern sum_jh Fprime_jh (L_h p'_j + L_j p'_h) for the diagonal {L_i, A_i}."""
-    _, pp = _primed_split(x, params)
-    sm = structure_matrices(params)
-    L = [duals.value(v) for v in angular_momentum(x, params)]
-    return sum(
-        -sm.F[j][h] * (L[h] * pp[j] + L[j] * pp[h]) for j in range(3) for h in range(3)
-    )
-
-
-def la_structure_form(x, params: DeformationParams, i: int, j: int) -> float:
-    """Pattern sum_h eps_ijh (Fprime_hh A_h - Fprime_hj (mk/Y) q'^j
-    + Fprime_hj L_i p'_h), the whole sum under the Levi-Civita symbol."""
-    qp, pp = _primed_split(x, params)
-    sm = structure_matrices(params)
-    y = duals.value(deformed_radius(x, params))
-    L = [duals.value(v) for v in angular_momentum(x, params)]
-    A = [duals.value(v) for v in lrl_vector(x, params)]
-    mky = params.mass * params.k / y
+def _structure_pattern(block: str, i: int, j: int, fr: _Frame, sm: StructureMatrices,
+                       params: DeformationParams) -> float:
+    """Structure-constant form of entry ``(i, j)`` of a table block: LL is
+    ``sum_h eps_ijh Fprime_hh L_h``, AA is ``-2 m H`` times it, LA on the
+    diagonal ``sum_uv Fprime_uv (L_v p'_u + L_u p'_v)`` and off it ``sum_h
+    eps_ijh (Fprime_hh A_h - Fprime_hj (mk/Y) q'^j + Fprime_hj L_i p'_h)``."""
+    F = sm.F
+    if block == "LL":
+        return sum(levi_civita(i, j, h) * (-F[h][h]) * fr.L[h] for h in range(3))
+    if block == "AA":
+        return -2.0 * params.mass * sum(
+            levi_civita(i, j, h) * (-F[h][h]) * fr.H * fr.L[h] for h in range(3)
+        )
+    if i == j:
+        return sum(
+            -F[u][v] * (fr.L[v] * fr.pp[u] + fr.L[u] * fr.pp[v]) for u in range(3) for v in range(3)
+        )
+    mky = params.mass * params.k / fr.y
     total = 0.0
     for h in range(3):
         eps = levi_civita(i, j, h)
         if eps == 0.0:
             continue
-        fp = -sm.F[h][j]
-        total += eps * ((-sm.F[h][h]) * A[h] - fp * mky * qp[j] + fp * L[i] * pp[h])
+        fp = -F[h][j]
+        total += eps * ((-F[h][h]) * fr.A[h] - fp * mky * fr.qp[j] + fp * fr.L[i] * fr.pp[h])
     return total
 
 
@@ -286,7 +291,7 @@ def la_structure_form(x, params: DeformationParams, i: int, j: int) -> float:
 class BracketEntry:
     ad: float
     chain: float
-    closed: float | None
+    closed: float
 
     @property
     def ad_vs_chain(self) -> float:
@@ -294,38 +299,32 @@ class BracketEntry:
 
     @property
     def ad_vs_closed(self) -> float:
-        return abs(self.ad - self.closed) if self.closed is not None else float("nan")
+        return abs(self.ad - self.closed)
 
 
 def pairwise_bracket_table(x, params: DeformationParams) -> dict:
     """All pairwise brackets of (L, A), each computed three ways.
 
-    ``ad`` is the weighted-bracket autodiff value, ``chain`` the
-    structure-matrix route (these two agree at any deformation), and
-    ``closed`` the structure-constant pattern (exact in the commutative
-    limit; residuals elsewhere are reported, not suppressed).
+    ``ad`` pairs cartesian gradients by the weighted bracket, ``chain`` pairs
+    primed gradients by the chain matrix (the two agree at any deformation),
+    and ``closed`` is the structure-constant pattern (exact in the
+    commutative limit; residuals elsewhere are reported, not suppressed).
     """
-    L_z = [lambda z, i=i: primed_angular_momentum(z)[i] for i in range(3)]
-    A_z = [lambda z, i=i: primed_lrl_vector(z, params)[i] for i in range(3)]
-    L_f = [angular_momentum_field(params, i) for i in range(3)]
-    A_f = [lrl_field(params, i) for i in range(3)]
+    fr = _frame(x, params)
+    sm = structure_matrices(params)
+    B = sm.chain_matrix
+    ad = observables_jacobian(x, params)
+    cz = duals.jacobian(lambda z: primed_observables(z, params), fr.qp + fr.pp)
     table = {"LL": {}, "AA": {}, "LA": {}}
     for i in range(3):
         for j in range(3):
-            ad = nc_bracket(L_f[i], L_f[j], x, params)
-            chain = primed_chain_bracket(L_z[i], L_z[j], x, params)
-            table["LL"][(i, j)] = BracketEntry(ad, chain, ll_structure_form(x, params, i, j))
-            ad = nc_bracket(A_f[i], A_f[j], x, params)
-            chain = primed_chain_bracket(A_z[i], A_z[j], x, params)
-            table["AA"][(i, j)] = BracketEntry(ad, chain, aa_structure_form(x, params, i, j))
-            ad = nc_bracket(L_f[i], A_f[j], x, params)
-            chain = primed_chain_bracket(L_z[i], A_z[j], x, params)
-            closed = (
-                lai_structure_form(x, params)
-                if i == j
-                else la_structure_form(x, params, i, j)
-            )
-            table["LA"][(i, j)] = BracketEntry(ad, chain, closed)
+            for block, r, s in (("LL", 1 + i, 1 + j), ("AA", 4 + i, 4 + j), ("LA", 1 + i, 4 + j)):
+                chain = sum(cz[r][u] * B[u][v] * cz[s][v]
+                            for u in range(6) for v in range(6) if B[u][v] != 0.0)
+                table[block][(i, j)] = BracketEntry(
+                    weighted_bracket(ad[r], ad[s], params.theta), chain,
+                    _structure_pattern(block, i, j, fr, sm, params),
+                )
     return table
 
 
@@ -378,7 +377,7 @@ def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> I
     a, l = params.alpha, params.lam
     th = params.theta
     r1 = _condition1_residual(a, l)
-    qp, pp = _primed_split(x, params)
+    qp, pp = _frame(x, params)[:2]
     r2 = 0.0
     for i in range(3):
         for j in range(3):
@@ -390,11 +389,9 @@ def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> I
                 r2 = max(r2, abs(pp[i] * a[kap][j] * th[i] - pp[j] * a[kap][i] * th[j]))
                 r2 = max(r2, abs(pp[i] * l[kap][i] * th[j] + pp[j] * l[kap][j] * th[i]))
     r3 = _condition3_residual(structure_matrices(params))
-    L_f = [angular_momentum_field(params, i) for i in range(3)]
-    A_f = [lrl_field(params, i) for i in range(3)]
-    Hf = hamiltonian_field(params)
-    bl = tuple(nc_bracket(Hf, L_f[i], x, params) for i in range(3))
-    ba = tuple(nc_bracket(Hf, A_f[i], x, params) for i in range(3))
+    J = observables_jacobian(x, params)
+    bl = tuple(weighted_bracket(J[0], J[1 + i], th) for i in range(3))
+    ba = tuple(weighted_bracket(J[0], J[4 + i], th) for i in range(3))
     return InvolutionReport(
         condition1_residual=r1,
         condition2_residual=r2,
@@ -432,7 +429,7 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
         l = [[0.0, vals[3], vals[4]], [-vals[3], 0.0, vals[5]], [-vals[4], -vals[5], 0.0]]
         try:
             params = DeformationParams(alpha=a, lam=l)
-        except Exception:
+        except InvalidDeformationError:
             continue
         resid = max(_condition1_residual(a, l), _condition3_residual(structure_matrices(params)))
         if resid < best:
@@ -537,9 +534,7 @@ def constraint_predicates(x, params: DeformationParams) -> dict:
     They single out circular equatorial configurations; residuals are
     reported so the closure test can state its regime honestly.
     """
-    qp, pp = _primed_split(x, params)
-    y = duals.value(deformed_radius(x, params))
-    L = [duals.value(v) for v in angular_momentum(x, params)]
+    qp, pp, y, _, L, _ = _frame(x, params)
     anti = max(abs(L[h] * pp[j] + L[j] * pp[h]) for h in range(3) for j in range(3))
     virial = 0.0
     for i in range(3):

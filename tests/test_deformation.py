@@ -1,10 +1,7 @@
 import json
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nckepler.deformation import (
     DeformationParams,
@@ -16,7 +13,6 @@ from nckepler.deformation import (
     nc_bracket_field,
     nc_symplectic_structures,
     primed_coordinate_function,
-    theta_weights,
     transform_coordinates,
     transform_point,
 )

@@ -6,15 +6,28 @@ evaluators on plain floats and differentiates them with
 Richardson-extrapolated central differences, whose error is O(h^4).
 Complex-step differentiation is no option because the evaluators call
 ``math`` functions.  Draws stay bounded away from the singular sets (the
-deformed radius ``Y = 0``, the action sum ``S = 0``).
+deformed radius ``Y = 0``, the action sum ``S = 0``, the polar axis).
+
+The same differences check the chart maps: the constant Jacobians of the
+action-angle/Delaunay recombination against the maps themselves, and the
+spherical-to-cartesian map as a canonical transformation.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nckepler.charts import (
+    action_angle_to_delaunay,
+    cartesian_to_spherical,
+    delaunay_to_action_angle,
+    forward_jacobian,
+    inverse_jacobian,
+    spherical_to_cartesian,
+)
 from nckepler.deformation import DeformationParams, transform_coordinates
 from nckepler.duals import grad, hessian, jacobian
+from nckepler.geometry import Chart, PhasePoint, pair_matrix
 from nckepler.hierarchy import level_bivector
 from nckepler.kepler import hamiltonian
 from nckepler.reduced import ReducedParams, action_hessian, energy_from_actions
@@ -146,3 +159,48 @@ def test_action_hessian_matches_finite_differences(rp, J):
     f = lambda c: energy_from_actions(c, rp)
     fd = [[richardson_second(f, J, i, j) for j in range(3)] for i in range(3)]
     assert_matches(action_hessian(J, rp), fd)
+
+
+def fd_jacobian(f, x):
+    """``J[i][j] = d f_i / d x_j`` of a vector map, one column per coordinate."""
+    columns = [richardson_first(f, x, j) for j in range(len(x))]
+    return [[columns[j][i] for j in range(len(x))] for i in range(len(columns[0]))]
+
+
+def chart_map(convert, source: Chart, *args):
+    """``convert`` on plain coordinate lists of the ``source`` chart."""
+    return lambda c: convert(PhasePoint(tuple(c), source), *args).coords
+
+
+@settings(deadline=None, max_examples=40)
+@given(rp=reduced_params, x=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+def test_recombination_jacobians_match_finite_differences(rp, x):
+    forward = chart_map(action_angle_to_delaunay, Chart.ACTION_ANGLE, rp)
+    inverse = chart_map(delaunay_to_action_angle, Chart.DELAUNAY, rp)
+    # the map multiplies by forward_jacobian, so pin it to the displayed
+    # recombination first; otherwise its differences only show linearity
+    J1, J2, J3, v1, v2, v3 = x
+    M = rp.M
+    assert_matches([J3, M * J2 + J3, J1 + M * J2 + J3, v3 - v2 / M, v2 - M * v1, v1], forward(x))
+    assert_matches(forward_jacobian(rp), fd_jacobian(forward, x))
+    assert_matches(inverse_jacobian(rp), fd_jacobian(inverse, x))
+
+
+spherical_points = st.tuples(
+    st.floats(0.5, 3.0),  # r
+    st.floats(0.3, np.pi - 0.3),  # theta, away from the polar axis
+    st.floats(0.3, 2.0 * np.pi - 0.3),  # phi, away from the 2 pi wrap
+    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(s=spherical_points)
+def test_spherical_to_cartesian_is_a_canonical_chart_map(s):
+    to_cartesian = chart_map(spherical_to_cartesian, Chart.SPHERICAL)
+    back = cartesian_to_spherical(PhasePoint(to_cartesian(s), Chart.CARTESIAN)).coords
+    assert_matches(s, back)
+    # a cotangent lift preserves the canonical form: J^T Omega J = Omega
+    J = np.array(fd_jacobian(to_cartesian, list(s)))
+    omega = np.array(pair_matrix([1.0, 1.0, 1.0]))
+    assert_matches(omega, J.T @ omega @ J)

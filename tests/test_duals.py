@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from nckepler import duals
 from nckepler.deformation import DeformationParams
 from nckepler.duals import Dual, grad, hessian, jacobian, value

@@ -17,7 +17,6 @@ from nckepler.geometry import (
     schouten_bracket,
 )
 from nckepler.hierarchy import (
-    ClassicalDelaunay,
     OrbitalElements,
     classical_delaunay,
     corrupted_first_level_bivector,

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a module or test file imports is used in it, and no package
+function imports at call time.
 
-There is no linter in the toolchain, so this scan keeps dead imports (and
+There is no linter in the toolchain, so these scans keep dead imports (and
 the false dependency edges between layers they suggest) from coming back.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the first scan: its imports are the
+package's re-exports.  An import inside a function body hides a dependency
+edge until the function runs, so the package keeps every import at module
+level.
 """
 
 import ast
@@ -13,7 +17,9 @@ import pytest
 import nckepler
 
 PACKAGE_DIR = Path(nckepler.__file__).parent
-MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(PACKAGE_DIR.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -28,6 +34,16 @@ def unused_imports(source: str) -> list:
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(name for name in imported if name not in used)
+
+
+def function_imports(source: str) -> list:
+    """Line numbers of the import statements inside function bodies."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(inner.lineno for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
 
 
 def test_scan_finds_an_unused_import():
@@ -46,6 +62,26 @@ def test_scan_counts_attribute_and_annotation_uses():
     assert unused_imports(src) == []
 
 
+def test_scan_finds_imports_inside_functions_and_methods():
+    src = (
+        "import math\n"
+        "def f():\n    from os import sep\n    return sep\n"
+        "class C:\n    def m(self):\n        def inner():\n            import json\n"
+        "        return inner\n"
+    )
+    assert function_imports(src) == [3, 8]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: f"tests/{p.name}")
+def test_test_file_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_imports_only_at_module_level(path):
+    assert function_imports(path.read_text()) == []

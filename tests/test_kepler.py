@@ -22,7 +22,7 @@ from nckepler.kepler import (
     state_observables,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
-from nckepler.symmetry import angular_momentum, lrl_vector
+from nckepler.symmetry import angular_momentum, bracket_H_with_L, lrl_vector
 
 COMM = DeformationParams()
 
@@ -187,18 +187,15 @@ def test_implicit_midpoint_stage_failure_reported():
 
 
 def test_deformed_monitor_derivative_matches_bracket():
-    from nckepler.symmetry import bracket_H_with_L
-
     params = sample_deformations(1, seed=17)[0]
     x0 = sample_cartesian(1, seed=7, params=params, energy_sign="minus")[0]
     dt = 2e-4
     traj = integrate(x0, params, dt=dt, n_steps=200, method="rk4", monitors=["L1", "L2", "L3"])
     assert traj.completed
     for idx in (50, 100, 150):
-        for i in range(3):
+        for i, cf in enumerate(bracket_H_with_L(traj.states[idx], params)):
             s = traj.monitor_series(f"L{i + 1}")
             fd = (-s[idx + 2] + 8 * s[idx + 1] - 8 * s[idx - 1] + s[idx - 2]) / (12 * dt)
-            cf = bracket_H_with_L(traj.states[idx], params, i)
             assert abs(fd - cf) / max(abs(cf), 1e-3) < 1e-6
 
 

@@ -1,8 +1,4 @@
 import math
-from fractions import Fraction
-
-import numpy as np
-import pytest
 
 from nckepler import duals
 from nckepler.charts import forward_jacobian, inverse_jacobian

@@ -21,7 +21,6 @@ from nckepler.reduced import (
     inclination,
     isochronous_derivative,
     kolmogorov_determinant,
-    lambda_axis,
     lambda_matrix,
     perturbation_field,
     polar_action_quadrature,
@@ -32,7 +31,6 @@ from nckepler.reduced import (
     spherical_rhs,
     spherical_structures,
 )
-from nckepler.sampling import sample_spherical_bound
 
 RP = ReducedParams(thetadot=0.008, phidot=0.35, m=1.0, k=1.0)
 CLASSICAL = ReducedParams()

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 
