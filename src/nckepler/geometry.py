@@ -33,7 +33,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import mul, sub
+from typing import Callable, NamedTuple, Sequence
 
 from . import duals
 from .duals import Dual, value
@@ -219,17 +220,75 @@ def bivector_bracket(P: TensorField, f: ScalarField, g: ScalarField) -> ScalarFi
     return ScalarField(P.chart, evaluate, name=f"{{{f.name},{g.name}}}")
 
 
+class Jet(NamedTuple):
+    """A vector or tensor field at one point: its plain ``value`` and its
+    first derivatives ``d``, with ``d[i][l] = d_l F^i`` for a vector and
+    ``d[a][b][l] = d_l T^{ab}`` for a tensor; ``slots`` is ``"u"`` for a
+    vector and the tensor's slots otherwise."""
+
+    value: list
+    d: list
+    slots: str
+
+
+def jet(F, x) -> Jet:
+    """The :class:`Jet` of a vector or tensor field at ``x``: one plain pass
+    for the value and one seeded pass for every derivative.
+
+    The value comes from its own pass because the value part of a seeded
+    pass can differ in the last bit (``Dual.__pow__`` forms ``a**(n-1)*a``).
+    At dual-seeded coordinates both parts are duals of the outer layer.
+    """
+    coords = coords_of(x)
+    if isinstance(F, VectorField):
+        return Jet(F.func(coords), duals.jacobian(F.func, coords), "u")
+    if isinstance(F, TensorField):
+        mat = F.func(coords)
+        d = [[duals.tangents(e, DIM) for e in row] for row in F.func(duals.seed(coords))]
+        return Jet(mat, d, F.slots)
+    raise TypeError(f"unsupported tensor type {type(F)!r}")
+
+
+def lie_derivative_of_jets(Z: Jet, T: Jet) -> list:
+    """Lie derivative of the field of jet ``T`` along the vector field of jet
+    ``Z``, at the point of both jets.
+
+    A vector gives the Lie bracket ``[Z, T]^i = sum_j (Z^j d_j T^i - T^j
+    d_j Z^i)``.  A tensor gives the directional derivative of each component
+    (zero components of ``Z`` skipped) plus one Leibniz term per slot (see
+    the module docstring for the signs); its values are read as floats.
+    """
+    if T.slots == "u":
+        Zv, dZ, Tv, dT = Z.value, Z.d, T.value, T.d
+        return [sum(map(sub, map(mul, Zv, dT[i]), map(mul, Tv, dZ[i]))) for i in range(DIM)]
+    Zv = [value(v) for v in Z.value]
+    dZ = Z.d  # dZ[i][j] = d_j Z^i
+    dZt = list(zip(*dZ))
+    mat = [[value(e) for e in row] for row in T.value]
+    cols = list(zip(*mat))
+    moving = [l for l in range(DIM) if Zv[l] != 0.0]
+    up0, up1 = (slot == "u" for slot in T.slots)
+    left = dZ if up0 else dZt
+    right = dZ if up1 else dZt
+    out = [[0.0] * DIM for _ in range(DIM)]
+    for a in range(DIM):
+        for b in range(DIM):
+            d = T.d[a][b]
+            s = 0.0
+            for l in moving:
+                s += Zv[l] * d[l]
+            t = sum(map(mul, cols[b], left[a]))
+            s = s - t if up0 else s + t
+            t = sum(map(mul, mat[a], right[b]))
+            s = s - t if up1 else s + t
+            out[a][b] = s
+    return out
+
+
 def lie_bracket(X: VectorField, Y: VectorField, x) -> list:
     """``[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)``, derivatives exact."""
     coords = coords_of(x)
-    Xv = X.func(coords)
-    Yv = Y.func(coords)
-    dY = duals.jacobian(Y.func, coords)
-    dX = duals.jacobian(X.func, coords)
-    return [
-        sum(Xv[j] * dY[i][j] - Yv[j] * dX[i][j] for j in range(DIM))
-        for i in range(DIM)
-    ]
+    return lie_derivative_of_jets(jet(X, coords), jet(Y, coords))
 
 
 def lie_bracket_field(X: VectorField, Y: VectorField) -> VectorField:
@@ -261,9 +320,7 @@ def nijenhuis_torsion(T: TensorField, x) -> list:
     equals the bracket-by-bracket value exactly.  ``N[b][a]`` is stored
     as ``-N[a][b]``, so the result is antisymmetric to the bit.
     """
-    coords = coords_of(x)
-    m = T.func(coords)
-    d = [[duals.tangents(e, DIM) for e in row] for row in T.func(duals.seed(coords))]
+    m, d, _ = jet(T, x)
 
     def tmul(vec):
         return [sum(m[i][j] * vec[j] for j in range(DIM)) for i in range(DIM)]
@@ -289,15 +346,10 @@ def schouten_bracket(P: TensorField, Q: TensorField, x) -> list:
     vanishes for P = Q exactly when the bracket of P satisfies Jacobi.
     """
     coords = coords_of(x)
-
-    def matrices_and_derivs(B):
-        mat = B(coords)
-        # dmat[i][j][l] = d_l B^{ij}, from one seeded pass
-        dmat = [[duals.tangents(e, DIM) for e in row] for row in B.func(duals.seed(coords))]
-        return [[value(mat[i][j]) for j in range(DIM)] for i in range(DIM)], dmat
-
-    Pm, dP = matrices_and_derivs(P)
-    Qm, dQ = matrices_and_derivs(Q)
+    Pm, dP, _ = jet(P, coords)  # dP[i][j][l] = d_l P^{ij}
+    Qm, dQ, _ = jet(Q, coords)
+    Pm = [[value(e) for e in row] for row in Pm]
+    Qm = [[value(e) for e in row] for row in Qm]
 
     def cyc_term(i, j, k):
         total = 0.0
@@ -328,44 +380,13 @@ def schouten_bracket(P: TensorField, Q: TensorField, x) -> list:
 def lie_derivative(Z: VectorField, T, x):
     """Lie derivative of ``T`` along ``Z`` at ``x``; rank follows ``T``.
 
-    Scalars give ``Z(f)``, vectors the Lie bracket, and a tensor field the
-    directional derivative of its components plus one Leibniz term per slot
-    (see the module docstring for the signs), derivatives exact.
+    Scalars give ``Z(f)``; vector and tensor fields go through
+    :func:`lie_derivative_of_jets`, derivatives exact.
     """
     coords = coords_of(x)
     if isinstance(T, ScalarField):
-        df = duals.grad(T.func, coords)
-        Zv = Z.func(coords)
-        return sum(Zv[j] * df[j] for j in range(DIM))
-    if isinstance(T, VectorField):
-        return lie_bracket(Z, T, coords)
-    if not isinstance(T, TensorField):
-        raise TypeError(f"unsupported tensor type {type(T)!r}")
-
-    Zv = [value(v) for v in Z.func(coords)]
-    dZ = duals.jacobian(Z.func, coords)  # dZ[i][j] = d_j Z^i
-    mat = [[value(e) for e in row] for row in T(coords)]
-    # derivative of each matrix entry along Z, from one seeded pass
-    seeded = T.func(duals.seed(coords))
-    up0, up1 = (slot == "u" for slot in T.slots)
-    out = [[0.0] * DIM for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(DIM):
-            d = duals.tangents(seeded[a][b], DIM)
-            s = 0.0
-            for l in range(DIM):
-                if Zv[l] != 0.0:
-                    s += Zv[l] * d[l]
-            if up0:
-                s -= sum(mat[c][b] * dZ[a][c] for c in range(DIM))
-            else:
-                s += sum(mat[c][b] * dZ[c][a] for c in range(DIM))
-            if up1:
-                s -= sum(mat[a][c] * dZ[b][c] for c in range(DIM))
-            else:
-                s += sum(mat[a][c] * dZ[c][b] for c in range(DIM))
-            out[a][b] = s
-    return out
+        return sum(map(mul, Z.func(coords), duals.grad(T.func, coords)))
+    return lie_derivative_of_jets(jet(Z, coords), jet(T, coords))
 
 
 def flat_sharp_composition(omega_mat, P_mat):

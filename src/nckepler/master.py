@@ -16,24 +16,30 @@ the symplectic pairing only where the angle coordinates vanish: for mu != 1
 the contraction of Gamma with the symplectic form is not closed (its
 differential is sum_j c_j (1 - mu) I_j^{-mu} dI_j ^ dphi^j), so no exact
 potential exists off the zero-angle section.  The ledger evaluates the full
-list of scaling relations generated by the recursion operator.
+list of scaling relations generated by the recursion operator, all index
+triples at a point in one call: every differentiated field is read once as
+a :class:`~geometry.Jet` and every right-hand side is evaluated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import duals
 from .errors import ChartDomainError
 from .geometry import (
     Chart,
+    Jet,
     ScalarField,
     TensorField,
     VectorField,
     coords_of,
     flow_pairing_residual,
+    jet,
     lie_derivative,
+    lie_derivative_of_jets,
     max_abs,
     pair_matrix,
 )
@@ -225,91 +231,89 @@ class LedgerEntry:
     coefficient: float
 
 
-def _vec_residual(lhs, rhs_field, coeff, x):
-    rhs = rhs_field(x)
-    return max_abs(duals.value(lhs[a]) - coeff * duals.value(rhs[a]) for a in range(6))
+def _floats(values) -> list:
+    return [duals.value(v) for v in values]
 
 
-def _mat_residual(lhs, rhs_mat, coeff):
-    return max_abs(duals.value(lhs[a][b]) - coeff * duals.value(rhs_mat[a][b])
-                   for a in range(6) for b in range(6))
+def _residual(Z: Jet, F: Jet, coeff: float, rhs) -> float:
+    """``max |L_Z F - coeff rhs|`` over the components of the Lie derivative
+    of jet ``F`` along jet ``Z``; ``rhs`` holds floats, row after row for a
+    tensor, and :func:`~geometry.max_abs` drops the dual parts of the
+    derivative."""
+    lhs = lie_derivative_of_jets(Z, F)
+    if F.slots != "u":
+        lhs = chain(*lhs)
+    return max_abs([a - coeff * b for a, b in zip(lhs, rhs)])
 
 
-def scaling_ledger(i: int, h: int, l: int, rp: ReducedParams, x) -> list:
-    """Evaluate every scaling relation at a Delaunay point.
+def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> list:
+    """Evaluate every scaling relation at a Delaunay point for all
+    ``i <= i_max``, ``h <= h_max`` and ``l <= l_max``, in (i, h, l, relation)
+    order.
 
-    Relations: repeated Lie derivatives along Gamma'_{i,h} of Gamma'_{i,l},
-    X'_l, P'_l, omega'_l and of the recursion operator, plus the pairing of
-    the l-th differential with Gamma'_{i,h}.  Residuals compare against the
+    Relations: Lie derivatives along Gamma'_{i,h} of Gamma'_{i,l}, X'_l,
+    P'_l, omega'_l and of the recursion operator, plus the pairing of the
+    l-th differential with Gamma'_{i,h}.  Residuals compare against the
     closed-form right-hand sides with the displayed rational coefficients.
+
+    Each differentiated field (Gamma'_{i,n} for n <= max(h_max, l_max), X'_l,
+    P'_l, omega'_l and T_1) is read once as a :class:`~geometry.Jet`, each
+    right-hand side is evaluated once per degree, and the derivative of
+    T_1, which does not depend on l, once per (i, h).
     """
-    entries = []
-    gih = family_gamma_field(i, h, rp)
-    den = 3.0 + i
-
-    gil = family_gamma_field(i, l, rp)
-    lhs = lie_derivative(gih, gil, x)
-    coeff = (l - h) / den
-    entries.append(LedgerEntry(
-        identity="L_Gamma'ih (Gamma'il) = ((l-h)/(3+i)) Gamma'i(l+h)",
-        i=i, h=h, l=l, coefficient=coeff,
-        residual=_vec_residual(lhs, family_gamma_field(i, l + h, rp), coeff, x),
-    ))
-
-    xl = family_flow_field(l, rp)
-    lhs = lie_derivative(gih, xl, x)
-    coeff = -(3.0 - l) / den
-    entries.append(LedgerEntry(
-        identity="L_Gamma'ih (X'l) = -((3-l)/(3+i)) X'(l+h)",
-        i=i, h=h, l=l, coefficient=coeff,
-        residual=_vec_residual(lhs, family_flow_field(l + h, rp), coeff, x),
-    ))
-
-    pl = level_bivector(l, rp)
-    lhs = lie_derivative(gih, pl, x)
-    coeff = (l - h - 1.0) / den
-    entries.append(LedgerEntry(
-        identity="L_Gamma'ih (P'l) = ((l-h-1)/(3+i)) P'(l+h)",
-        i=i, h=h, l=l, coefficient=coeff,
-        residual=_mat_residual(lhs, level_bivector(l + h, rp)(x), coeff),
-    ))
-
-    wl = family_two_form(l, rp)
-    lhs = lie_derivative(gih, wl, x)
-    coeff = (l + h + 1.0) / den
-    entries.append(LedgerEntry(
-        identity="L_Gamma'ih (omega'l) = ((l+h+1)/(3+i)) omega'(l+h)",
-        i=i, h=h, l=l, coefficient=coeff,
-        residual=_mat_residual(lhs, family_two_form(l + h, rp)(x), coeff),
-    ))
-
-    T = recursion_operator(1, rp)
-    lhs = lie_derivative(gih, T, x)
-    coeff = 1.0 / den
-    entries.append(LedgerEntry(
-        identity="L_Gamma'ih (T) = (1/(3+i)) T^(1+h)",
-        i=i, h=h, l=l, coefficient=coeff,
-        residual=_mat_residual(lhs, recursion_operator(1 + h, rp)(x), coeff),
-    ))
-
-    m, k = rp.m, rp.k
     coords = coords_of(x)
-    dh_l = m * k**2 * coords[2] ** (l - 3)  # I3-component of the l-th differential
-    gval = gih(x)
-    pair = duals.value(gval[2]) * dh_l
-    if h + l == 2:
-        expect = m * k**2 / den
-        resid = abs(pair - expect)
-        coeff = 1.0 / den
-    else:
-        hl_field = family_energy_field(l + h, rp)
-        coeff = -(2.0 - (h + l)) / den
-        expect = coeff * duals.value(hl_field(x))
-        resid = abs(pair - expect)
-    entries.append(LedgerEntry(
-        identity="<dH'l, Gamma'ih> pairing",
-        i=i, h=h, l=l, coefficient=coeff, residual=resid,
-    ))
+    m, k = rp.m, rp.k
+    degrees = range(h_max + l_max + 1)
+    levels = range(l_max + 1)
+    flows = [jet(family_flow_field(l, rp), coords) for l in levels]
+    bivectors = [jet(level_bivector(l, rp), coords) for l in levels]
+    two_forms = [jet(family_two_form(l, rp), coords) for l in levels]
+    T1 = jet(recursion_operator(1, rp), coords)
+    flow_rhs = [_floats(family_flow_field(n, rp)(coords)) for n in degrees]
+    bivector_rhs = [_floats(chain(*level_bivector(n, rp)(coords))) for n in degrees]
+    two_form_rhs = [_floats(chain(*family_two_form(n, rp)(coords))) for n in degrees]
+    energies = [None if n == 2 else duals.value(family_energy_field(n, rp)(coords))
+                for n in degrees]
+    entries = []
+    for i in range(i_max + 1):
+        den = 3.0 + i
+        gammas = [jet(family_gamma_field(i, n, rp), coords) for n in range(max(h_max, l_max) + 1)]
+        gamma_rhs = [_floats(gammas[n].value if n < len(gammas)
+                             else family_gamma_field(i, n, rp)(coords)) for n in degrees]
+        for h in range(h_max + 1):
+            g = gammas[h]
+            resid_T = _residual(g, T1, 1.0 / den,
+                                _floats(chain(*recursion_operator(1 + h, rp)(coords))))
+            for l in levels:
+                n = l + h
+                for identity, F, coeff, rhs in (
+                    ("L_Gamma'ih (Gamma'il) = ((l-h)/(3+i)) Gamma'i(l+h)",
+                     gammas[l], (l - h) / den, gamma_rhs[n]),
+                    ("L_Gamma'ih (X'l) = -((3-l)/(3+i)) X'(l+h)",
+                     flows[l], -(3.0 - l) / den, flow_rhs[n]),
+                    ("L_Gamma'ih (P'l) = ((l-h-1)/(3+i)) P'(l+h)",
+                     bivectors[l], (l - h - 1.0) / den, bivector_rhs[n]),
+                    ("L_Gamma'ih (omega'l) = ((l+h+1)/(3+i)) omega'(l+h)",
+                     two_forms[l], (l + h + 1.0) / den, two_form_rhs[n]),
+                ):
+                    entries.append(LedgerEntry(identity=identity, i=i, h=h, l=l, coefficient=coeff,
+                                               residual=_residual(g, F, coeff, rhs)))
+                entries.append(LedgerEntry(
+                    identity="L_Gamma'ih (T) = (1/(3+i)) T^(1+h)",
+                    i=i, h=h, l=l, coefficient=1.0 / den, residual=resid_T,
+                ))
+                # the I3-component of the l-th differential, paired with Gamma'ih
+                pair = duals.value(g.value[2]) * (m * k**2 * coords[2] ** (l - 3))
+                if n == 2:
+                    coeff = 1.0 / den
+                    resid = abs(pair - m * k**2 / den)
+                else:
+                    coeff = -(2.0 - n) / den
+                    resid = abs(pair - coeff * energies[n])
+                entries.append(LedgerEntry(
+                    identity="<dH'l, Gamma'ih> pairing",
+                    i=i, h=h, l=l, coefficient=coeff, residual=resid,
+                ))
     return entries
 
 

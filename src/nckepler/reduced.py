@@ -23,6 +23,7 @@ differentiating the energy in its action).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,6 +99,12 @@ class ReducedParams:
     @property
     def M(self) -> float:
         return math.sqrt(self.M_squared)
+
+    @functools.cached_property
+    def azimuthal_period(self) -> float:
+        """``int_0^{2 pi} (1 + (thetadot/m) sin 2t)^{-1/2} dt``, integrated
+        once per instance (the instance is frozen)."""
+        return _quad(_azimuthal_integrand(self), 0.0, TWO_PI)
 
 
 def lambda_matrix(rp: ReducedParams, phi) -> tuple:
@@ -274,7 +281,8 @@ def kolmogorov_determinant(J, rp: ReducedParams) -> float:
 
 # -- azimuthal quadratures ---------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Python floats: iterating numpy float64 scalars costs several times more
+_GAUSS_NODES, _GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(64))
 
 
 def _quad(f, a: float, b: float) -> float:
@@ -283,18 +291,15 @@ def _quad(f, a: float, b: float) -> float:
     return half * float(sum(w * f(mid + half * t) for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)))
 
 
+def _azimuthal_integrand(rp: ReducedParams):
+    return lambda t: 1.0 / math.sqrt(1.0 + (rp.thetadot / rp.m) * math.sin(2.0 * t))
+
+
 def azimuthal_phase(phi: float, rp: ReducedParams) -> float:
     """Exact ``int_0^phi (1 + (thetadot/m) sin 2t)^{-1/2} dt`` for any real phi."""
-    period = azimuthal_period_integral(rp)
     k = math.floor(phi / TWO_PI)
     rem = phi - TWO_PI * k
-    integrand = lambda t: 1.0 / math.sqrt(1.0 + (rp.thetadot / rp.m) * math.sin(2.0 * t))
-    return k * period + _quad(integrand, 0.0, rem)
-
-
-def azimuthal_period_integral(rp: ReducedParams) -> float:
-    integrand = lambda t: 1.0 / math.sqrt(1.0 + (rp.thetadot / rp.m) * math.sin(2.0 * t))
-    return _quad(integrand, 0.0, TWO_PI)
+    return k * rp.azimuthal_period + _quad(_azimuthal_integrand(rp), 0.0, rem)
 
 
 def polar_action_quadrature(l_tilde: float, d_phi: float, rp: ReducedParams) -> float:

@@ -122,7 +122,7 @@ from .sampling import (
 from .symmetry import (
     EnergySign,
     angular_momentum_field,
-    bracket_H_with_A,
+    bracket_H_closed_forms,
     bracket_H_with_L,
     closure_fit,
     generator_sets,
@@ -411,7 +411,7 @@ def _bracket_closed_forms(ctx: AlgebraContext):
     wL, wA = [], []
     for x in ctx.points:
         J = observables_jacobian(x, params)
-        cL, cA = bracket_H_with_L(x, params), bracket_H_with_A(x, params)
+        cL, cA = bracket_H_closed_forms(x, params)
         for i in range(3):
             wL.append(weighted_bracket(J[0], J[1 + i], th) - cL[i])
             wA.append(weighted_bracket(J[0], J[4 + i], th) - cA[i])
@@ -911,9 +911,9 @@ def _recursion_families(ctx: Context):
 def _scaling_ledger(ctx: Context):
     cfg = ctx.cfg
     yield Entry("scaling-ledger", "every scaling relation holds with its displayed rational coefficient",
-                [e.residual for i in range(0, cfg.i_max + 1) for h in range(min(cfg.h_max, 2) + 1)
-                 for l in range(0, cfg.l_max + 1) for x in ctx.points[:50]
-                 for e in scaling_ledger(i, h, l, cfg.reduced, x)], cfg.tol_bracket)
+                [e.residual for x in ctx.points[:50]
+                 for e in scaling_ledger(cfg.reduced, x, cfg.i_max, min(cfg.h_max, 2), cfg.l_max)],
+                cfg.tol_bracket)
 
 
 def _coefficient_patterns(ctx: Context):

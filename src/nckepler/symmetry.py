@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import duals
-from .deformation import DeformationParams, nc_bracket, transform_coordinates, weighted_bracket
+from .deformation import DeformationParams, transform_coordinates, weighted_bracket
 from .errors import ChartDomainError, InvalidDeformationError
 from .geometry import Chart, PhasePoint, ScalarField, coords_of
 from .kepler import hamiltonian, primed_hamiltonian, primed_radius
@@ -193,12 +193,15 @@ def bracket_H_with_L(x, params: DeformationParams) -> list:
     return _H_with_L(_frame(x, params), structure_matrices(params), params)
 
 
-def bracket_H_with_A(x, params: DeformationParams) -> list:
-    """Closed forms of the brackets of H with A_1, A_2, A_3 at a cartesian point.
+def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
+    """Closed forms of the brackets of H with L_1, L_2, L_3 and with A_1,
+    A_2, A_3 at a cartesian point, from one frame; the {H, A_i} forms
+    reuse the {H, L_i} ones.
 
-    The middle group pairs the coefficient row with the Levi-Civita index
-    that also labels the momentum derivative of H (pairing it with the
-    angular-momentum index instead fails the autodiff cross-check).
+    The middle group of {H, A_i} pairs the coefficient row with the
+    Levi-Civita index that also labels the momentum derivative of H
+    (pairing it with the angular-momentum index instead fails the autodiff
+    cross-check).
     """
     fr = _frame(x, params)
     qp, pp, y, L = fr.qp, fr.pp, fr.y, fr.L
@@ -229,7 +232,7 @@ def bracket_H_with_A(x, params: DeformationParams) -> list:
             for h in range(3)
         )
         out.append(total)
-    return out
+    return B, out
 
 
 # -- pairwise bracket closed forms -------------------------------------------
@@ -455,18 +458,24 @@ def scaled_runge_lenz_field(params: DeformationParams, tau: EnergySign, i: int) 
     on the positive one; zero energy is excluded."""
 
     def evaluate(c):
-        H = hamiltonian(c, params)
-        Hv = duals.value(H)
-        if abs(Hv) < 1e-12:
-            raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
-        if tau is EnergySign.MINUS and Hv >= 0.0:
-            raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not negative")
-        if tau is EnergySign.PLUS and Hv <= 0.0:
-            raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not positive")
-        scale = duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
+        scale = _lrl_scale(c, params, tau)
         return lrl_vector(c, params)[i] / scale
 
     return ScalarField(Chart.CARTESIAN, evaluate, name=f"G{i + 1}")
+
+
+def _lrl_scale(c, params: DeformationParams, tau: EnergySign):
+    """``sqrt(-2mH)`` on the negative-energy region, ``sqrt(2mH)`` on the
+    positive one; zero energy and the other region are excluded."""
+    H = hamiltonian(c, params)
+    Hv = duals.value(H)
+    if abs(Hv) < 1e-12:
+        raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
+    if tau is EnergySign.MINUS and Hv >= 0.0:
+        raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not negative")
+    if tau is EnergySign.PLUS and Hv <= 0.0:
+        raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not positive")
+    return duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
 
 
 @dataclass(frozen=True)
@@ -563,35 +572,38 @@ def closure_fit(points: Sequence[PhasePoint], params: DeformationParams, tau: En
 
     Fits each bracket value against the basis values at the sample points;
     the so(4) pattern has the GG coefficient equal to the LL one, the
-    so(1,3) pattern flips its sign.
+    so(1,3) pattern flips its sign.  Each point takes one plain pass of the
+    six fields for their values and one seeded pass for all their gradients.
     """
-    L_f = [angular_momentum_field(params, i) for i in range(3)]
-    G_f = [scaled_runge_lenz_field(params, tau, i) for i in range(3)]
-    basis = L_f + G_f
+
+    def basis(c):
+        scale = _lrl_scale(c, params, tau)
+        return angular_momentum(c, params) + [a / scale for a in lrl_vector(c, params)]
+
+    values, grads = [], []
+    for x in points:
+        c = coords_of(x)
+        values.append([duals.value(v) for v in basis(c)])
+        grads.append(duals.jacobian(basis, c))
 
     # {L_i, L_j} ~ c_LL eps_ijh L_h ; {G_i, G_j} ~ c_GG eps_ijh L_h ;
-    # {L_i, G_j} ~ c_LG eps_ijh G_h    (single-coefficient fits per block)
-    def single_coeff(pairs, target_index_map):
+    # {L_i, G_j} ~ c_LG eps_ijh G_h    (single-coefficient fits per block,
+    # basis indices 0-2 for L and 3-5 for G)
+    def single_coeff(pairs, targets):
         rows, rhs = [], []
-        for x in points:
-            bevals = [duals.value(b(x)) for b in basis]
-            for (f, g), tgt in zip(pairs, target_index_map):
+        for bevals, J in zip(values, grads):
+            for (f, g), tgt in zip(pairs, targets):
                 rows.append([bevals[tgt]])
-                rhs.append(nc_bracket(f, g, x, params))
+                rhs.append(weighted_bracket(J[f], J[g], params.theta))
         A = np.array(rows)
         b = np.array(rhs)
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = float(np.max(np.abs(A @ coef - b))) if len(b) else 0.0
         return float(coef[0]), resid
 
-    ll_pairs = [(L_f[0], L_f[1]), (L_f[1], L_f[2]), (L_f[2], L_f[0])]
-    ll_targets = [2, 0, 1]
-    c_ll, r1 = single_coeff(ll_pairs, ll_targets)
-    gg_pairs = [(G_f[0], G_f[1]), (G_f[1], G_f[2]), (G_f[2], G_f[0])]
-    c_gg, r2 = single_coeff(gg_pairs, ll_targets)
-    lg_pairs = [(L_f[0], G_f[1]), (L_f[1], G_f[2]), (L_f[2], G_f[0])]
-    lg_targets = [5, 3, 4]
-    c_lg, r3 = single_coeff(lg_pairs, lg_targets)
+    c_ll, r1 = single_coeff([(0, 1), (1, 2), (2, 0)], [2, 0, 1])
+    c_gg, r2 = single_coeff([(3, 4), (4, 5), (5, 3)], [2, 0, 1])
+    c_lg, r3 = single_coeff([(0, 4), (1, 5), (2, 3)], [5, 3, 4])
     pattern = "so4" if tau is EnergySign.MINUS else "so13"
     return ClosureFit(
         pattern=pattern,

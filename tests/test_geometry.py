@@ -20,6 +20,7 @@ from nckepler.geometry import (
     hamiltonian_vector_field,
     interior_product,
     inverse_pair_residual,
+    jet,
     lie_bracket,
     lie_derivative,
     max_abs,
@@ -392,9 +393,71 @@ def test_lie_derivative_equals_the_per_type_formulas_bitwise():
             for T in tensors:
                 for x in points:
                     ref = _lie_derivative_by_type(Z, T, x)
-                    assert lie_derivative(Z, T, x) == ref
+                    assert _hex(lie_derivative(Z, T, x)) == _hex(ref)
                     largest = max(largest, max_abs(ref))
     assert largest > 0.1
+
+
+@pytest.mark.parametrize("slots", ["uu", "dd", "ud"])
+def test_lie_derivative_of_a_dense_tensor_equals_the_per_type_formulas_bitwise(slots):
+    # every product of every contraction nonzero, so any change of summation
+    # order shows in the last bits
+    rng = np.random.default_rng(11)
+    for s in range(3):
+        T = TensorField(Chart.CARTESIAN, _polynomial_tensor(s).func, slots)
+        Z = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
+        for _ in range(4):
+            x = PhasePoint(tuple(rng.uniform(-1, 1, size=6)), Chart.CARTESIAN)
+            assert _hex(lie_derivative(Z, T, x)) == _hex(_lie_derivative_by_type(Z, T, x))
+
+
+def _hex(v):
+    """``float.hex`` of every value in a nested list, duals unpacked."""
+    if isinstance(v, duals.Dual):
+        return [_hex(v.a), _hex(list(v.b))]
+    if isinstance(v, (list, tuple)):
+        return [_hex(e) for e in v]
+    return float(v).hex()
+
+
+def _ref_lie_bracket(X, Y, coords):
+    """Reference: the bracket summed per component over two Jacobians."""
+    Xv, Yv = X.func(coords), Y.func(coords)
+    dY, dX = duals.jacobian(Y.func, coords), duals.jacobian(X.func, coords)
+    return [sum(Xv[j] * dY[i][j] - Yv[j] * dX[i][j] for j in range(6)) for i in range(6)]
+
+
+def test_lie_bracket_equals_the_per_component_route_bitwise():
+    rng = np.random.default_rng(3)
+    rp = VerifyConfig().reduced
+    poly = [_poly_vector_field(rng.uniform(-1, 1, size=(6, 8))) for _ in range(3)]
+    gammas = [family_gamma_field(i, h, rp) for i in range(3) for h in range(3)]
+    for X, Y, x in ([(X, Y, POINT) for X in poly for Y in poly]
+                    + [(X, Y, pt) for X in gammas[:4] for Y in gammas
+                       for pt in sample_delaunay(3, seed=2)]):
+        coords = list(x.coords)
+        assert _hex(lie_bracket(X, Y, x)) == _hex(_ref_lie_bracket(X, Y, coords))
+        assert _hex(lie_derivative(X, Y, x)) == _hex(_ref_lie_bracket(X, Y, coords))
+        # nested: the bracket differentiated again, as the degree-one check does
+        nested = duals.jacobian(lambda c: lie_bracket(X, Y, c), coords)
+        assert _hex(nested) == _hex(duals.jacobian(lambda c: _ref_lie_bracket(X, Y, c), coords))
+
+
+def test_jet_takes_one_plain_and_one_seeded_pass(monkeypatch):
+    rp = VerifyConfig().reduced
+    x = sample_delaunay(1, seed=4)[0]
+    calls = []
+    seed = duals.seed
+    monkeypatch.setattr(duals, "seed", lambda coords: calls.append(1) or seed(coords))
+    for F in (family_gamma_field(1, 2, rp), level_bivector(2, rp), recursion_operator(1, rp)):
+        j = jet(F, x)
+        assert _hex(j.value) == _hex(F(x))
+        assert j.slots == ("u" if isinstance(F, VectorField) else F.slots)
+    assert len(calls) == 3
+    assert _hex(jet(level_bivector(2, rp), x).d) == _hex(
+        [[duals.tangents(e, 6) for e in row] for row in level_bivector(2, rp).func(seed(list(x.coords)))])
+    with pytest.raises(TypeError):
+        jet(ScalarField(Chart.DELAUNAY, lambda c: c[0]), x)
 
 
 @pytest.mark.parametrize("slots", ["uu", "dd"])

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from nckepler import duals
 from nckepler.charts import forward_jacobian, inverse_jacobian
 from nckepler.geometry import (
@@ -16,6 +18,7 @@ from nckepler.geometry import (
 from nckepler.hierarchy import (
     ladder_energy_field,
     level_bivector,
+    recursion_operator,
     weight_vector,
 )
 from nckepler.master import (
@@ -34,6 +37,7 @@ from nckepler.master import (
 )
 from nckepler.reduced import ReducedParams
 from nckepler.sampling import sample_delaunay
+from nckepler.suites import VerifyConfig
 
 RP = ReducedParams(thetadot=0.006, phidot=0.25)
 PT = PhasePoint((0.6, 1.1, 1.9, 0.3, 2.2, 5.0), Chart.DELAUNAY)
@@ -198,7 +202,7 @@ def test_family_energy_differentials():
 
 def test_ledger_frozen_flow_coefficient():
     # i = h = l = 0: the flow-family derivative carries coefficient -1
-    entries = scaling_ledger(0, 0, 0, RP, PT)
+    entries = scaling_ledger(RP, PT, 0, 0, 0)
     flow_entry = [e for e in entries if "X'l" in e.identity][0]
     assert flow_entry.coefficient == -1.0
     assert flow_entry.residual < 1e-13
@@ -206,8 +210,8 @@ def test_ledger_frozen_flow_coefficient():
 
 def test_ledger_pairing_constant_at_degree_two():
     # h + l = 2 at i = 0: the pairing is the constant m k^2 / 3
-    entries = scaling_ledger(0, 1, 1, RP, PT)
-    pair_entry = [e for e in entries if "pairing" in e.identity][0]
+    entries = scaling_ledger(RP, PT, 0, 1, 1)
+    pair_entry = [e for e in entries if "pairing" in e.identity and e.h == e.l == 1][0]
     assert pair_entry.residual < 1e-14
     gih = family_gamma_field(0, 1, RP)
     pair = duals.value(gih(PT)[2]) * RP.m * RP.k**2 * PT.coords[2] ** (1 - 3)
@@ -215,11 +219,77 @@ def test_ledger_pairing_constant_at_degree_two():
 
 
 def test_full_ledger_small_residuals():
-    for i in range(3):
-        for h in range(3):
-            for l in range(3):
-                for e in scaling_ledger(i, h, l, RP, PT):
-                    assert e.residual < 1e-12, (i, h, l, e.identity, e.residual)
+    entries = scaling_ledger(RP, PT, 2, 2, 2)
+    assert len(entries) == 27 * 6
+    for e in entries:
+        assert e.residual < 1e-12, (e.i, e.h, e.l, e.identity, e.residual)
+
+
+def _ref_ledger(i, h, l, rp, x):
+    """Reference: one index triple, each relation through ``lie_derivative``
+    along a fresh Gamma'_{i,h} and a fresh evaluation of its right-hand side."""
+    gih = family_gamma_field(i, h, rp)
+    den = 3.0 + i
+    m, k = rp.m, rp.k
+
+    def vec(lhs, rhs, coeff):
+        return max_abs(duals.value(lhs[a]) - coeff * duals.value(rhs[a]) for a in range(6))
+
+    def mat(lhs, rhs, coeff):
+        return max_abs(duals.value(lhs[a][b]) - coeff * duals.value(rhs[a][b])
+                       for a in range(6) for b in range(6))
+
+    rows = [
+        ((l - h) / den, vec(lie_derivative(gih, family_gamma_field(i, l, rp), x),
+                            family_gamma_field(i, l + h, rp)(x), (l - h) / den)),
+        (-(3.0 - l) / den, vec(lie_derivative(gih, family_flow_field(l, rp), x),
+                               family_flow_field(l + h, rp)(x), -(3.0 - l) / den)),
+        ((l - h - 1.0) / den, mat(lie_derivative(gih, level_bivector(l, rp), x),
+                                  level_bivector(l + h, rp)(x), (l - h - 1.0) / den)),
+        ((l + h + 1.0) / den, mat(lie_derivative(gih, family_two_form(l, rp), x),
+                                  family_two_form(l + h, rp)(x), (l + h + 1.0) / den)),
+        (1.0 / den, mat(lie_derivative(gih, recursion_operator(1, rp), x),
+                        recursion_operator(1 + h, rp)(x), 1.0 / den)),
+    ]
+    pair = duals.value(gih(x)[2]) * (m * k**2 * x.coords[2] ** (l - 3))
+    if h + l == 2:
+        rows.append((1.0 / den, abs(pair - m * k**2 / den)))
+    else:
+        coeff = -(2.0 - (h + l)) / den
+        rows.append((coeff, abs(pair - coeff * duals.value(family_energy_field(l + h, rp)(x)))))
+    return rows
+
+
+@pytest.mark.parametrize("rp", [VerifyConfig().reduced,
+                                ReducedParams(thetadot=-0.004, phidot=-0.2, m=1.3, k=0.7)])
+def test_scaling_ledger_equals_the_per_relation_route_bitwise(rp):
+    # the master suite's points; the second parameter set has m k^2 != 1
+    cfg = VerifyConfig()
+    largest = 0.0
+    for x in sample_delaunay(max(50, cfg.samples // 2), cfg.seed)[:20]:
+        entries = scaling_ledger(rp, x, 2, 2, 2)
+        ref = [(i, h, l, coeff, resid) for i in range(3) for h in range(3) for l in range(3)
+               for coeff, resid in _ref_ledger(i, h, l, rp, x)]
+        assert len(entries) == len(ref) == 27 * 6
+        for e, (i, h, l, coeff, resid) in zip(entries, ref):
+            assert (e.i, e.h, e.l) == (i, h, l)
+            assert e.coefficient.hex() == coeff.hex(), e.identity
+            assert e.residual.hex() == resid.hex(), (i, h, l, e.identity)
+            largest = max(largest, e.residual)
+    assert largest > 0.0
+
+
+def test_scaling_ledger_takes_one_seeded_pass_per_field(monkeypatch):
+    # Gamma'_{i,n} for i, n <= 2, then X'_l, P'_l, omega'_l for l <= 2, and
+    # T_1: 19 per point; the per-triple route took 270
+    calls = []
+    seed = duals.seed
+    monkeypatch.setattr(duals, "seed", lambda coords: calls.append(1) or seed(coords))
+    scaling_ledger(RP, PT, 2, 2, 2)
+    assert len(calls) == 19
+    calls.clear()
+    scaling_ledger(RP, PT, 1, 1, 3)  # 2 * 4 + 3 * 4 + 1
+    assert len(calls) == 21
 
 
 def test_coefficient_patterns_match_except_flow_family():

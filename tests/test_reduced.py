@@ -14,6 +14,7 @@ from nckepler.reduced import (
     action_hessian,
     actions_from_integrals,
     angles_from_state,
+    azimuthal_phase,
     continuous_angles,
     energy_from_actions,
     first_integrals,
@@ -350,3 +351,26 @@ def test_maclaurin_regime_bound():
         for phi in np.linspace(0, 2 * math.pi, 201)
     )
     assert worst <= 0.5 * ratio + ratio**2
+
+
+def _ref_azimuthal_phase(phi, rp):
+    """Reference: the quadrature on numpy float64 nodes and weights, with
+    the period integrated afresh on every call."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+
+    def quad(f, a, b):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        return half * float(sum(w * f(mid + half * t) for t, w in zip(nodes, weights)))
+
+    integrand = lambda t: 1.0 / math.sqrt(1.0 + (rp.thetadot / rp.m) * math.sin(2.0 * t))
+    k = math.floor(phi / reduced.TWO_PI)
+    return k * quad(integrand, 0.0, reduced.TWO_PI) + quad(integrand, 0.0, phi - reduced.TWO_PI * k)
+
+
+def test_azimuthal_phase_equals_the_numpy_node_route_bitwise():
+    phis = np.linspace(-15.0, 40.0, 241).tolist() + [
+        0.0, -0.0, 1e-300, -1e-9, math.pi, reduced.TWO_PI, -reduced.TWO_PI, 3 * reduced.TWO_PI + 0.25]
+    for rp in (RP, CLASSICAL, ReducedParams(thetadot=-0.009, phidot=-0.2, m=1.3, k=0.7)):
+        for phi in phis:
+            assert azimuthal_phase(phi, rp).hex() == _ref_azimuthal_phase(phi, rp).hex(), (rp, phi)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nckepler import duals, symmetry
@@ -12,7 +13,7 @@ from nckepler.symmetry import (
     EnergySign,
     angular_momentum,
     angular_momentum_field,
-    bracket_H_with_A,
+    bracket_H_closed_forms,
     bracket_H_with_L,
     closure_fit,
     constraint_predicates,
@@ -102,13 +103,13 @@ def test_structure_matrices_match_weighted_brackets():
 
 def test_bracket_H_L_closed_form_vanishes_commutative():
     assert max(abs(v) for v in bracket_H_with_L(X, COMM)) < 1e-14
-    assert max(abs(v) for v in bracket_H_with_A(X, COMM)) < 1e-13
+    assert max(abs(v) for v in bracket_H_closed_forms(X, COMM)[1]) < 1e-13
 
 
 def test_bracket_H_closed_forms_match_autodiff():
     Hf = hamiltonian_field(GENERIC)
     for x in sample_cartesian(30, seed=3, params=GENERIC):
-        cL, cA = bracket_H_with_L(x, GENERIC), bracket_H_with_A(x, GENERIC)
+        cL, cA = bracket_H_closed_forms(x, GENERIC)
         for i in range(3):
             ad = nc_bracket(Hf, angular_momentum_field(GENERIC, i), x, GENERIC)
             assert abs(ad - cL[i]) < 1e-9
@@ -278,6 +279,46 @@ def test_constraint_predicates_report_values():
     pred = constraint_predicates(X, COMM)
     assert pred["antisymmetry_residual"] >= 0.0
     assert pred["virial_residual"] >= 0.0
+
+
+def _ref_closure_fit(points, params, tau):
+    """Reference: two ``nc_bracket`` gradients per bracket and one plain
+    pass of the six basis fields per block and point."""
+    L_f = [angular_momentum_field(params, i) for i in range(3)]
+    G_f = [scaled_runge_lenz_field(params, tau, i) for i in range(3)]
+    basis = L_f + G_f
+
+    def single_coeff(pairs, targets):
+        rows, rhs = [], []
+        for x in points:
+            bevals = [duals.value(b(x)) for b in basis]
+            for (f, g), tgt in zip(pairs, targets):
+                rows.append([bevals[tgt]])
+                rhs.append(nc_bracket(f, g, x, params))
+        A, b = np.array(rows), np.array(rhs)
+        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+        return float(coef[0]), float(np.max(np.abs(A @ coef - b)))
+
+    c_ll, r1 = single_coeff([(L_f[0], L_f[1]), (L_f[1], L_f[2]), (L_f[2], L_f[0])], [2, 0, 1])
+    c_gg, r2 = single_coeff([(G_f[0], G_f[1]), (G_f[1], G_f[2]), (G_f[2], G_f[0])], [2, 0, 1])
+    c_lg, r3 = single_coeff([(L_f[0], G_f[1]), (L_f[1], G_f[2]), (L_f[2], G_f[0])], [5, 3, 4])
+    return c_ll, c_gg, c_lg, max(r1, r2, r3)
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_closure_fit_equals_the_nc_bracket_route_bitwise(sign, monkeypatch):
+    tau = EnergySign(sign)
+    for params in (COMM, GENERIC):
+        points = sample_cartesian(30, seed=14, params=params, energy_sign=sign)
+        ref = _ref_closure_fit(points, params, tau)
+        calls = []
+        seed = duals.seed
+        monkeypatch.setattr(duals, "seed", lambda coords: calls.append(1) or seed(coords))
+        fit = closure_fit(points, params, tau)
+        monkeypatch.setattr(duals, "seed", seed)
+        assert len(calls) == len(points)  # 18 per point through nc_bracket
+        got = (fit.coefficient_LL, fit.coefficient_GG, fit.coefficient_LG, fit.residual)
+        assert [v.hex() for v in got] == [v.hex() for v in ref], params
 
 
 def test_closure_fits_commutative_patterns():
@@ -559,9 +600,11 @@ def test_bracket_tables_equal_the_per_pair_route_bitwise():
                     e = got[block][key]
                     assert [_bits(v) for v in (e.ad, e.chain, e.closed)] == \
                         [_bits(v) for v in fields], (block, key)
-            assert [_bits(v) for v in bracket_H_with_L(x, params)] == \
-                [_bits(_ref_bracket_H_with_L(x, params, i)) for i in range(3)]
-            assert [_bits(v) for v in bracket_H_with_A(x, params)] == \
+            ref_L = [_bits(_ref_bracket_H_with_L(x, params, i)) for i in range(3)]
+            assert [_bits(v) for v in bracket_H_with_L(x, params)] == ref_L
+            cL, cA = bracket_H_closed_forms(x, params)
+            assert [_bits(v) for v in cL] == ref_L
+            assert [_bits(v) for v in cA] == \
                 [_bits(_ref_bracket_H_with_A(x, params, i)) for i in range(3)]
 
 
