@@ -28,7 +28,6 @@ from . import duals
 from .errors import InvalidDeformationError, config_number, config_object, is_number
 from .geometry import (
     Chart,
-    PhasePoint,
     ScalarField,
     TensorField,
     constant_tensor,
@@ -191,27 +190,6 @@ def transform_coordinates(x, params: DeformationParams):
     qp = [q[i] - 0.5 * sum(a[i][j] * p[j] for j in range(3)) for i in range(3)]
     pp = [p[i] + 0.5 * sum(l[i][j] * q[j] for j in range(3)) for i in range(3)]
     return qp + pp
-
-
-def transform_point(x: PhasePoint, params: DeformationParams) -> PhasePoint:
-    return PhasePoint(tuple(transform_coordinates(x, params)), Chart.CARTESIAN)
-
-
-def transform_matrix(params: DeformationParams) -> np.ndarray:
-    """The 6x6 linear map (q, p) -> (q', p')."""
-    a = np.array(params.alpha)
-    l = np.array(params.lam)
-    top = np.hstack([np.eye(3), -0.5 * a])
-    bottom = np.hstack([0.5 * l, np.eye(3)])
-    return np.vstack([top, bottom])
-
-
-def inverse_transform_point(x: PhasePoint, params: DeformationParams) -> PhasePoint:
-    m = transform_matrix(params)
-    if abs(np.linalg.det(m)) < 1e-14:
-        raise InvalidDeformationError("primed-coordinate map is not invertible")
-    back = np.linalg.solve(m, np.array(x.coords))
-    return PhasePoint(tuple(back), Chart.CARTESIAN)
 
 
 @dataclass(frozen=True)

@@ -159,20 +159,6 @@ def log(x):
     return math.log(x)
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.a)
-        return Dual(e, tuple([y * e for y in x.b]))
-    return math.exp(x)
-
-
-def arcsin(x):
-    if isinstance(x, Dual):
-        d = sqrt(1.0 - x.a * x.a)
-        return Dual(arcsin(x.a), tuple([y / d for y in x.b]))
-    return math.asin(x)
-
-
 def atan2(y, x):
     ya, xa = isinstance(y, Dual), isinstance(x, Dual)
     if not ya and not xa:

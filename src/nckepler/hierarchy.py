@@ -246,21 +246,6 @@ def displayed_bivector_table(h: int, rp: ReducedParams, c) -> list:
                            (2, 3): p34, (2, 4): p35, (2, 5): p36})
 
 
-def displayed_two_form_table(h: int, rp: ReducedParams, c) -> list:
-    m, k, M = rp.m, rp.k, rp.M
-    s = c[0] + M * c[1] + c[2]
-    H = -m * k**2 / (2.0 * s**2)
-    lt = M * c[1] + c[2]
-    w41 = (math.sqrt(-2.0 * H / m) / k) ** h
-    w52 = 1.0 / (M**h * lt**h)
-    w63 = c[2] ** (-h)
-    w42 = M * (w41 - w52)
-    w43 = w42 / M
-    w53 = (w52 - w63) / M
-    return _antisymmetric({(3, 0): w41, (3, 1): w42, (4, 1): w52,
-                           (3, 2): w43, (4, 2): w53, (5, 2): w63})
-
-
 # -- canonical rescaling of the third pair ------------------------------------
 
 

@@ -204,20 +204,6 @@ def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> 
     return VectorField(Chart.DELAUNAY, f, name=f"T^{power}{X.name}")
 
 
-def apply_recursion_to_covector(alpha_func, power: int, rp: ReducedParams):
-    """Pointwise application of the adjoint, (T* a)_b = a_c T^c_b."""
-    T = recursion_operator(1, rp)
-
-    def f(c):
-        mat = T.func(c)
-        a = alpha_func(c)
-        for _ in range(power):
-            a = [sum(a[cx] * mat[cx][b] for cx in range(6)) for b in range(6)]
-        return a
-
-    return f
-
-
 # -- the scaling-relation ledger -----------------------------------------------
 
 

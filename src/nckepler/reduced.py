@@ -40,7 +40,6 @@ from .errors import (
 from .geometry import (
     Chart,
     PhasePoint,
-    ScalarField,
     VectorField,
     constant_tensor,
     coords_of,
@@ -123,37 +122,6 @@ def lambda_matrix(rp: ReducedParams, phi) -> tuple:
     )
 
 
-def lambda_axis(rp: ReducedParams, phi) -> tuple:
-    """Axis vector w with (lam q) = w x q."""
-    lam = lambda_matrix(rp, phi)
-    return (-lam[1][2], lam[0][2], -lam[0][1])
-
-
-def perturbation_field(rp: ReducedParams) -> ScalarField:
-    """Deviation of the reduced cartesian Hamiltonian from the plain Kepler one.
-
-    Equals (1/2m) w . L + (1/8m) |lam q|^2 with the deformation matrix taken
-    at the point's azimuth; the first term is the momentum-linear piece, the
-    second the quadratic piece that the separability assumption discards.
-    """
-
-    def evaluate(c):
-        q, p = c[:3], c[3:]
-        phi = duals.atan2(q[1], q[0])
-        w = lambda_axis(rp, phi)
-        L = (
-            q[1] * p[2] - q[2] * p[1],
-            q[2] * p[0] - q[0] * p[2],
-            q[0] * p[1] - q[1] * p[0],
-        )
-        lam = lambda_matrix(rp, phi)
-        lq = [sum(lam[i][j] * q[j] for j in range(3)) for i in range(3)]
-        quad = lq[0] ** 2 + lq[1] ** 2 + lq[2] ** 2
-        return (w[0] * L[0] + w[1] * L[1] + w[2] * L[2]) / (2.0 * rp.m) + quad / (8.0 * rp.m)
-
-    return ScalarField(Chart.CARTESIAN, evaluate, name="perturbation")
-
-
 def quadratic_condition_value(x, rp: ReducedParams) -> float:
     """The separability quadratic form sum_i ((lam q)_i)^2 at a cartesian point."""
     coords = coords_of(x)
@@ -181,15 +149,6 @@ def spherical_hamiltonian(s, rp: ReducedParams):
     st = duals.sin(theta)
     kin = p_r**2 + rp.M_squared * p_t**2 / r**2 + u * p_p**2 / (r**2 * st**2)
     return kin / (2.0 * rp.m) - rp.k / r
-
-
-def spherical_structures(rp: ReducedParams):
-    """Canonical two-form and bivector on the spherical chart."""
-    mat = pair_matrix([-1.0] * 3)
-    return (
-        constant_tensor(Chart.SPHERICAL, mat, "dd", name="omega_sph"),
-        constant_tensor(Chart.SPHERICAL, mat, "uu", name="P_sph"),
-    )
 
 
 def spherical_rhs(rp: ReducedParams):

@@ -148,8 +148,8 @@ def sample_deformations(n: int, seed: int = DEFAULT_SEED, scale: float = 0.25) -
 
 def random_polynomial_field(rng, chart: Chart):
     """A random quadratic observable (smooth everywhere) for bracket tests."""
-    lin = rng.uniform(-1.0, 1.0, size=6)
-    quad = rng.uniform(-0.5, 0.5, size=(6, 6))
+    lin = rng.uniform(-1.0, 1.0, size=6).tolist()
+    quad = rng.uniform(-0.5, 0.5, size=(6, 6)).tolist()
 
     def f(c, lin=lin, quad=quad):
         total = 0.0

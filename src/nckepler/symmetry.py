@@ -49,15 +49,12 @@ class EnergySign(enum.Enum):
 @dataclass(frozen=True)
 class StructureMatrices:
     """Constant brackets of the primed coordinates: {p', q'} = F,
-    {p', p'} = D, {q', q'} = E, and Fprime = -F."""
+    {p', p'} = D and {q', q'} = E.  The structure-constant patterns are
+    written in Fprime = -F."""
 
     F: tuple
     D: tuple
     E: tuple
-
-    @property
-    def Fprime(self) -> tuple:
-        return tuple(tuple(-v for v in row) for row in self.F)
 
     @property
     def chain_matrix(self) -> list:
@@ -238,30 +235,6 @@ def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
 # -- pairwise bracket closed forms -------------------------------------------
 
 
-def ll_bracket_bilinear(x, params: DeformationParams, i: int, j: int) -> float:
-    """{L_i, L_j} expanded through the constant primed brackets."""
-    qp, pp = _frame(x, params)[:2]
-    sm = structure_matrices(params)
-    total = 0.0
-    for a in range(3):
-        for b in range(3):
-            e1 = levi_civita(i, a, b)
-            if e1 == 0.0:
-                continue
-            for c in range(3):
-                for d in range(3):
-                    e2 = levi_civita(j, c, d)
-                    if e2 == 0.0:
-                        continue
-                    total += e1 * e2 * (
-                        qp[a] * qp[c] * sm.D[b][d]
-                        + qp[a] * pp[d] * sm.F[b][c]
-                        - qp[c] * pp[b] * sm.F[d][a]
-                        + pp[b] * pp[d] * sm.E[a][c]
-                    )
-    return total
-
-
 def _structure_pattern(block: str, i: int, j: int, fr: _Frame, sm: StructureMatrices,
                        params: DeformationParams) -> float:
     """Structure-constant form of entry ``(i, j)`` of a table block: LL is
@@ -334,18 +307,6 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
 # -- involution conditions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
-    condition1_residual: float
-    condition2_residual: float
-    condition3_residual: float
-    condition1_ok: bool
-    condition2_ok: bool
-    condition3_ok: bool
-    bracket_H_L: tuple
-    bracket_H_A: tuple
-
-
 def _condition1_residual(a, l) -> float:
     """Largest violation of ``lam_ij alpha_ij = -((lam_ik alpha_ik +
     lam_jk alpha_jk) / 2 + 4)`` over the ordered pairs ``i != j``."""
@@ -368,43 +329,6 @@ def _condition3_residual(sm: StructureMatrices) -> float:
         for j in range(3):
             r3 = max(r3, abs(sm.F[i][j] - sm.F[j][i]))
     return max(r3, abs(sm.F[0][0] - sm.F[1][1]), abs(sm.F[0][0] - sm.F[2][2]))
-
-
-def involution_conditions(params: DeformationParams, x, tol: float = 1e-10) -> InvolutionReport:
-    """Diagnostics for the sufficient involution conditions at a point.
-
-    Condition 1 constrains the products lam_ij alpha_ij, condition 2 the
-    primed coordinates of the point, condition 3 the symmetry of F.  All are
-    reported with residuals; nothing is asserted.
-    """
-    a, l = params.alpha, params.lam
-    th = params.theta
-    r1 = _condition1_residual(a, l)
-    qp, pp = _frame(x, params)[:2]
-    r2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for kap in range(3):
-                r2 = max(r2, abs(qp[i] * l[kap][j] * th[i] - qp[j] * l[kap][i] * th[j]))
-                r2 = max(r2, abs(qp[i] * a[kap][i] * th[j] + qp[j] * a[kap][j] * th[i]))
-                r2 = max(r2, abs(pp[i] * a[kap][j] * th[i] - pp[j] * a[kap][i] * th[j]))
-                r2 = max(r2, abs(pp[i] * l[kap][i] * th[j] + pp[j] * l[kap][j] * th[i]))
-    r3 = _condition3_residual(structure_matrices(params))
-    J = observables_jacobian(x, params)
-    bl = tuple(weighted_bracket(J[0], J[1 + i], th) for i in range(3))
-    ba = tuple(weighted_bracket(J[0], J[4 + i], th) for i in range(3))
-    return InvolutionReport(
-        condition1_residual=r1,
-        condition2_residual=r2,
-        condition3_residual=r3,
-        condition1_ok=r1 <= tol,
-        condition2_ok=r2 <= tol,
-        condition3_ok=r3 <= tol,
-        bracket_H_L=bl,
-        bracket_H_A=ba,
-    )
 
 
 @dataclass(frozen=True)
@@ -480,8 +404,8 @@ def _lrl_scale(c, params: DeformationParams, tau: EnergySign):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    kind: str  # so3 | so4 | so13
-    fields: tuple  # 4x4 (or 3x3 for so3) matrix of ScalarField or None
+    kind: str  # so4 | so13
+    fields: tuple  # 4x4 matrix of ScalarField or None
 
     def evaluate(self, x) -> list:
         return [
@@ -503,9 +427,6 @@ def generator_sets(params: DeformationParams, kind: str) -> GeneratorSet:
 
         return ScalarField(Chart.CARTESIAN, evaluate, name=f"Phi{h + 1}{j + 1}")
 
-    if kind == "so3":
-        rows = tuple(tuple(block(h, j) for j in range(3)) for h in range(3))
-        return GeneratorSet(kind="so3", fields=rows)
     if kind not in ("so4", "so13"):
         raise ValueError(f"unknown generator set kind {kind!r}")
     tau = EnergySign.MINUS if kind == "so4" else EnergySign.PLUS
@@ -534,28 +455,6 @@ def generator_sets(params: DeformationParams, kind: str) -> GeneratorSet:
     last.append(None)
     rows.append(tuple(last))
     return GeneratorSet(kind=kind, fields=tuple(rows))
-
-
-def constraint_predicates(x, params: DeformationParams) -> dict:
-    """Pointwise constraints preceding the algebra statements: antisymmetry
-    of L_h p'_j and the virial-like relation (m/Y) q'^j = eps_ijh L_i p'_h.
-
-    They single out circular equatorial configurations; residuals are
-    reported so the closure test can state its regime honestly.
-    """
-    qp, pp, y, _, L, _ = _frame(x, params)
-    anti = max(abs(L[h] * pp[j] + L[j] * pp[h]) for h in range(3) for j in range(3))
-    virial = 0.0
-    for i in range(3):
-        for j in range(3):
-            for h in range(3):
-                if levi_civita(i, j, h) == 0.0:
-                    continue
-                virial = max(
-                    virial,
-                    abs(params.mass / y * qp[j] - levi_civita(i, j, h) * L[i] * pp[h]),
-                )
-    return {"antisymmetry_residual": anti, "virial_residual": virial}
 
 
 @dataclass(frozen=True)

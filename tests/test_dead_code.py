@@ -1,11 +1,14 @@
-"""Every public function, class and method of the package is used somewhere,
-and every dataclass field is read somewhere.
+"""Every public function, class and method of the package is used by the
+package, and every dataclass field is read somewhere.
 
 A definition counts as used when its name is loaded (as a bare name or as
-an attribute) anywhere in the package or the tests, outside the definition
-itself.  ``__init__.py`` does not count: a re-export alone is no use.  The
-match is by name only, so a dead method that shares its name with a live
-one escapes, and a name reached only through ``getattr`` counts as unused.
+an attribute) anywhere in the package modules, outside the definition
+itself.  A call from a test is no use: code only tests reach is not part of
+what the package does.  ``__init__.py`` does not count either: a re-export
+alone is no use.  The match is by name only, so a dead method that shares
+its name with a live one escapes, and a name reached only through
+``getattr`` counts as unused.  A dataclass field still counts as read when
+a test reads it.
 """
 
 import ast
@@ -53,12 +56,11 @@ def loads(tree: ast.Module) -> list:
     return out
 
 
-def unused_definitions(module_sources: dict, other_sources: list) -> list:
+def unused_definitions(module_sources: dict) -> list:
     """Names of the public definitions in ``module_sources`` (file name ->
-    source) that no source in either argument loads outside themselves."""
+    source) that no module loads outside the definition itself."""
     trees = {name: ast.parse(src) for name, src in module_sources.items()}
     used = [u for tree in trees.values() for u in loads(tree)]
-    used += [u for src in other_sources for u in loads(ast.parse(src))]
     dead = []
     for name, tree in trees.items():
         for node in public_definitions(tree):
@@ -73,19 +75,19 @@ def test_scan_finds_an_unused_function_and_method():
         "def recursive(n):\n    return recursive(n - 1)\n"
         "class Box:\n    def used(self):\n        pass\n    def unused(self):\n        pass\n"
     )
-    other = "live()\nBox().used()\n"
-    assert unused_definitions({"m.py": src}, [other]) == ["m.py:recursive", "m.py:unused"]
+    caller = "import m\nm.live()\nm.Box().used()\n"
+    assert unused_definitions({"m.py": src, "n.py": caller}) == ["m.py:recursive", "m.py:unused"]
 
 
 def test_scan_ignores_private_names_and_counts_attribute_loads():
     src = "def _private():\n    pass\nclass Field:\n    @property\n    def theta(self):\n        pass\n"
-    other = "import m\nm.Field().theta\n"
-    assert unused_definitions({"m.py": src}, [other]) == []
+    caller = "import m\ndef read():\n    return m.Field().theta\n"
+    assert unused_definitions({"m.py": src, "n.py": caller}) == ["n.py:read"]
 
 
 def test_package_has_no_unused_public_definitions():
     modules = {p.name: p.read_text() for p in MODULES}
-    assert unused_definitions(modules, [p.read_text() for p in TESTS]) == []
+    assert unused_definitions(modules) == []
 
 
 # -- dataclass fields ---------------------------------------------------------

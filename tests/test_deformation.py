@@ -3,21 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from nckepler import duals
 from nckepler.deformation import (
     DeformationParams,
     beta_bracket_table,
     canonical_bracket,
     coordinate_function,
-    inverse_transform_point,
     nc_bracket,
     nc_bracket_field,
     nc_symplectic_structures,
     primed_coordinate_function,
     transform_coordinates,
-    transform_point,
 )
 from nckepler.errors import InvalidDeformationError
-from nckepler.geometry import Chart, PhasePoint, flat_sharp_composition
+from nckepler.geometry import Chart, PhasePoint, bivector_bracket, flat_sharp_composition
 from nckepler.sampling import random_polynomial_field
 
 X = PhasePoint((1.0, 0.5, -0.3, 0.2, 1.0, 0.4), Chart.CARTESIAN)
@@ -113,13 +112,6 @@ def test_transform_hand_value():
     assert out[3:] == [0.0, 1.0, 0.0]
 
 
-def test_transform_round_trip():
-    params = pair_deformation(0.3, -0.2)
-    y = transform_point(X, params)
-    back = inverse_transform_point(y, params)
-    assert max(abs(a - b) for a, b in zip(back.coords, X.coords)) < 1e-13
-
-
 def test_beta_table_commutative():
     table = beta_bracket_table(DeformationParams())
     assert table.qq == ((0.0,) * 3,) * 3
@@ -161,10 +153,36 @@ def test_symplectic_pair_mutually_inverse():
     assert all(p[i][j] == -p[j][i] for i in range(6) for j in range(6))
 
 
-def test_bivector_bracket_equals_weighted_bracket():
-    from nckepler import duals
-    from nckepler.geometry import bivector_bracket
+def _numpy_scalar_polynomial(rng):
+    """Reference: ``random_polynomial_field`` with its coefficients as
+    indexed numpy float64 scalars, as it was first written."""
+    lin = rng.uniform(-1.0, 1.0, size=6)
+    quad = rng.uniform(-0.5, 0.5, size=(6, 6))
 
+    def f(c):
+        total = 0.0
+        for i in range(6):
+            total = total + lin[i] * c[i]
+            for j in range(6):
+                total = total + quad[i][j] * c[i] * c[j]
+        return total
+
+    return f
+
+
+def test_random_polynomial_field_equals_numpy_scalar_form_bitwise():
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(5):
+        f = random_polynomial_field(rng, Chart.CARTESIAN)
+        ref = _numpy_scalar_polynomial(ref_rng)
+        for x in (X, PhasePoint((-0.7, 1.3, 0.25, -1.1, 0.05, 0.6), Chart.CARTESIAN)):
+            c = list(x.coords)
+            assert f(x).hex() == float(ref(c)).hex()
+            assert [float(v).hex() for v in duals.grad(f.func, c)] == \
+                [float(v).hex() for v in duals.grad(ref, c)]
+
+
+def test_bivector_bracket_equals_weighted_bracket():
     params = pair_deformation(0.35, -0.15)
     _, bivector = nc_symplectic_structures(params)
     rng = np.random.default_rng(3)

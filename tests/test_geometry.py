@@ -36,9 +36,9 @@ from nckepler.hierarchy import (
     recursion_operator,
     weight_vector,
 )
-from nckepler.kepler import hamiltonian_field
+from nckepler.kepler import hamiltonian_field, hamiltonian_vector_field_nc
 from nckepler.master import family_gamma_field, family_two_form
-from nckepler.reduced import ReducedParams, reduced_structures, spherical_structures
+from nckepler.reduced import ReducedParams, reduced_structures
 from nckepler.sampling import sample_action_angle, sample_deformations, sample_delaunay
 from nckepler.suites import VerifyConfig
 
@@ -475,17 +475,12 @@ def test_tensor_field_rejects_unknown_slots():
 
 
 def test_interior_product_zero_field():
-    from nckepler.deformation import nc_symplectic_structures
-
     omega, _ = nc_symplectic_structures(DeformationParams())
     X = VectorField(Chart.CARTESIAN, lambda c: [0.0] * 6)
     assert interior_product(X, omega, POINT) == [0.0] * 6
 
 
 def test_interior_product_of_flow_is_minus_differential():
-    from nckepler.deformation import nc_symplectic_structures
-    from nckepler.kepler import hamiltonian_vector_field_nc
-
     params = DeformationParams()
     omega, _ = nc_symplectic_structures(params)
     H = hamiltonian_field(params)
@@ -513,15 +508,6 @@ def _pair_matrices_by_loops(params, rp, h, c):
         p[3 + nu][nu] = 1.0 / th[nu]
         p[nu][3 + nu] = -1.0 / th[nu]
     out["nc-omega"], out["nc-bivector"] = w, p
-
-    w = [[0.0] * 6 for _ in range(6)]
-    p = [[0.0] * 6 for _ in range(6)]
-    for i in range(3):
-        w[3 + i][i] = 1.0
-        w[i][3 + i] = -1.0
-        p[3 + i][i] = 1.0
-        p[i][3 + i] = -1.0
-    out["spherical-omega"], out["spherical-bivector"] = w, p
 
     w = [[0.0] * 6 for _ in range(6)]
     p = [[0.0] * 6 for _ in range(6)]
@@ -554,7 +540,6 @@ def _pair_matrices_by_loops(params, rp, h, c):
 
 def test_pair_matrix_builders_equal_the_loops_they_replaced_bitwise():
     rp = ReducedParams(thetadot=0.005, phidot=0.3)
-    sph = PhasePoint((1.2, 0.7, 0.3, 0.1, 0.4, 0.9), Chart.SPHERICAL)
     checked = 0
     for params in sample_deformations(3, 5):
         for x in sample_delaunay(4, seed=11):
@@ -562,13 +547,10 @@ def test_pair_matrix_builders_equal_the_loops_they_replaced_bitwise():
             for h in range(4):
                 ref = _pair_matrices_by_loops(params, rp, h, c)
                 nc_omega, nc_bivector = nc_symplectic_structures(params)
-                sph_omega, sph_bivector = spherical_structures(rp)
                 aa_bivector, aa_omega, _ = reduced_structures(rp)
                 new = {
                     "nc-omega": nc_omega(POINT),
                     "nc-bivector": nc_bivector(POINT),
-                    "spherical-omega": sph_omega(sph),
-                    "spherical-bivector": sph_bivector(sph),
                     "aa-bivector": aa_bivector(c),
                     "aa-omega": aa_omega(c),
                     "level-bivector": level_bivector(h, rp).func(c),
@@ -581,7 +563,7 @@ def test_pair_matrix_builders_equal_the_loops_they_replaced_bitwise():
                     assert [[v.hex() for v in row] for row in mat] == \
                         [[float(v).hex() for v in row] for row in ref[name]], (name, h)
                     checked += 1
-    assert checked == 3 * 4 * 4 * 9
+    assert checked == 3 * 4 * 4 * 7
 
 
 def test_flow_pairing_residual_reads_the_pairing_defect():

@@ -21,7 +21,6 @@ from nckepler.hierarchy import (
     classical_delaunay,
     corrupted_first_level_bivector,
     displayed_bivector_table,
-    displayed_two_form_table,
     energy_rescaled_map,
     hierarchy_in_action_angle,
     ladder_energy_field,
@@ -119,10 +118,8 @@ def test_lambda_bracket_level_zero_is_weighted_canonical():
     g = ScalarField(Chart.DELAUNAY, lambda c: c[1] * c[5])
     v = lambda_bracket(f, g, PT, 0, M1)
     # level 0 with unit weights: canonical bracket in (I, phi)
-    from nckepler import duals as D
-
-    df = D.grad(f.func, list(PT.coords))
-    dg = D.grad(g.func, list(PT.coords))
+    df = duals.grad(f.func, list(PT.coords))
+    dg = duals.grad(g.func, list(PT.coords))
     expect = sum(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
     assert abs(v - expect) < 1e-15
 
@@ -196,8 +193,6 @@ def test_displayed_table_internal_relation():
     for h in (1, 2, 3):
         tab = displayed_bivector_table(h, RP, list(x.coords))
         assert abs(tab[1][3] - (tab[0][3] - tab[1][4]) / RP.M) < 1e-14
-        wtab = displayed_two_form_table(h, RP, list(x.coords))
-        assert abs(wtab[3][1] - RP.M * (wtab[3][0] - wtab[4][1])) < 1e-14
 
 
 def test_negative_control_breaks_compatibility():

@@ -1,12 +1,12 @@
-"""Every name a module or test file imports is used in it, and no package
-function imports at call time.
+"""Every name a module or test file imports is used in it, and no function
+of the package or the tests imports at call time.
 
 There is no linter in the toolchain, so these scans keep dead imports (and
 the false dependency edges between layers they suggest) from coming back.
 ``__init__.py`` is exempt from the first scan: its imports are the
 package's re-exports.  An import inside a function body hides a dependency
-edge until the function runs, so the package keeps every import at module
-level.
+edge until the function runs, so the package and the tests keep every
+import at module level.
 """
 
 import ast
@@ -82,6 +82,9 @@ def test_test_file_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", PACKAGE + TESTS,
+    ids=[p.name for p in PACKAGE] + [f"tests/{p.name}" for p in TESTS],
+)
 def test_module_imports_only_at_module_level(path):
     assert function_imports(path.read_text()) == []

@@ -9,11 +9,13 @@ from nckepler.geometry import (
     PhasePoint,
     ScalarField,
     VectorField,
+    gradient,
     hamiltonian_vector_field,
     lie_bracket,
     lie_bracket_field,
     lie_derivative,
     max_abs,
+    pair_matrix,
 )
 from nckepler.hierarchy import (
     ladder_energy_field,
@@ -35,7 +37,7 @@ from nckepler.master import (
     pairing_residual,
     scaling_ledger,
 )
-from nckepler.reduced import ReducedParams
+from nckepler.reduced import ReducedParams, energy_from_actions
 from nckepler.sampling import sample_delaunay
 from nckepler.suites import VerifyConfig
 
@@ -150,8 +152,6 @@ def test_conformal_coefficients_frozen_and_verified():
 def test_conformal_energy_scaling_in_action_angle_chart():
     # transported scaling field acts on the action-angle energy with the
     # same coefficient
-    from nckepler.reduced import energy_from_actions
-
     Dinv = inverse_jacobian(RP)
     Dfwd = forward_jacobian(RP)
     G_del = master_symmetry_field(0, 0, RP)
@@ -186,8 +186,6 @@ def test_recursion_family_closed_forms():
 
 
 def test_family_energy_differentials():
-    from nckepler.geometry import gradient
-
     for h in range(4):
         Hh = family_energy_field(h, RP)
         for x in sample_delaunay(5, seed=4):
@@ -304,24 +302,15 @@ def test_coefficient_patterns_match_except_flow_family():
 
 
 def test_two_form_family_matches_adjoint_application():
-    from nckepler.master import apply_recursion_to_covector
-
-    for h in range(3):
-        W = family_two_form(h, RP)
-
-        def base_row(c, a):
-            # rows of the weighted base form
-            N = weight_vector(RP)
-            out = [0.0] * 6
-            for j in range(3):
-                if a == j:
-                    out[3 + j] = 1.0 / N[j]
-                if a == 3 + j:
-                    out[j] = -1.0 / N[j]
-            return out
-
-        for x in sample_delaunay(3, seed=5):
-            mat = W(x)
+    # omega'_h is (T*)^h applied to the rows of the weighted base form,
+    # with the adjoint (T* a)_b = a_c T^c_b
+    N = weight_vector(RP)
+    T = recursion_operator(1, RP)
+    for x in sample_delaunay(3, seed=5):
+        mat = T.func(list(x.coords))
+        rows = pair_matrix([1.0 / n for n in N])
+        for h in range(3):
+            W = family_two_form(h, RP)(x)
             for a in range(6):
-                row = apply_recursion_to_covector(lambda c, a=a: base_row(c, a), h, RP)(list(x.coords))
-                assert max(abs(duals.value(mat[a][b]) - duals.value(row[b])) for b in range(6)) < 1e-12
+                assert max(abs(duals.value(W[a][b]) - duals.value(rows[a][b])) for b in range(6)) < 1e-12
+            rows = [[sum(r[c] * mat[c][b] for c in range(6)) for b in range(6)] for r in rows]

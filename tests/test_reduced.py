@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from nckepler import duals, reduced
-from nckepler.deformation import DeformationParams
 from nckepler.errors import ChartDomainError, NonCompactError, TurningPointError
-from nckepler.geometry import Chart, PhasePoint, gradient, interior_product, flat_sharp_composition
-from nckepler.kepler import hamiltonian, integrate_field
+from nckepler.geometry import (
+    Chart,
+    PhasePoint,
+    ScalarField,
+    constant_tensor,
+    flat_sharp_composition,
+    gradient,
+    hamiltonian_vector_field,
+    interior_product,
+    pair_matrix,
+)
+from nckepler.kepler import integrate_field
 from nckepler.reduced import (
     MAX_RATE_RATIO,
     ReducedParams,
@@ -23,14 +32,12 @@ from nckepler.reduced import (
     isochronous_derivative,
     kolmogorov_determinant,
     lambda_matrix,
-    perturbation_field,
     polar_action_quadrature,
     quadratic_condition_value,
     radial_action_quadrature,
     reduced_structures,
     spherical_hamiltonian,
     spherical_rhs,
-    spherical_structures,
 )
 
 RP = ReducedParams(thetadot=0.008, phidot=0.35, m=1.0, k=1.0)
@@ -82,24 +89,6 @@ def test_quadratic_condition_values():
     assert quadratic_condition_value(generic, rp) > 0.0
     zero_rate = ReducedParams(thetadot=0.0, phidot=0.5)
     assert quadratic_condition_value(generic, zero_rate) == 0.0
-
-
-def test_perturbation_field_matches_hamiltonian_difference():
-    # with the deformation matrix frozen at the point azimuth, the cartesian
-    # energy equals classical Kepler plus the perturbation observable
-    rp = ReducedParams(thetadot=0.009, phidot=0.45, m=1.3, k=0.8)
-    pert = perturbation_field(rp)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        q = rng.uniform(-1.2, 1.2, size=3)
-        p = rng.uniform(-0.8, 0.8, size=3)
-        if np.linalg.norm(q) < 0.4:
-            continue
-        x = PhasePoint((*q, *p), Chart.CARTESIAN)
-        phi = math.atan2(q[1], q[0])
-        params = DeformationParams(lam=lambda_matrix(rp, phi), mass=rp.m, k=rp.k)
-        classical = sum(v * v for v in p) / (2 * rp.m) - rp.k / np.linalg.norm(q)
-        assert abs(hamiltonian(x, params) - classical - duals.value(pert(x))) < 1e-13
 
 
 def test_spherical_hamiltonian_classical_circular_point():
@@ -321,8 +310,6 @@ def test_integrals_conserved_exactly_by_flow_equations():
 def test_reduced_structures_identities():
     bivector, omega, flow = reduced_structures(RP)
     x = PhasePoint((0.3, 0.4, 0.8, 1.0, 2.0, 3.0), Chart.ACTION_ANGLE)
-    from nckepler.geometry import ScalarField
-
     H = ScalarField(Chart.ACTION_ANGLE, lambda c: energy_from_actions(c[:3], RP), name="H")
     ip = interior_product(flow, omega, x)
     dH = gradient(H, x)
@@ -333,9 +320,8 @@ def test_reduced_structures_identities():
 
 
 def test_spherical_structures_generate_flow():
-    from nckepler.geometry import hamiltonian_vector_field, ScalarField
-
-    omega, bivector = spherical_structures(RP)
+    # the canonical bivector of the spherical chart
+    bivector = constant_tensor(Chart.SPHERICAL, pair_matrix([-1.0] * 3), "uu")
     Hf = ScalarField(Chart.SPHERICAL, lambda c: spherical_hamiltonian(c, RP), name="H")
     X = hamiltonian_vector_field(bivector, Hf)
     s = _bound_state()
