@@ -91,6 +91,9 @@ class SimulateConfig:
         if not isinstance(monitors, list) or any(name not in MONITOR_NAMES for name in monitors):
             raise ValueError(f"monitors must be a list drawn from {list(MONITOR_NAMES)}, "
                              f"got {monitors!r}")
+        drift_tolerance = float(config_number(doc, "drift_tolerance", 1e-8, "config"))
+        if drift_tolerance <= 0.0:
+            raise ValueError(f"config drift_tolerance must be positive, got {drift_tolerance!r}")
         output = config_object(doc.get("output", {}), "output")
         csv_path = output.get("trajectory_csv", "trajectory.csv")
         if not isinstance(csv_path, str) or not csv_path:
@@ -102,7 +105,7 @@ class SimulateConfig:
             dt=dt,
             n_steps=n_steps,
             monitors=monitors,
-            drift_tolerance=float(config_number(doc, "drift_tolerance", 1e-8, "config")),
+            drift_tolerance=drift_tolerance,
             trajectory_csv=csv_path,
         )
 

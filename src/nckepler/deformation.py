@@ -26,14 +26,7 @@ import numpy as np
 
 from . import duals
 from .errors import InvalidDeformationError, config_number, config_object, is_number
-from .geometry import (
-    Chart,
-    ScalarField,
-    TensorField,
-    constant_tensor,
-    coords_of,
-    pair_matrix,
-)
+from .geometry import ScalarField, TensorField, constant_tensor, coords_of, pair_matrix
 
 _ZERO3 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -174,11 +167,7 @@ def nc_bracket(f: ScalarField, g: ScalarField, x, params: DeformationParams):
 
 def nc_bracket_field(f: ScalarField, g: ScalarField, params: DeformationParams) -> ScalarField:
     """Same bracket packaged as a scalar field, so brackets nest."""
-    return ScalarField(
-        Chart.CARTESIAN,
-        lambda coords: nc_bracket(f, g, coords, params),
-        name=f"{{{f.name},{g.name}}}",
-    )
+    return ScalarField(lambda coords: nc_bracket(f, g, coords, params))
 
 
 def transform_coordinates(x, params: DeformationParams):
@@ -215,17 +204,11 @@ def beta_bracket_table(params: DeformationParams) -> BracketTable:
 
 
 def coordinate_function(index: int) -> ScalarField:
-    names = ("q1", "q2", "q3", "p1", "p2", "p3")
-    return ScalarField(Chart.CARTESIAN, lambda c, i=index: c[i], name=names[index])
+    return ScalarField(lambda c, i=index: c[i])
 
 
 def primed_coordinate_function(index: int, params: DeformationParams) -> ScalarField:
-    names = ("q1p", "q2p", "q3p", "p1p", "p2p", "p3p")
-    return ScalarField(
-        Chart.CARTESIAN,
-        lambda c, i=index: transform_coordinates(c, params)[i],
-        name=names[index],
-    )
+    return ScalarField(lambda c, i=index: transform_coordinates(c, params)[i])
 
 
 def canonical_bracket(f: ScalarField, g: ScalarField, x):
@@ -243,7 +226,6 @@ def nc_symplectic_structures(params: DeformationParams) -> tuple[TensorField, Te
     flat/sharp composition of the pair is the identity.
     """
     th = params.theta
-    omega = constant_tensor(Chart.CARTESIAN, pair_matrix([-t for t in th]), "dd", name="omega_nc")
-    bivector = constant_tensor(Chart.CARTESIAN, pair_matrix([-1.0 / t for t in th]), "uu",
-                               name="P_nc")
+    omega = constant_tensor(pair_matrix([-t for t in th]), "dd")
+    bivector = constant_tensor(pair_matrix([-1.0 / t for t in th]), "uu")
     return omega, bivector

@@ -159,20 +159,6 @@ def log(x):
     return math.log(x)
 
 
-def atan2(y, x):
-    ya, xa = isinstance(y, Dual), isinstance(x, Dual)
-    if not ya and not xa:
-        return math.atan2(y, x)
-    n = len((y if ya else x).b)
-    yv = y if ya else Dual(y, (0.0,) * n)
-    xv = x if xa else Dual(x, (0.0,) * n)
-    denom = xv.a * xv.a + yv.a * yv.a
-    return Dual(
-        atan2(yv.a, xv.a),
-        tuple([(xv.a * yb - yv.a * xb) / denom for yb, xb in zip(yv.b, xv.b)]),
-    )
-
-
 def grad(func, coords):
     """Exact gradient of ``func`` with respect to each coordinate.
 

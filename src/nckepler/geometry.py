@@ -114,9 +114,7 @@ def coords_of(x) -> list:
 
 @dataclass(frozen=True)
 class ScalarField:
-    chart: Chart
     func: Evaluator
-    name: str = ""
 
     def __call__(self, x):
         return self.func(coords_of(x))
@@ -124,9 +122,7 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    chart: Chart
     func: Evaluator  # coords -> sequence of 6 contravariant components
-    name: str = ""
 
     def __call__(self, x):
         return list(self.func(coords_of(x)))
@@ -143,10 +139,8 @@ class TensorField:
     tensor acts on vectors as ``(T v)^i = sum_j T[i][j] v^j`` and on
     covectors by transposition."""
 
-    chart: Chart
     func: Evaluator  # coords -> 6x6 component matrix
     slots: str
-    name: str = ""
 
     def __post_init__(self):
         if self.slots not in _SLOTS:
@@ -168,11 +162,11 @@ def pair_matrix(w) -> list:
     return mat
 
 
-def constant_tensor(chart: Chart, matrix, slots: str, name: str = "") -> TensorField:
+def constant_tensor(matrix, slots: str) -> TensorField:
     """Tensor field with constant components; a bivector (``"uu"``) or
     two-form (``"dd"``) matrix must be antisymmetric."""
     m = [[float(matrix[i][j]) for j in range(DIM)] for i in range(DIM)]
-    field = TensorField(chart, lambda c: [list(row) for row in m], slots, name=name)
+    field = TensorField(lambda c: [list(row) for row in m], slots)
     if slots != "ud" and any(m[i][j] != -m[j][i] for i in range(DIM) for j in range(DIM)):
         raise ValueError(f"constant {slots!r} tensor matrix must be antisymmetric")
     return field
@@ -200,8 +194,7 @@ def hamiltonian_vector_field(P: TensorField, f: ScalarField) -> VectorField:
         mat = P.func(coords)
         return [sum(df[i] * mat[i][j] for i in range(DIM)) for j in range(DIM)]
 
-    name = f"X_{f.name}" if f.name else "X"
-    return VectorField(P.chart, evaluate, name=name)
+    return VectorField(evaluate)
 
 
 def bivector_bracket(P: TensorField, f: ScalarField, g: ScalarField) -> ScalarField:
@@ -217,7 +210,7 @@ def bivector_bracket(P: TensorField, f: ScalarField, g: ScalarField) -> ScalarFi
                 total = total + mat[i][j] * (df[i] * dg[j] - df[j] * dg[i])
         return total
 
-    return ScalarField(P.chart, evaluate, name=f"{{{f.name},{g.name}}}")
+    return ScalarField(evaluate)
 
 
 class Jet(NamedTuple):
@@ -292,7 +285,7 @@ def lie_bracket(X: VectorField, Y: VectorField, x) -> list:
 
 
 def lie_bracket_field(X: VectorField, Y: VectorField) -> VectorField:
-    return VectorField(X.chart, lambda c: lie_bracket(X, Y, c), name=f"[{X.name},{Y.name}]")
+    return VectorField(lambda c: lie_bracket(X, Y, c))
 
 
 def interior_product(X: VectorField, omega: TensorField, x) -> list:

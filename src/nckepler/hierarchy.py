@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .charts import forward_jacobian, inverse_jacobian
 from .geometry import (
@@ -42,14 +41,12 @@ from .reduced import ReducedParams
 
 @dataclass(frozen=True)
 class OrbitalElements:
-    """Classical bound-orbit elements: semi-major axis, eccentricity,
-    inclination, mean motion, pericenter epoch."""
+    """Classical bound-orbit elements: semi-major axis, eccentricity and
+    inclination."""
 
     a: float
     e: float
     inclination: float
-    n: float
-    t0: float
 
     def __post_init__(self):
         if self.a <= 0.0:
@@ -62,25 +59,14 @@ class OrbitalElements:
 
 @dataclass(frozen=True)
 class ClassicalDelaunay:
-    """Delaunay actions of classical elements plus the mean-anomaly map."""
+    """The Delaunay action of classical elements that fixes the energy."""
 
-    I1: float
-    I2: float
     I3: float
-    mean_anomaly: Callable[[float], float]
 
 
 def classical_delaunay(el: OrbitalElements, m: float, k: float) -> ClassicalDelaunay:
-    """I1 = sqrt(mka(1-e^2)) cos xi, I2 = sqrt(mka(1-e^2)), I3 = sqrt(mka);
-    the anomaly angle is n (t - t0)."""
-    g = math.sqrt(m * k * el.a * (1.0 - el.e**2))
-    l3 = math.sqrt(m * k * el.a)
-    return ClassicalDelaunay(
-        I1=g * math.cos(el.inclination),
-        I2=g,
-        I3=l3,
-        mean_anomaly=lambda t: el.n * (t - el.t0),
-    )
+    """I3 = sqrt(mka)."""
+    return ClassicalDelaunay(I3=math.sqrt(m * k * el.a))
 
 
 def weight_vector(rp: ReducedParams) -> tuple:
@@ -99,7 +85,7 @@ def ladder_energy_field(h: int, rp: ReducedParams, chart: Chart = Chart.DELAUNAY
             s = c[0] + M * c[1] + c[2]
             return -m * k**2 / ((2.0 + h) * s ** (2 + h))
 
-    return ScalarField(chart, f, name=f"F{h}")
+    return ScalarField(f)
 
 
 def level_bivector(h: int, rp: ReducedParams) -> TensorField:
@@ -109,7 +95,7 @@ def level_bivector(h: int, rp: ReducedParams) -> TensorField:
         w = [N[j] ** (h + 1) * c[j] ** h for j in range(3)]
         return pair_matrix(w)
 
-    return TensorField(Chart.DELAUNAY, func, "uu", name=f"P{h}")
+    return TensorField(func, "uu")
 
 
 def level_two_form(h: int, rp: ReducedParams) -> TensorField:
@@ -119,7 +105,7 @@ def level_two_form(h: int, rp: ReducedParams) -> TensorField:
         w = [1.0 / (N[j] ** (h + 1) * c[j] ** h) for j in range(3)]
         return pair_matrix(w)
 
-    return TensorField(Chart.DELAUNAY, func, "dd", name=f"omega{h}")
+    return TensorField(func, "dd")
 
 
 def recursion_operator(h: int, rp: ReducedParams) -> TensorField:
@@ -133,7 +119,7 @@ def recursion_operator(h: int, rp: ReducedParams) -> TensorField:
             mat[3 + j][3 + j] = t
         return mat
 
-    return TensorField(Chart.DELAUNAY, func, "ud", name=f"T{h}")
+    return TensorField(func, "ud")
 
 
 def lambda_bracket(f: ScalarField, g: ScalarField, x, h: int, rp: ReducedParams):
@@ -186,7 +172,7 @@ def transported_bivector(h: int, rp: ReducedParams) -> TensorField:
         ]
         return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})
 
-    return TensorField(Chart.ACTION_ANGLE, func, "uu", name=f"P{h}_aa")
+    return TensorField(func, "uu")
 
 
 def transported_two_form(h: int, rp: ReducedParams) -> TensorField:
@@ -202,7 +188,7 @@ def transported_two_form(h: int, rp: ReducedParams) -> TensorField:
         ]
         return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})
 
-    return TensorField(Chart.ACTION_ANGLE, func, "dd", name=f"omega{h}_aa")
+    return TensorField(func, "dd")
 
 
 def transported_recursion(h: int, rp: ReducedParams) -> TensorField:
@@ -214,7 +200,7 @@ def transported_recursion(h: int, rp: ReducedParams) -> TensorField:
         T = src.func(fwd(c))
         return _matmul(_matmul(Dinv, T), Dfwd)
 
-    return TensorField(Chart.ACTION_ANGLE, func, "ud", name=f"T{h}_aa")
+    return TensorField(func, "ud")
 
 
 def hierarchy_in_action_angle(h: int, rp: ReducedParams):
@@ -289,4 +275,4 @@ def corrupted_first_level_bivector(rp: ReducedParams) -> TensorField:
         mat[5][2] = -c[2]
         return mat
 
-    return TensorField(Chart.DELAUNAY, func, "uu", name="P1_corrupted")
+    return TensorField(func, "uu")

@@ -26,7 +26,6 @@ from .deformation import (
 )
 from .errors import SingularConfigurationError, StepFailureError
 from .geometry import (
-    Chart,
     PhasePoint,
     ScalarField,
     VectorField,
@@ -61,7 +60,7 @@ def hamiltonian(x, params: DeformationParams):
 
 
 def hamiltonian_field(params: DeformationParams) -> ScalarField:
-    return ScalarField(Chart.CARTESIAN, lambda c: hamiltonian(c, params), name="H")
+    return ScalarField(lambda c: hamiltonian(c, params))
 
 
 # Observables ``integrate`` can record, in the order ``state_observables``
@@ -107,52 +106,23 @@ def state_observables(c, params: DeformationParams, vectors: bool = True) -> tup
     )
 
 
-@dataclass(frozen=True)
-class KeplerAux:
-    """Radial coefficients of the closed-form equations of motion."""
-
-    Y: float
-    sigma: tuple
-    sigma_tilde: tuple
-    R: tuple
-
-    def __post_init__(self):
-        if self.Y <= 0.0:
-            raise SingularConfigurationError("KeplerAux requires Y > 0")
-
-
-def kepler_aux(x, params: DeformationParams) -> KeplerAux:
-    y = duals.value(deformed_radius(x, params))
-    a, l = params.alpha, params.lam
-    m, k = params.mass, params.k
-    ky3 = k / y**3
-    sigma = tuple(
-        1.0 / m + 0.25 * ky3 * sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3)
-    )
-    sigma_tilde = tuple(
-        ky3 + 0.25 / m * sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3)
-    )
-    R = tuple(
-        tuple(l[mu][s] / (2.0 * m) - a[s][mu] * 0.5 * ky3 for s in range(3))
-        for mu in range(3)
-    )
-    return KeplerAux(Y=y, sigma=sigma, sigma_tilde=sigma_tilde, R=R)
-
-
 def hamilton_rhs_closed_form(x, params: DeformationParams) -> list:
-    """Closed-form (qdot, pdot); the double sums skip the nu = mu diagonal."""
+    """Closed-form (qdot, pdot) from the radial coefficients sigma,
+    sigma-tilde and R; the double sums skip the nu = mu diagonal."""
     coords = coords_of(x)
     q, p = coords[:3], coords[3:]
-    aux = kepler_aux(coords, params)
     a, l = params.alpha, params.lam
     th = params.theta
     m, k = params.mass, params.k
-    ky3 = k / aux.Y**3
+    ky3 = k / duals.value(deformed_radius(coords, params)) ** 3
+    sigma = [1.0 / m + 0.25 * ky3 * sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3)]
+    sigma_tilde = [ky3 + 0.25 / m * sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3)]
+    R = [[l[mu][s] / (2.0 * m) - a[s][mu] * 0.5 * ky3 for s in range(3)] for mu in range(3)]
     qdot = [0.0] * 3
     pdot = [0.0] * 3
     for mu in range(3):
-        dq = aux.sigma[mu] * p[mu] + sum(aux.R[mu][s] * q[s] for s in range(3))
-        dp = aux.sigma_tilde[mu] * q[mu] - sum(aux.R[mu][s] * p[s] for s in range(3))
+        dq = sigma[mu] * p[mu] + sum(R[mu][s] * q[s] for s in range(3))
+        dp = sigma_tilde[mu] * q[mu] - sum(R[mu][s] * p[s] for s in range(3))
         for nu in range(3):
             if nu == mu:
                 continue

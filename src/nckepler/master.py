@@ -30,7 +30,6 @@ from itertools import chain
 from . import duals
 from .errors import ChartDomainError
 from .geometry import (
-    Chart,
     Jet,
     ScalarField,
     TensorField,
@@ -65,7 +64,7 @@ def dynamical_symmetry(h: int, rp: ReducedParams) -> VectorField:
             raise ChartDomainError("dynamical symmetry undefined at I3 = 0")
         return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 / c[2] ** (h + 3)]
 
-    return VectorField(Chart.DELAUNAY, f, name=f"X{h}")
+    return VectorField(f)
 
 
 def master_symmetry_field(i: int, mu: int, rp: ReducedParams) -> VectorField:
@@ -82,7 +81,7 @@ def master_symmetry_field(i: int, mu: int, rp: ReducedParams) -> VectorField:
             out[3 + j] = comp
         return out
 
-    return VectorField(Chart.DELAUNAY, f, name=f"Gamma{i}{mu}")
+    return VectorField(f)
 
 
 def master_integral(i: int, mu: int, rp: ReducedParams) -> ScalarField:
@@ -101,7 +100,7 @@ def master_integral(i: int, mu: int, rp: ReducedParams) -> ScalarField:
                 )
         return total
 
-    return ScalarField(Chart.DELAUNAY, f, name=f"Ftilde{i}{mu}")
+    return ScalarField(f)
 
 
 def pairing_residual(i: int, mu: int, rp: ReducedParams, x) -> float:
@@ -113,23 +112,20 @@ def pairing_residual(i: int, mu: int, rp: ReducedParams, x) -> float:
 
 @dataclass(frozen=True)
 class ConformalCoefficients:
-    alpha: float
-    beta: float
-    gamma: float
     residual_P: float
     residual_P1: float
     residual_H: float
 
 
 def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficients:
-    """(-1/(3+i), 0, -2/(3+i)) with all three Lie-derivative identities
-    verified numerically at ``x``."""
+    """Residuals at ``x`` of the three Lie-derivative identities with the
+    conformal coefficients (-1/(3+i), 0, -2/(3+i)): ``L_g P = a P``,
+    ``L_g P1 = 0`` and ``L_g H = c H``."""
     g = master_symmetry_field(i, 0, rp)
     P = level_bivector(0, rp)
     P1 = level_bivector(1, rp)
     H = ladder_energy_field(0, rp)
     a = -1.0 / (3.0 + i)
-    b = 0.0
     c = -2.0 / (3.0 + i)
     LP = lie_derivative(g, P, x)
     Pm = P(x)
@@ -139,8 +135,7 @@ def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficient
     LH = duals.value(lie_derivative(g, H, x))
     Hv = duals.value(H(x))
     rH = abs(LH - c * Hv)
-    return ConformalCoefficients(alpha=a, beta=b, gamma=c, residual_P=rP,
-                                 residual_P1=rP1, residual_H=rH)
+    return ConformalCoefficients(residual_P=rP, residual_P1=rP1, residual_H=rH)
 
 
 def family_flow_field(h: int, rp: ReducedParams) -> VectorField:
@@ -149,7 +144,7 @@ def family_flow_field(h: int, rp: ReducedParams) -> VectorField:
     def f(c):
         return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 * c[2] ** (h - 3)]
 
-    return VectorField(Chart.DELAUNAY, f, name=f"X'{h}")
+    return VectorField(f)
 
 
 def family_two_form(h: int, rp: ReducedParams) -> TensorField:
@@ -158,7 +153,7 @@ def family_two_form(h: int, rp: ReducedParams) -> TensorField:
     def func(c):
         return pair_matrix([N[j] ** (h - 1) * c[j] ** h for j in range(3)])
 
-    return TensorField(Chart.DELAUNAY, func, "dd", name=f"omega'{h}")
+    return TensorField(func, "dd")
 
 
 def family_energy_field(h: int, rp: ReducedParams) -> ScalarField:
@@ -171,7 +166,7 @@ def family_energy_field(h: int, rp: ReducedParams) -> ScalarField:
             return m * k**2 * duals.log(c[2])
         return -m * k**2 / ((2.0 - h) * c[2] ** (2 - h))
 
-    return ScalarField(Chart.DELAUNAY, f, name=f"H'{h}")
+    return ScalarField(f)
 
 
 def family_gamma_field(i: int, h: int, rp: ReducedParams) -> VectorField:
@@ -187,7 +182,7 @@ def family_gamma_field(i: int, h: int, rp: ReducedParams) -> VectorField:
             out[3 + j] = comp
         return out
 
-    return VectorField(Chart.DELAUNAY, f, name=f"Gamma'{i}{h}")
+    return VectorField(f)
 
 
 def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> VectorField:
@@ -201,7 +196,7 @@ def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> 
             v = [sum(mat[a][b] * v[b] for b in range(6)) for a in range(6)]
         return v
 
-    return VectorField(Chart.DELAUNAY, f, name=f"T^{power}{X.name}")
+    return VectorField(f)
 
 
 # -- the scaling-relation ledger -----------------------------------------------
@@ -210,11 +205,7 @@ def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> 
 @dataclass(frozen=True)
 class LedgerEntry:
     identity: str
-    i: int
-    h: int
-    l: int
     residual: float
-    coefficient: float
 
 
 def _floats(values) -> list:
@@ -282,24 +273,16 @@ def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> 
                     ("L_Gamma'ih (omega'l) = ((l+h+1)/(3+i)) omega'(l+h)",
                      two_forms[l], (l + h + 1.0) / den, two_form_rhs[n]),
                 ):
-                    entries.append(LedgerEntry(identity=identity, i=i, h=h, l=l, coefficient=coeff,
-                                               residual=_residual(g, F, coeff, rhs)))
-                entries.append(LedgerEntry(
-                    identity="L_Gamma'ih (T) = (1/(3+i)) T^(1+h)",
-                    i=i, h=h, l=l, coefficient=1.0 / den, residual=resid_T,
-                ))
+                    entries.append(LedgerEntry(identity, _residual(g, F, coeff, rhs)))
+                entries.append(LedgerEntry("L_Gamma'ih (T) = (1/(3+i)) T^(1+h)", resid_T))
                 # the I3-component of the l-th differential, paired with Gamma'ih
                 pair = duals.value(g.value[2]) * (m * k**2 * coords[2] ** (l - 3))
                 if n == 2:
-                    coeff = 1.0 / den
                     resid = abs(pair - m * k**2 / den)
                 else:
                     coeff = -(2.0 - n) / den
                     resid = abs(pair - coeff * energies[n])
-                entries.append(LedgerEntry(
-                    identity="<dH'l, Gamma'ih> pairing",
-                    i=i, h=h, l=l, coefficient=coeff, residual=resid,
-                ))
+                entries.append(LedgerEntry("<dH'l, Gamma'ih> pairing", resid))
     return entries
 
 

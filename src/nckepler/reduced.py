@@ -37,14 +37,7 @@ from .errors import (
     config_number,
     config_object,
 )
-from .geometry import (
-    Chart,
-    PhasePoint,
-    VectorField,
-    constant_tensor,
-    coords_of,
-    pair_matrix,
-)
+from .geometry import PhasePoint, VectorField, constant_tensor, coords_of, pair_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,13 +179,6 @@ def first_integrals(s, rp: ReducedParams) -> tuple:
     st = duals.sin(theta)
     lt2 = rp.M_squared * p_t**2 + d_phi**2 / st**2
     return rp.M, d_phi, duals.sqrt(lt2)
-
-
-def inclination(d_phi: float, l_tilde: float) -> float:
-    """Angle between the orbit plane and the equatorial plane, from D = L~ cos xi."""
-    if l_tilde <= 0.0 or abs(d_phi) > l_tilde * (1.0 + 1e-12):
-        raise ChartDomainError("inclination requires |D_phi| <= L~ with L~ > 0")
-    return math.acos(max(-1.0, min(1.0, d_phi / l_tilde)))
 
 
 def actions_from_integrals(E: float, l_tilde: float, d_phi: float, rp: ReducedParams) -> tuple:
@@ -408,8 +394,8 @@ def continuous_angles(s: PhasePoint, J, rp: ReducedParams, phi_unwrapped: float 
 def reduced_structures(rp: ReducedParams):
     """Canonical bivector, two-form and flow field on the action-angle chart."""
     mat = pair_matrix([1.0] * 3)
-    bivector = constant_tensor(Chart.ACTION_ANGLE, mat, "uu", name="P_aa")
-    omega = constant_tensor(Chart.ACTION_ANGLE, mat, "dd", name="omega_aa")
+    bivector = constant_tensor(mat, "uu")
+    omega = constant_tensor(mat, "dd")
 
     M = rp.M
 
@@ -420,5 +406,4 @@ def reduced_structures(rp: ReducedParams):
         base = rp.m * rp.k**2 / s**3
         return [0.0, 0.0, 0.0, base, M * base, base]
 
-    field = VectorField(Chart.ACTION_ANGLE, flow, name="X_H")
-    return bivector, omega, field
+    return bivector, omega, VectorField(flow)

@@ -72,9 +72,6 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return self.failed == 0
 
-    def worst(self) -> CheckRecord | None:
-        return max(self.entries, key=lambda e: e.residual / e.tolerance, default=None)
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

@@ -146,7 +146,7 @@ def sample_deformations(n: int, seed: int = DEFAULT_SEED, scale: float = 0.25) -
     return _collect(n, "sample_deformations", draw)
 
 
-def random_polynomial_field(rng, chart: Chart):
+def random_polynomial_field(rng):
     """A random quadratic observable (smooth everywhere) for bracket tests."""
     lin = rng.uniform(-1.0, 1.0, size=6).tolist()
     quad = rng.uniform(-0.5, 0.5, size=(6, 6)).tolist()
@@ -159,4 +159,4 @@ def random_polynomial_field(rng, chart: Chart):
                 total = total + quad[i][j] * c[i] * c[j]
         return total
 
-    return ScalarField(chart, f, name="poly")
+    return ScalarField(f)

@@ -334,7 +334,7 @@ def _symplectic_inverse(ctx: BracketsContext):
 
 def _draw(rng, n: int, points: list):
     """``n`` random cartesian polynomial fields, then a random sample point."""
-    fields = [random_polynomial_field(rng, Chart.CARTESIAN) for _ in range(n)]
+    fields = [random_polynomial_field(rng) for _ in range(n)]
     return fields, points[int(rng.integers(0, len(points)))]
 
 
@@ -572,7 +572,7 @@ def _chart_structures(ctx: Context):
     """Canonical structures on the chart."""
     rp, tol = ctx.cfg.reduced, ctx.cfg.tol_exact
     bivector, omega, flow = reduced_structures(rp)
-    H_aa = ScalarField(Chart.ACTION_ANGLE, lambda c: energy_from_actions(c[:3], rp), name="H")
+    H_aa = ScalarField(lambda c: energy_from_actions(c[:3], rp))
     iota, inverse, actions = zip(*[
         (flow_pairing_residual(flow, omega, H_aa, x), inverse_pair_residual(omega(x), bivector(x)),
          flow(x)[:3])
@@ -709,7 +709,7 @@ def _levels(ctx: HierarchyContext):
         for x in points[:20]:
             Xv = X(x)
             for j in range(3):
-                eig = ScalarField(Chart.DELAUNAY, lambda c, j=j: N[j] ** h * c[j] ** h, name="eig")
+                eig = ScalarField(lambda c, j=j: N[j] ** h * c[j] ** h)
                 deig = gradient(eig, x)
                 rates.append(sum(duals.value(Xv[a]) * duals.value(deig[a]) for a in range(6)))
         yield Entry(f"eigenvalue-invariance-h{h}", "recursion eigenvalues are annihilated by the flow",
@@ -719,7 +719,7 @@ def _levels(ctx: HierarchyContext):
         gaps = []
         for x in points[:10]:
             for a in range(6):
-                coord_f = ScalarField(Chart.DELAUNAY, lambda c, a=a: c[a], name=f"x{a}")
+                coord_f = ScalarField(lambda c, a=a: c[a])
                 gaps.append(duals.value(lambda_bracket(Fh, coord_f, x, h, rp)) - duals.value(X(x)[a]))
         yield Entry(f"level-bracket-flow-h{h}", "level bracket of F_h generates the base flow", gaps, 1e-10)
 
@@ -796,8 +796,7 @@ def _canonical_maps(ctx: HierarchyContext):
 
 def _classical_elements(ctx: HierarchyContext):
     rp = ctx.cfg.reduced
-    el = OrbitalElements(a=1.3, e=0.4, inclination=0.6,
-                         n=math.sqrt(rp.k / (rp.m * 1.3**3)), t0=0.0)
+    el = OrbitalElements(a=1.3, e=0.4, inclination=0.6)
     cd = classical_delaunay(el, rp.m, rp.k)
     yield Entry("classical-elements-energy", "classical element actions reproduce the orbit energy",
                 -rp.m * rp.k**2 / (2.0 * cd.I3**2) - (-rp.k / (2.0 * el.a)), ctx.cfg.tol_exact)

@@ -31,7 +31,7 @@ import numpy as np
 from . import duals
 from .deformation import DeformationParams, transform_coordinates, weighted_bracket
 from .errors import ChartDomainError, InvalidDeformationError
-from .geometry import Chart, PhasePoint, ScalarField, coords_of
+from .geometry import PhasePoint, ScalarField, coords_of
 from .kepler import hamiltonian, primed_hamiltonian, primed_radius
 
 
@@ -115,15 +115,11 @@ def lrl_vector(x, params: DeformationParams) -> list:
 
 
 def angular_momentum_field(params: DeformationParams, i: int) -> ScalarField:
-    return ScalarField(
-        Chart.CARTESIAN, lambda c: angular_momentum(c, params)[i], name=f"L{i + 1}"
-    )
+    return ScalarField(lambda c: angular_momentum(c, params)[i])
 
 
 def lrl_field(params: DeformationParams, i: int) -> ScalarField:
-    return ScalarField(
-        Chart.CARTESIAN, lambda c: lrl_vector(c, params)[i], name=f"A{i + 1}"
-    )
+    return ScalarField(lambda c: lrl_vector(c, params)[i])
 
 
 # -- one seeded pass and one float frame per point ---------------------------
@@ -335,7 +331,6 @@ def _condition3_residual(sm: StructureMatrices) -> float:
 class InvolutionSearchResult:
     found: bool
     best_residual: float
-    best_params: DeformationParams | None
     note: str
 
 
@@ -349,7 +344,6 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
     """
     rng = np.random.default_rng(seed)
     best = math.inf
-    best_params = None
     for _ in range(n_draws):
         vals = rng.uniform(-2.0, 2.0, size=6)
         a = [[0.0, vals[0], vals[1]], [-vals[0], 0.0, vals[2]], [-vals[1], -vals[2], 0.0]]
@@ -358,14 +352,11 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
             params = DeformationParams(alpha=a, lam=l)
         except InvalidDeformationError:
             continue
-        resid = max(_condition1_residual(a, l), _condition3_residual(structure_matrices(params)))
-        if resid < best:
-            best = resid
-            best_params = params
+        best = min(best, max(_condition1_residual(a, l),
+                             _condition3_residual(structure_matrices(params))))
     return InvolutionSearchResult(
         found=best <= 1e-9,
         best_residual=best,
-        best_params=best_params,
         note=(
             "the pairwise-product system behind condition 1 forces lam_ij alpha_ij = -2 "
             "for every pair, which makes every theta weight vanish; no valid deformation "
@@ -385,7 +376,7 @@ def scaled_runge_lenz_field(params: DeformationParams, tau: EnergySign, i: int) 
         scale = _lrl_scale(c, params, tau)
         return lrl_vector(c, params)[i] / scale
 
-    return ScalarField(Chart.CARTESIAN, evaluate, name=f"G{i + 1}")
+    return ScalarField(evaluate)
 
 
 def _lrl_scale(c, params: DeformationParams, tau: EnergySign):
@@ -404,7 +395,6 @@ def _lrl_scale(c, params: DeformationParams, tau: EnergySign):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    kind: str  # so4 | so13
     fields: tuple  # 4x4 matrix of ScalarField or None
 
     def evaluate(self, x) -> list:
@@ -425,7 +415,7 @@ def generator_sets(params: DeformationParams, kind: str) -> GeneratorSet:
                 levi_civita(h, j, i) * (-sm.F[i][i]) * L[i](c) for i in range(3)
             )
 
-        return ScalarField(Chart.CARTESIAN, evaluate, name=f"Phi{h + 1}{j + 1}")
+        return ScalarField(evaluate)
 
     if kind not in ("so4", "so13"):
         raise ValueError(f"unknown generator set kind {kind!r}")
@@ -437,7 +427,7 @@ def generator_sets(params: DeformationParams, kind: str) -> GeneratorSet:
         def evaluate(c, h=h):
             return corner_sign * (-sm.F[h][h]) * G[h](c)
 
-        return ScalarField(Chart.CARTESIAN, evaluate, name=f"corner{h + 1}")
+        return ScalarField(evaluate)
 
     rows = []
     for h in range(3):
@@ -448,18 +438,17 @@ def generator_sets(params: DeformationParams, kind: str) -> GeneratorSet:
     for h in range(3):
         f = corner(h)
         if kind == "so4":
-            neg = ScalarField(Chart.CARTESIAN, lambda c, f=f: -f(c), name=f"-{f.name}")
+            neg = ScalarField(lambda c, f=f: -f(c))
             last.append(neg)
         else:
             last.append(f)
     last.append(None)
     rows.append(tuple(last))
-    return GeneratorSet(kind=kind, fields=tuple(rows))
+    return GeneratorSet(fields=tuple(rows))
 
 
 @dataclass(frozen=True)
 class ClosureFit:
-    pattern: str
     coefficient_LL: float
     coefficient_GG: float
     coefficient_LG: float
@@ -503,9 +492,7 @@ def closure_fit(points: Sequence[PhasePoint], params: DeformationParams, tau: En
     c_ll, r1 = single_coeff([(0, 1), (1, 2), (2, 0)], [2, 0, 1])
     c_gg, r2 = single_coeff([(3, 4), (4, 5), (5, 3)], [2, 0, 1])
     c_lg, r3 = single_coeff([(0, 4), (1, 5), (2, 3)], [5, 3, 4])
-    pattern = "so4" if tau is EnergySign.MINUS else "so13"
     return ClosureFit(
-        pattern=pattern,
         coefficient_LL=c_ll,
         coefficient_GG=c_gg,
         coefficient_LG=c_lg,

@@ -1,14 +1,18 @@
 """Every public function, class and method of the package is used by the
-package, and every dataclass field is read somewhere.
+package, and every dataclass field is read by it.
 
-A definition counts as used when its name is loaded (as a bare name or as
-an attribute) anywhere in the package modules, outside the definition
-itself.  A call from a test is no use: code only tests reach is not part of
-what the package does.  ``__init__.py`` does not count either: a re-export
-alone is no use.  The match is by name only, so a dead method that shares
-its name with a live one escapes, and a name reached only through
-``getattr`` counts as unused.  A dataclass field still counts as read when
-a test reads it.
+A top-level definition ``f`` of module ``m`` counts as used when the
+package loads the bare name ``f`` or the attribute ``m.f`` of the module,
+outside the definition itself.  A method or a dataclass field counts as
+used only when the package loads it as an attribute, ``obj.f``.  So a
+namesake does not keep a definition alive: ``math.sqrt`` is no use of
+``duals.sqrt``, ``orbit.angle`` none of a top-level ``angle``, and a
+local variable ``worst`` none of a method ``worst``.  A dead method that
+shares its name with a live attribute still escapes, and a name reached
+only through ``getattr`` counts as unused.  Only package modules count: a
+call or a read from a test is no use, as code only tests reach is not part
+of what the package does.  ``__init__.py`` does not count either: a
+re-export alone is no use.
 """
 
 import ast
@@ -25,21 +29,22 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def public_definitions(tree: ast.Module) -> list:
-    """Public top-level functions and classes, and the public methods of
-    top-level classes, as AST nodes."""
+    """``(node, is_method)`` for the public top-level functions and classes
+    and the public methods of top-level classes."""
     out = []
     for node in tree.body:
         if isinstance(node, _DEFS) and not node.name.startswith("_"):
-            out.append(node)
+            out.append((node, False))
         if isinstance(node, ast.ClassDef):
-            out += [m for m in node.body
+            out += [(m, True) for m in node.body
                     if isinstance(m, _DEFS[:2]) and not m.name.startswith("_")]
     return out
 
 
 def loads(tree: ast.Module) -> list:
-    """``(name, ids of the enclosing definitions)`` for each name or
-    attribute that ``tree`` loads."""
+    """``(key, ids of the enclosing definitions)`` for each load in ``tree``:
+    key ``"f"`` for a bare name, ``".f"`` for any attribute and, when the
+    attribute is read off a bare name, ``"m.f"`` as well."""
     out = []
 
     def visit(node, enclosing):
@@ -48,7 +53,9 @@ def loads(tree: ast.Module) -> list:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, enclosing))
+            out.append(("." + node.attr, enclosing))
+            if isinstance(node.value, ast.Name):
+                out.append((f"{node.value.id}.{node.attr}", enclosing))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
@@ -58,13 +65,15 @@ def loads(tree: ast.Module) -> list:
 
 def unused_definitions(module_sources: dict) -> list:
     """Names of the public definitions in ``module_sources`` (file name ->
-    source) that no module loads outside the definition itself."""
+    source) that no module uses outside the definition itself."""
     trees = {name: ast.parse(src) for name, src in module_sources.items()}
     used = [u for tree in trees.values() for u in loads(tree)]
     dead = []
     for name, tree in trees.items():
-        for node in public_definitions(tree):
-            if not any(n == node.name and id(node) not in inside for n, inside in used):
+        for node, is_method in public_definitions(tree):
+            keys = ({"." + node.name} if is_method
+                    else {node.name, f"{Path(name).stem}.{node.name}"})
+            if not any(k in keys and id(node) not in inside for k, inside in used):
                 dead.append(f"{name}:{node.name}")
     return sorted(dead)
 
@@ -85,6 +94,23 @@ def test_scan_ignores_private_names_and_counts_attribute_loads():
     assert unused_definitions({"m.py": src, "n.py": caller}) == ["n.py:read"]
 
 
+def test_scan_sees_through_namesakes():
+    src = (
+        "def sqrt(x):\n    return x\n"
+        "def angle():\n    pass\n"
+        "def cube(x):\n    return x\n"
+        "class Report:\n    def worst(self):\n        pass\n"
+    )
+    caller = (
+        "import math\nimport m\n"
+        "def run(orbit):\n"
+        "    worst = math.sqrt(orbit.angle)\n"
+        "    return m.cube(worst) + m.Report\n"
+    )
+    assert unused_definitions({"m.py": src, "n.py": caller}) == [
+        "m.py:angle", "m.py:sqrt", "m.py:worst", "n.py:run"]
+
+
 def test_package_has_no_unused_public_definitions():
     modules = {p.name: p.read_text() for p in MODULES}
     assert unused_definitions(modules) == []
@@ -99,16 +125,15 @@ def _is_dataclass_decorator(node) -> bool:
     return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
 
 
-def unread_fields(module_sources: dict, other_sources: list) -> list:
+def unread_fields(module_sources: dict) -> list:
     """``file:Class.field`` for each field of a top-level dataclass in
-    ``module_sources`` whose name no source in either argument loads.
+    ``module_sources`` that no module loads as an attribute.
 
-    A field set only through the constructor is not read; a load of the
-    same name anywhere, as a bare name or an attribute, counts as a read.
+    A field set only through the constructor is not read, and neither is
+    one whose name is loaded only as a bare name.
     """
     trees = {name: ast.parse(src) for name, src in module_sources.items()}
-    read = {n for tree in trees.values() for n, _ in loads(tree)}
-    read |= {n for src in other_sources for n, _ in loads(ast.parse(src))}
+    read = {key for tree in trees.values() for key, _ in loads(tree)}
     return sorted(
         f"{name}:{node.name}.{stmt.target.id}"
         for name, tree in trees.items()
@@ -116,7 +141,7 @@ def unread_fields(module_sources: dict, other_sources: list) -> list:
         if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list))
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in read
+        and "." + stmt.target.id not in read
     )
 
 
@@ -128,13 +153,13 @@ def test_field_scan_finds_a_field_only_the_constructor_sets():
         "class Plain:\n    label: str\n"
         "def make():\n    return Pair(left=1.0, right=2.0).left\n"
     )
-    other = "import m\nsize = 3\nprint(size)\n"
-    assert unread_fields({"m.py": src}, [other]) == ["m.py:Pair.right"]
+    other = "import m\nsize = 3\nprint(size, m.make)\n"
+    assert unread_fields({"m.py": src, "n.py": other}) == ["m.py:Box.size", "m.py:Pair.right"]
 
 
 def test_package_has_no_unread_dataclass_fields():
     modules = {p.name: p.read_text() for p in MODULES}
-    assert unread_fields(modules, [p.read_text() for p in TESTS]) == []
+    assert unread_fields(modules) == []
 
 
 # -- names inside functions ---------------------------------------------------
@@ -196,5 +221,5 @@ def test_local_scan_finds_unused_nested_defs_and_locals():
 
 
 def test_package_has_no_unused_locals():
-    found = [f"{p.name}:{d}" for p in MODULES for d in unused_locals(p.read_text())]
+    found = [f"{p.name}:{d}" for p in MODULES + TESTS for d in unused_locals(p.read_text())]
     assert found == []

@@ -87,9 +87,9 @@ def test_jacobi_cyclic_sum_vanishes():
     params = pair_deformation(0.25, 0.15)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        f = random_polynomial_field(rng, Chart.CARTESIAN)
-        g = random_polynomial_field(rng, Chart.CARTESIAN)
-        h = random_polynomial_field(rng, Chart.CARTESIAN)
+        f = random_polynomial_field(rng)
+        g = random_polynomial_field(rng)
+        h = random_polynomial_field(rng)
         s = (
             nc_bracket(f, nc_bracket_field(g, h, params), X, params)
             + nc_bracket(g, nc_bracket_field(h, f, params), X, params)
@@ -173,7 +173,7 @@ def _numpy_scalar_polynomial(rng):
 def test_random_polynomial_field_equals_numpy_scalar_form_bitwise():
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(5):
-        f = random_polynomial_field(rng, Chart.CARTESIAN)
+        f = random_polynomial_field(rng)
         ref = _numpy_scalar_polynomial(ref_rng)
         for x in (X, PhasePoint((-0.7, 1.3, 0.25, -1.1, 0.05, 0.6), Chart.CARTESIAN)):
             c = list(x.coords)
@@ -187,8 +187,8 @@ def test_bivector_bracket_equals_weighted_bracket():
     _, bivector = nc_symplectic_structures(params)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        f = random_polynomial_field(rng, Chart.CARTESIAN)
-        g = random_polynomial_field(rng, Chart.CARTESIAN)
+        f = random_polynomial_field(rng)
+        g = random_polynomial_field(rng)
         v1 = nc_bracket(f, g, X, params)
         v2 = duals.value(bivector_bracket(bivector, f, g)(X))
         assert abs(v1 - v2) < 1e-12

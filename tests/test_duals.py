@@ -3,7 +3,7 @@ import math
 from nckepler import duals
 from nckepler.deformation import DeformationParams
 from nckepler.duals import Dual, grad, hessian, jacobian, value
-from nckepler.geometry import Chart, TensorField, VectorField, lie_derivative, schouten_bracket
+from nckepler.geometry import TensorField, VectorField, lie_derivative, schouten_bracket
 from nckepler.hierarchy import level_bivector
 from nckepler.kepler import hamiltonian
 from nckepler.reduced import ReducedParams
@@ -36,15 +36,6 @@ def test_transcendental_gradient_matches_central_differences():
     for i in range(6):
         fd = central_difference(f, coords, i)
         assert abs(g[i] - fd) < 1e-9 * max(1.0, abs(fd))
-
-
-def test_atan2_derivatives():
-    f = lambda c: duals.atan2(c[1], c[0])
-    coords = [0.8, -0.6, 0, 0, 0, 0]
-    g = grad(f, coords)
-    r2 = 0.8**2 + 0.6**2
-    assert abs(g[0] - 0.6 / r2) < 1e-14
-    assert abs(g[1] - 0.8 / r2) < 1e-14
 
 
 def test_integer_power_at_zero():
@@ -153,13 +144,13 @@ def test_seed_and_tangents():
 def test_schouten_bracket_seeds_each_bivector_once():
     calls = {}
 
-    def tracked(B):
-        func, calls[B.name] = counted(B.func)
-        return TensorField(B.chart, func, "uu", name=B.name)
+    def tracked(B, label):
+        func, calls[label] = counted(B.func)
+        return TensorField(func, "uu")
 
     P, Q = level_bivector(1, RP), level_bivector(2, RP)
     expected = schouten_bracket(P, Q, DELAUNAY_POINT)
-    assert schouten_bracket(tracked(P), tracked(Q), DELAUNAY_POINT) == expected
+    assert schouten_bracket(tracked(P, "P1"), tracked(Q, "P2"), DELAUNAY_POINT) == expected
     for name in ("P1", "P2"):
         assert sum(is_seeded(c) for c in calls[name]) == 1
 
@@ -167,21 +158,10 @@ def test_schouten_bracket_seeds_each_bivector_once():
 def test_lie_derivative_seeds_the_tensor_once():
     P = level_bivector(2, RP)
     func, calls = counted(P.func)
-    Z = VectorField(Chart.DELAUNAY, lambda c: [c[1], 0.0, c[0] * c[2], 1.0, 0.0, c[4]])
+    Z = VectorField(lambda c: [c[1], 0.0, c[0] * c[2], 1.0, 0.0, c[4]])
     expected = lie_derivative(Z, P, DELAUNAY_POINT)
-    assert lie_derivative(Z, TensorField(P.chart, func, "uu"), DELAUNAY_POINT) == expected
+    assert lie_derivative(Z, TensorField(func, "uu"), DELAUNAY_POINT) == expected
     assert sum(is_seeded(c) for c in calls) == 1
-
-
-def test_atan2_with_one_plain_float_argument():
-    y0, x0 = -0.6, 0.8
-    r2 = x0 * x0 + y0 * y0
-    gx = grad(lambda c: duals.atan2(y0, c[0]), [x0, 0, 0, 0, 0, 0])
-    assert abs(gx[0] - (-y0 / r2)) < 1e-15
-    assert gx[1:] == [0.0] * 5
-    gy = grad(lambda c: duals.atan2(c[1], x0), [0, y0, 0, 0, 0, 0])
-    assert abs(gy[1] - x0 / r2) < 1e-15
-    assert gy[0] == 0.0 and gy[2:] == [0.0] * 4
 
 
 def test_power_zero_has_zero_tangents():

@@ -47,7 +47,7 @@ for _nu in range(3):
     CANONICAL[3 + _nu][_nu] = 1.0
     CANONICAL[_nu][3 + _nu] = -1.0
 
-P_CANONICAL = constant_tensor(Chart.CARTESIAN, CANONICAL, "uu", name="P")
+P_CANONICAL = constant_tensor(CANONICAL, "uu")
 
 POINT = PhasePoint((1.0, 0.5, -0.3, 0.2, 1.1, 0.4), Chart.CARTESIAN)
 
@@ -61,13 +61,13 @@ def central_difference(f, coords, i, h=1e-5):
 
 
 def test_gradient_polynomial_exact():
-    f = ScalarField(Chart.CARTESIAN, lambda c: sum(ci**2 for ci in c))
+    f = ScalarField(lambda c: sum(ci**2 for ci in c))
     g = gradient(f, PhasePoint((1, 2, 3, 4, 5, 6), Chart.CARTESIAN))
     assert g == [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
 
 
 def test_gradient_constant_zero():
-    f = ScalarField(Chart.CARTESIAN, lambda c: 3.0)
+    f = ScalarField(lambda c: 3.0)
     assert gradient(f, POINT) == [0.0] * 6
 
 
@@ -82,20 +82,20 @@ def test_gradient_matches_central_differences_for_energy():
 
 def test_hamiltonian_field_of_momentum_matches_bracket_sign():
     # X_{p1} must act as {p1, .}: on q^1 the canonical bracket gives +1
-    f = ScalarField(Chart.CARTESIAN, lambda c: c[3], name="p1")
+    f = ScalarField(lambda c: c[3])
     X = hamiltonian_vector_field(P_CANONICAL, f)
     v = X(POINT)
     assert v == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_hamiltonian_field_of_constant_vanishes():
-    f = ScalarField(Chart.CARTESIAN, lambda c: 2.0)
+    f = ScalarField(lambda c: 2.0)
     assert hamiltonian_vector_field(P_CANONICAL, f)(POINT) == [0.0] * 6
 
 
 def test_hamiltonian_field_with_zero_bivector():
-    zero = constant_tensor(Chart.CARTESIAN, [[0.0] * 6 for _ in range(6)], "uu")
-    f = ScalarField(Chart.CARTESIAN, lambda c: c[0] * c[4])
+    zero = constant_tensor([[0.0] * 6 for _ in range(6)], "uu")
+    f = ScalarField(lambda c: c[0] * c[4])
     assert hamiltonian_vector_field(zero, f)(POINT) == [0.0] * 6
 
 
@@ -107,7 +107,7 @@ def _poly_vector_field(coeffs):
             for i in range(6)
         ]
 
-    return VectorField(Chart.CARTESIAN, f)
+    return VectorField(f)
 
 
 def test_lie_bracket_of_field_with_itself_vanishes():
@@ -117,8 +117,8 @@ def test_lie_bracket_of_field_with_itself_vanishes():
 
 
 def test_lie_bracket_of_constant_fields_vanishes():
-    X = VectorField(Chart.CARTESIAN, lambda c: [1.0, 2, 3, 4, 5, 6])
-    Y = VectorField(Chart.CARTESIAN, lambda c: [0.5] * 6)
+    X = VectorField(lambda c: [1.0, 2, 3, 4, 5, 6])
+    Y = VectorField(lambda c: [0.5] * 6)
     assert max_abs(lie_bracket(X, Y, POINT)) == 0.0
 
 
@@ -140,9 +140,9 @@ def test_lie_derivative_leibniz_on_products(seed):
     rng = np.random.default_rng(seed)
     Z = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
     cf, cg = rng.uniform(-1, 1, size=(2, 6))
-    f = ScalarField(Chart.CARTESIAN, lambda c: sum(cf[i] * c[i] for i in range(6)) + c[0] * c[3])
-    g = ScalarField(Chart.CARTESIAN, lambda c: sum(cg[i] * c[i] for i in range(6)) + c[1] ** 2)
-    fg = ScalarField(Chart.CARTESIAN, lambda c: f.func(c) * g.func(c))
+    f = ScalarField(lambda c: sum(cf[i] * c[i] for i in range(6)) + c[0] * c[3])
+    g = ScalarField(lambda c: sum(cg[i] * c[i] for i in range(6)) + c[1] ** 2)
+    fg = ScalarField(lambda c: f.func(c) * g.func(c))
     pt = PhasePoint(tuple(rng.uniform(-1, 1, size=6)), Chart.CARTESIAN)
     lhs = lie_derivative(Z, fg, pt)
     rhs = lie_derivative(Z, f, pt) * g(pt) + f(pt) * lie_derivative(Z, g, pt)
@@ -150,14 +150,14 @@ def test_lie_derivative_leibniz_on_products(seed):
 
 
 def test_lie_derivative_along_zero_field():
-    Z = VectorField(Chart.CARTESIAN, lambda c: [0.0] * 6)
-    f = ScalarField(Chart.CARTESIAN, lambda c: c[0] ** 3 + c[4])
+    Z = VectorField(lambda c: [0.0] * 6)
+    f = ScalarField(lambda c: c[0] ** 3 + c[4])
     assert lie_derivative(Z, f, POINT) == 0.0
 
 
 def _jacobiator(P, x):
     coords = [
-        ScalarField(Chart.CARTESIAN, lambda c, a=a: c[a], name=f"x{a}") for a in range(6)
+        ScalarField(lambda c, a=a: c[a]) for a in range(6)
     ]
     worst = 0.0
     for a in range(6):
@@ -188,7 +188,7 @@ def test_schouten_vanishes_iff_jacobi_holds():
         mat[1][0] = -c[2]
         return mat
 
-    P_bad = TensorField(Chart.CARTESIAN, bad, "uu", name="bad")
+    P_bad = TensorField(bad, "uu")
     s = max_abs(schouten_bracket(P_bad, P_bad, POINT))
     j = _jacobiator(P_bad, POINT)
     assert s > 1e-3
@@ -206,7 +206,7 @@ def test_schouten_symmetric_in_its_bivector_arguments():
         mat[5][2] = -1.0
         return mat
 
-    Q = TensorField(Chart.CARTESIAN, other, "uu")
+    Q = TensorField(other, "uu")
     spq = schouten_bracket(P_CANONICAL, Q, POINT)
     sqp = schouten_bracket(Q, P_CANONICAL, POINT)
     diff = max(
@@ -225,7 +225,7 @@ def _contract(N, Xv, Yv):
 
 
 def test_nijenhuis_identity_operator():
-    T = TensorField(Chart.CARTESIAN, lambda c: [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)], "ud")
+    T = TensorField(lambda c: [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)], "ud")
     rng = np.random.default_rng(1)
     X = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
     Y = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
@@ -235,7 +235,7 @@ def test_nijenhuis_identity_operator():
 
 
 def test_nijenhuis_constant_diagonal():
-    T = TensorField(Chart.CARTESIAN, lambda c: [[float(i + 1) if i == j else 0.0 for j in range(6)] for i in range(6)], "ud")
+    T = TensorField(lambda c: [[float(i + 1) if i == j else 0.0 for j in range(6)] for i in range(6)], "ud")
     assert max_abs(nijenhuis_torsion(T, POINT)) == 0.0
 
 
@@ -248,7 +248,7 @@ def test_nijenhuis_nonzero_torsion_on_the_frame():
     # T d_0 = x_1 d_0 and T d_1 = d_1, so [T d_0, T d_1] = -d_0 and
     # T[T d_0, d_1] = -x_1 d_0 leave N(d_0, d_1) = (x_1 - 1) d_0; every
     # other frame pair commutes through T.
-    T = TensorField(Chart.CARTESIAN, _diag_x1, "ud")
+    T = TensorField(_diag_x1, "ud")
     x = PhasePoint((0.3, 2.5, 0.1, 0.2, 0.4, 0.6), Chart.CARTESIAN)
     N = nijenhuis_torsion(T, x)
     assert N[0][1] == [1.5, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -270,7 +270,7 @@ def _torsion_by_definition(T, X, Y, x):
             Vv = V.func(c)
             return [sum(mat[i][j] * Vv[j] for j in range(6)) for i in range(6)]
 
-        return VectorField(T.chart, evaluate)
+        return VectorField(evaluate)
 
     mat = [list(row) for row in T.func(coords)]
 
@@ -286,7 +286,7 @@ def _torsion_by_definition(T, X, Y, x):
 
 
 def test_nijenhuis_frame_components_contract_to_the_definition():
-    T = TensorField(Chart.CARTESIAN, _diag_x1, "ud")
+    T = TensorField(_diag_x1, "ud")
     rng = np.random.default_rng(5)
     X = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
     Y = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
@@ -305,7 +305,7 @@ def _polynomial_tensor(seed):
         return [[coef[i][j][0] + coef[i][j][1] * c[j] + coef[i][j][2] * c[i] * c[(j + 1) % 6]
                  for j in range(6)] for i in range(6)]
 
-    return TensorField(Chart.CARTESIAN, func, "ud")
+    return TensorField(func, "ud")
 
 
 def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pass():
@@ -321,8 +321,8 @@ def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pas
                  for s in range(3)]
     cases += [(_polynomial_tensor(s), cartesian) for s in range(3)]
 
-    def frame(chart, k):
-        return VectorField(chart, lambda c: [1.0 if i == k else 0.0 for i in range(6)])
+    def frame(k):
+        return VectorField(lambda c: [1.0 if i == k else 0.0 for i in range(6)])
 
     largest = 0.0
     for T, pts in cases:
@@ -334,12 +334,12 @@ def test_nijenhuis_equals_the_definition_bitwise_in_one_plain_and_one_seeded_pas
 
         for x in pts:
             calls.clear()
-            N = nijenhuis_torsion(TensorField(T.chart, counted, "ud"), x)
+            N = nijenhuis_torsion(TensorField(counted, "ud"), x)
             assert calls == [False, True]
             for a in range(6):
                 assert N[a][a] == [0.0] * 6
                 for b in range(a + 1, 6):
-                    ref = _torsion_by_definition(T, frame(T.chart, a), frame(T.chart, b), x)
+                    ref = _torsion_by_definition(T, frame(a), frame(b), x)
                     assert N[a][b] == ref
                     assert N[b][a] == [-v for v in ref]
                     largest = max(largest, max_abs(ref))
@@ -404,7 +404,7 @@ def test_lie_derivative_of_a_dense_tensor_equals_the_per_type_formulas_bitwise(s
     # order shows in the last bits
     rng = np.random.default_rng(11)
     for s in range(3):
-        T = TensorField(Chart.CARTESIAN, _polynomial_tensor(s).func, slots)
+        T = TensorField(_polynomial_tensor(s).func, slots)
         Z = _poly_vector_field(rng.uniform(-1, 1, size=(6, 8)))
         for _ in range(4):
             x = PhasePoint(tuple(rng.uniform(-1, 1, size=6)), Chart.CARTESIAN)
@@ -457,7 +457,7 @@ def test_jet_takes_one_plain_and_one_seeded_pass(monkeypatch):
     assert _hex(jet(level_bivector(2, rp), x).d) == _hex(
         [[duals.tangents(e, 6) for e in row] for row in level_bivector(2, rp).func(seed(list(x.coords)))])
     with pytest.raises(TypeError):
-        jet(ScalarField(Chart.DELAUNAY, lambda c: c[0]), x)
+        jet(ScalarField(lambda c: c[0]), x)
 
 
 @pytest.mark.parametrize("slots", ["uu", "dd"])
@@ -465,18 +465,18 @@ def test_constant_tensor_rejects_a_non_antisymmetric_matrix(slots):
     bad = [list(row) for row in CANONICAL]
     bad[0][1] = 1.0
     with pytest.raises(ValueError, match="antisymmetric"):
-        constant_tensor(Chart.CARTESIAN, bad, slots)
-    assert constant_tensor(Chart.CARTESIAN, bad, "ud")(POINT) == bad
+        constant_tensor(bad, slots)
+    assert constant_tensor(bad, "ud")(POINT) == bad
 
 
 def test_tensor_field_rejects_unknown_slots():
     with pytest.raises(ValueError, match="slots"):
-        TensorField(Chart.CARTESIAN, lambda c: CANONICAL, "du")
+        TensorField(lambda c: CANONICAL, "du")
 
 
 def test_interior_product_zero_field():
     omega, _ = nc_symplectic_structures(DeformationParams())
-    X = VectorField(Chart.CARTESIAN, lambda c: [0.0] * 6)
+    X = VectorField(lambda c: [0.0] * 6)
     assert interior_product(X, omega, POINT) == [0.0] * 6
 
 
@@ -567,12 +567,12 @@ def test_pair_matrix_builders_equal_the_loops_they_replaced_bitwise():
 
 
 def test_flow_pairing_residual_reads_the_pairing_defect():
-    omega = constant_tensor(Chart.CARTESIAN, pair_matrix([1.0, 2.0, 3.0]), "dd")
-    X = VectorField(Chart.CARTESIAN, lambda c: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    omega = constant_tensor(pair_matrix([1.0, 2.0, 3.0]), "dd")
+    X = VectorField(lambda c: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     # iota_X omega is row 0 of omega: 1.0 in slot 3
-    F = ScalarField(Chart.CARTESIAN, lambda c: -c[3])
+    F = ScalarField(lambda c: -c[3])
     assert flow_pairing_residual(X, omega, F, POINT) == 0.0
-    G = ScalarField(Chart.CARTESIAN, lambda c: -c[3] + 0.25 * c[1])
+    G = ScalarField(lambda c: -c[3] + 0.25 * c[1])
     assert flow_pairing_residual(X, omega, G, POINT) == 0.25
 
 

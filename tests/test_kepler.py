@@ -19,7 +19,6 @@ from nckepler.kepler import (
     hamiltonian_field,
     hamiltonian_vector_field_nc,
     integrate,
-    kepler_aux,
     state_observables,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
@@ -72,13 +71,6 @@ def test_hamiltonian_compositional_oracle():
         y = deformed_radius(x, params)
         expect = sum(v * v for v in pp) / (2.0 * params.mass) - params.k / y
         assert abs(hamiltonian(x, params) - expect) < 1e-12
-
-
-def test_kepler_aux_positivity():
-    params = pair_deformation(0.3, 0.1)
-    aux = kepler_aux(PhasePoint((1.0, 0.2, -0.4, 0.1, 0.6, 0.0), Chart.CARTESIAN), params)
-    assert aux.Y > 0.0
-    assert all(s >= 1.0 / params.mass for s in aux.sigma)
 
 
 def test_closed_form_classical_limit():

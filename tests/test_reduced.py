@@ -28,7 +28,6 @@ from nckepler.reduced import (
     energy_from_actions,
     first_integrals,
     frequencies,
-    inclination,
     isochronous_derivative,
     kolmogorov_determinant,
     lambda_matrix,
@@ -109,13 +108,6 @@ def test_first_integrals_classical_limit():
     assert M == 1.0
     assert abs(d - 0.5) < 1e-15
     assert abs(lt**2 - (0.3**2 + 0.25 / math.sin(1.1) ** 2)) < 1e-14
-
-
-def test_inclination_recovery():
-    assert abs(inclination(0.5, 1.0) - math.acos(0.5)) < 1e-15
-    assert inclination(-0.3, 0.5) <= math.pi
-    with pytest.raises(ChartDomainError):
-        inclination(1.2, 1.0)
 
 
 def test_actions_classical_circular_equatorial():
@@ -310,7 +302,7 @@ def test_integrals_conserved_exactly_by_flow_equations():
 def test_reduced_structures_identities():
     bivector, omega, flow = reduced_structures(RP)
     x = PhasePoint((0.3, 0.4, 0.8, 1.0, 2.0, 3.0), Chart.ACTION_ANGLE)
-    H = ScalarField(Chart.ACTION_ANGLE, lambda c: energy_from_actions(c[:3], RP), name="H")
+    H = ScalarField(lambda c: energy_from_actions(c[:3], RP))
     ip = interior_product(flow, omega, x)
     dH = gradient(H, x)
     assert max(abs(duals.value(ip[i]) + duals.value(dH[i])) for i in range(6)) < 1e-11
@@ -321,8 +313,8 @@ def test_reduced_structures_identities():
 
 def test_spherical_structures_generate_flow():
     # the canonical bivector of the spherical chart
-    bivector = constant_tensor(Chart.SPHERICAL, pair_matrix([-1.0] * 3), "uu")
-    Hf = ScalarField(Chart.SPHERICAL, lambda c: spherical_hamiltonian(c, RP), name="H")
+    bivector = constant_tensor(pair_matrix([-1.0] * 3), "uu")
+    Hf = ScalarField(lambda c: spherical_hamiltonian(c, RP))
     X = hamiltonian_vector_field(bivector, Hf)
     s = _bound_state()
     v1 = [duals.value(v) for v in X(s)]

@@ -351,6 +351,8 @@ MALFORMED = [
                  id="simulate-method-list"),
     pytest.param("simulate", {"initial_state": _STATE, "drift_tolerance": None},
                  id="simulate-drift-tolerance-null"),
+    pytest.param("simulate", {"initial_state": _STATE, "drift_tolerance": -1.0},
+                 id="simulate-drift-tolerance-negative"),
     pytest.param("simulate", {"initial_state": _STATE, "output": {"trajectory_csv": 5}},
                  id="simulate-output-number"),
     pytest.param("chart", {"reduced": {"m": "z"}}, id="chart-reduced-m-string"),
