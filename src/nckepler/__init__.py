@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .kepler import Trajectory, deformed_radius, hamiltonian, hamiltonian_vector_field_nc, hamilton_rhs_closed_form, integrate
 from .reduced import ReducedParams
-from .hierarchy import OrbitalElements, classical_delaunay
 from .report import CheckRecord, SuiteReport
 from .suites import SUITE_NAMES, VerifyConfig
 

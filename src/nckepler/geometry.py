@@ -62,6 +62,18 @@ def coordinate_names(chart: Chart) -> tuple[str, ...]:
     return _CHART_COORD_NAMES[chart]
 
 
+def check_chart_domain(coords, chart: Chart) -> None:
+    """Raise :class:`ChartDomainError` when finite ``coords`` lie outside
+    ``chart``: the spherical chart needs r > 0 and 0 < theta < pi, and the
+    other charts take every finite point."""
+    if chart is Chart.SPHERICAL:
+        r, theta = coords[0], coords[1]
+        if r <= 0.0:
+            raise ChartDomainError(f"coordinate r must be positive, got {r}")
+        if not 0.0 < theta < math.pi:
+            raise ChartDomainError(f"coordinate theta must lie in (0, pi), got {theta}")
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Six phase-space coordinates tagged with their chart."""
@@ -78,12 +90,7 @@ class PhasePoint:
         for name, v in zip(names, vals):
             if not math.isfinite(v):
                 raise ChartDomainError(f"coordinate {name} is not finite: {v}")
-        if self.chart is Chart.SPHERICAL:
-            r, theta = vals[0], vals[1]
-            if r <= 0.0:
-                raise ChartDomainError(f"coordinate r must be positive, got {r}")
-            if not 0.0 < theta < math.pi:
-                raise ChartDomainError(f"coordinate theta must lie in (0, pi), got {theta}")
+        check_chart_domain(vals, self.chart)
 
     @classmethod
     def from_dict(cls, doc) -> "PhasePoint":

@@ -26,7 +26,6 @@ the transported truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .charts import forward_jacobian, inverse_jacobian
 from .geometry import (
@@ -39,34 +38,11 @@ from .geometry import (
 from .reduced import ReducedParams
 
 
-@dataclass(frozen=True)
-class OrbitalElements:
-    """Classical bound-orbit elements: semi-major axis, eccentricity and
-    inclination."""
-
-    a: float
-    e: float
-    inclination: float
-
-    def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("semi-major axis must be positive")
-        if not 0.0 <= self.e < 1.0:
-            raise ValueError("eccentricity must lie in [0, 1)")
-        if not 0.0 <= self.inclination <= math.pi:
-            raise ValueError("inclination must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
-class ClassicalDelaunay:
-    """The Delaunay action of classical elements that fixes the energy."""
-
-    I3: float
-
-
-def classical_delaunay(el: OrbitalElements, m: float, k: float) -> ClassicalDelaunay:
-    """I3 = sqrt(mka)."""
-    return ClassicalDelaunay(I3=math.sqrt(m * k * el.a))
+def classical_delaunay(a: float, m: float, k: float) -> float:
+    """The Delaunay action ``I3 = sqrt(m k a)`` of a bound orbit with
+    semi-major axis ``a``: the one action that fixes the energy, whatever
+    the eccentricity and inclination."""
+    return math.sqrt(m * k * a)
 
 
 def weight_vector(rp: ReducedParams) -> tuple:

@@ -26,9 +26,11 @@ from .deformation import (
 )
 from .errors import SingularConfigurationError, StepFailureError
 from .geometry import (
+    Chart,
     PhasePoint,
     ScalarField,
     VectorField,
+    check_chart_domain,
     coords_of,
     hamiltonian_vector_field,
 )
@@ -249,7 +251,10 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
 
 @dataclass
 class Trajectory:
-    """Fixed-step trajectory with monitor values recorded at every state."""
+    """Fixed-step trajectory with monitor values recorded at every state.
+
+    Each state is a tuple of six finite floats in the chart of the run's
+    initial point."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -278,36 +283,63 @@ class Trajectory:
         return max(abs(v - ref) for v in series) / scale
 
     def to_csv(self) -> str:
-        names = ("q1", "q2", "q3", "p1", "p2", "p3")
-        header = "t," + ",".join(names) + (
-            "," + ",".join(self.monitor_names) if self.monitor_names else ""
-        )
-        lines = [header]
-        for t, state, row in zip(self.times, self.states, self.monitors):
-            vals = [t, *state.coords, *row]
-            lines.append(",".join(f"{v:.17g}" for v in vals))
+        """One header line, then one line per state: ``t``, the six
+        coordinates and the monitor row, each as ``%.17g``."""
+        names = ("t", "q1", "q2", "q3", "p1", "p2", "p3", *self.monitor_names)
+        line = ",".join(["%.17g"] * len(names))
+        lines = [",".join(names)]
+        lines += [line % (t, *state, *row)
+                  for t, state, row in zip(self.times, self.states, self.monitors)]
         return "\n".join(lines) + "\n"
 
 
+# The steppers are unrolled over the six coordinates.  Each keeps the
+# operations and their order of the per-coordinate loop form, so every state
+# is bit-identical to it: ``h`` and ``w`` are the left-hand products
+# ``0.5 * dt`` and ``dt / 6.0`` of that form.
+
+
 def _rk4_step(rhs, c, dt):
-    k1 = rhs(c)
-    k2 = rhs([c[i] + 0.5 * dt * k1[i] for i in range(6)])
-    k3 = rhs([c[i] + 0.5 * dt * k2[i] for i in range(6)])
-    k4 = rhs([c[i] + dt * k3[i] for i in range(6)])
-    return [
-        c[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(6)
-    ]
+    c1, c2, c3, c4, c5, c6 = c
+    h = 0.5 * dt
+    a1, a2, a3, a4, a5, a6 = rhs(c)
+    b1, b2, b3, b4, b5, b6 = rhs((c1 + h * a1, c2 + h * a2, c3 + h * a3,
+                                  c4 + h * a4, c5 + h * a5, c6 + h * a6))
+    d1, d2, d3, d4, d5, d6 = rhs((c1 + h * b1, c2 + h * b2, c3 + h * b3,
+                                  c4 + h * b4, c5 + h * b5, c6 + h * b6))
+    e1, e2, e3, e4, e5, e6 = rhs((c1 + dt * d1, c2 + dt * d2, c3 + dt * d3,
+                                  c4 + dt * d4, c5 + dt * d5, c6 + dt * d6))
+    w = dt / 6.0
+    return (
+        c1 + w * (a1 + 2.0 * b1 + 2.0 * d1 + e1),
+        c2 + w * (a2 + 2.0 * b2 + 2.0 * d2 + e2),
+        c3 + w * (a3 + 2.0 * b3 + 2.0 * d3 + e3),
+        c4 + w * (a4 + 2.0 * b4 + 2.0 * d4 + e4),
+        c5 + w * (a5 + 2.0 * b5 + 2.0 * d5 + e5),
+        c6 + w * (a6 + 2.0 * b6 + 2.0 * d6 + e6),
+    )
 
 
 def _implicit_midpoint_step(rhs, c, dt, residual_tol=1e-12, max_iter=50):
-    s = rhs(c)
+    """Fixed-point iteration on the midpoint stage until successive stages
+    differ by less than ``residual_tol`` in every coordinate.
+
+    ``max`` keeps its first argument when that is NaN and skips a later
+    NaN: a NaN in the first stage coordinate fails the iteration, while one
+    elsewhere can end the step in a non-finite state, which
+    ``integrate_field`` reports."""
+    c1, c2, c3, c4, c5, c6 = c
+    h = 0.5 * dt
+    s1, s2, s3, s4, s5, s6 = rhs(c)
     for _ in range(max_iter):
-        mid = [c[i] + 0.5 * dt * s[i] for i in range(6)]
-        s_new = rhs(mid)
-        resid = max(abs(s_new[i] - s[i]) for i in range(6))
-        s = s_new
+        n1, n2, n3, n4, n5, n6 = rhs((c1 + h * s1, c2 + h * s2, c3 + h * s3,
+                                      c4 + h * s4, c5 + h * s5, c6 + h * s6))
+        resid = max(abs(n1 - s1), abs(n2 - s2), abs(n3 - s3),
+                    abs(n4 - s4), abs(n5 - s5), abs(n6 - s6))
+        s1, s2, s3, s4, s5, s6 = n1, n2, n3, n4, n5, n6
         if resid < residual_tol:
-            return [c[i] + dt * s[i] for i in range(6)]
+            return (c1 + dt * s1, c2 + dt * s2, c3 + dt * s3,
+                    c4 + dt * s4, c5 + dt * s5, c6 + dt * s6)
     raise StepFailureError(
         f"implicit midpoint stage iteration did not reach {residual_tol} in {max_iter} iterations"
     )
@@ -325,6 +357,10 @@ def integrate_field(
     energy_step_tol: float = 1e-2,
 ) -> Trajectory:
     """Fixed-step integration with singularity guards.
+
+    ``rhs`` takes and returns six coordinates.  The trajectory's states are
+    tuples of six floats in ``x0``'s chart; a spherical state with r <= 0 or
+    theta outside (0, pi) raises :class:`ChartDomainError`.
 
     ``observe(coords)`` is the per-state hook, called once on every state:
     it returns ``(stop_reason, energy, monitor_row)``.  A stop reason other
@@ -346,20 +382,20 @@ def integrate_field(
     stepper = _rk4_step if method == "rk4" else _implicit_midpoint_step
 
     traj = Trajectory(monitor_names=list(monitor_names))
+    times, states, monitors = traj.times, traj.states, traj.monitors
+    chart = x0.chart
+    bounded = chart is not Chart.CARTESIAN
 
-    def record(t, coords, row):
-        traj.times.append(t)
-        traj.states.append(PhasePoint(tuple(coords), x0.chart))
-        traj.monitors.append(row)
-
-    c = list(x0.coords)
+    c = x0.coords
     _, e_prev, row = observe(c)
-    record(0.0, c, row)
+    times.append(0.0)
+    states.append(c)
+    monitors.append(row)
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
     for step in range(1, n_steps + 1):
         try:
             c_new = stepper(rhs, c, dt)
-            if any(not math.isfinite(v) for v in c_new):
+            if not all(map(math.isfinite, c_new)):
                 reason = "singular configuration: state left the chart (non-finite)"
             else:
                 reason, e_new, row = observe(c_new)
@@ -379,7 +415,11 @@ def integrate_field(
             traj.termination_reason = reason
             return traj
         c = c_new
-        record(step * dt, c, row)
+        if bounded:
+            check_chart_domain(c, chart)
+        times.append(step * dt)
+        states.append(c)
+        monitors.append(row)
     return traj
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -345,8 +346,11 @@ def angles_from_state(s: PhasePoint, J, rp: ReducedParams) -> tuple:
     return phi1, phi2, phi3
 
 
-def continuous_angles(s: PhasePoint, J, rp: ReducedParams, phi_unwrapped: float | None = None) -> tuple:
-    """Time-continuous angle representatives over one orbital revolution.
+def continuous_angles(s: PhasePoint | Sequence[float], J, rp: ReducedParams,
+                      phi_unwrapped: float | None = None) -> tuple:
+    """Time-continuous angle representatives over one orbital revolution
+    at a spherical state ``s``: a point or its six coordinates, such as a
+    trajectory state.
 
     Reflects each principal arcsin across its turning points using the
     signs of p_r and p_theta, so that along the flow every angle advances
@@ -359,7 +363,7 @@ def continuous_angles(s: PhasePoint, J, rp: ReducedParams, phi_unwrapped: float 
     S = j1 + M * j2 + j3
     lt = M * j2 + j3
     d = j3
-    r, theta, phi, p_r, p_theta, _ = s.coords
+    r, theta, phi, p_r, p_theta, _ = coords_of(s)
     if phi_unwrapped is not None:
         phi = phi_unwrapped
 

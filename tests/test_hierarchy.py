@@ -15,7 +15,6 @@ from nckepler.geometry import (
     schouten_bracket,
 )
 from nckepler.hierarchy import (
-    OrbitalElements,
     classical_delaunay,
     corrupted_first_level_bivector,
     displayed_bivector_table,
@@ -228,34 +227,13 @@ def test_energy_rescaled_map_is_canonical():
 
 
 def test_classical_delaunay_frozen_values():
-    el = OrbitalElements(a=1.0, e=0.0, inclination=0.0)
-    cd = classical_delaunay(el, 1.0, 1.0)
-    assert cd.I3 == 1.0
-
-
-def test_classical_delaunay_eccentric_limit():
-    i3_ref = classical_delaunay(
-        OrbitalElements(a=1.0, e=0.0, inclination=0.3), 1.0, 1.0
-    ).I3
-    for e in (0.9, 0.99, 0.999):
-        cd = classical_delaunay(
-            OrbitalElements(a=1.0, e=e, inclination=0.3), 1.0, 1.0
-        )
-        assert cd.I3 == i3_ref
+    assert classical_delaunay(1.0, 1.0, 1.0) == 1.0
 
 
 def test_classical_delaunay_energy_consistency():
-    el = OrbitalElements(a=1.3, e=0.4, inclination=0.6)
-    m, k = 1.2, 0.9
-    cd = classical_delaunay(el, m, k)
-    assert abs(-m * k**2 / (2 * cd.I3**2) - (-k / (2 * el.a))) < 1e-14
-
-
-def test_orbital_elements_validation():
-    with pytest.raises(ValueError):
-        OrbitalElements(a=-1.0, e=0.1, inclination=0.1)
-    with pytest.raises(ValueError):
-        OrbitalElements(a=1.0, e=1.0, inclination=0.1)
+    a, m, k = 1.3, 1.2, 0.9
+    i3 = classical_delaunay(a, m, k)
+    assert abs(-m * k**2 / (2 * i3**2) - (-k / (2 * a))) < 1e-14
 
 
 def test_delaunay_state_guard():

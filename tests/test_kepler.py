@@ -6,7 +6,7 @@ import pytest
 from nckepler import duals
 from nckepler.cli import _MONITOR_BUILDERS
 from nckepler.deformation import DeformationParams, nc_symplectic_structures, transform_coordinates
-from nckepler.errors import SingularConfigurationError
+from nckepler.errors import ChartDomainError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product
 from nckepler.kepler import (
     MONITOR_NAMES,
@@ -19,6 +19,7 @@ from nckepler.kepler import (
     hamiltonian_field,
     hamiltonian_vector_field_nc,
     integrate,
+    integrate_field,
     state_observables,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
@@ -199,7 +200,15 @@ def test_trajectory_csv_format():
     row = lines[2].split(",")
     assert len(row) == 9
     # 17 significant digits round-trip exactly
-    assert float(row[1]) == traj.states[1].coords[0]
+    assert float(row[1]) == traj.states[1][0]
+
+
+def test_trajectory_csv_row_is_each_value_at_17_significant_digits():
+    values = (0.0, -0.0, 1.0, -2.5e-300, 5e-324, 1.7976931348623157e308, 1 / 3,
+              math.inf, -math.inf, math.nan, 0.1)
+    traj = Trajectory(times=[values[0]], states=[values[1:7]],
+                      monitor_names=["H", "L1", "L2", "L3"], monitors=[list(values[7:])])
+    assert traj.to_csv().split("\n")[1] == ",".join(f"{v:.17g}" for v in values)
 
 
 def test_trajectory_drift_scales_h_by_its_start_and_others_by_at_least_one():
@@ -228,4 +237,19 @@ def test_trajectory_invariants():
     traj = integrate(x0, COMM, dt=1e-3, n_steps=50, method="rk4", monitors=["H"])
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
     assert len(traj.monitors) == len(traj.states) == len(traj.times)
-    assert all(math.isfinite(v) for s in traj.states for v in s.coords)
+    assert all(len(s) == 6 and all(map(math.isfinite, s)) for s in traj.states)
+
+
+@pytest.mark.parametrize("start, velocity, message", [
+    ((1.0, 3.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.1, 0.0, 0.0, 0.0, 0.0),
+     "coordinate theta must lie in (0, pi), got 3.2"),
+    ((1.0, 0.2, 0.0, 0.0, 0.0, 0.0), (0.0, -0.1, 0.0, 0.0, 0.0, 0.0),
+     "coordinate theta must lie in (0, pi), got -0.09999999999999996"),
+    ((1.0, 1.0, 0.0, 0.0, 0.0, 0.0), (-0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+     "coordinate r must be positive, got 0.0"),
+], ids=["theta-above-pi", "theta-below-zero", "r-at-zero"])
+def test_spherical_run_leaving_the_chart_raises_chart_domain_error(start, velocity, message):
+    x0 = PhasePoint(start, Chart.SPHERICAL)
+    with pytest.raises(ChartDomainError) as info:
+        integrate_field(x0, lambda c: list(velocity), 1.0, 5, observe=lambda c: (None, None, ()))
+    assert str(info.value) == message

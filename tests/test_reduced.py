@@ -264,7 +264,7 @@ def test_angle_rates_match_frequencies_along_flow():
     traj = integrate_field(s0, spherical_rhs(RP), 5e-4, 1500, method="rk4",
                            observe=lambda c: (None, spherical_hamiltonian(c, RP), ()))
     assert traj.completed
-    phi_seq = np.unwrap([st.coords[2] for st in traj.states])
+    phi_seq = np.unwrap([st[2] for st in traj.states])
     angles = np.array([
         continuous_angles(st, J, RP, phi_unwrapped=float(pu))
         for st, pu in zip(traj.states, phi_seq)

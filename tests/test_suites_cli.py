@@ -47,6 +47,14 @@ GOLDEN_SCENARIOS = {
         },
         "0ddbc80387981029c3aeacd110b74dd2b936a4fba94de97a6251f68414cd4b15",
     ),
+    "commutative-rk4-unmonitored": (
+        {
+            "initial_state": {"chart": "cartesian", "coords": [0.9, 0.1, 0.2, -0.1, 1.0, 0.15]},
+            "integrator": {"method": "rk4", "dt": 2e-3, "n_steps": 300},
+            "monitors": [],
+        },
+        "d76809d1c0e5a660f9bfe330d21132e28818cd133e0b1d03285f033f75ff171c",
+    ),
 }
 
 
