@@ -15,6 +15,13 @@ Second derivatives come from nesting: the value and the tangents of a
 ``Dual`` may themselves be ``Dual`` values of an outer layer.
 :func:`hessian` seeds an outer layer with a single tangent per column and
 takes the gradient of that inside it.
+
+A coordinate may also be a float64 ndarray over a batch of points, so one
+evaluator pass serves every point of a check.  numpy's ``+ - * /`` round
+as Python's float operations do, so each point's slice of a batched result
+is bit-for-bit that point's float result, provided the evaluators raise
+coordinates to powers through :func:`power`, which keeps Python's ``**``
+rounding (numpy's own ``**`` differs in the last bit at some points).
 """
 
 from __future__ import annotations
@@ -22,18 +29,22 @@ from __future__ import annotations
 import math
 from operator import add, neg, sub
 
+import numpy as np
+
 
 class Dual:
     """A first-order jet ``a + sum_k b[k] eps_k`` with ``eps_j eps_k = 0``.
 
-    ``a`` is a float or, for nested differentiation, a ``Dual`` of an outer
-    layer; ``b`` is a tuple with one tangent per seeded direction, each a
-    float or an outer-layer ``Dual``.  Two duals combined in one operation
-    must belong to the same layer and carry the same number of tangents.
-    Only the operations the field evaluators need are defined.
+    ``a`` is a float, a float64 ndarray over points or, for nested
+    differentiation, a ``Dual`` of an outer layer; ``b`` is a tuple with
+    one tangent per seeded direction, each of the same kinds.  Two duals
+    combined in one operation must belong to the same layer and carry the
+    same number of tangents.  Only the operations the field evaluators need
+    are defined.
     """
 
     __slots__ = ("a", "b")
+    __array_ufunc__ = None  # an ndarray operand defers to the Dual's method
 
     def __init__(self, a, b):
         self.a = a
@@ -95,19 +106,34 @@ class Dual:
             if exponent == 1:
                 return self
             if exponent >= 2:
-                ap = self.a ** (exponent - 1)
+                ap = power(self.a, exponent - 1)
                 scale = exponent * ap
                 return Dual(ap * self.a, tuple([x * scale for x in self.b]))
-        ap = self.a ** (exponent - 1.0)
+        ap = power(self.a, exponent - 1.0)
         scale = exponent * ap
         return Dual(ap * self.a, tuple([x * scale for x in self.b]))
 
 
+def power(x, n):
+    """``x ** n``; on an ndarray, Python's float ``**`` at each element, so
+    every point rounds as its float evaluation does."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**n for v in x.tolist()])
+    return x**n
+
+
+def anywhere(mask) -> bool:
+    """Whether ``mask``, a comparison at one point (a bool) or over a batch
+    of points (a bool ndarray), holds at any point."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def value(x):
-    """Strip all dual layers, returning the underlying float."""
+    """Strip all dual layers, returning the underlying float, or the
+    underlying array of a batch of points."""
     while isinstance(x, Dual):
         x = x.a
-    return float(x)
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def seed(coords) -> list:

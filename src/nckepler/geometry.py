@@ -4,6 +4,9 @@ Tensor fields are closed-form evaluators over six generic scalars, so every
 derivative taken here (gradients, Lie brackets and derivatives, the
 Schouten bracket, Nijenhuis torsion) is exact via dual-number forward mode.
 Identities are verified pointwise at sampled points, never symbolically.
+A check may pass all its points at once as a :func:`batch`, six float64
+arrays over the points; every operation here then acts on each point as it
+would on that point's floats, to the bit.
 
 Every rank-2 tensor is a :class:`TensorField` whose ``slots`` name the
 variance of its two indices: ``"uu"`` for a bivector ``P^{ab}``, ``"dd"``
@@ -35,6 +38,8 @@ import math
 from dataclasses import dataclass
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import duals
 from .duals import Dual, value
@@ -117,6 +122,12 @@ def coords_of(x) -> list:
     if isinstance(x, PhasePoint):
         return list(x.coords)
     return list(x)
+
+
+def batch(points) -> list:
+    """The coordinates of ``points`` as six float64 arrays over the points:
+    one argument that evaluates every point in one pass."""
+    return [np.array(col) for col in zip(*(coords_of(x) for x in points))]
 
 
 @dataclass(frozen=True)
@@ -255,8 +266,9 @@ def lie_derivative_of_jets(Z: Jet, T: Jet) -> list:
 
     A vector gives the Lie bracket ``[Z, T]^i = sum_j (Z^j d_j T^i - T^j
     d_j Z^i)``.  A tensor gives the directional derivative of each component
-    (zero components of ``Z`` skipped) plus one Leibniz term per slot (see
-    the module docstring for the signs); its values are read as floats.
+    (components of ``Z`` that are zero at every point skipped) plus one
+    Leibniz term per slot (see the module docstring for the signs); its
+    values are read as floats.
     """
     if T.slots == "u":
         Zv, dZ, Tv, dT = Z.value, Z.d, T.value, T.d
@@ -266,7 +278,7 @@ def lie_derivative_of_jets(Z: Jet, T: Jet) -> list:
     dZt = list(zip(*dZ))
     mat = [[value(e) for e in row] for row in T.value]
     cols = list(zip(*mat))
-    moving = [l for l in range(DIM) if Zv[l] != 0.0]
+    moving = [l for l in range(DIM) if duals.anywhere(Zv[l] != 0.0)]
     up0, up1 = (slot == "u" for slot in T.slots)
     left = dZ if up0 else dZt
     right = dZ if up1 else dZt
@@ -411,23 +423,36 @@ def inverse_pair_residual(omega_mat, P_mat) -> float:
 
 
 def flow_pairing_residual(X: VectorField, omega: TensorField, F: ScalarField, x) -> float:
-    """``max_a |(iota_X omega)_a + (dF)_a|`` at ``x``; zero exactly when
-    ``X`` is the Hamiltonian flow of ``F`` under the two-form ``omega``."""
+    """``max_a |(iota_X omega)_a + (dF)_a|`` at ``x``, the worst point of a
+    batch; zero exactly when ``X`` is the Hamiltonian flow of ``F`` under
+    the two-form ``omega``."""
     ip = interior_product(X, omega, x)
     dF = gradient(F, x)
     return max_abs(value(ip[a]) + value(dF[a]) for a in range(DIM))
 
 
 def max_abs(x) -> float:
-    """Largest absolute value in a scalar or arbitrarily nested sequence
-    (0.0 when empty), and NaN when any value is NaN: ``max`` would drop a
-    NaN that is not its first argument, so a residual that cannot be
-    evaluated would read as a pass."""
-    if isinstance(x, (int, float, Dual)):
-        return abs(value(x))
+    """Largest absolute value in a scalar, an ndarray or an arbitrarily
+    nested sequence (0.0 when empty), and NaN when any value is NaN:
+    ``max`` would drop a NaN that is not its first argument, so a residual
+    that cannot be evaluated would read as a pass."""
+    x = value(x) if isinstance(x, Dual) else x
+    if isinstance(x, np.ndarray):
+        return float(np.abs(x).max()) if x.size else 0.0  # ndarray.max keeps NaN
+    if isinstance(x, (int, float)):
+        return abs(float(x))
     worst = 0.0
     for e in x:
         v = abs(e) if type(e) is float else max_abs(e)
         if v > worst or v != v:  # once NaN, no value is greater
             worst = v
     return worst
+
+
+def max_abs_per_point(values):
+    """:func:`max_abs` over ``values`` at each point: a float at a single
+    point and an array over a batch, NaN wherever any value is NaN."""
+    worst = 0.0
+    for v in values:
+        worst = np.maximum(worst, np.abs(value(v)))
+    return worst if isinstance(worst, np.ndarray) else float(worst)

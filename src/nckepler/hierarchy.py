@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 
 from .charts import forward_jacobian, inverse_jacobian
+from .duals import power
 from .geometry import (
     Chart,
     ScalarField,
@@ -55,11 +56,11 @@ def ladder_energy_field(h: int, rp: ReducedParams, chart: Chart = Chart.DELAUNAY
 
     if chart is Chart.DELAUNAY:
         def f(c):
-            return -m * k**2 / ((2.0 + h) * c[2] ** (2 + h))
+            return -m * k**2 / ((2.0 + h) * power(c[2], 2 + h))
     else:
         def f(c):
             s = c[0] + M * c[1] + c[2]
-            return -m * k**2 / ((2.0 + h) * s ** (2 + h))
+            return -m * k**2 / ((2.0 + h) * power(s, 2 + h))
 
     return ScalarField(f)
 
@@ -68,7 +69,7 @@ def level_bivector(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
-        w = [N[j] ** (h + 1) * c[j] ** h for j in range(3)]
+        w = [N[j] ** (h + 1) * power(c[j], h) for j in range(3)]
         return pair_matrix(w)
 
     return TensorField(func, "uu")
@@ -78,7 +79,7 @@ def level_two_form(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
-        w = [1.0 / (N[j] ** (h + 1) * c[j] ** h) for j in range(3)]
+        w = [1.0 / (N[j] ** (h + 1) * power(c[j], h)) for j in range(3)]
         return pair_matrix(w)
 
     return TensorField(func, "dd")
@@ -90,7 +91,7 @@ def recursion_operator(h: int, rp: ReducedParams) -> TensorField:
     def func(c):
         mat = [[0.0] * 6 for _ in range(6)]
         for j in range(3):
-            t = N[j] ** h * c[j] ** h
+            t = N[j] ** h * power(c[j], h)
             mat[j][j] = t
             mat[3 + j][3 + j] = t
         return mat

@@ -40,6 +40,7 @@ from .geometry import (
     lie_derivative,
     lie_derivative_of_jets,
     max_abs,
+    max_abs_per_point,
     pair_matrix,
 )
 from .hierarchy import (
@@ -60,9 +61,9 @@ def dynamical_symmetry(h: int, rp: ReducedParams) -> VectorField:
     m, k = rp.m, rp.k
 
     def f(c):
-        if duals.value(c[2]) == 0.0:
+        if duals.anywhere(duals.value(c[2]) == 0.0):
             raise ChartDomainError("dynamical symmetry undefined at I3 = 0")
-        return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 / c[2] ** (h + 3)]
+        return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 / duals.power(c[2], h + 3)]
 
     return VectorField(f)
 
@@ -74,9 +75,9 @@ def master_symmetry_field(i: int, mu: int, rp: ReducedParams) -> VectorField:
     def f(c):
         out = [0.0] * 6
         for j in range(3):
-            if mu >= 1 and duals.value(c[j]) == 0.0:
+            if mu >= 1 and duals.anywhere(duals.value(c[j]) == 0.0):
                 raise ChartDomainError(f"master symmetry undefined at I{j + 1} = 0")
-            comp = scale * N[j] ** mu * c[j] ** (1 - mu)
+            comp = scale * N[j] ** mu * duals.power(c[j], 1 - mu)
             out[j] = comp
             out[3 + j] = comp
         return out
@@ -96,7 +97,7 @@ def master_integral(i: int, mu: int, rp: ReducedParams) -> ScalarField:
                 total = total + scale * N[j] * (duals.log(c[j]) - c[3 + j] / c[j])
             else:
                 total = total + scale * N[j] ** (mu - 1) * (
-                    c[j] ** (2 - mu) / (2.0 - mu) - c[3 + j] / c[j] ** (mu - 1)
+                    duals.power(c[j], 2 - mu) / (2.0 - mu) - c[3 + j] / duals.power(c[j], mu - 1)
                 )
         return total
 
@@ -142,7 +143,7 @@ def family_flow_field(h: int, rp: ReducedParams) -> VectorField:
     m, k = rp.m, rp.k
 
     def f(c):
-        return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 * c[2] ** (h - 3)]
+        return [0.0, 0.0, 0.0, 0.0, 0.0, m * k**2 * duals.power(c[2], h - 3)]
 
     return VectorField(f)
 
@@ -151,7 +152,7 @@ def family_two_form(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
-        return pair_matrix([N[j] ** (h - 1) * c[j] ** h for j in range(3)])
+        return pair_matrix([N[j] ** (h - 1) * duals.power(c[j], h) for j in range(3)])
 
     return TensorField(func, "dd")
 
@@ -164,7 +165,7 @@ def family_energy_field(h: int, rp: ReducedParams) -> ScalarField:
     def f(c):
         if h == 2:
             return m * k**2 * duals.log(c[2])
-        return -m * k**2 / ((2.0 - h) * c[2] ** (2 - h))
+        return -m * k**2 / ((2.0 - h) * duals.power(c[2], 2 - h))
 
     return ScalarField(f)
 
@@ -177,7 +178,7 @@ def family_gamma_field(i: int, h: int, rp: ReducedParams) -> VectorField:
     def f(c):
         out = [0.0] * 6
         for j in range(3):
-            comp = scale * N[j] ** h * c[j] ** (h + 1)
+            comp = scale * N[j] ** h * duals.power(c[j], h + 1)
             out[j] = comp
             out[3 + j] = comp
         return out
@@ -204,29 +205,30 @@ def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> 
 
 @dataclass(frozen=True)
 class LedgerEntry:
+    """One relation's residual: a float at a point, an array over a batch."""
+
     identity: str
-    residual: float
+    residual: object
 
 
 def _floats(values) -> list:
     return [duals.value(v) for v in values]
 
 
-def _residual(Z: Jet, F: Jet, coeff: float, rhs) -> float:
+def _residual(Z: Jet, F: Jet, coeff: float, rhs):
     """``max |L_Z F - coeff rhs|`` over the components of the Lie derivative
-    of jet ``F`` along jet ``Z``; ``rhs`` holds floats, row after row for a
-    tensor, and :func:`~geometry.max_abs` drops the dual parts of the
-    derivative."""
+    of jet ``F`` along jet ``Z``, at each point; ``rhs`` holds values, row
+    after row for a tensor."""
     lhs = lie_derivative_of_jets(Z, F)
     if F.slots != "u":
         lhs = chain(*lhs)
-    return max_abs([a - coeff * b for a, b in zip(lhs, rhs)])
+    return max_abs_per_point([a - coeff * b for a, b in zip(lhs, rhs)])
 
 
 def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> list:
-    """Evaluate every scaling relation at a Delaunay point for all
-    ``i <= i_max``, ``h <= h_max`` and ``l <= l_max``, in (i, h, l, relation)
-    order.
+    """Evaluate every scaling relation at a Delaunay point, or at each
+    point of a :func:`~geometry.batch`, for all ``i <= i_max``,
+    ``h <= h_max`` and ``l <= l_max``, in (i, h, l, relation) order.
 
     Relations: Lie derivatives along Gamma'_{i,h} of Gamma'_{i,l}, X'_l,
     P'_l, omega'_l and of the recursion operator, plus the pairing of the
@@ -236,7 +238,8 @@ def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> 
     Each differentiated field (Gamma'_{i,n} for n <= max(h_max, l_max), X'_l,
     P'_l, omega'_l and T_1) is read once as a :class:`~geometry.Jet`, each
     right-hand side is evaluated once per degree, and the derivative of
-    T_1, which does not depend on l, once per (i, h).
+    T_1, which does not depend on l, once per (i, h).  Over a batch, that
+    is once for all the points.
     """
     coords = coords_of(x)
     m, k = rp.m, rp.k
@@ -276,7 +279,7 @@ def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> 
                     entries.append(LedgerEntry(identity, _residual(g, F, coeff, rhs)))
                 entries.append(LedgerEntry("L_Gamma'ih (T) = (1/(3+i)) T^(1+h)", resid_T))
                 # the I3-component of the l-th differential, paired with Gamma'ih
-                pair = duals.value(g.value[2]) * (m * k**2 * coords[2] ** (l - 3))
+                pair = duals.value(g.value[2]) * (m * k**2 * duals.power(coords[2], l - 3))
                 if n == 2:
                     resid = abs(pair - m * k**2 / den)
                 else:

@@ -47,6 +47,7 @@ from .geometry import (
     PhasePoint,
     ScalarField,
     TensorField,
+    batch,
     bivector_bracket,
     flow_pairing_residual,
     gradient,
@@ -54,6 +55,7 @@ from .geometry import (
     lie_bracket,
     lie_bracket_field,
     max_abs,
+    max_abs_per_point,
     nijenhuis_torsion,
     pair_matrix,
     schouten_bracket,
@@ -682,7 +684,9 @@ def _levels(ctx: HierarchyContext):
     rp = cfg.reduced
     P0 = level_bivector(0, rp)
     X = dynamical_symmetry(0, rp)
-    subset = points[: max(12, cfg.samples // 8)]
+    # each loop over points is one batch
+    every, first20, first10 = batch(points), batch(points[:20]), batch(points[:10])
+    subset = batch(points[: max(12, cfg.samples // 8)])
     for h in range(cfg.h_max + 1):
         Ph = corrupted_first_level_bivector(rp) if (cfg.negative_control and h == 1) \
             else level_bivector(h, rp)
@@ -691,35 +695,32 @@ def _levels(ctx: HierarchyContext):
         Th = recursion_operator(h, rp)
 
         yield Entry(f"compatibility-h{h}", "level bivector is Schouten-compatible with the base one",
-                    [schouten_bracket(Ph, P0, x) for x in subset], cfg.tol_bracket)
+                    schouten_bracket(Ph, P0, subset), cfg.tol_bracket)
         for hp in range(1, h):
             Pp = level_bivector(hp, rp)
             yield Entry(f"compatibility-h{h}-h{hp}", "level bivectors are mutually Schouten-compatible",
-                        [schouten_bracket(Ph, Pp, x) for x in subset], cfg.tol_bracket)
+                        schouten_bracket(Ph, Pp, subset), cfg.tol_bracket)
         yield Entry(f"pairing-h{h}", "flow contraction with the level form is minus dF_h",
-                    [flow_pairing_residual(X, om, Fh, x) for x in points], cfg.tol_bracket)
+                    flow_pairing_residual(X, om, Fh, every), cfg.tol_bracket)
         yield Entry(f"inverse-pair-h{h}", "level form and bivector are mutually inverse",
-                    [inverse_pair_residual(om(x), Ph(x)) for x in points[:20]], cfg.tol_exact)
+                    inverse_pair_residual(om(first20), Ph(first20)), cfg.tol_exact)
         yield Entry(f"torsion-h{h}", "recursion operator has vanishing torsion on the coordinate frame",
-                    [nijenhuis_torsion(Th, x) for x in subset], cfg.tol_bracket)
+                    nijenhuis_torsion(Th, subset), cfg.tol_bracket)
 
         # eigenvalues constant along the flow (pointwise directional derivative)
+        Xv = X(first20)
         rates = []
-        for x in points[:20]:
-            Xv = X(x)
-            for j in range(3):
-                eig = ScalarField(lambda c, j=j: N[j] ** h * c[j] ** h)
-                deig = gradient(eig, x)
-                rates.append(sum(duals.value(Xv[a]) * duals.value(deig[a]) for a in range(6)))
+        for j in range(3):
+            eig = ScalarField(lambda c, j=j: N[j] ** h * duals.power(c[j], h))
+            deig = gradient(eig, first20)
+            rates.append(sum(duals.value(Xv[a]) * duals.value(deig[a]) for a in range(6)))
         yield Entry(f"eigenvalue-invariance-h{h}", "recursion eigenvalues are annihilated by the flow",
                     rates, cfg.tol_exact)
 
         # lambda bracket generates the same flow from F_h
-        gaps = []
-        for x in points[:10]:
-            for a in range(6):
-                coord_f = ScalarField(lambda c, a=a: c[a])
-                gaps.append(duals.value(lambda_bracket(Fh, coord_f, x, h, rp)) - duals.value(X(x)[a]))
+        Xv = X(first10)
+        gaps = [duals.value(lambda_bracket(Fh, ScalarField(lambda c, a=a: c[a]), first10, h, rp))
+                - duals.value(Xv[a]) for a in range(6)]
         yield Entry(f"level-bracket-flow-h{h}", "level bracket of F_h generates the base flow", gaps, 1e-10)
 
 
@@ -829,15 +830,15 @@ def _master_context(cfg: VerifyConfig) -> Context:
 def _ladder(ctx: Context):
     """The symmetry ladder and commutation."""
     rp = ctx.cfg.reduced
+    x = batch(ctx.points[:25])
     ladder, commutation = [], []
     for i in range(0, 4):
         for mu in range(0, 4):
             Xi = dynamical_symmetry(i, rp)
             G = master_symmetry_field(i, mu, rp)
             Xt = dynamical_symmetry(i + mu, rp)
-            for x in ctx.points[:25]:
-                ladder.append(_gaps(lie_bracket(Xi, G, x), Xt(x)))
-                commutation.append(lie_bracket(Xi, Xt, x))
+            ladder.append(_gaps(lie_bracket(Xi, G, x), Xt(x)))
+            commutation.append(lie_bracket(Xi, Xt, x))
     yield Entry("symmetry-ladder", "bracket of X_i with Gamma_i,mu lands on X_{i+mu}",
                 ladder, ctx.cfg.tol_bracket)
     yield Entry("symmetry-commutation", "generated symmetries commute with their sources",
@@ -850,13 +851,13 @@ def _ladder(ctx: Context):
 def _degree_one(ctx: Context):
     rp = ctx.cfg.reduced
     XH = dynamical_symmetry(0, rp)
+    x = batch(ctx.points[:10])
     second, smallest = [], math.inf
     for i in range(0, ctx.cfg.i_max + 1):
         for mu in range(0, 3):
             first = lie_bracket_field(XH, master_symmetry_field(i, mu, rp))
-            for x in ctx.points[:10]:
-                smallest = min(smallest, max_abs(first(x)))
-                second.append(lie_bracket(XH, first, x))
+            smallest = min(smallest, *max_abs_per_point(first(x)).tolist())
+            second.append(lie_bracket(XH, first, x))
     yield Entry("degree-one", "first bracket with the flow is nonzero, second vanishes",
                 second, ctx.cfg.tol_bracket)
     yield f"smallest first-bracket magnitude over the sample: {smallest:.3e} (nonzero)"
@@ -909,8 +910,8 @@ def _recursion_families(ctx: Context):
 def _scaling_ledger(ctx: Context):
     cfg = ctx.cfg
     yield Entry("scaling-ledger", "every scaling relation holds with its displayed rational coefficient",
-                [e.residual for x in ctx.points[:50]
-                 for e in scaling_ledger(cfg.reduced, x, cfg.i_max, min(cfg.h_max, 2), cfg.l_max)],
+                [e.residual for e in scaling_ledger(cfg.reduced, batch(ctx.points[:50]),
+                                                    cfg.i_max, min(cfg.h_max, 2), cfg.l_max)],
                 cfg.tol_bracket)
 
 

@@ -4,9 +4,11 @@ Each criterion prints one pass/fail line.  The suites run once, at the full
 sample counts (100 seeded points, 10 random deformation sets, ladder levels
 through 3, ledger indices through 2, 50 ledger points), and the criteria
 assert on the relevant report entries plus the wall-clock budget of the
-suite that produced them.
+suite that produced them.  The five reports are also pinned byte for byte
+by their SHA-256 digests.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -14,6 +16,15 @@ import pytest
 from nckepler.suites import SUITES, VerifyConfig
 
 FULL = VerifyConfig(samples=100, deformation_sets=10, h_max=3, i_max=2, l_max=2)
+
+# the acceptance-config report digests recorded in BENCH_14.json
+GOLDEN_REPORTS = {
+    "brackets": "94a9f146d643f2fb4b188f8490df0917e4ca47e0cae642bc51b97c6a72a97de3",
+    "algebra": "51aaeec2a4ede2ad8b648aa3c21e4b6091004d28129f0093362df7488f1a4651",
+    "action-angle": "e5ddff9bf425e1947196ec1a2ef21e71ae17b23f5cce59ca865a81f95f52a210",
+    "hierarchy": "1defa9d03397e46a91f03f696c04af5595050d67bf7d819c6fb8ae6787fc8974",
+    "master": "d65eecac99d2242874408c18f229ee6cdfdda8d1ab847231a3610c8234b44a8c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +152,11 @@ def test_battery_fully_green(battery):
         assert rep.all_passed, (
             name, [(e.identity, e.residual, e.tolerance) for e in rep.entries if not e.passed]
         )
+
+
+def test_acceptance_reports_match_golden_digests(battery, tmp_path):
+    reports, _ = battery
+    for name, digest in GOLDEN_REPORTS.items():
+        path = tmp_path / f"{name}.json"
+        reports[name].save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name

@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+import pytest
+
 from nckepler import duals
 from nckepler.deformation import DeformationParams
 from nckepler.duals import Dual, grad, hessian, jacobian, value
@@ -169,3 +172,40 @@ def test_power_zero_has_zero_tangents():
     assert r.a == 1.0
     assert len(r.b) == 3 and all(t == 0.0 for t in r.b)
     assert grad(lambda c: c[2] ** 0, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == [0.0] * 6
+
+
+@pytest.mark.parametrize("n", range(-6, 7))
+def test_power_of_an_array_rounds_as_python_at_every_element(n):
+    rng = np.random.default_rng(15 + n)
+    x = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3.0, 3.0, 10_000)
+    got = duals.power(x, n)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert [v.hex() for v in got.tolist()] == [(v**n).hex() for v in x.tolist()]
+    assert duals.power(2.5, n) == 2.5**n
+
+
+def test_dual_power_of_a_batch_equals_each_points_float_pass_bitwise():
+    rng = np.random.default_rng(7)
+    a, t = rng.uniform(0.2, 3.0, 50), rng.standard_normal(50)
+    for n in (-4, -1, 0, 1, 2, 3, 5):
+        r = Dual(a, (t, 1.0)) ** n
+        for p in range(50):
+            ref = Dual(float(a[p]), (float(t[p]), 1.0)) ** n
+            assert float(np.broadcast_to(r.a, 50)[p]).hex() == float(ref.a).hex(), n
+            for got, want in zip(r.b, ref.b):
+                assert float(np.broadcast_to(got, 50)[p]).hex() == float(want).hex(), n
+
+
+def test_an_array_operand_defers_to_the_dual():
+    d = Dual(np.array([1.0, 2.0]), (np.array([1.0, 1.0]),))
+    for r in (np.array([3.0, 4.0]) + d, np.array([3.0, 4.0]) * d, np.float64(2.0) - d):
+        assert isinstance(r, Dual)
+    assert value(np.array([2.0, 8.0]) / d).tolist() == [2.0, 4.0]
+    assert value(Dual(d, (1.0,))) is d.a
+
+
+def test_anywhere_reads_a_bool_or_a_bool_array():
+    assert duals.anywhere(True) and not duals.anywhere(False)
+    assert duals.anywhere(np.array([1.0, 0.0]) == 0.0)
+    assert not duals.anywhere(np.array([1.0, 2.0]) == 0.0)
+    assert not duals.anywhere(np.array([]) == 0.0)

@@ -12,6 +12,7 @@ from nckepler.geometry import (
     PhasePoint,
     ScalarField,
     VectorField,
+    batch,
     bivector_bracket,
     TensorField,
     constant_tensor,
@@ -24,6 +25,7 @@ from nckepler.geometry import (
     lie_bracket,
     lie_derivative,
     max_abs,
+    max_abs_per_point,
     nijenhuis_torsion,
     pair_matrix,
     schouten_bracket,
@@ -594,3 +596,71 @@ def test_max_abs_folds_nested_values_and_keeps_nan():
     for values in ([0.0, math.nan], [math.nan, 1.0], [[1.0, [2.0, math.nan]], 3.0]):
         assert math.isnan(max_abs(values)), values
 
+
+
+def test_max_abs_of_an_array_keeps_nan_and_equals_the_list_route():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 7, 1000):
+        x = rng.standard_normal(size) * 10.0 ** rng.uniform(-5.0, 5.0, size)
+        assert max_abs(x).hex() == max_abs(x.tolist()).hex()
+        assert max_abs(x.reshape(-1, 1)).hex() == max_abs(x.tolist()).hex()
+        if size:
+            for at in (0, size // 2, size - 1):
+                y = x.copy()
+                y[at] = math.nan
+                assert math.isnan(max_abs(y)) and math.isnan(max_abs([0.0, y]))
+    assert max_abs(duals.Dual(np.array([-3.0, 2.0]), (1.0,))) == 3.0
+
+
+def test_max_abs_per_point_folds_each_point_alone():
+    values = [np.array([1.0, -4.0, 0.5]), 0.0, np.array([-2.0, math.nan, 0.25])]
+    got = max_abs_per_point(values)
+    assert got[0] == 2.0 and math.isnan(got[1]) and got[2] == 0.5
+    for p in range(3):
+        ref = max_abs([np.broadcast_to(v, 3)[p] for v in values])
+        assert math.isnan(ref) if math.isnan(got[p]) else got[p] == ref
+    assert max_abs_per_point([0.5, -1.5]) == 1.5 and type(max_abs_per_point([0.5])) is float
+    assert max_abs_per_point([]) == 0.0
+
+
+def test_batch_stacks_each_coordinate_over_the_points():
+    pts = sample_delaunay(4, seed=9)
+    b = batch(pts)
+    assert len(b) == 6 and all(c.dtype == np.float64 and c.shape == (4,) for c in b)
+    assert [[float(c[p]) for c in b] for p in range(4)] == [list(x.coords) for x in pts]
+
+
+def _slices(batched, n: int) -> list:
+    """The per-point slices of a nested list of arrays and floats: a float
+    component stands for the same value at every point."""
+    if isinstance(batched, (list, tuple)):
+        return list(zip(*[_slices(e, n) for e in batched]))
+    return [v.hex() for v in np.broadcast_to(batched, n).tolist()]
+
+
+def _hexes(nested):
+    if isinstance(nested, (list, tuple)):
+        return tuple(_hexes(e) for e in nested)
+    return duals.value(nested).hex()
+
+
+def test_batched_operators_equal_the_per_point_route_bitwise():
+    # each point's slice of a batched Schouten bracket, torsion, Lie
+    # derivative, Lie bracket and gradient is that point's float result
+    rp = VerifyConfig().reduced
+    pts = sample_delaunay(12, seed=4)
+    b = batch(pts)
+    P1, P2, T2 = level_bivector(1, rp), level_bivector(2, rp), recursion_operator(2, rp)
+    G = family_gamma_field(1, 2, rp)
+    W = family_two_form(2, rp)
+    X = VectorField(lambda c: [c[0] * c[4], duals.power(c[1], 3), c[2], c[3] * c[5], 0.0, c[1] / c[2]])
+    f = ScalarField(lambda c: c[0] * c[3] - c[2] / c[1])
+    for route in (
+        lambda x: schouten_bracket(P1, P2, x),
+        lambda x: nijenhuis_torsion(T2, x),
+        lambda x: lie_derivative(G, W, x),
+        lambda x: lie_derivative(X, P2, x),
+        lambda x: lie_bracket(X, G, x),
+        lambda x: gradient(f, x),
+    ):
+        assert _slices(route(b), len(pts)) == [_hexes(route(x)) for x in pts]

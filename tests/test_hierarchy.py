@@ -6,6 +6,7 @@ from nckepler.geometry import (
     Chart,
     PhasePoint,
     ScalarField,
+    batch,
     flat_sharp_composition,
     gradient,
     interior_product,
@@ -31,6 +32,7 @@ from nckepler.errors import ChartDomainError
 from nckepler.master import dynamical_symmetry
 from nckepler.reduced import ReducedParams, reduced_structures
 from nckepler.sampling import sample_action_angle, sample_delaunay
+from nckepler.suites import VerifyConfig
 
 RP = ReducedParams(thetadot=0.005, phidot=0.3)
 M1 = ReducedParams()  # M = 1
@@ -257,3 +259,41 @@ def test_transport_of_base_level_is_canonical_pair():
             assert abs(T[i][j] - (1.0 if i == j else 0.0)) < 1e-14
             if j != i + 3 and i != j + 3:
                 assert abs(P[i][j]) < 1e-14
+
+
+def _flat(nested) -> list:
+    if isinstance(nested, (list, tuple)):
+        return [v for e in nested for v in _flat(e)]
+    return [nested]
+
+
+def test_batched_level_checks_equal_the_per_point_route_bitwise():
+    # every loop of the hierarchy suite's _levels check, at its own points:
+    # each point's slice of the batched value is that point's float value
+    cfg = VerifyConfig()
+    rp, N = cfg.reduced, weight_vector(cfg.reduced)
+    pts = sample_delaunay(cfg.samples, cfg.seed)
+    X, P0 = dynamical_symmetry(0, rp), level_bivector(0, rp)
+    routes = [(pts[:12], lambda x: schouten_bracket(corrupted_first_level_bivector(rp), P0, x))]
+    for h in range(cfg.h_max + 1):
+        Ph, om, Fh = level_bivector(h, rp), level_two_form(h, rp), ladder_energy_field(h, rp)
+        routes += [
+            (pts[:12], lambda x, h=h, Ph=Ph: [schouten_bracket(Ph, level_bivector(hp, rp), x)
+                                              for hp in range(h)]),
+            (pts, lambda x, om=om, Fh=Fh: [duals.value(a) + duals.value(b) for a, b in zip(
+                interior_product(X, om, x), gradient(Fh, x))]),
+            (pts[:20], lambda x, om=om, Ph=Ph: flat_sharp_composition(om(x), Ph(x))),
+            (pts[:12], lambda x, h=h: nijenhuis_torsion(recursion_operator(h, rp), x)),
+            (pts[:20], lambda x, h=h: [sum(duals.value(v) * duals.value(d) for v, d in zip(
+                X(x), gradient(ScalarField(lambda c, j=j: N[j] ** h * duals.power(c[j], h)), x)))
+                for j in range(3)]),
+            (pts[:10], lambda x, h=h, Fh=Fh: [
+                duals.value(lambda_bracket(Fh, ScalarField(lambda c, a=a: c[a]), x, h, rp))
+                - duals.value(X(x)[a]) for a in range(6)]),
+        ]
+    for points, route in routes:
+        n = len(points)
+        batched = _flat(route(batch(points)))
+        for p, x in enumerate(points):
+            assert [float(np.broadcast_to(duals.value(v), n)[p]).hex() for v in batched] == \
+                [duals.value(v).hex() for v in _flat(route(x))]

@@ -1,20 +1,24 @@
 import math
 
+import numpy as np
 import pytest
 
-from nckepler import duals
+from nckepler import duals, suites
 from nckepler.charts import forward_jacobian, inverse_jacobian
+from nckepler.errors import ChartDomainError
 from nckepler.geometry import (
     Chart,
     PhasePoint,
     ScalarField,
     VectorField,
+    batch,
     gradient,
     hamiltonian_vector_field,
     lie_bracket,
     lie_bracket_field,
     lie_derivative,
     max_abs,
+    max_abs_per_point,
     pair_matrix,
 )
 from nckepler.hierarchy import (
@@ -43,6 +47,12 @@ from nckepler.suites import VerifyConfig
 
 RP = ReducedParams(thetadot=0.006, phidot=0.25)
 PT = PhasePoint((0.6, 1.1, 1.9, 0.3, 2.2, 5.0), Chart.DELAUNAY)
+MASTER_POINTS = sample_delaunay(max(50, VerifyConfig().samples // 2), VerifyConfig().seed)
+
+
+def _point(batched, p: int, n: int) -> float:
+    """Point ``p`` of a batched value; a float stands for every point."""
+    return float(np.broadcast_to(duals.value(batched), n)[p])
 
 
 def test_dynamical_symmetries_commute_with_flow():
@@ -269,6 +279,80 @@ def test_scaling_ledger_equals_the_per_relation_route_bitwise(rp):
             assert e.residual.hex() == resid.hex(), (i, h, l, e.identity)
             largest = max(largest, e.residual)
     assert largest > 0.0
+
+
+@pytest.mark.parametrize("rp", [VerifyConfig().reduced,
+                                ReducedParams(thetadot=-0.004, phidot=-0.2, m=1.3, k=0.7)])
+def test_batched_scaling_ledger_equals_the_per_point_route_bitwise(rp):
+    # each point's slice of the one batched call is that point's float-route
+    # residual, over all 50 of the master suite's ledger points
+    n = len(MASTER_POINTS)
+    batched = scaling_ledger(rp, batch(MASTER_POINTS), 2, 2, 2)
+    assert len(batched) == 27 * 6
+    for p, x in enumerate(MASTER_POINTS):
+        per_point = scaling_ledger(rp, x, 2, 2, 2)
+        for b, e in zip(batched, per_point, strict=True):
+            assert b.identity == e.identity
+            assert _point(b.residual, p, n).hex() == e.residual.hex(), (p, e.identity)
+
+
+def test_batched_ladder_and_degree_one_equal_the_per_point_route_bitwise():
+    # the component gaps of _ladder (25 points) and _degree_one (10 points)
+    rp = VerifyConfig().reduced
+    for pts, pairs, route in (
+        (MASTER_POINTS[:25], [(i, mu) for i in range(4) for mu in range(4)],
+         lambda i, mu, x: (
+             [duals.value(a) - duals.value(b) for a, b in zip(
+                 lie_bracket(dynamical_symmetry(i, rp), master_symmetry_field(i, mu, rp), x),
+                 dynamical_symmetry(i + mu, rp)(x))]
+             + lie_bracket(dynamical_symmetry(i, rp), dynamical_symmetry(i + mu, rp), x))),
+        (MASTER_POINTS[:10], [(i, mu) for i in range(3) for mu in range(3)],
+         lambda i, mu, x: (
+             lie_bracket_field(dynamical_symmetry(0, rp), master_symmetry_field(i, mu, rp))(x)
+             + lie_bracket(dynamical_symmetry(0, rp), lie_bracket_field(
+                 dynamical_symmetry(0, rp), master_symmetry_field(i, mu, rp)), x))),
+    ):
+        n = len(pts)
+        for i, mu in pairs:
+            batched = route(i, mu, batch(pts))
+            for p, x in enumerate(pts):
+                assert [_point(v, p, n).hex() for v in batched] == \
+                    [duals.value(v).hex() for v in route(i, mu, x)], (i, mu, p)
+
+
+def test_batched_smallest_first_bracket_equals_the_per_point_minimum():
+    rp = VerifyConfig().reduced
+    first = lie_bracket_field(dynamical_symmetry(0, rp), master_symmetry_field(1, 2, rp))
+    pts = MASTER_POINTS[:10]
+    assert max_abs_per_point(first(batch(pts))).tolist() == [max_abs(first(x)) for x in pts]
+
+
+def test_scaling_ledger_check_takes_19_seeded_passes_for_its_50_points(monkeypatch):
+    # one batch for the whole check; one call per point took 19 each, 950
+    calls = []
+    seed = duals.seed
+    monkeypatch.setattr(duals, "seed", lambda coords: calls.append(1) or seed(coords))
+    entry, = suites._scaling_ledger(suites.Context(VerifyConfig(), MASTER_POINTS))
+    assert len(calls) == 19
+    assert len(entry.residual) == 27 * 6 and all(r.shape == (50,) for r in entry.residual)
+
+
+@pytest.mark.parametrize("at", [0, 17, 49])
+def test_zero_action_guards_test_every_point_of_a_batch(at):
+    b = batch(MASTER_POINTS)
+    for j in range(3):
+        coords = [c.copy() for c in b]
+        coords[j][at] = 0.0
+        with pytest.raises(ChartDomainError, match=f"^master symmetry undefined at I{j + 1} = 0$"):
+            master_symmetry_field(0, 1, RP)(coords)
+        with pytest.raises(ChartDomainError, match=f"^master symmetry undefined at I{j + 1} = 0$"):
+            master_symmetry_field(0, 2, RP)(duals.seed(coords))
+        if j == 2:
+            with pytest.raises(ChartDomainError, match="^dynamical symmetry undefined at I3 = 0$"):
+                dynamical_symmetry(1, RP)(coords)
+            with pytest.raises(ChartDomainError, match="^dynamical symmetry undefined at I3 = 0$"):
+                dynamical_symmetry(0, RP)(duals.seed(coords))
+    assert len(dynamical_symmetry(1, RP)(b)[5]) == len(MASTER_POINTS)
 
 
 def test_scaling_ledger_takes_one_seeded_pass_per_field(monkeypatch):
