@@ -12,7 +12,6 @@ derivatives.
 from .deformation import DeformationParams, beta_bracket_table, nc_bracket, nc_symplectic_structures, theta_weights, transform_coordinates
 from .errors import (
     ChartDomainError,
-    DegenerateMapError,
     InvalidDeformationError,
     NCKeplerError,
     NonCompactError,

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ChartDomainError, DegenerateMapError
+from .errors import ChartDomainError
 from .geometry import Chart, PhasePoint
 from .reduced import (
     ReducedParams,
@@ -79,8 +79,6 @@ def action_block_matrix(rp: ReducedParams) -> np.ndarray:
 
 def angle_block_matrix(rp: ReducedParams) -> np.ndarray:
     M = rp.M
-    if M == 0.0:
-        raise DegenerateMapError("angle recombination is singular at M = 0")
     return np.array([[0.0, -1.0 / M, 1.0], [-M, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 

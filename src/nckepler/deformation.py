@@ -18,7 +18,6 @@ the declared commutation table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,17 +51,14 @@ def _check_antisymmetric(m, name: str):
 class DeformationParams:
     """Deformation matrices plus mass and coupling of the central force.
 
-    ``gamma`` only enters the reported commutation table, never the
-    dynamics; by default it is derived as -(1/4) alpha @ lam, which is what
-    the canonical brackets of the primed coordinates actually produce (the
-    two orderings of the product agree on their diagonal parts).
-    """
+    The ``{q, p}`` block of the commutation table, identity plus
+    ``gamma = -(1/4) alpha @ lam``, follows from these (see
+    :func:`beta_bracket_table`)."""
 
     alpha: tuple = _ZERO3
     lam: tuple = _ZERO3
     mass: float = 1.0
     k: float = 1.0
-    gamma: tuple | None = None
 
     def __post_init__(self):
         a = _as_matrix(self.alpha)
@@ -75,11 +71,6 @@ class DeformationParams:
             raise InvalidDeformationError(f"mass must be positive, got {self.mass}")
         if self.k <= 0.0:
             raise InvalidDeformationError(f"coupling k must be positive, got {self.k}")
-        if self.gamma is None:
-            g = -0.25 * (np.array(a) @ np.array(l))
-            object.__setattr__(self, "gamma", tuple(tuple(row) for row in g))
-        else:
-            object.__setattr__(self, "gamma", _as_matrix(self.gamma))
         th = theta_weights(self)
         object.__setattr__(self, "_theta", th)
 
@@ -91,17 +82,6 @@ class DeformationParams:
     def is_commutative(self) -> bool:
         return all(v == 0.0 for row in self.alpha for v in row) and all(
             v == 0.0 for row in self.lam for v in row
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": [list(r) for r in self.alpha],
-                "lambda": [list(r) for r in self.lam],
-                "mass": self.mass,
-                "k": self.k,
-            },
-            sort_keys=True,
         )
 
     @classmethod
@@ -195,9 +175,14 @@ class BracketTable:
 
 
 def beta_bracket_table(params: DeformationParams) -> BracketTable:
-    """The declared relations: qq = alpha, qp = identity + gamma, pp = lam."""
+    """The declared relations: qq = alpha, qp = identity + gamma, pp = lam,
+    with ``gamma = -(1/4) alpha @ lam``, which is what the canonical brackets
+    of the primed coordinates produce (the two orderings of the product
+    agree on their diagonal parts).  ``gamma`` enters only this table,
+    never the dynamics."""
+    gamma = -0.25 * (np.array(params.alpha) @ np.array(params.lam))
     ident_plus_gamma = tuple(
-        tuple((1.0 if i == j else 0.0) + params.gamma[i][j] for j in range(3))
+        tuple((1.0 if i == j else 0.0) + gamma[i][j] for j in range(3))
         for i in range(3)
     )
     return BracketTable(qq=params.alpha, qp=ident_plus_gamma, pp=params.lam)

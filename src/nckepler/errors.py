@@ -29,10 +29,6 @@ class NonCompactError(NCKeplerError):
     """Bound-state machinery was invoked at non-negative energy."""
 
 
-class DegenerateMapError(NCKeplerError):
-    """A chart map is not invertible for the given parameters."""
-
-
 class StepFailureError(NCKeplerError):
     """An implicit integrator stage iteration failed to converge."""
 

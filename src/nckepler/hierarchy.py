@@ -17,10 +17,11 @@ diag(I1^h, M^{h+1} I2^h, I3^h).
 The flow field, ``master.dynamical_symmetry(0, rp)``, is the same at every
 level: the h-th energy generates it through the h-th bracket.
 
-Action-angle images of all tensors are produced by exact transport through
-the constant linear chart map; the separately displayed component tables for
-that chart are kept as evaluators purely so reports can diff them against
-the transported truth.
+Every action-angle field, the energies and the three tensors of each level,
+is the Delaunay one carried by :func:`transported` through the constant
+linear chart map; the separately displayed component tables for that chart
+are kept as evaluators purely so reports can diff them against the
+transported truth.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from .charts import forward_jacobian, inverse_jacobian
 from .duals import power
 from .geometry import (
-    Chart,
     ScalarField,
     TensorField,
     bivector_bracket,
@@ -50,19 +50,10 @@ def weight_vector(rp: ReducedParams) -> tuple:
     return (1.0, rp.M, 1.0)
 
 
-def ladder_energy_field(h: int, rp: ReducedParams, chart: Chart = Chart.DELAUNAY) -> ScalarField:
+def ladder_energy_field(h: int, rp: ReducedParams) -> ScalarField:
     """Level-h energy ``F_h = -m k^2 / ((2 + h) I3^{2+h})``; level 0 is H."""
-    m, k, M = rp.m, rp.k, rp.M
-
-    if chart is Chart.DELAUNAY:
-        def f(c):
-            return -m * k**2 / ((2.0 + h) * power(c[2], 2 + h))
-    else:
-        def f(c):
-            s = c[0] + M * c[1] + c[2]
-            return -m * k**2 / ((2.0 + h) * power(s, 2 + h))
-
-    return ScalarField(f)
+    m, k = rp.m, rp.k
+    return ScalarField(lambda c: -m * k**2 / ((2.0 + h) * power(c[2], 2 + h)))
 
 
 def level_bivector(h: int, rp: ReducedParams) -> TensorField:
@@ -125,64 +116,40 @@ def _antisymmetric(entries) -> list:
     return out
 
 
-def _fwd_map(rp: ReducedParams):
-    Dfwd = [list(row) for row in forward_jacobian(rp)]
+def transported(F: ScalarField | TensorField, rp: ReducedParams) -> ScalarField | TensorField:
+    """``F``, a field on the Delaunay chart, carried to the action-angle
+    chart by the constant chart map ``fwd`` with Jacobian ``D``.
+
+    A scalar field is composed with ``fwd``.  A tensor field becomes
+    ``L F(fwd(c)) R`` with ``(L, R)`` by slots: ``(D^-1, D^-T)`` for
+    ``"uu"``, ``(D^T, D)`` for ``"dd"`` and ``(D^-1, D)`` for ``"ud"``.  The
+    antisymmetric kinds are rebuilt from their upper triangle.
+    """
+    D = forward_jacobian(rp)
+    Dfwd = D.tolist()
 
     def fwd(c):
         return [sum(Dfwd[i][j] * c[j] for j in range(6) if Dfwd[i][j] != 0.0) for i in range(6)]
 
-    return fwd, Dfwd
-
-
-def transported_bivector(h: int, rp: ReducedParams) -> TensorField:
-    """Level-h bivector pushed to the action-angle chart (exact Jacobians)."""
-    src = level_bivector(h, rp)
-    fwd, _ = _fwd_map(rp)
-    Dinv = [list(row) for row in inverse_jacobian(rp)]
+    if isinstance(F, ScalarField):
+        return ScalarField(lambda c: F.func(fwd(c)))
+    Dinv = inverse_jacobian(rp)
+    L, R = {"uu": (Dinv, Dinv.T), "dd": (D.T, D), "ud": (Dinv, D)}[F.slots]
+    L, R = L.tolist(), R.tolist()
 
     def func(c):
-        P = src.func(fwd(c))
-        M1 = _matmul(Dinv, P)
-        full = [
-            [sum(M1[i][k] * Dinv[j][k] for k in range(6)) for j in range(6)]
-            for i in range(6)
-        ]
+        full = _matmul(_matmul(L, F.func(fwd(c))), R)
+        if F.slots == "ud":
+            return full
         return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})
 
-    return TensorField(func, "uu")
-
-
-def transported_two_form(h: int, rp: ReducedParams) -> TensorField:
-    src = level_two_form(h, rp)
-    fwd, Dfwd = _fwd_map(rp)
-
-    def func(c):
-        W = src.func(fwd(c))
-        M1 = _matmul(W, Dfwd)
-        full = [
-            [sum(Dfwd[k][i] * M1[k][j] for k in range(6)) for j in range(6)]
-            for i in range(6)
-        ]
-        return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})
-
-    return TensorField(func, "dd")
-
-
-def transported_recursion(h: int, rp: ReducedParams) -> TensorField:
-    src = recursion_operator(h, rp)
-    fwd, Dfwd = _fwd_map(rp)
-    Dinv = [list(row) for row in inverse_jacobian(rp)]
-
-    def func(c):
-        T = src.func(fwd(c))
-        return _matmul(_matmul(Dinv, T), Dfwd)
-
-    return TensorField(func, "ud")
+    return TensorField(func, F.slots)
 
 
 def hierarchy_in_action_angle(h: int, rp: ReducedParams):
     """(bivector, two-form, recursion operator) of level h on (J, varphi)."""
-    return transported_bivector(h, rp), transported_two_form(h, rp), transported_recursion(h, rp)
+    return tuple(transported(F, rp) for F in (level_bivector(h, rp), level_two_form(h, rp),
+                                                recursion_operator(h, rp)))
 
 
 # -- displayed action-angle component tables (for report diffs) ---------------

@@ -354,7 +354,6 @@ def integrate_field(
     *,
     observe: Callable[[Sequence[float]], tuple],
     monitor_names: Sequence[str] = (),
-    energy_step_tol: float = 1e-2,
 ) -> Trajectory:
     """Fixed-step integration with singularity guards.
 
@@ -370,8 +369,8 @@ def integrate_field(
 
     Termination reasons: the hook's stop reason, a non-finite state, a
     singular configuration, implicit stage failure or float overflow raised
-    by a step or the hook, or a per-step jump of the energy beyond
-    ``energy_step_tol`` relative (the collision detector: near a singular
+    by a step or the hook, or a per-step jump of the energy beyond 1e-2
+    relative to ``1 + |E0|`` (the collision detector: near a singular
     configuration a fixed step cannot hold the energy, and the run is
     truncated rather than continued through garbage states).
     """
@@ -408,7 +407,7 @@ def integrate_field(
         if reason is None and e_scale is not None:
             jump = abs(e_new - e_prev)
             traj.max_energy_jump = max(traj.max_energy_jump, jump / e_scale)
-            if not math.isfinite(e_new) or jump > energy_step_tol * e_scale:
+            if not math.isfinite(e_new) or jump > 1e-2 * e_scale:
                 reason = "singular configuration: energy step error exploded (collision)"
             e_prev = e_new
         if reason is not None:

@@ -296,8 +296,8 @@ def radial_action_quadrature(E: float, l_tilde: float, rp: ReducedParams) -> flo
 # -- angle variables ---------------------------------------------------------
 
 
-def _clamped_arcsin(arg: float, which: str, tol: float = 1e-9) -> float:
-    if abs(arg) > 1.0 + tol:
+def _clamped_arcsin(arg: float, which: str) -> float:
+    if abs(arg) > 1.0 + 1e-9:
         raise TurningPointError(
             f"arcsin argument {arg} outside [-1, 1] in the {which} angle formula"
         )

@@ -127,13 +127,14 @@ def sample_delaunay(n: int, seed: int = DEFAULT_SEED, zero_angles: bool = False)
     return out
 
 
-def sample_deformations(n: int, seed: int = DEFAULT_SEED, scale: float = 0.25) -> list:
-    """Random valid deformation parameter sets (antisymmetric, theta != 0)."""
+def sample_deformations(n: int, seed: int = DEFAULT_SEED) -> list:
+    """Random valid deformation parameter sets (antisymmetric, theta != 0),
+    with the independent entries of alpha and lam uniform in [-0.25, 0.25]."""
     rng = np.random.default_rng(seed)
 
     def draw():
-        a = rng.uniform(-scale, scale, size=3)
-        l = rng.uniform(-scale, scale, size=3)
+        a = rng.uniform(-0.25, 0.25, size=3)
+        l = rng.uniform(-0.25, 0.25, size=3)
         alpha = [[0.0, a[0], a[1]], [-a[0], 0.0, a[2]], [-a[1], -a[2], 0.0]]
         lam = [[0.0, l[0], l[1]], [-l[0], 0.0, l[2]], [-l[1], -l[2], 0.0]]
         mass = float(rng.uniform(0.8, 1.5))

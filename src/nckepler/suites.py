@@ -71,6 +71,7 @@ from .hierarchy import (
     level_bivector,
     level_two_form,
     recursion_operator,
+    transported,
     weight_vector,
 )
 from .kepler import (
@@ -126,7 +127,7 @@ from .symmetry import (
     bracket_H_closed_forms,
     bracket_H_with_L,
     closure_fit,
-    generator_sets,
+    generator_matrix,
     involution_parameter_search,
     lrl_field,
     observables_jacobian,
@@ -460,7 +461,7 @@ def _closure_fits(ctx: AlgebraContext):
 
 def _generator_patterns(ctx: AlgebraContext):
     for kind, pts in (("so4", ctx.comm_points), ("so13", ctx.plus_points)):
-        mat = generator_sets(ctx.comm, kind).evaluate(pts[0])
+        mat = generator_matrix(ctx.comm, kind, pts[0])
         sym = 1.0 if kind == "so4" else -1.0
         yield Entry(f"{kind}-generator-pattern",
                     f"{kind} generator matrix keeps its corner pattern (zero corner, "
@@ -747,7 +748,7 @@ def _transport(ctx: HierarchyContext):
     P0aa = hierarchy_in_action_angle(0, rp)[0]
     for h in range(1, cfg.h_max + 1):
         Paa, Waa, Taa = hierarchy_in_action_angle(h, rp)
-        Fh_aa = ladder_energy_field(h, rp, chart=Chart.ACTION_ANGLE)
+        Fh_aa = transported(ladder_energy_field(h, rp), rp)
         pairing = [flow_pairing_residual(Xaa, Waa, Fh_aa, x) for x in aa]
         compat, tors = zip(*[(schouten_bracket(Paa, P0aa, x), nijenhuis_torsion(Taa, x))
                              for x in aa[:6]])

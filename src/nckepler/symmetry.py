@@ -15,8 +15,10 @@ brackets close in several layered forms:
 Each route differentiates (H, L, A) once per point and chart, and the
 closed forms read one float frame (q', p', Y, H, L, A) per point.
 
-Scaled Runge-Lenz vectors live on the negative/positive-energy regions, and
-the generator sets assemble the 4x4 antisymmetric patterns from them.
+Scaled Runge-Lenz vectors live on the negative/positive-energy regions;
+:func:`scaled_basis` gives them with L as the six fields of the so(4) and
+so(1,3) algebras, which :func:`closure_fit` fits and
+:func:`generator_matrix` arranges in the 4x4 antisymmetric patterns.
 """
 
 from __future__ import annotations
@@ -365,23 +367,14 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
     )
 
 
-# -- scaled vectors and generator sets ----------------------------------------
+# -- scaled vectors and generator matrices -------------------------------------
 
 
-def scaled_runge_lenz_field(params: DeformationParams, tau: EnergySign, i: int) -> ScalarField:
-    """``A_i / sqrt(-2mH)`` on the negative-energy region, ``A_i / sqrt(2mH)``
-    on the positive one; zero energy is excluded."""
-
-    def evaluate(c):
-        scale = _lrl_scale(c, params, tau)
-        return lrl_vector(c, params)[i] / scale
-
-    return ScalarField(evaluate)
-
-
-def _lrl_scale(c, params: DeformationParams, tau: EnergySign):
-    """``sqrt(-2mH)`` on the negative-energy region, ``sqrt(2mH)`` on the
-    positive one; zero energy and the other region are excluded."""
+def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
+    """``[L1, L2, L3, G1, G2, G3]`` at the coordinates ``c`` (generic in the
+    scalar type), with ``G = A / sqrt(-2mH)`` on the negative-energy region
+    and ``G = A / sqrt(2mH)`` on the positive one; zero energy and the other
+    region are excluded."""
     H = hamiltonian(c, params)
     Hv = duals.value(H)
     if abs(Hv) < 1e-12:
@@ -390,61 +383,28 @@ def _lrl_scale(c, params: DeformationParams, tau: EnergySign):
         raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not negative")
     if tau is EnergySign.PLUS and Hv <= 0.0:
         raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not positive")
-    return duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
+    scale = duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
+    return angular_momentum(c, params) + [a / scale for a in lrl_vector(c, params)]
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    fields: tuple  # 4x4 matrix of ScalarField or None
-
-    def evaluate(self, x) -> list:
-        return [
-            [0.0 if f is None else duals.value(f(x)) for f in row] for row in self.fields
-        ]
-
-
-def generator_sets(params: DeformationParams, kind: str) -> GeneratorSet:
-    """Antisymmetric-patterned generator matrices built from L and the scaled
-    Runge-Lenz vector; diagonal corner entry is identically zero."""
-    sm = structure_matrices(params)
-    L = [angular_momentum_field(params, i) for i in range(3)]
-
-    def block(h, j):
-        def evaluate(c, h=h, j=j):
-            return sum(
-                levi_civita(h, j, i) * (-sm.F[i][i]) * L[i](c) for i in range(3)
-            )
-
-        return ScalarField(evaluate)
-
+def generator_matrix(params: DeformationParams, kind: str, x) -> list:
+    """The 4x4 so(4) (``kind="so4"``) or so(1,3) (``"so13"``) generator
+    matrix at ``x``, from one read of the scaled basis: the block
+    ``sum_i eps_hji Fprime_ii L_i``, the corner column ``+-Fprime_hh G_h``
+    (minus for so(1,3)), its mirror row (negated for so(4)) and a zero
+    corner."""
     if kind not in ("so4", "so13"):
         raise ValueError(f"unknown generator set kind {kind!r}")
+    sm = structure_matrices(params)
     tau = EnergySign.MINUS if kind == "so4" else EnergySign.PLUS
-    G = [scaled_runge_lenz_field(params, tau, i) for i in range(3)]
     corner_sign = 1.0 if kind == "so4" else -1.0
-
-    def corner(h):
-        def evaluate(c, h=h):
-            return corner_sign * (-sm.F[h][h]) * G[h](c)
-
-        return ScalarField(evaluate)
-
-    rows = []
-    for h in range(3):
-        row = [block(h, j) for j in range(3)]
-        row.append(corner(h))
-        rows.append(tuple(row))
-    last = []
-    for h in range(3):
-        f = corner(h)
-        if kind == "so4":
-            neg = ScalarField(lambda c, f=f: -f(c))
-            last.append(neg)
-        else:
-            last.append(f)
-    last.append(None)
-    rows.append(tuple(last))
-    return GeneratorSet(fields=tuple(rows))
+    basis = scaled_basis(coords_of(x), params, tau)
+    L, G = basis[:3], basis[3:]
+    corner = [corner_sign * (-sm.F[h][h]) * G[h] for h in range(3)]
+    rows = [[sum(levi_civita(h, j, i) * (-sm.F[i][i]) * L[i] for i in range(3)) for j in range(3)]
+            + [corner[h]] for h in range(3)]
+    rows.append([-v if kind == "so4" else v for v in corner] + [0.0])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -464,15 +424,11 @@ def closure_fit(points: Sequence[PhasePoint], params: DeformationParams, tau: En
     six fields for their values and one seeded pass for all their gradients.
     """
 
-    def basis(c):
-        scale = _lrl_scale(c, params, tau)
-        return angular_momentum(c, params) + [a / scale for a in lrl_vector(c, params)]
-
     values, grads = [], []
     for x in points:
         c = coords_of(x)
-        values.append([duals.value(v) for v in basis(c)])
-        grads.append(duals.jacobian(basis, c))
+        values.append([duals.value(v) for v in scaled_basis(c, params, tau)])
+        grads.append(duals.jacobian(lambda z: scaled_basis(z, params, tau), c))
 
     # {L_i, L_j} ~ c_LL eps_ijh L_h ; {G_i, G_j} ~ c_GG eps_ijh L_h ;
     # {L_i, G_j} ~ c_LG eps_ijh G_h    (single-coefficient fits per block,

@@ -3,11 +3,14 @@ package, and every dataclass field is read by it.
 
 A top-level definition ``f`` of module ``m`` counts as used when the
 package loads the bare name ``f`` or the attribute ``m.f`` of the module,
-outside the definition itself.  A method or a dataclass field counts as
-used only when the package loads it as an attribute, ``obj.f``.  So a
-namesake does not keep a definition alive: ``math.sqrt`` is no use of
-``duals.sqrt``, ``orbit.angle`` none of a top-level ``angle``, and a
-local variable ``worst`` none of a method ``worst``.  A dead method that
+outside the definition itself.  A method or a dataclass field ``f`` of
+class ``C`` counts as used only when the package loads it as an
+attribute: ``C.f``, ``self.f`` inside ``C``, or ``obj.f`` off anything
+other than ``self``.  So a namesake does not keep a definition alive:
+``math.sqrt`` is no use of ``duals.sqrt``, ``orbit.angle`` none of a
+top-level ``angle``, a local variable ``worst`` none of a method
+``worst``, and ``self.save`` inside one class none of a ``save`` of
+another.  A dead method that
 shares its name with a live attribute still escapes, and a name reached
 only through ``getattr`` counts as unused.  Only package modules count: a
 call or a read from a test is no use, as code only tests reach is not part
@@ -29,37 +32,45 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def public_definitions(tree: ast.Module) -> list:
-    """``(node, is_method)`` for the public top-level functions and classes
-    and the public methods of top-level classes."""
+    """``(node, owner)`` for the public top-level functions and classes
+    (owner None) and the public methods of top-level classes (owner the
+    class name)."""
     out = []
     for node in tree.body:
         if isinstance(node, _DEFS) and not node.name.startswith("_"):
-            out.append((node, False))
+            out.append((node, None))
         if isinstance(node, ast.ClassDef):
-            out += [(m, True) for m in node.body
+            out += [(m, node.name) for m in node.body
                     if isinstance(m, _DEFS[:2]) and not m.name.startswith("_")]
     return out
 
 
 def loads(tree: ast.Module) -> list:
     """``(key, ids of the enclosing definitions)`` for each load in ``tree``:
-    key ``"f"`` for a bare name, ``".f"`` for any attribute and, when the
-    attribute is read off a bare name, ``"m.f"`` as well."""
+    key ``"f"`` for a bare name; for an attribute, ``"C.f"`` alone when it
+    is read off ``self`` inside class ``C``, and otherwise ``".f"`` and,
+    when it is read off a bare name ``m``, ``"m.f"`` as well."""
     out = []
 
-    def visit(node, enclosing):
+    def visit(node, enclosing, cls):
         if isinstance(node, _DEFS):
             enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append(("." + node.attr, enclosing))
-            if isinstance(node.value, ast.Name):
-                out.append((f"{node.value.id}.{node.attr}", enclosing))
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            if base == "self" and cls is not None:
+                out.append((f"{cls}.{node.attr}", enclosing))
+            else:
+                out.append(("." + node.attr, enclosing))
+                if base is not None:
+                    out.append((f"{base}.{node.attr}", enclosing))
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, enclosing, cls)
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), None)
     return out
 
 
@@ -70,8 +81,8 @@ def unused_definitions(module_sources: dict) -> list:
     used = [u for tree in trees.values() for u in loads(tree)]
     dead = []
     for name, tree in trees.items():
-        for node, is_method in public_definitions(tree):
-            keys = ({"." + node.name} if is_method
+        for node, owner in public_definitions(tree):
+            keys = ({"." + node.name, f"{owner}.{node.name}"} if owner
                     else {node.name, f"{Path(name).stem}.{node.name}"})
             if not any(k in keys and id(node) not in inside for k, inside in used):
                 dead.append(f"{name}:{node.name}")
@@ -111,6 +122,23 @@ def test_scan_sees_through_namesakes():
         "m.py:angle", "m.py:sqrt", "m.py:worst", "n.py:run"]
 
 
+def test_scan_reads_self_attributes_as_uses_of_the_own_class_only():
+    # Report's self.dump() and self.size keep Report's, not Params'
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Report:\n    size: int\n"
+        "    def dump(self):\n        return self.size\n"
+        "    def save(self):\n        return self.dump()\n"
+        "@dataclass\nclass Params:\n    size: int\n"
+        "    def dump(self):\n        pass\n"
+        "    def scale(self):\n        pass\n"
+    )
+    caller = "import m\nm.Report(1).save()\nm.Params(2).scale()\n"
+    modules = {"m.py": src, "n.py": caller}
+    assert unused_definitions(modules) == ["m.py:dump"]
+    assert unread_fields(modules) == ["m.py:Params.size"]
+
+
 def test_package_has_no_unused_public_definitions():
     modules = {p.name: p.read_text() for p in MODULES}
     assert unused_definitions(modules) == []
@@ -130,7 +158,8 @@ def unread_fields(module_sources: dict) -> list:
     ``module_sources`` that no module loads as an attribute.
 
     A field set only through the constructor is not read, and neither is
-    one whose name is loaded only as a bare name.
+    one whose name is loaded only as a bare name or off ``self`` in another
+    class.
     """
     trees = {name: ast.parse(src) for name, src in module_sources.items()}
     read = {key for tree in trees.values() for key, _ in loads(tree)}
@@ -141,7 +170,7 @@ def unread_fields(module_sources: dict) -> list:
         if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list))
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and "." + stmt.target.id not in read
+        and not {"." + stmt.target.id, f"{node.name}.{stmt.target.id}"} & read
     )
 
 

@@ -196,7 +196,9 @@ def test_bivector_bracket_equals_weighted_bracket():
 
 def test_json_round_trip_and_validation():
     params = pair_deformation(0.12, -0.07, mass=1.3, k=2.0)
-    doc = params.to_json()
+    doc = json.dumps({"alpha": [list(r) for r in params.alpha],
+                      "lambda": [list(r) for r in params.lam],
+                      "mass": params.mass, "k": params.k})
     back = DeformationParams.from_dict(json.loads(doc))
     assert back.alpha == params.alpha
     assert back.lam == params.lam

@@ -26,8 +26,10 @@ from nckepler.hierarchy import (
     level_bivector,
     level_two_form,
     recursion_operator,
+    transported,
     weight_vector,
 )
+from nckepler.charts import forward_jacobian, inverse_jacobian
 from nckepler.errors import ChartDomainError
 from nckepler.master import dynamical_symmetry
 from nckepler.reduced import ReducedParams, reduced_structures
@@ -178,7 +180,7 @@ def test_transported_pairing_with_in_chart_flow():
     X = reduced_structures(RP)[2]
     for h in (1, 2, 3):
         Waa = hierarchy_in_action_angle(h, RP)[1]
-        F = ladder_energy_field(h, RP, chart=Chart.ACTION_ANGLE)
+        F = transported(ladder_energy_field(h, RP), RP)
         ip = interior_product(X, Waa, x)
         dF = gradient(F, x)
         assert max(abs(duals.value(ip[i]) + duals.value(dF[i])) for i in range(6)) < 1e-11
@@ -297,3 +299,103 @@ def test_batched_level_checks_equal_the_per_point_route_bitwise():
         for p, x in enumerate(points):
             assert [float(np.broadcast_to(duals.value(v), n)[p]).hex() for v in batched] == \
                 [duals.value(v).hex() for v in _flat(route(x))]
+
+
+# -- the one transport against the hand-written ones --------------------------
+#
+# References: the three per-kind transports and the action-angle energy
+# written on the recombined action.  ``transported`` must reproduce every
+# value and tangent by ``float.hex``.
+
+
+def _ref_matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+def _ref_upper(full):
+    out = [[0.0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            out[i][j] = full[i][j]
+            out[j][i] = -full[i][j]
+    return out
+
+
+def _ref_fwd_map(rp):
+    Dfwd = [list(row) for row in forward_jacobian(rp)]
+
+    def fwd(c):
+        return [sum(Dfwd[i][j] * c[j] for j in range(6) if Dfwd[i][j] != 0.0) for i in range(6)]
+
+    return fwd, Dfwd
+
+
+def ref_transported_bivector(h, rp):
+    fwd, _ = _ref_fwd_map(rp)
+    Dinv = [list(row) for row in inverse_jacobian(rp)]
+
+    def func(c):
+        M1 = _ref_matmul(Dinv, level_bivector(h, rp).func(fwd(c)))
+        return _ref_upper([[sum(M1[i][k] * Dinv[j][k] for k in range(6)) for j in range(6)]
+                           for i in range(6)])
+
+    return func
+
+
+def ref_transported_two_form(h, rp):
+    fwd, Dfwd = _ref_fwd_map(rp)
+
+    def func(c):
+        M1 = _ref_matmul(level_two_form(h, rp).func(fwd(c)), Dfwd)
+        return _ref_upper([[sum(Dfwd[k][i] * M1[k][j] for k in range(6)) for j in range(6)]
+                           for i in range(6)])
+
+    return func
+
+
+def ref_transported_recursion(h, rp):
+    fwd, Dfwd = _ref_fwd_map(rp)
+    Dinv = [list(row) for row in inverse_jacobian(rp)]
+    return lambda c: _ref_matmul(_ref_matmul(Dinv, recursion_operator(h, rp).func(fwd(c))), Dfwd)
+
+
+def ref_action_angle_energy(h, rp):
+    m, k, M = rp.m, rp.k, rp.M
+    return lambda c: -m * k**2 / ((2.0 + h) * duals.power(c[0] + M * c[1] + c[2], 2 + h))
+
+
+def _hexes(v) -> list:
+    """Every float inside ``v`` (nested lists, duals and arrays), in order."""
+    if isinstance(v, (list, tuple)):
+        return [x for e in v for x in _hexes(e)]
+    if isinstance(v, duals.Dual):
+        return _hexes(v.a) + _hexes(list(v.b))
+    if isinstance(v, np.ndarray):
+        return [float(x).hex() for x in v.tolist()]
+    return [float(v).hex()]
+
+
+TRANSPORT_PARAMS = [RP, VerifyConfig().reduced]
+
+
+@pytest.mark.parametrize("rp", TRANSPORT_PARAMS, ids=["thetadot-0.005", "thetadot-0.006"])
+def test_transported_equals_the_per_kind_transports_bitwise(rp):
+    pts = [list(x.coords) for x in sample_action_angle(20, seed=21)]
+    inputs = pts + [duals.seed(c) for c in pts] + [duals.seed(duals.seed(c)) for c in pts[:3]]
+    inputs.append(batch(pts))
+    for h in range(4):
+        pairs = [
+            (level_bivector(h, rp), ref_transported_bivector(h, rp)),
+            (level_two_form(h, rp), ref_transported_two_form(h, rp)),
+            (recursion_operator(h, rp), ref_transported_recursion(h, rp)),
+            (ladder_energy_field(h, rp), ref_action_angle_energy(h, rp)),
+        ]
+        for F, ref in pairs:
+            new = transported(F, rp).func
+            for c in inputs:
+                assert _hexes(new(c)) == _hexes(ref(c)), (h, ref)
+        energy = transported(ladder_energy_field(h, rp), rp)
+        for c in pts:
+            assert _hexes(duals.hessian(energy.func, c)) == \
+                _hexes(duals.hessian(ref_action_angle_energy(h, rp), c))

@@ -11,7 +11,7 @@ from nckepler.deformation import (
     transform_coordinates,
 )
 from nckepler.errors import ChartDomainError, SingularConfigurationError
-from nckepler.geometry import Chart, PhasePoint, coords_of
+from nckepler.geometry import Chart, PhasePoint, ScalarField, coords_of
 from nckepler.kepler import deformed_radius, hamiltonian, hamiltonian_field, primed_radius
 from nckepler.sampling import sample_cartesian, sample_deformations
 from nckepler.symmetry import (
@@ -21,7 +21,7 @@ from nckepler.symmetry import (
     bracket_H_closed_forms,
     bracket_H_with_L,
     closure_fit,
-    generator_sets,
+    generator_matrix,
     involution_parameter_search,
     levi_civita,
     lrl_field,
@@ -29,7 +29,7 @@ from nckepler.symmetry import (
     pairwise_bracket_table,
     primed_angular_momentum,
     primed_lrl_vector,
-    scaled_runge_lenz_field,
+    scaled_basis,
     structure_matrices,
 )
 
@@ -195,7 +195,7 @@ def test_involution_search_propagates_unexpected_errors(monkeypatch):
 def test_scaled_runge_lenz_matches_unit_scale_at_half_energy():
     x = PhasePoint((1, 0, 0, 0, 0.5, 0), Chart.CARTESIAN)  # H = -0.875
     H = hamiltonian(x, COMM)
-    G = [duals.value(scaled_runge_lenz_field(COMM, EnergySign.MINUS, i)(x)) for i in range(3)]
+    G = scaled_basis(coords_of(x), COMM, EnergySign.MINUS)[3:]
     A = lrl_vector(x, COMM)
     s = math.sqrt(-2 * COMM.mass * H)
     assert max(abs(G[i] - A[i] / s) for i in range(3)) < 1e-15
@@ -205,19 +205,18 @@ def test_scaled_runge_lenz_sign_guards():
     bound = PhasePoint((1, 0, 0, 0, 0.5, 0), Chart.CARTESIAN)
     free = PhasePoint((1, 0, 0, 0, 2.0, 0), Chart.CARTESIAN)
     with pytest.raises(ChartDomainError, match="not positive"):
-        scaled_runge_lenz_field(COMM, EnergySign.PLUS, 0)(bound)
+        scaled_basis(coords_of(bound), COMM, EnergySign.PLUS)
     with pytest.raises(ChartDomainError, match="not negative"):
-        scaled_runge_lenz_field(COMM, EnergySign.MINUS, 0)(free)
+        scaled_basis(coords_of(free), COMM, EnergySign.MINUS)
     near_zero = PhasePoint((1, 0, 0, 0, math.sqrt(2.0), 0), Chart.CARTESIAN)
     for tau in EnergySign:
         with pytest.raises(ChartDomainError, match="zero energy"):
-            scaled_runge_lenz_field(COMM, tau, 0)(near_zero)
+            scaled_basis(coords_of(near_zero), COMM, tau)
 
 
 def test_generator_set_patterns():
     pts = sample_cartesian(3, seed=12, params=COMM, energy_sign="minus")
-    gs = generator_sets(COMM, "so4")
-    mat = gs.evaluate(pts[0])
+    mat = generator_matrix(COMM, "so4", pts[0])
     assert mat[3][3] == 0.0
     for h in range(3):
         assert abs(mat[h][3] + mat[3][h]) < 1e-14
@@ -225,18 +224,84 @@ def test_generator_set_patterns():
     L = angular_momentum(pts[0], COMM)
     assert abs(mat[0][1] - (-L[2])) < 1e-13
     plus = sample_cartesian(3, seed=13, params=COMM, energy_sign="plus")
-    gs13 = generator_sets(COMM, "so13")
-    mat13 = gs13.evaluate(plus[0])
+    mat13 = generator_matrix(COMM, "so13", plus[0])
     assert mat13[3][3] == 0.0
     for h in range(3):
         assert abs(mat13[h][3] - mat13[3][h]) < 1e-14
+    with pytest.raises(ValueError, match="unknown generator set kind"):
+        generator_matrix(COMM, "so3", pts[0])
+
+
+# -- the generator matrix against the closure route ---------------------------
+#
+# Reference: one scalar field per scaled Runge-Lenz component and a 4x4
+# table of field closures, each evaluated at the point on its own.
+# ``generator_matrix`` must reproduce every entry by ``float.hex`` and every
+# domain error by its message.
+
+
+def ref_scaled_runge_lenz_field(params, tau, i):
+    def evaluate(c):
+        H = hamiltonian(c, params)
+        Hv = duals.value(H)
+        if abs(Hv) < 1e-12:
+            raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
+        if tau is EnergySign.MINUS and Hv >= 0.0:
+            raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not negative")
+        if tau is EnergySign.PLUS and Hv <= 0.0:
+            raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not positive")
+        scale = duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS
+                           else 2.0 * params.mass * H)
+        return lrl_vector(c, params)[i] / scale
+
+    return ScalarField(evaluate)
+
+
+def ref_generator_matrix(params, kind, x):
+    sm = structure_matrices(params)
+    L = [angular_momentum_field(params, i) for i in range(3)]
+
+    def block(h, j):
+        return ScalarField(lambda c: sum(
+            levi_civita(h, j, i) * (-sm.F[i][i]) * L[i](c) for i in range(3)))
+
+    tau = EnergySign.MINUS if kind == "so4" else EnergySign.PLUS
+    G = [ref_scaled_runge_lenz_field(params, tau, i) for i in range(3)]
+    corner_sign = 1.0 if kind == "so4" else -1.0
+
+    def corner(h):
+        return ScalarField(lambda c: corner_sign * (-sm.F[h][h]) * G[h](c))
+
+    rows = [[block(h, j) for j in range(3)] + [corner(h)] for h in range(3)]
+    last = [corner(h) if kind == "so13" else ScalarField(lambda c, f=corner(h): -f(c))
+            for h in range(3)]
+    rows.append(last + [None])
+    return [[0.0 if f is None else duals.value(f(x)) for f in row] for row in rows]
+
+
+def matrix_outcome(route, params, kind, x):
+    """The matrix a route gives, as hex strings, or the error that ends it."""
+    try:
+        return [[v.hex() for v in row] for row in route(params, kind, x)]
+    except ChartDomainError as err:
+        return f"ChartDomainError: {err}"
+
+
+@pytest.mark.parametrize("params", [COMM, GENERIC], ids=["commutative", "generic"])
+def test_generator_matrix_equals_the_closure_route_bitwise(params):
+    bound = sample_cartesian(40, seed=16, params=params, energy_sign="minus")
+    free = sample_cartesian(40, seed=17, params=params, energy_sign="plus")
+    for kind in ("so4", "so13"):
+        for x in bound + free:
+            assert matrix_outcome(generator_matrix, params, kind, x) == \
+                matrix_outcome(ref_generator_matrix, params, kind, x)
 
 
 def _ref_closure_fit(points, params, tau):
     """Reference: two ``nc_bracket`` gradients per bracket and one plain
     pass of the six basis fields per block and point."""
     L_f = [angular_momentum_field(params, i) for i in range(3)]
-    G_f = [scaled_runge_lenz_field(params, tau, i) for i in range(3)]
+    G_f = [ref_scaled_runge_lenz_field(params, tau, i) for i in range(3)]
     basis = L_f + G_f
 
     def single_coeff(pairs, targets):
