@@ -122,6 +122,12 @@ def power(x, n):
     return x**n
 
 
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of each element of ``x`` as a Python float: every point of a
+    batch rounds, and fails, as its float evaluation does."""
+    return np.array([f(v) for v in x.tolist()])
+
+
 def anywhere(mask) -> bool:
     """Whether ``mask``, a comparison at one point (a bool) or over a batch
     of points (a bool ndarray), holds at any point."""
@@ -157,10 +163,17 @@ def tangents(v, n: int) -> tuple:
 
 
 def sqrt(x):
+    """Square root; on an ndarray ``np.sqrt``, which rounds correctly as
+    ``math.sqrt`` does, and raises ``math.sqrt``'s ``ValueError`` when any
+    entry is negative."""
     if isinstance(x, Dual):
         r = sqrt(x.a)
         d = 2.0 * r
         return Dual(r, tuple([y / d for y in x.b]))
+    if isinstance(x, np.ndarray):
+        if (x < 0.0).any():
+            raise ValueError("math domain error")
+        return np.sqrt(x)
     return math.sqrt(x)
 
 
@@ -168,21 +181,21 @@ def sin(x):
     if isinstance(x, Dual):
         c = cos(x.a)
         return Dual(sin(x.a), tuple([y * c for y in x.b]))
-    return math.sin(x)
+    return _each(math.sin, x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         s = sin(x.a)
         return Dual(cos(x.a), tuple([(-y) * s for y in x.b]))
-    return math.cos(x)
+    return _each(math.cos, x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         a = x.a
         return Dual(log(a), tuple([y / a for y in x.b]))
-    return math.log(x)
+    return _each(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def grad(func, coords):

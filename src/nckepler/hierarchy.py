@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 
+from . import duals
 from .charts import forward_jacobian, inverse_jacobian
-from .duals import power
 from .geometry import (
     ScalarField,
     TensorField,
@@ -53,14 +53,14 @@ def weight_vector(rp: ReducedParams) -> tuple:
 def ladder_energy_field(h: int, rp: ReducedParams) -> ScalarField:
     """Level-h energy ``F_h = -m k^2 / ((2 + h) I3^{2+h})``; level 0 is H."""
     m, k = rp.m, rp.k
-    return ScalarField(lambda c: -m * k**2 / ((2.0 + h) * power(c[2], 2 + h)))
+    return ScalarField(lambda c: -m * k**2 / ((2.0 + h) * duals.power(c[2], 2 + h)))
 
 
 def level_bivector(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
-        w = [N[j] ** (h + 1) * power(c[j], h) for j in range(3)]
+        w = [N[j] ** (h + 1) * duals.power(c[j], h) for j in range(3)]
         return pair_matrix(w)
 
     return TensorField(func, "uu")
@@ -70,7 +70,7 @@ def level_two_form(h: int, rp: ReducedParams) -> TensorField:
     N = weight_vector(rp)
 
     def func(c):
-        w = [1.0 / (N[j] ** (h + 1) * power(c[j], h)) for j in range(3)]
+        w = [1.0 / (N[j] ** (h + 1) * duals.power(c[j], h)) for j in range(3)]
         return pair_matrix(w)
 
     return TensorField(func, "dd")
@@ -82,7 +82,7 @@ def recursion_operator(h: int, rp: ReducedParams) -> TensorField:
     def func(c):
         mat = [[0.0] * 6 for _ in range(6)]
         for j in range(3):
-            t = N[j] ** h * power(c[j], h)
+            t = N[j] ** h * duals.power(c[j], h)
             mat[j][j] = t
             mat[3 + j][3 + j] = t
         return mat
@@ -164,11 +164,11 @@ def displayed_bivector_table(h: int, rp: ReducedParams, c) -> list:
     """
     m, k, M = rp.m, rp.k, rp.M
     s = c[0] + M * c[1] + c[2]
-    H = -m * k**2 / (2.0 * s**2)
+    H = -m * k**2 / (2.0 * duals.power(s, 2))
     lt = M * c[1] + c[2]
-    p14 = (k * math.sqrt(-m / (2.0 * H))) ** h
-    p25 = M**h * lt**h
-    p36 = c[2] ** h
+    p14 = duals.power(k * duals.sqrt(-m / (2.0 * H)), h)
+    p25 = M**h * duals.power(lt, h)
+    p36 = duals.power(c[2], h)
     p24 = (p14 - p25) / M
     p34 = M * p24
     p35 = M * (p25 - p36)

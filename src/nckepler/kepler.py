@@ -39,15 +39,15 @@ from .geometry import (
 def primed_radius(z):
     """``Y = |q'|`` from the primed coordinates ``z``; raises when the
     configuration is singular."""
-    y2 = z[0] ** 2 + z[1] ** 2 + z[2] ** 2
-    if duals.value(y2) <= 0.0:
+    y2 = duals.power(z[0], 2) + duals.power(z[1], 2) + duals.power(z[2], 2)
+    if duals.anywhere(duals.value(y2) <= 0.0):
         raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
     return duals.sqrt(y2)
 
 
 def primed_hamiltonian(z, params: DeformationParams):
     """Energy from the primed coordinates ``z`` (kinetic term in ``p'``)."""
-    kinetic = (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * params.mass)
+    kinetic = (duals.power(z[3], 2) + duals.power(z[4], 2) + duals.power(z[5], 2)) / (2.0 * params.mass)
     return kinetic - params.k / primed_radius(z)
 
 
@@ -116,7 +116,7 @@ def hamilton_rhs_closed_form(x, params: DeformationParams) -> list:
     a, l = params.alpha, params.lam
     th = params.theta
     m, k = params.mass, params.k
-    ky3 = k / duals.value(deformed_radius(coords, params)) ** 3
+    ky3 = k / duals.power(duals.value(deformed_radius(coords, params)), 3)
     sigma = [1.0 / m + 0.25 * ky3 * sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3)]
     sigma_tilde = [ky3 + 0.25 / m * sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3)]
     R = [[l[mu][s] / (2.0 * m) - a[s][mu] * 0.5 * ky3 for s in range(3)] for mu in range(3)]
@@ -149,7 +149,7 @@ def hamilton_rhs_primed_form(x, params: DeformationParams) -> list:
     a, l = params.alpha, params.lam
     th = params.theta
     m, k = params.mass, params.k
-    ky3 = k / y**3
+    ky3 = k / duals.power(y, 3)
     qdot = [
         (pp[i] / m + 0.5 * ky3 * sum(a[i][j] * qp[j] for j in range(3))) / th[i]
         for i in range(3)

@@ -119,9 +119,9 @@ class ConformalCoefficients:
 
 
 def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficients:
-    """Residuals at ``x`` of the three Lie-derivative identities with the
-    conformal coefficients (-1/(3+i), 0, -2/(3+i)): ``L_g P = a P``,
-    ``L_g P1 = 0`` and ``L_g H = c H``."""
+    """Residuals at ``x``, the worst point of a batch, of the three
+    Lie-derivative identities with the conformal coefficients (-1/(3+i), 0,
+    -2/(3+i)): ``L_g P = a P``, ``L_g P1 = 0`` and ``L_g H = c H``."""
     g = master_symmetry_field(i, 0, rp)
     P = level_bivector(0, rp)
     P1 = level_bivector(1, rp)
@@ -135,7 +135,7 @@ def conformal_coefficients(i: int, rp: ReducedParams, x) -> ConformalCoefficient
     rP1 = max_abs(LP1)
     LH = duals.value(lie_derivative(g, H, x))
     Hv = duals.value(H(x))
-    rH = abs(LH - c * Hv)
+    rH = max_abs(LH - c * Hv)
     return ConformalCoefficients(residual_P=rP, residual_P1=rP1, residual_H=rH)
 
 

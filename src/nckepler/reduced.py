@@ -97,7 +97,7 @@ class ReducedParams:
     def azimuthal_period(self) -> float:
         """``int_0^{2 pi} (1 + (thetadot/m) sin 2t)^{-1/2} dt``, integrated
         once per instance (the instance is frozen)."""
-        return _quad(_azimuthal_integrand(self), 0.0, TWO_PI)
+        return _azimuthal_integral(0.0, TWO_PI, self)
 
 
 def lambda_matrix(rp: ReducedParams, phi) -> tuple:
@@ -237,15 +237,22 @@ def _quad(f, a: float, b: float) -> float:
     return half * float(sum(w * f(mid + half * t) for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)))
 
 
-def _azimuthal_integrand(rp: ReducedParams):
-    return lambda t: 1.0 / math.sqrt(1.0 + (rp.thetadot / rp.m) * math.sin(2.0 * t))
+def _azimuthal_integral(a: float, b: float, rp: ReducedParams) -> float:
+    """``int_a^b (1 + (thetadot/m) sin 2t)^{-1/2} dt``: :func:`_quad` with
+    the integrand written into its 64 terms, each rounded as ``_quad``
+    rounds it."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    ratio = rp.thetadot / rp.m
+    return half * float(sum([w * (1.0 / math.sqrt(1.0 + ratio * math.sin(2.0 * (mid + half * t))))
+                             for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)]))
 
 
 def azimuthal_phase(phi: float, rp: ReducedParams) -> float:
     """Exact ``int_0^phi (1 + (thetadot/m) sin 2t)^{-1/2} dt`` for any real phi."""
     k = math.floor(phi / TWO_PI)
     rem = phi - TWO_PI * k
-    return k * rp.azimuthal_period + _quad(_azimuthal_integrand(rp), 0.0, rem)
+    return k * rp.azimuthal_period + _azimuthal_integral(0.0, rem, rp)
 
 
 def polar_action_quadrature(l_tilde: float, d_phi: float, rp: ReducedParams) -> float:
@@ -405,9 +412,9 @@ def reduced_structures(rp: ReducedParams):
 
     def flow(c):
         s = c[0] + M * c[1] + c[2]
-        if duals.value(s) <= 0.0:
+        if duals.anywhere(duals.value(s) <= 0.0):
             raise ChartDomainError("action sum S must be positive")
-        base = rp.m * rp.k**2 / s**3
+        base = rp.m * rp.k**2 / duals.power(s, 3)
         return [0.0, 0.0, 0.0, base, M * base, base]
 
     return bivector, omega, VectorField(flow)

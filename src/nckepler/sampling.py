@@ -147,12 +147,19 @@ def sample_deformations(n: int, seed: int = DEFAULT_SEED) -> list:
     return _collect(n, "sample_deformations", draw)
 
 
-def random_polynomial_field(rng):
-    """A random quadratic observable (smooth everywhere) for bracket tests."""
-    lin = rng.uniform(-1.0, 1.0, size=6).tolist()
-    quad = rng.uniform(-0.5, 0.5, size=(6, 6)).tolist()
+def random_polynomial_coefficients(rng) -> tuple:
+    """The coefficients ``(lin, quad)`` of a random quadratic observable for
+    :func:`polynomial_field`: six linear ones, then 6x6 quadratic ones."""
+    return rng.uniform(-1.0, 1.0, size=6).tolist(), rng.uniform(-0.5, 0.5, size=(6, 6)).tolist()
 
-    def f(c, lin=lin, quad=quad):
+
+def polynomial_field(lin, quad) -> ScalarField:
+    """The quadratic observable ``sum_i lin[i] c_i + sum_ij quad[i][j] c_i c_j``
+    (smooth everywhere) for bracket tests.  A coefficient is a float, or an
+    array with one value per point of a batch, which evaluates one
+    observable per point in one pass."""
+
+    def f(c):
         total = 0.0
         for i in range(6):
             total = total + lin[i] * c[i]

@@ -13,6 +13,16 @@ yields, in report order, an :class:`Entry` per identity and a string per
 note.  One runner, :func:`run_checks`, records them; an entry's residual is
 the NaN-safe fold :func:`~nckepler.geometry.max_abs` of its per-point
 values, so a residual that cannot be evaluated fails its entry.
+
+A dual-based check passes its points to each field as one
+:func:`~nckepler.geometry.batch`, six float64 arrays, so every field is
+evaluated once per check, not once per point, and each point keeps the
+bits of its own float evaluation.  Random draws batch the same way: the
+random-observable brackets draw their coefficients row by row and stack
+them into arrays over the rows, and the algebra Jacobi rows each read
+their own entries of one Jacobian of the basis and one of its brackets.
+Only the action identities, the chart structures and the canonical maps
+still evaluate point by point.
 """
 
 from __future__ import annotations
@@ -114,7 +124,8 @@ from .reduced import (
 from .report import SuiteReport
 from .sampling import (
     DEFAULT_SEED,
-    random_polynomial_field,
+    polynomial_field,
+    random_polynomial_coefficients,
     sample_action_angle,
     sample_cartesian,
     sample_deformations,
@@ -123,13 +134,13 @@ from .sampling import (
 )
 from .symmetry import (
     EnergySign,
-    angular_momentum_field,
+    angular_momentum,
     bracket_H_closed_forms,
     bracket_H_with_L,
     closure_fit,
     generator_matrix,
     involution_parameter_search,
-    lrl_field,
+    lrl_vector,
     observables_jacobian,
     pairwise_bracket_table,
     structure_matrices,
@@ -260,8 +271,10 @@ def _gaps(lhs, rhs) -> list:
 
 def _table_gaps(bracket, blocks, points) -> list:
     """For each ``(f, g, table)`` of ``blocks``, the gaps
-    ``bracket(f[i], g[j], x) - table[i][j]`` over ``points`` and ``i, j < 3``."""
-    return [[bracket(f[i], g[j], x) - table[i][j] for x in points for i in range(3) for j in range(3)]
+    ``bracket(f[i], g[j], x) - table[i][j]`` for ``i, j < 3`` over the batch
+    ``x`` of ``points``."""
+    x = batch(points)
+    return [[bracket(f[i], g[j], x) - table[i][j] for i in range(3) for j in range(3)]
             for f, g, table in blocks]
 
 
@@ -334,27 +347,33 @@ def _symplectic_inverse(ctx: BracketsContext):
                 inverse_pair_residual(ctx.omega(x), ctx.bivector(x)), 1e-14)
 
 
-def _draw(rng, n: int, points: list):
-    """``n`` random cartesian polynomial fields, then a random sample point."""
-    fields = [random_polynomial_field(rng) for _ in range(n)]
-    return fields, points[int(rng.integers(0, len(points)))]
+def _draws(rng, rows: int, n: int, points: list):
+    """``rows`` draws of ``n`` random polynomial observables and then a
+    sample point each, as ``n`` observables whose coefficients are arrays
+    over the rows, and the batch of the drawn points."""
+    coefficients, picks = [], []
+    for _ in range(rows):
+        coefficients.append([random_polynomial_coefficients(rng) for _ in range(n)])
+        picks.append(points[int(rng.integers(0, len(points)))])
+    fields = []
+    for f in range(n):
+        lin = np.array([row[f][0] for row in coefficients]).T
+        quad = np.array([row[f][1] for row in coefficients]).transpose(1, 2, 0)
+        fields.append(polynomial_field(list(lin), [list(r) for r in quad]))
+    return fields, batch(picks)
 
 
 def _random_brackets(ctx: BracketsContext):
     # bivector-bracket and jacobi draw in sequence from one generator
     params = ctx.params
     rng = np.random.default_rng(ctx.cfg.seed + 1)
-    gaps = []
-    for _ in range(50):
-        (f, g), x = _draw(rng, 2, ctx.points)
-        gaps.append(nc_bracket(f, g, x, params) - duals.value(bivector_bracket(ctx.bivector, f, g)(x)))
+    (f, g), x = _draws(rng, 50, 2, ctx.points)
     yield Entry("bivector-bracket", "bivector-induced bracket equals the weighted bracket",
-                gaps, ctx.cfg.tol_exact)
-    sums = []
-    for _ in range(12):
-        (f, g, h), x = _draw(rng, 3, ctx.points)
-        sums.append(_cyclic_sum(f, g, h, x, params))
-    yield Entry("jacobi", "cyclic bracket sum vanishes for smooth observables", sums, 1e-10)
+                nc_bracket(f, g, x, params) - duals.value(bivector_bracket(ctx.bivector, f, g)(x)),
+                ctx.cfg.tol_exact)
+    (f, g, h), x = _draws(rng, 12, 3, ctx.points)
+    yield Entry("jacobi", "cyclic bracket sum vanishes for smooth observables",
+                _cyclic_sum(f, g, h, x, params), 1e-10)
 
 
 def _equations_of_motion(ctx: BracketsContext):
@@ -363,15 +382,13 @@ def _equations_of_motion(ctx: BracketsContext):
     defs = sample_deformations(cfg.deformation_sets, cfg.seed + 2)
     closed, primed, iota = [], [], []
     for pset in defs:
-        pts = sample_cartesian(max(10, cfg.samples // len(defs)), cfg.seed + 3, pset)
+        x = batch(sample_cartesian(max(10, cfg.samples // len(defs)), cfg.seed + 3, pset))
         X = hamiltonian_vector_field_nc(pset)
         omega_p, _ = nc_symplectic_structures(pset)
-        Hf = hamiltonian_field(pset)
-        for x in pts:
-            cf = hamilton_rhs_closed_form(x, pset)
-            closed.append(_gaps(cf, X(x)))
-            primed.append(_gaps(cf, hamilton_rhs_primed_form(x, pset)))
-            iota.append(flow_pairing_residual(X, omega_p, Hf, x))
+        cf = hamilton_rhs_closed_form(x, pset)
+        closed.append(_gaps(cf, X(x)))
+        primed.append(_gaps(cf, hamilton_rhs_primed_form(x, pset)))
+        iota.append(flow_pairing_residual(X, omega_p, hamiltonian_field(pset), x))
     yield Entry("eom-closed-vs-bivector",
                 "closed-form equations of motion equal the bivector flow", closed, 1e-10)
     yield Entry("eom-primed-vs-closed",
@@ -409,18 +426,13 @@ def _algebra_context(cfg: VerifyConfig) -> AlgebraContext:
 
 
 def _bracket_closed_forms(ctx: AlgebraContext):
-    params, th = ctx.params, ctx.params.theta
-    wL, wA = [], []
-    for x in ctx.points:
-        J = observables_jacobian(x, params)
-        cL, cA = bracket_H_closed_forms(x, params)
-        for i in range(3):
-            wL.append(weighted_bracket(J[0], J[1 + i], th) - cL[i])
-            wA.append(weighted_bracket(J[0], J[4 + i], th) - cA[i])
+    params, th, x = ctx.params, ctx.params.theta, batch(ctx.points)
+    J = observables_jacobian(x, params)
+    cL, cA = bracket_H_closed_forms(x, params)
     yield Entry("bracket-H-L", "closed form of {H, L_i} matches autodiff at generic deformation",
-                wL, ctx.cfg.tol_bracket)
+                [weighted_bracket(J[0], J[1 + i], th) - cL[i] for i in range(3)], ctx.cfg.tol_bracket)
     yield Entry("bracket-H-A", "closed form of {H, A_i} matches autodiff at generic deformation",
-                wA, ctx.cfg.tol_bracket)
+                [weighted_bracket(J[0], J[4 + i], th) - cA[i] for i in range(3)], ctx.cfg.tol_bracket)
     yield ("the middle group of the {H, A_i} closed form pairs its coefficient row "
            "with the Levi-Civita index of the momentum factor; pairing it with the "
            "angular-momentum index instead fails the autodiff cross-check")
@@ -428,15 +440,14 @@ def _bracket_closed_forms(ctx: AlgebraContext):
 
 def _pairwise_tables(ctx: AlgebraContext):
     """Pairwise tables at the generic deformation, then in the commutative
-    limit; the first 10 generic tables also give the LA deviation note."""
-    tables = [pairwise_bracket_table(x, ctx.params)
-              for x in ctx.points[: max(10, ctx.cfg.samples // 10)]]
+    limit; the first 10 generic points also give the LA deviation note."""
+    table = pairwise_bracket_table(batch(ctx.points[: max(10, ctx.cfg.samples // 10)]), ctx.params)
     yield Entry("pairwise-chain", "structure-matrix route equals autodiff for every pairwise bracket",
-                [e.ad_vs_chain for t in tables for block in t.values() for e in block.values()],
+                [e.ad_vs_chain for block in table.values() for e in block.values()],
                 ctx.cfg.tol_bracket)
-    closed = [e.ad_vs_closed for x in ctx.comm_points
-              for block in pairwise_bracket_table(x, ctx.comm).values() for e in block.values()]
-    generic = max_abs(e.ad_vs_closed for t in tables[:10] for e in t["LA"].values())
+    closed = [e.ad_vs_closed for block in pairwise_bracket_table(batch(ctx.comm_points), ctx.comm).values()
+              for e in block.values()]
+    generic = max_abs(e.ad_vs_closed[:10] for e in table["LA"].values())
     yield Entry("pairwise-closed-commutative",
                 "structure-constant bracket table matches autodiff in the commutative limit",
                 closed, ctx.cfg.tol_bracket, point=ctx.comm_points[0].coords)
@@ -471,17 +482,35 @@ def _generator_patterns(ctx: AlgebraContext):
 
 
 def _algebra_jacobi(ctx: AlgebraContext):
-    """Jacobi identity on the spanned algebra."""
-    comm, pts = ctx.comm, ctx.comm_points
+    """Jacobi identity on the spanned algebra (L, A).  Each row draws three
+    basis fields and then a point; over the batch of the drawn points, one
+    Jacobian of the basis and one of the pair brackets the rows name serve
+    every row, and each row reads its own entries of them."""
+    comm, pts, th = ctx.comm, ctx.comm_points, ctx.comm.theta
     rng = np.random.default_rng(ctx.cfg.seed + 6)
-    basis = [angular_momentum_field(comm, i) for i in range(3)] + [lrl_field(comm, i) for i in range(3)]
-    sums = []
+    triples, picks = [], []
     for _ in range(10):
-        i, j, k = rng.integers(0, 6, size=3)
-        x = pts[int(rng.integers(0, len(pts)))]
-        sums.append(_cyclic_sum(basis[i], basis[j], basis[k], x, comm))
+        triples.append(rng.integers(0, 6, size=3).tolist())
+        picks.append(pts[int(rng.integers(0, len(pts)))])
+    # {f, {g, h}} + {g, {h, f}} + {h, {f, g}} of the fields (f, g, h)
+    terms = [[(i, (j, k)), (j, (k, i)), (k, (i, j))] for i, j, k in triples]
+    pairs = sorted({pair for row in terms for _, pair in row})
+
+    def basis(c):
+        return angular_momentum(c, comm) + lrl_vector(c, comm)
+
+    def pair_brackets(c):
+        J = duals.jacobian(basis, c)
+        return [weighted_bracket(J[j], J[k], th) for j, k in pairs]
+
+    x, rows = batch(picks), np.arange(len(picks))
+    d_basis = np.array(duals.jacobian(basis, x))  # [field][coordinate][row]
+    d_pairs = np.array(duals.jacobian(pair_brackets, x))
+    cyclic = [weighted_bracket(list(d_basis[[row[t][0] for row in terms], :, rows].T),
+                               list(d_pairs[[pairs.index(row[t][1]) for row in terms], :, rows].T), th)
+              for t in range(3)]
     yield Entry("algebra-jacobi", "cyclic bracket sum over the conserved basis vanishes",
-                sums, ctx.cfg.tol_bracket, point=pts[0].coords)
+                cyclic[0] + cyclic[1] + cyclic[2], ctx.cfg.tol_bracket, point=pts[0].coords)
 
 
 def _involution_search(ctx: AlgebraContext):
@@ -746,30 +775,25 @@ def _transport(ctx: HierarchyContext):
     rp, tol = cfg.reduced, cfg.tol_transport
     Xaa = reduced_structures(rp)[2]
     P0aa = hierarchy_in_action_angle(0, rp)[0]
+    every, first6, first10 = batch(aa), batch(aa[:6]), batch(aa[:10])
     for h in range(1, cfg.h_max + 1):
         Paa, Waa, Taa = hierarchy_in_action_angle(h, rp)
         Fh_aa = transported(ladder_energy_field(h, rp), rp)
-        pairing = [flow_pairing_residual(Xaa, Waa, Fh_aa, x) for x in aa]
-        compat, tors = zip(*[(schouten_bracket(Paa, P0aa, x), nijenhuis_torsion(Taa, x))
-                             for x in aa[:6]])
         yield Entry(f"transport-pairing-h{h}",
                     "transported level form pairs with the in-chart flow and energy",
-                    pairing, tol, point=aa[0].coords)
+                    flow_pairing_residual(Xaa, Waa, Fh_aa, every), tol, point=aa[0].coords)
         yield Entry(f"transport-compatibility-h{h}", "transported bivectors stay Schouten-compatible",
-                    compat, tol, point=aa[0].coords)
+                    schouten_bracket(Paa, P0aa, first6), tol, point=aa[0].coords)
         yield Entry(f"transport-torsion-h{h}", "transported recursion operator keeps vanishing torsion",
-                    tors, tol, point=aa[0].coords)
+                    nijenhuis_torsion(Taa, first6), tol, point=aa[0].coords)
 
         # diff of the separately displayed component table against the transport
-        diag, off = [], []
-        for x in aa[:10]:
-            tab = displayed_bivector_table(h, rp, list(x.coords))
-            true = Paa(x)
-            diag.append([tab[i][3 + i] - duals.value(true[i][3 + i]) for i in range(3)])
-            off.append([tab[i][j] - duals.value(true[i][j]) for i in range(6) for j in range(6)])
+        tab = displayed_bivector_table(h, rp, first10)
+        true = Paa(first10)
+        off = [tab[i][j] - duals.value(true[i][j]) for i in range(6) for j in range(6)]
         yield Entry(f"table-diagonal-h{h}",
                     "displayed action-angle table agrees with the transport on the diagonal pairs",
-                    diag, tol, point=aa[0].coords)
+                    [off[6 * i + 3 + i] for i in range(3)], tol, point=aa[0].coords)
         yield (f"level {h}: the displayed off-diagonal action-angle components "
                f"deviate from the exact transport by up to {max_abs(off):.3e}; the "
                f"transported tensors are used for every downstream check")
@@ -868,10 +892,8 @@ def _master_pairing(ctx: Context):
     """Master-integral pairing on the zero-angle section."""
     rp = ctx.cfg.reduced
     section = sample_delaunay(max(50, ctx.cfg.samples // 2), ctx.cfg.seed + 1, zero_angles=True)
-    on, off = [], []
-    for mu in range(0, 4):
-        on += [pairing_residual(0, mu, rp, x) for x in section[:50]]
-        off.append(pairing_residual(0, mu, rp, ctx.points[0]))
+    on = [pairing_residual(0, mu, rp, batch(section[:50])) for mu in range(0, 4)]
+    off = [pairing_residual(0, mu, rp, ctx.points[0]) for mu in range(0, 4)]
     yield Entry("master-integral-pairing", "master fields pair with their integrals where the angles vanish",
                 on, 1e-10, point=section[0].coords)
     yield (f"off the zero-angle section the pairing one-form is not closed for "
@@ -881,8 +903,8 @@ def _master_pairing(ctx: Context):
 
 
 def _conformal(ctx: Context):
-    coefficients = [conformal_coefficients(i, ctx.cfg.reduced, x)
-                    for i in range(0, ctx.cfg.i_max + 1) for x in ctx.points[:10]]
+    x = batch(ctx.points[:10])
+    coefficients = [conformal_coefficients(i, ctx.cfg.reduced, x) for i in range(0, ctx.cfg.i_max + 1)]
     yield Entry("conformal-coefficients",
                 "scaling fields act conformally with coefficients (-1/(3+i), 0, -2/(3+i))",
                 [(cc.residual_P, cc.residual_P1, cc.residual_H) for cc in coefficients], 1e-10)
@@ -891,18 +913,18 @@ def _conformal(ctx: Context):
 def _recursion_families(ctx: Context):
     """Recursion families against repeated operator application."""
     rp = ctx.cfg.reduced
+    x = batch(ctx.points[:10])
     gaps = []
     for h in range(0, ctx.cfg.h_max + 1):
         Xcf = family_flow_field(h, rp)
         Xap = apply_recursion_to_vector(dynamical_symmetry(0, rp), h, rp)
         Gcf = family_gamma_field(0, h, rp)
         Gap = apply_recursion_to_vector(master_symmetry_field(0, 0, rp), h, rp)
-        Hh = family_energy_field(h, rp)
-        for x in ctx.points[:10]:
-            gaps += [_gaps(Xcf(x), Xap(x)), _gaps(Gcf(x), Gap(x))]
-            g = gradient(Hh, x)
-            gaps.append(duals.value(g[2]) - rp.m * rp.k**2 * x.coords[2] ** (h - 3))
-            gaps.append([duals.value(g[a]) for a in (0, 1, 3, 4, 5)])
+        flow = Xcf(x)
+        gaps += [_gaps(flow, Xap(x)), _gaps(Gcf(x), Gap(x))]
+        g = gradient(family_energy_field(h, rp), x)
+        gaps.append(duals.value(g[2]) - flow[5])  # m k^2 I3^(h-3)
+        gaps.append([duals.value(g[a]) for a in (0, 1, 3, 4, 5)])
     yield Entry("recursion-families",
                 "closed-form families equal repeated recursion application, and the "
                 "family energies differentiate to the family differentials", gaps, 1e-10)

@@ -12,8 +12,10 @@ brackets close in several layered forms:
 * structure-constant forms (so(3), so(4), so(1,3) patterns), exact in the
   commutative limit and reported with residuals elsewhere.
 
-Each route differentiates (H, L, A) once per point and chart, and the
-closed forms read one float frame (q', p', Y, H, L, A) per point.
+Each evaluator takes one point or a batch of points (six float64 arrays,
+``geometry.batch``): each route differentiates (H, L, A) in one pass per
+chart, and the closed forms read one float frame (q', p', Y, H, L, A), over
+every point of the batch at once.
 
 Scaled Runge-Lenz vectors live on the negative/positive-energy regions;
 :func:`scaled_basis` gives them with L as the six fields of the so(4) and
@@ -33,7 +35,7 @@ import numpy as np
 from . import duals
 from .deformation import DeformationParams, transform_coordinates, weighted_bracket
 from .errors import ChartDomainError, InvalidDeformationError
-from .geometry import PhasePoint, ScalarField, coords_of
+from .geometry import PhasePoint, ScalarField, batch, coords_of
 from .kepler import hamiltonian, primed_hamiltonian, primed_radius
 
 
@@ -141,7 +143,8 @@ def observables_jacobian(x, params: DeformationParams) -> list:
 
 
 class _Frame(NamedTuple):
-    """Float values at one point: ``q'``, ``p'``, ``Y`` and (H, L, A)."""
+    """Float values at one point, or arrays over a batch: ``q'``, ``p'``,
+    ``Y`` and (H, L, A)."""
 
     qp: list
     pp: list
@@ -163,7 +166,7 @@ def _frame(x, params: DeformationParams) -> _Frame:
 def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> list:
     qp, pp = fr.qp, fr.pp
     m, k = params.mass, params.k
-    ky3 = k / fr.y**3
+    ky3 = k / duals.power(fr.y, 3)
     Dp = [sum(sm.D[nu][j] * pp[j] for j in range(3)) for nu in range(3)]
     Fq = [sum(sm.F[nu][j] * qp[j] for j in range(3)) for nu in range(3)]
     Fp = [sum(sm.F[j][nu] * pp[j] for j in range(3)) for nu in range(3)]
@@ -202,7 +205,7 @@ def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
     qp, pp, y, L = fr.qp, fr.pp, fr.y, fr.L
     sm = structure_matrices(params)
     m, k = params.mass, params.k
-    ky3 = k / y**3
+    ky3 = k / duals.power(y, 3)
     G = [
         sum(sm.D[rho][j] * pp[j] for j in range(3)) / m
         + ky3 * sum(sm.F[rho][j] * qp[j] for j in range(3))
@@ -221,7 +224,7 @@ def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
         total -= (m * k / y) * sum(
             sm.F[j][i] * pp[j] / m + ky3 * sm.E[j][i] * qp[j] for j in range(3)
         )
-        total += (m * k / y**3) * sum(
+        total += (m * k / duals.power(y, 3)) * sum(
             (sm.F[j][h] * pp[j] / m + ky3 * sm.E[j][h] * qp[j]) * qp[h] * qp[i]
             for j in range(3)
             for h in range(3)
@@ -370,6 +373,11 @@ def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> Involutio
 # -- scaled vectors and generator matrices -------------------------------------
 
 
+def _first(v, mask):
+    """``v`` at the first point where ``mask`` holds; ``v`` itself at one point."""
+    return float(v[mask][0]) if isinstance(v, np.ndarray) else v
+
+
 def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
     """``[L1, L2, L3, G1, G2, G3]`` at the coordinates ``c`` (generic in the
     scalar type), with ``G = A / sqrt(-2mH)`` on the negative-energy region
@@ -377,12 +385,12 @@ def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
     region are excluded."""
     H = hamiltonian(c, params)
     Hv = duals.value(H)
-    if abs(Hv) < 1e-12:
+    if duals.anywhere(abs(Hv) < 1e-12):
         raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
-    if tau is EnergySign.MINUS and Hv >= 0.0:
-        raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not negative")
-    if tau is EnergySign.PLUS and Hv <= 0.0:
-        raise ChartDomainError(f"energy sign mismatch: H = {Hv} is not positive")
+    wrong = Hv >= 0.0 if tau is EnergySign.MINUS else Hv <= 0.0
+    if duals.anywhere(wrong):
+        raise ChartDomainError(f"energy sign mismatch: H = {_first(Hv, wrong)} is not "
+                               f"{'negative' if tau is EnergySign.MINUS else 'positive'}")
     scale = duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
     return angular_momentum(c, params) + [a / scale for a in lrl_vector(c, params)]
 
@@ -420,30 +428,23 @@ def closure_fit(points: Sequence[PhasePoint], params: DeformationParams, tau: En
 
     Fits each bracket value against the basis values at the sample points;
     the so(4) pattern has the GG coefficient equal to the LL one, the
-    so(1,3) pattern flips its sign.  Each point takes one plain pass of the
-    six fields for their values and one seeded pass for all their gradients.
+    so(1,3) pattern flips its sign.  The points form one batch: one plain
+    pass of the six fields gives their values and one seeded pass all their
+    gradients.  The fit rows run point by point, each point's pairs in turn.
     """
-
-    values, grads = [], []
-    for x in points:
-        c = coords_of(x)
-        values.append([duals.value(v) for v in scaled_basis(c, params, tau)])
-        grads.append(duals.jacobian(lambda z: scaled_basis(z, params, tau), c))
+    c = batch(points)
+    values = [duals.value(v) for v in scaled_basis(c, params, tau)]
+    grads = duals.jacobian(lambda z: scaled_basis(z, params, tau), c)
 
     # {L_i, L_j} ~ c_LL eps_ijh L_h ; {G_i, G_j} ~ c_GG eps_ijh L_h ;
     # {L_i, G_j} ~ c_LG eps_ijh G_h    (single-coefficient fits per block,
     # basis indices 0-2 for L and 3-5 for G)
     def single_coeff(pairs, targets):
-        rows, rhs = [], []
-        for bevals, J in zip(values, grads):
-            for (f, g), tgt in zip(pairs, targets):
-                rows.append([bevals[tgt]])
-                rhs.append(weighted_bracket(J[f], J[g], params.theta))
-        A = np.array(rows)
-        b = np.array(rhs)
+        A = np.stack([values[tgt] for tgt in targets], axis=1).reshape(-1, 1)
+        b = np.stack([weighted_bracket(grads[f], grads[g], params.theta) for f, g in pairs],
+                     axis=1).ravel()
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.max(np.abs(A @ coef - b))) if len(b) else 0.0
-        return float(coef[0]), resid
+        return float(coef[0]), float(np.max(np.abs(A @ coef - b)))
 
     c_ll, r1 = single_coeff([(0, 1), (1, 2), (2, 0)], [2, 0, 1])
     c_gg, r2 = single_coeff([(3, 4), (4, 5), (5, 3)], [2, 0, 1])

@@ -16,8 +16,8 @@ from nckepler.deformation import (
     transform_coordinates,
 )
 from nckepler.errors import InvalidDeformationError
-from nckepler.geometry import Chart, PhasePoint, bivector_bracket, flat_sharp_composition
-from nckepler.sampling import random_polynomial_field
+from nckepler.geometry import Chart, PhasePoint, batch, bivector_bracket, flat_sharp_composition
+from nckepler.sampling import polynomial_field, random_polynomial_coefficients
 
 X = PhasePoint((1.0, 0.5, -0.3, 0.2, 1.0, 0.4), Chart.CARTESIAN)
 
@@ -81,6 +81,11 @@ def test_bracket_antisymmetry_in_same_argument():
     params = pair_deformation(0.2, 0.4)
     f = coordinate_function(0)
     assert nc_bracket(f, f, X, params) == 0.0
+
+
+def random_polynomial_field(rng):
+    """A random quadratic observable with float coefficients."""
+    return polynomial_field(*random_polynomial_coefficients(rng))
 
 
 def test_jacobi_cyclic_sum_vanishes():
@@ -154,7 +159,7 @@ def test_symplectic_pair_mutually_inverse():
 
 
 def _numpy_scalar_polynomial(rng):
-    """Reference: ``random_polynomial_field`` with its coefficients as
+    """Reference: a random polynomial observable with its coefficients as
     indexed numpy float64 scalars, as it was first written."""
     lin = rng.uniform(-1.0, 1.0, size=6)
     quad = rng.uniform(-0.5, 0.5, size=(6, 6))
@@ -208,3 +213,19 @@ def test_json_round_trip_and_validation():
     bad["alpha"][0][1] = 99.0  # breaks antisymmetry
     with pytest.raises(InvalidDeformationError):
         DeformationParams.from_dict(bad)
+
+
+def test_polynomial_field_with_array_coefficients_equals_each_row_bitwise():
+    # one observable per point: coefficient arrays over the rows, evaluated
+    # on the batch of the rows' points, value and gradient alike
+    rng = np.random.default_rng(9)
+    rows = [random_polynomial_coefficients(rng) for _ in range(7)]
+    pts = [PhasePoint(tuple(rng.uniform(-1.5, 1.5, size=6)), Chart.CARTESIAN) for _ in rows]
+    f = polynomial_field(list(np.array([lin for lin, _ in rows]).T),
+                         [list(r) for r in np.array([quad for _, quad in rows]).transpose(1, 2, 0)])
+    x = batch(pts)
+    value, grad = f(x), duals.grad(f.func, x)
+    for r, ((lin, quad), pt) in enumerate(zip(rows, pts)):
+        ref = polynomial_field(lin, quad)
+        assert value[r].hex() == ref(pt).hex()
+        assert [g[r].hex() for g in grad] == [g.hex() for g in duals.grad(ref.func, list(pt.coords))]

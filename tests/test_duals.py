@@ -209,3 +209,58 @@ def test_anywhere_reads_a_bool_or_a_bool_array():
     assert duals.anywhere(np.array([1.0, 0.0]) == 0.0)
     assert not duals.anywhere(np.array([1.0, 2.0]) == 0.0)
     assert not duals.anywhere(np.array([]) == 0.0)
+
+
+# Every ndarray branch of the elementary functions gives each element the
+# bits of the float route, over seeded draws and the edge values below, and
+# fails where the float route fails, with the same error.
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.0]
+
+
+def _draws(seed: int, positive: bool) -> list:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-8.0, 8.0, 20_000)
+    x = np.abs(x) if positive else x
+    return x.tolist() + [v for v in _EDGES if v > 0.0 or not positive]
+
+
+@pytest.mark.parametrize("name, positive, seed", [
+    ("sqrt", True, 21), ("sin", False, 22), ("cos", False, 23), ("log", True, 24),
+])
+def test_elementary_function_of_an_array_equals_the_float_route_bitwise(name, positive, seed):
+    fn, ref = getattr(duals, name), getattr(math, name)
+    xs = _draws(seed, positive)
+    got = fn(np.array(xs))
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (len(xs),)
+    assert [v.hex() for v in got.tolist()] == [ref(v).hex() for v in xs]
+    assert fn(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("sqrt", -1e-300), ("sqrt", -2.0), ("sqrt", -math.inf), ("log", 0.0), ("log", -0.0), ("log", -3.0),
+])
+def test_elementary_function_of_an_array_fails_as_the_float_route(name, bad):
+    fn, ref = getattr(duals, name), getattr(math, name)
+    with pytest.raises(ValueError) as want:
+        ref(bad)
+    with pytest.raises(ValueError) as got:
+        fn(np.array([1.0, bad, 2.0]))
+    assert str(got.value) == str(want.value)
+
+
+def test_sqrt_of_an_array_keeps_nan_and_infinity_as_the_float_route():
+    xs = [math.nan, math.inf, 4.0]
+    got = duals.sqrt(np.array(xs))
+    assert [math.isnan(v) for v in got.tolist()] == [True, False, False]
+    assert got.tolist()[1:] == [math.sqrt(v) for v in xs[1:]]
+
+
+def test_elementary_functions_of_a_batched_dual_equal_each_points_pass_bitwise():
+    rng = np.random.default_rng(27)
+    a, t = rng.uniform(0.2, 3.0, 40), rng.standard_normal(40)
+    for fn in (duals.sqrt, duals.sin, duals.cos, duals.log):
+        r = fn(Dual(a, (t, 1.0)))
+        for p in range(40):
+            ref = fn(Dual(float(a[p]), (float(t[p]), 1.0)))
+            assert float(r.a[p]).hex() == float(ref.a).hex()
+            assert [float(np.broadcast_to(v, 40)[p]).hex() for v in r.b] == [float(v).hex() for v in ref.b]
