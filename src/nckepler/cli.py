@@ -42,7 +42,8 @@ _deformation_from = DeformationParams.from_dict
 
 
 # The scalar field each monitor name stands for.  ``integrate`` evaluates
-# all of them from one primed vector per state; the tests hold the two to
+# all of them from one primed vector per block of states, through the same
+# scalar-generic evaluators over arrays; the tests hold the two to
 # bit-identical values.
 _MONITOR_BUILDERS = {
     "H": lambda p: hamiltonian_field(p),

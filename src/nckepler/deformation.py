@@ -192,15 +192,9 @@ def coordinate_function(index: int) -> ScalarField:
     return ScalarField(lambda c, i=index: c[i])
 
 
-def primed_coordinate_function(index: int, params: DeformationParams) -> ScalarField:
-    return ScalarField(lambda c, i=index: transform_coordinates(c, params)[i])
-
-
-def canonical_bracket(f: ScalarField, g: ScalarField, x):
-    """Undeformed bracket sum_i (df/dq^i dg/dp_i - df/dp_i dg/dq^i)."""
-    coords = coords_of(x)
-    df = duals.grad(f.func, coords)
-    dg = duals.grad(g.func, coords)
+def canonical_bracket(df, dg):
+    """The undeformed bracket from the cartesian gradients ``df`` and ``dg``:
+    ``sum_i (df/dq^i dg/dp_i - df/dp_i dg/dq^i)``."""
     return sum(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
 
 

@@ -21,7 +21,8 @@ evaluator pass serves every point of a check.  numpy's ``+ - * /`` round
 as Python's float operations do, so each point's slice of a batched result
 is bit-for-bit that point's float result, provided the evaluators raise
 coordinates to powers through :func:`power`, which keeps Python's ``**``
-rounding (numpy's own ``**`` differs in the last bit at some points).
+rounding (``np.float_power`` does; ``np.power`` and ``np.square`` differ
+in the last bit at some points).
 """
 
 from __future__ import annotations
@@ -115,10 +116,17 @@ class Dual:
 
 
 def power(x, n):
-    """``x ** n``; on an ndarray, Python's float ``**`` at each element, so
-    every point rounds as its float evaluation does."""
+    """``x ** n`` for an integral ``n``; on an ndarray ``np.float_power``,
+    which rounds as Python's ``**`` at every element and raises its
+    ``ZeroDivisionError`` and ``OverflowError`` (finite base only)."""
     if isinstance(x, np.ndarray):
-        return np.array([v**n for v in x.tolist()])
+        if n < 0 and (x == 0.0).any():
+            raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+        with np.errstate(over="ignore"):
+            r = np.float_power(x, n)
+        if np.isinf(r).any() and (np.isinf(r) & np.isfinite(x)).any():
+            raise OverflowError(34, "Numerical result out of range")
+        return r
     return x**n
 
 

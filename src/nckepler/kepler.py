@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import duals
 from .deformation import (
     DeformationParams,
@@ -36,19 +38,55 @@ from .geometry import (
 )
 
 
+def _radius_squared(z):
+    """``Y^2 = |q'|^2`` from the primed coordinates ``z``."""
+    return duals.power(z[0], 2) + duals.power(z[1], 2) + duals.power(z[2], 2)
+
+
 def primed_radius(z):
     """``Y = |q'|`` from the primed coordinates ``z``; raises when the
     configuration is singular."""
-    y2 = duals.power(z[0], 2) + duals.power(z[1], 2) + duals.power(z[2], 2)
+    y2 = _radius_squared(z)
     if duals.anywhere(duals.value(y2) <= 0.0):
         raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
     return duals.sqrt(y2)
 
 
 def primed_hamiltonian(z, params: DeformationParams):
-    """Energy from the primed coordinates ``z`` (kinetic term in ``p'``)."""
+    """Energy from the primed coordinates ``z`` (kinetic term in ``p'``).
+    The radius comes first, so a singular configuration is reported before
+    an overflowing momentum."""
+    y = primed_radius(z)
     kinetic = (duals.power(z[3], 2) + duals.power(z[4], 2) + duals.power(z[5], 2)) / (2.0 * params.mass)
-    return kinetic - params.k / primed_radius(z)
+    return kinetic - params.k / y
+
+
+def primed_angular_momentum(z) -> list:
+    """Components of L = q' x p' from the primed coordinates ``z``."""
+    q, p = z[:3], z[3:]
+    return [
+        q[1] * p[2] - q[2] * p[1],
+        q[2] * p[0] - q[0] * p[2],
+        q[0] * p[1] - q[1] * p[0],
+    ]
+
+
+def primed_lrl_vector(z, params: DeformationParams) -> list:
+    """Components of A = p' x L - m k q' / Y from the primed coordinates ``z``."""
+    q, p = z[:3], z[3:]
+    L = primed_angular_momentum(z)
+    y = primed_radius(z)
+    mk = params.mass * params.k
+    return [
+        p[1] * L[2] - p[2] * L[1] - mk * q[0] / y,
+        p[2] * L[0] - p[0] * L[2] - mk * q[1] / y,
+        p[0] * L[1] - p[1] * L[0] - mk * q[2] / y,
+    ]
+
+
+def primed_observables(z, params: DeformationParams) -> list:
+    """``(H, L1, L2, L3, A1, A2, A3)`` from the primed coordinates ``z``."""
+    return [primed_hamiltonian(z, params)] + primed_angular_momentum(z) + primed_lrl_vector(z, params)
 
 
 def deformed_radius(x, params: DeformationParams):
@@ -65,47 +103,12 @@ def hamiltonian_field(params: DeformationParams) -> ScalarField:
     return ScalarField(lambda c: hamiltonian(c, params))
 
 
-# Observables ``integrate`` can record, in the order ``state_observables``
-# returns them after Y^2.
+# Observables ``integrate`` can record, in the order ``primed_observables``
+# returns them.
 MONITOR_NAMES = ("H", "L1", "L2", "L3", "A1", "A2", "A3")
 
 # Fixed-step methods ``integrate_field`` accepts.
 METHODS = ("rk4", "implicit_midpoint")
-
-
-def state_observables(c, params: DeformationParams, vectors: bool = True) -> tuple:
-    """``(Y^2, H, L1, L2, L3, A1, A2, A3)`` at a cartesian state of floats,
-    all from one primed vector; only ``(Y^2, H)`` when ``vectors`` is false.
-
-    Each value is bit-identical to :func:`hamiltonian`,
-    ``symmetry.angular_momentum`` and ``symmetry.lrl_vector``, which stay the
-    scalar-generic references: the operations and their order are theirs.
-    """
-    q1, q2, q3, p1, p2, p3 = c
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = params.alpha
-    (l11, l12, l13), (l21, l22, l23), (l31, l32, l33) = params.lam
-    x1 = q1 - 0.5 * sum((a11 * p1, a12 * p2, a13 * p3))
-    x2 = q2 - 0.5 * sum((a21 * p1, a22 * p2, a23 * p3))
-    x3 = q3 - 0.5 * sum((a31 * p1, a32 * p2, a33 * p3))
-    u1 = p1 + 0.5 * sum((l11 * q1, l12 * q2, l13 * q3))
-    u2 = p2 + 0.5 * sum((l21 * q1, l22 * q2, l23 * q3))
-    u3 = p3 + 0.5 * sum((l31 * q1, l32 * q2, l33 * q3))
-    y2 = x1**2 + x2**2 + x3**2
-    if y2 <= 0.0:
-        raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
-    y = math.sqrt(y2)
-    m, k = params.mass, params.k
-    h = (u1**2 + u2**2 + u3**2) / (2.0 * m) - k / y
-    if not vectors:
-        return y2, h
-    L1, L2, L3 = x2 * u3 - x3 * u2, x3 * u1 - x1 * u3, x1 * u2 - x2 * u1
-    mk = m * k
-    return (
-        y2, h, L1, L2, L3,
-        u2 * L3 - u3 * L2 - mk * x1 / y,
-        u3 * L1 - u1 * L3 - mk * x2 / y,
-        u1 * L2 - u2 * L1 - mk * x3 / y,
-    )
 
 
 def hamilton_rhs_closed_form(x, params: DeformationParams) -> list:
@@ -184,9 +187,10 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
         def rhs(c):
             q1, q2, q3, p1, p2, p3 = c
             r2 = q1 * q1 + q2 * q2 + q3 * q3
-            if r2 <= 0.0:
+            r3 = r2 * math.sqrt(r2)
+            if r3 <= 0.0:  # also when r^3 underflows to 0, below r of about 1.4e-108
                 raise SingularConfigurationError("radius vanished")
-            f = -k / (r2 * math.sqrt(r2))
+            f = -k / r3
             return [p1 / m, p2 / m, p3 / m, f * q1, f * q2, f * q3]
 
         return rhs
@@ -219,9 +223,10 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
         x2 = q2 - 0.5 * sum((a21 * p1, a22 * p2, a23 * p3))
         x3 = q3 - 0.5 * sum((a31 * p1, a32 * p2, a33 * p3))
         y2 = x1**2 + x2**2 + x3**2
-        if y2 <= 0.0:
+        y3 = math.sqrt(y2) ** 3
+        if y3 <= 0.0:  # also when Y^3 underflows to 0, below Y of about 1.4e-108
             raise SingularConfigurationError("deformed radius Y vanished (q = alpha p / 2)")
-        ky3 = k / math.sqrt(y2) ** 3
+        ky3 = k / y3
         k4 = 0.25 * ky3
         r11, r12, r13 = rl11 - ra11 * ky3, rl12 - ra12 * ky3, rl13 - ra13 * ky3
         r21, r22, r23 = rl21 - ra21 * ky3, rl22 - ra22 * ky3, rl23 - ra23 * ky3
@@ -254,12 +259,13 @@ class Trajectory:
     """Fixed-step trajectory with monitor values recorded at every state.
 
     Each state is a tuple of six finite floats in the chart of the run's
-    initial point."""
+    initial point; ``monitors`` holds one column of floats per name of
+    ``monitor_names``, a value per state."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     monitor_names: list = field(default_factory=list)
-    monitors: list = field(default_factory=list)  # one row per state
+    monitors: list = field(default_factory=list)  # one column per monitor name
     termination_reason: str | None = None
     # largest per-step energy change over 1 + |E0|, the collision
     # detector's scale; the step that stopped a run counts
@@ -270,8 +276,7 @@ class Trajectory:
         return self.termination_reason is None
 
     def monitor_series(self, name: str) -> list:
-        idx = self.monitor_names.index(name)
-        return [row[idx] for row in self.monitors]
+        return self.monitors[self.monitor_names.index(name)]
 
     def drift(self, name: str) -> float:
         """Largest deviation of monitor ``name`` from its initial value
@@ -280,16 +285,18 @@ class Trajectory:
         series = self.monitor_series(name)
         ref = series[0]
         scale = (abs(ref) or 1.0) if name == "H" else max(abs(ref), 1.0)
-        return max(abs(v - ref) for v in series) / scale
+        with np.errstate(all="ignore"):  # inf - inf is NaN, as in Python
+            deviations = np.abs(np.subtract(series, ref))
+        return max(deviations.tolist()) / scale
 
     def to_csv(self) -> str:
         """One header line, then one line per state: ``t``, the six
-        coordinates and the monitor row, each as ``%.17g``."""
+        coordinates and the monitor values, each as ``%.17g``."""
         names = ("t", "q1", "q2", "q3", "p1", "p2", "p3", *self.monitor_names)
         line = ",".join(["%.17g"] * len(names))
         lines = [",".join(names)]
         lines += [line % (t, *state, *row)
-                  for t, state, row in zip(self.times, self.states, self.monitors)]
+                  for t, state, *row in zip(self.times, self.states, *self.monitors)]
         return "\n".join(lines) + "\n"
 
 
@@ -345,6 +352,47 @@ def _implicit_midpoint_step(rhs, c, dt, residual_tol=1e-12, max_iter=50):
     )
 
 
+# States ``integrate_field`` steps before it observes them in one hook call.
+_BLOCK = 1024
+
+
+def _reason(err: Exception):
+    """The termination reason for an error of a step or the hook, or the
+    error itself when it fails the run."""
+    if isinstance(err, SingularConfigurationError):
+        return f"singular configuration: {err}"
+    if isinstance(err, StepFailureError):
+        return f"step failure: {err}"
+    if isinstance(err, OverflowError):
+        return "overflow: the state left the float range"
+    return err
+
+
+def _observe_block(observe, states: np.ndarray, n_monitors: int) -> tuple:
+    """``(stop, energy, columns)`` of ``observe`` over ``states``, finite
+    states one per row, ``stop`` being None or ``(index, reason or error)``.
+    When the array pass raises, each state is observed alone on its floats,
+    up to the first that stops or raises."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return observe(tuple(np.ascontiguousarray(states.T)))
+    except Exception:  # the state that raised raises again below
+        pass
+    stop, energies, rows = None, [], []
+    for i, c in enumerate(states.tolist()):
+        try:
+            state_stop, energy, row = observe(c)
+        except Exception as err:
+            stop = (i, _reason(err))
+            break
+        if state_stop is not None:
+            stop = (i, state_stop[1])
+            break
+        energies.append(energy)
+        rows.append(row)
+    return stop, energies, np.array(rows, dtype=float).reshape(len(rows), n_monitors).T
+
+
 def integrate_field(
     x0: PhasePoint,
     rhs: Callable[[Sequence[float]], list],
@@ -352,27 +400,30 @@ def integrate_field(
     n_steps: int,
     method: str = "rk4",
     *,
-    observe: Callable[[Sequence[float]], tuple],
+    observe: Callable,
     monitor_names: Sequence[str] = (),
 ) -> Trajectory:
     """Fixed-step integration with singularity guards.
 
-    ``rhs`` takes and returns six coordinates.  The trajectory's states are
-    tuples of six floats in ``x0``'s chart; a spherical state with r <= 0 or
-    theta outside (0, pi) raises :class:`ChartDomainError`.
+    ``rhs`` takes and returns six coordinates; states are tuples of six
+    floats in ``x0``'s chart.
 
-    ``observe(coords)`` is the per-state hook, called once on every state:
-    it returns ``(stop_reason, energy, monitor_row)``.  A stop reason other
-    than None truncates the run before that state; the energy (None turns
-    the check off) feeds the collision detector; the row is recorded under
-    ``monitor_names``.
+    ``observe`` gets the six floats of ``x0``, then six float64 arrays over
+    each block of up to ``_BLOCK`` stepped states, and returns ``(stop,
+    energy, columns)``: ``stop`` is None or ``(index, reason)`` for the first
+    state that ends the run (ignored at ``x0``); ``energy`` feeds the
+    collision detector (None turns it off) and ``columns`` holds one array
+    per monitor name, both covering the states before ``index``.  The hook
+    must treat each state alone: a block whose pass raises, floating-point
+    exceptions included, is observed again state by state on floats.
 
-    Termination reasons: the hook's stop reason, a non-finite state, a
-    singular configuration, implicit stage failure or float overflow raised
-    by a step or the hook, or a per-step jump of the energy beyond 1e-2
-    relative to ``1 + |E0|`` (the collision detector: near a singular
-    configuration a fixed step cannot hold the energy, and the run is
-    truncated rather than continued through garbage states).
+    The run is cut at the first state that ends it, and the later steps of
+    its block are dropped.  Reasons: the hook's stop, a non-finite state, a
+    singular configuration, stage failure or overflow raised by a step or
+    the hook, or a one-step energy jump over 1e-2 of ``1 + |E0|`` (the
+    collision detector).  Other errors, and a spherical state with r <= 0 or
+    theta outside (0, pi) (:class:`ChartDomainError`), propagate once the
+    states before them have passed.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -380,45 +431,57 @@ def integrate_field(
         raise ValueError(f"unknown method {method!r}")
     stepper = _rk4_step if method == "rk4" else _implicit_midpoint_step
 
-    traj = Trajectory(monitor_names=list(monitor_names))
-    times, states, monitors = traj.times, traj.states, traj.monitors
     chart = x0.chart
-    bounded = chart is not Chart.CARTESIAN
-
     c = x0.coords
     _, e_prev, row = observe(c)
-    times.append(0.0)
-    states.append(c)
-    monitors.append(row)
+    traj = Trajectory(times=[0.0], states=[c], monitor_names=list(monitor_names),
+                      monitors=[[v] for v in row])
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
-    for step in range(1, n_steps + 1):
+    step = 0
+    while step < n_steps:
+        block, outcome = [], None
         try:
-            c_new = stepper(rhs, c, dt)
-            if not all(map(math.isfinite, c_new)):
-                reason = "singular configuration: state left the chart (non-finite)"
-            else:
-                reason, e_new, row = observe(c_new)
-        except SingularConfigurationError as err:
-            reason = f"singular configuration: {err}"
-        except StepFailureError as err:
-            reason = f"step failure: {err}"
-        except OverflowError:
-            reason = "overflow: the state left the float range"
-        if reason is None and e_scale is not None:
-            jump = abs(e_new - e_prev)
-            traj.max_energy_jump = max(traj.max_energy_jump, jump / e_scale)
-            if not math.isfinite(e_new) or jump > 1e-2 * e_scale:
-                reason = "singular configuration: energy step error exploded (collision)"
-            e_prev = e_new
-        if reason is not None:
-            traj.termination_reason = reason
+            for _ in range(min(_BLOCK, n_steps - step)):
+                c = stepper(rhs, c, dt)
+                block.append(c)
+        except Exception as err:  # raised or reported once the states before it pass
+            outcome = _reason(err)
+        # ``end`` is the first state that ends the run, by ``outcome``
+        end = len(block)
+        states = np.array(block, dtype=float).reshape(end, 6)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            end = int(np.argmin(finite))
+            outcome = "singular configuration: state left the chart (non-finite)"
+        stop, energy, columns = None, None, ()
+        if end:
+            stop, energy, columns = _observe_block(observe, states[:end], len(traj.monitors))
+        if stop is not None:
+            end, outcome = stop
+        if e_scale is not None and end:
+            e = np.asarray(energy[:end], dtype=float)
+            with np.errstate(all="ignore"):  # inf - inf is NaN, as in Python
+                jumps = np.abs(e - np.concatenate(([e_prev], e[:-1])))
+                exploded = np.flatnonzero(~np.isfinite(e) | (jumps > 1e-2 * e_scale))
+                if exploded.size:
+                    end = int(exploded[0])
+                    outcome = "singular configuration: energy step error exploded (collision)"
+                    jumps = jumps[:end + 1]
+                traj.max_energy_jump = max([traj.max_energy_jump] + (jumps / e_scale).tolist())
+            e_prev = e[-1]
+        if chart is not Chart.CARTESIAN:
+            for state in block[:end]:
+                check_chart_domain(state, chart)
+        traj.times += [s * dt for s in range(step + 1, step + end + 1)]
+        traj.states += block[:end]
+        for series, col in zip(traj.monitors, columns):
+            series.extend(col[:end].tolist())
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is not None:
+            traj.termination_reason = outcome
             return traj
-        c = c_new
-        if bounded:
-            check_chart_domain(c, chart)
-        times.append(step * dt)
-        states.append(c)
-        monitors.append(row)
+        step += end
     return traj
 
 
@@ -432,26 +495,29 @@ def integrate(
 ) -> Trajectory:
     """Integrate the deformed Kepler flow from a cartesian point.
 
-    ``monitors`` are names from :data:`MONITOR_NAMES`.  Each state costs one
-    :func:`state_observables` call, which feeds the radius guard, the energy
-    detector and every monitor.  Aborts with a singularity reason when the
-    deformed radius falls below 1e-9 of its initial value or a step loses
-    energy accuracy (collision).
+    ``monitors`` are names from :data:`MONITOR_NAMES`.  One pass of
+    :func:`transform_coordinates` and :func:`primed_observables` over a
+    block's arrays feeds the radius guard, the energy detector and every
+    monitor.  Aborts with a singularity reason when the deformed radius
+    falls below 1e-9 of its initial value or a step loses energy accuracy
+    (collision).
     """
     unknown = [name for name in monitors if name not in MONITOR_NAMES]
     if unknown:
         raise ValueError(f"unknown monitors {unknown}; choose from {MONITOR_NAMES}")
-    columns = [1 + MONITOR_NAMES.index(name) for name in monitors]
-    vectors = any(col > 1 for col in columns)
-    floor = 1e-9 * math.sqrt(state_observables(x0.coords, params, False)[0])
+    picks = [MONITOR_NAMES.index(name) for name in monitors]
+    vectors = any(i > 0 for i in picks)
+    floor = 1e-9 * primed_radius(transform_coordinates(x0.coords, params))
     floor2 = floor * floor
 
-    def observe(c):
-        obs = state_observables(c, params, vectors)
-        reason = None
-        if obs[0] < floor2:
-            reason = "singular configuration: deformed radius below 1e-9 of its initial value"
-        return reason, obs[1], [obs[col] for col in columns]
+    def observe(cols):
+        z = transform_coordinates(cols, params)
+        values = primed_observables(z, params) if vectors else [primed_hamiltonian(z, params)]
+        low = np.flatnonzero(_radius_squared(z) < floor2)
+        stop = None
+        if low.size:
+            stop = (int(low[0]), "singular configuration: deformed radius below 1e-9 of its initial value")
+        return stop, values[0], [values[i] for i in picks]
 
     return integrate_field(
         x0,

@@ -131,17 +131,19 @@ def _azimuthal_factor(rp: ReducedParams, phi):
 
 
 def spherical_hamiltonian(s, rp: ReducedParams):
-    """Energy of a spherical state under the reduced Hamiltonian."""
+    """Energy of a spherical state, or of each state of a batch, under the
+    reduced Hamiltonian; raises when any state is off the chart."""
     r, theta, phi, p_r, p_t, p_p = coords_of(s)
+    st = duals.sin(theta)
     rv = duals.value(r)
-    sv = math.sin(duals.value(theta))
-    if rv <= 0.0:
+    if duals.anywhere(rv <= 0.0):
         raise ChartDomainError(f"coordinate r must be positive, got {rv}")
-    if abs(sv) < 1e-300:
+    if duals.anywhere(abs(duals.value(st)) < 1e-300):
         raise ChartDomainError("coordinate theta hit the polar axis (sin theta = 0)")
     u = _azimuthal_factor(rp, phi)
-    st = duals.sin(theta)
-    kin = p_r**2 + rp.M_squared * p_t**2 / r**2 + u * p_p**2 / (r**2 * st**2)
+    r2 = duals.power(r, 2)
+    kin = (duals.power(p_r, 2) + rp.M_squared * duals.power(p_t, 2) / r2
+           + u * duals.power(p_p, 2) / (r2 * duals.power(st, 2)))
     return kin / (2.0 * rp.m) - rp.k / r
 
 

@@ -48,7 +48,7 @@ from .deformation import (
     nc_bracket,
     nc_bracket_field,
     nc_symplectic_structures,
-    primed_coordinate_function,
+    transform_coordinates,
     weighted_bracket,
 )
 from .errors import config_int, config_number, config_object
@@ -269,12 +269,10 @@ def _gaps(lhs, rhs) -> list:
     return [duals.value(a) - duals.value(b) for a, b in zip(lhs, rhs)]
 
 
-def _table_gaps(bracket, blocks, points) -> list:
+def _table_gaps(bracket, blocks) -> list:
     """For each ``(f, g, table)`` of ``blocks``, the gaps
-    ``bracket(f[i], g[j], x) - table[i][j]`` for ``i, j < 3`` over the batch
-    ``x`` of ``points``."""
-    x = batch(points)
-    return [[bracket(f[i], g[j], x) - table[i][j] for i in range(3) for j in range(3)]
+    ``bracket(f[i], g[j]) - table[i][j]`` for ``i, j < 3``."""
+    return [[bracket(f[i], g[j]) - table[i][j] for i in range(3) for j in range(3)]
             for f, g, table in blocks]
 
 
@@ -293,7 +291,6 @@ def _cyclic_sum(f, g, h, x, params: DeformationParams):
 @dataclass(frozen=True)
 class BracketsContext(Context):
     params: DeformationParams  # a generic deformation
-    primed: list  # the six primed coordinate functions
     omega: TensorField
     bivector: TensorField
 
@@ -304,8 +301,14 @@ def _brackets_context(cfg: VerifyConfig) -> BracketsContext:
         params = sample_deformations(1, cfg.seed + 13)[0]
     omega, bivector = nc_symplectic_structures(params)
     return BracketsContext(cfg, sample_cartesian(cfg.samples, cfg.seed, params), params,
-                           [primed_coordinate_function(i, params) for i in range(6)],
                            omega, bivector)
+
+
+def _primed_gradients(ctx: BracketsContext, points: list) -> tuple:
+    """Gradients of ``q'`` and of ``p'``, rows of one Jacobian of
+    :func:`transform_coordinates` over the batch of ``points``."""
+    J = duals.jacobian(lambda c: transform_coordinates(c, ctx.params), batch(points))
+    return J[:3], J[3:]
 
 
 def _bracket_patterns(ctx: BracketsContext):
@@ -313,29 +316,30 @@ def _bracket_patterns(ctx: BracketsContext):
     coord = [coordinate_function(i) for i in range(6)]
     q, p, zero = coord[:3], coord[3:], [[0.0] * 3] * 3
     inverse = [[1.0 / params.theta[j] if i == j else 0.0 for j in range(3)] for i in range(3)]
-    pq, qq, pp = _table_gaps(lambda f, g, x: nc_bracket(f, g, x, params),
-                             ((p, q, inverse), (q, q, zero), (p, p, zero)), ctx.points)
+    x = batch(ctx.points)
+    pq, qq, pp = _table_gaps(lambda f, g: nc_bracket(f, g, x, params),
+                             ((p, q, inverse), (q, q, zero), (p, p, zero)))
     yield Entry("bracket-pattern-pq", "{p_i, q^j} = theta_j^{-1} delta_ij", pq, tol)
     yield Entry("bracket-pattern-qq", "{q^i, q^j} = 0", qq, tol)
     yield Entry("bracket-pattern-pp", "{p_i, p_j} = 0", pp, tol)
 
 
 def _structure_brackets(ctx: BracketsContext):
-    params, q, p, tol = ctx.params, ctx.primed[:3], ctx.primed[3:], ctx.cfg.tol_exact
+    params, tol = ctx.params, ctx.cfg.tol_exact
     sm = structure_matrices(params)
-    F, D, E = _table_gaps(lambda f, g, x: nc_bracket(f, g, x, params),
-                          ((p, q, sm.F), (p, p, sm.D), (q, q, sm.E)),
-                          ctx.points[: max(10, ctx.cfg.samples // 10)])
+    q, p = _primed_gradients(ctx, ctx.points[: max(10, ctx.cfg.samples // 10)])
+    F, D, E = _table_gaps(lambda df, dg: weighted_bracket(df, dg, params.theta),
+                          ((p, q, sm.F), (p, p, sm.D), (q, q, sm.E)))
     yield Entry("structure-F", "weighted bracket {p'_i, q'^j} equals F_ij", F, tol)
     yield Entry("structure-D", "weighted bracket {p'_i, p'_j} equals D_ij", D, tol)
     yield Entry("structure-E", "weighted bracket {q'^i, q'^j} equals E_ij", E, tol)
 
 
 def _beta_table(ctx: BracketsContext):
-    q, p, tol = ctx.primed[:3], ctx.primed[3:], ctx.cfg.tol_exact
+    tol = ctx.cfg.tol_exact
     table = beta_bracket_table(ctx.params)
-    qq, qp, pp = _table_gaps(canonical_bracket, ((q, q, table.qq), (q, p, table.qp), (p, p, table.pp)),
-                             ctx.points[:10])
+    q, p = _primed_gradients(ctx, ctx.points[:10])
+    qq, qp, pp = _table_gaps(canonical_bracket, ((q, q, table.qq), (q, p, table.qp), (p, p, table.pp)))
     yield Entry("beta-table-qq", "canonical {q'_i, q'_j} reproduces the declared qq block", qq, tol)
     yield Entry("beta-table-qp", "canonical {q'_i, p'_j} reproduces identity + gamma", qp, tol)
     yield Entry("beta-table-pp", "canonical {p'_i, p'_j} reproduces the declared pp block", pp, tol)
@@ -614,12 +618,23 @@ def _chart_structures(ctx: Context):
     yield Entry("aa-action-conservation", "flow has no action components", actions, tol)
 
 
+def _energy_monitor(rp: ReducedParams):
+    """``integrate_field`` hook that feeds the reduced energy of each block
+    of states to the collision detector and records it as ``H``."""
+
+    def observe(cols):
+        E = spherical_hamiltonian(cols, rp)
+        return None, E, (E,)
+
+    return observe
+
+
 def _reduced_flow(ctx: Context):
     """Integrals conserved along the reduced flow, and the angle rates."""
     rp, s0 = ctx.cfg.reduced, ctx.points[0]
     traj = integrate_field(s0, spherical_rhs(rp), 2e-4, 4000, method="rk4",
-                           observe=lambda c: (None, spherical_hamiltonian(c, rp), ()))
-    E0 = spherical_hamiltonian(s0, rp)
+                           observe=_energy_monitor(rp), monitor_names=("H",))
+    E0 = traj.monitor_series("H")[0]
     _, d0, lt0 = first_integrals(s0, rp)
     J0 = actions_from_integrals(E0, lt0, d0, rp)
     drift = [(d - d0, lt - lt0) for _, d, lt in (first_integrals(st, rp) for st in traj.states[::100])]
@@ -832,10 +847,9 @@ def _eigenvalue_drift(ctx: HierarchyContext):
     rp, N = ctx.cfg.reduced, ctx.weights
     s0 = sample_spherical_bound(1, ctx.cfg.seed + 2, rp)[0]
     traj = integrate_field(s0, spherical_rhs(rp), 1e-3, 10_000, method="rk4",
-                           observe=lambda c: (None, spherical_hamiltonian(c, rp), ()))
+                           observe=_energy_monitor(rp), monitor_names=("H",))
     eigs = []
-    for st in traj.states[::50]:
-        E = spherical_hamiltonian(st, rp)
+    for st, E in zip(traj.states[::50], traj.monitor_series("H")[::50]):
         _, d, lt = first_integrals(st, rp)
         j1, j2, j3 = actions_from_integrals(E, lt, d, rp)
         I = (j3, rp.M * j2 + j3, j1 + rp.M * j2 + j3)

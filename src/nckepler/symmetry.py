@@ -36,7 +36,13 @@ from . import duals
 from .deformation import DeformationParams, transform_coordinates, weighted_bracket
 from .errors import ChartDomainError, InvalidDeformationError
 from .geometry import PhasePoint, ScalarField, batch, coords_of
-from .kepler import hamiltonian, primed_hamiltonian, primed_radius
+from .kepler import (
+    hamiltonian,
+    primed_angular_momentum,
+    primed_lrl_vector,
+    primed_observables,
+    primed_radius,
+)
 
 
 def levi_civita(i: int, j: int, k: int) -> float:
@@ -85,29 +91,6 @@ def structure_matrices(params: DeformationParams) -> StructureMatrices:
     return StructureMatrices(F=to_t(F), D=to_t(D), E=to_t(E))
 
 
-def primed_angular_momentum(z) -> list:
-    """Components of L = q' x p' from the primed coordinates ``z``."""
-    q, p = z[:3], z[3:]
-    return [
-        q[1] * p[2] - q[2] * p[1],
-        q[2] * p[0] - q[0] * p[2],
-        q[0] * p[1] - q[1] * p[0],
-    ]
-
-
-def primed_lrl_vector(z, params: DeformationParams) -> list:
-    """Components of A = p' x L - m k q' / Y from the primed coordinates ``z``."""
-    q, p = z[:3], z[3:]
-    L = primed_angular_momentum(z)
-    y = primed_radius(z)
-    mk = params.mass * params.k
-    return [
-        p[1] * L[2] - p[2] * L[1] - mk * q[0] / y,
-        p[2] * L[0] - p[0] * L[2] - mk * q[1] / y,
-        p[0] * L[1] - p[1] * L[0] - mk * q[2] / y,
-    ]
-
-
 def angular_momentum(x, params: DeformationParams) -> list:
     """Components of L at a cartesian point (generic in the scalar type)."""
     return primed_angular_momentum(transform_coordinates(x, params))
@@ -127,11 +110,6 @@ def lrl_field(params: DeformationParams, i: int) -> ScalarField:
 
 
 # -- one seeded pass and one float frame per point ---------------------------
-
-
-def primed_observables(z, params: DeformationParams) -> list:
-    """``(H, L1, L2, L3, A1, A2, A3)`` from the primed coordinates ``z``."""
-    return [primed_hamiltonian(z, params)] + primed_angular_momentum(z) + primed_lrl_vector(z, params)
 
 
 def observables_jacobian(x, params: DeformationParams) -> list:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,52 @@ def test_power_of_an_array_rounds_as_python_at_every_element(n):
     assert [v.hex() for v in got.tolist()] == [(v**n).hex() for v in x.tolist()]
     assert duals.power(2.5, n) == 2.5**n
 
+
+# Every exponent the evaluators pass to ``duals.power`` on an array: the
+# integer powers of the coordinates and the float ``n - 1.0`` that
+# ``Dual.__pow__`` takes for a negative integer ``n``.
+POWER_EXPONENTS = [*range(-3, 10), -4.0, -3.0, -2.0]
+_POWER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e154, -1e154,
+                1.7976931348623157e308, -1e308, 1.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+def _power_draws(seed: int) -> list:
+    """10^5 values across the whole float range, subnormals included, then
+    10^5 of moderate size, then the edge values."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-330.0, 300.0, 100_000)
+    moderate = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-8.0, 8.0, 100_000)
+    return wide.tolist() + moderate.tolist() + _POWER_EDGES
+
+
+@pytest.mark.parametrize("n", POWER_EXPONENTS)
+def test_power_of_an_array_equals_python_pow_bitwise_across_the_float_range(n):
+    xs, want = [], []
+    for v in _power_draws(31 + POWER_EXPONENTS.index(n)):
+        try:
+            want.append((v**n).hex())
+        except (OverflowError, ZeroDivisionError):
+            continue
+        xs.append(v)
+    assert len(xs) > 100_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = duals.power(np.array(xs), n)
+    assert [v.hex() for v in got.tolist()] == want
+
+
+@pytest.mark.parametrize("bad, n", [
+    (0.0, -1), (-0.0, -2), (0.0, -3), (0.0, -4.0), (-0.0, -2.0),
+    (1e200, 2), (-1e103, 3), (1e40, 9), (5e-324, -1), (1e-160, -2), (-1e-103, -3.0), (1e-80, -4.0),
+], ids=str)
+def test_power_of_an_array_fails_as_python_pow(bad, n):
+    with pytest.raises((ZeroDivisionError, OverflowError)) as want:
+        bad**n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(want.type) as got:
+            duals.power(np.array([1.5, bad, -2.0]), n)
+    assert str(got.value) == str(want.value)
 
 def test_dual_power_of_a_batch_equals_each_points_float_pass_bitwise():
     rng = np.random.default_rng(7)

@@ -123,6 +123,11 @@ def _run(argv) -> int:
 @example(doc={"initial_state": {"coords": [1, 0, 0, 0, 1, 0]}, "deformation": {"mass": 1e-300},
               "integrator": {"n_steps": 3}})
 @example(doc={"initial_state": {"coords": [1e200, 0, 0, 0, 1, 0]}, "integrator": {"n_steps": 3}})
+@example(doc={"initial_state": {"coords": [0.0, 0.0, 1.6443510429624732e-109, 0.0, 0.0, 0.0]},
+              "integrator": {"n_steps": 1}})
+@example(doc={"initial_state": {"coords": [0.0, 0.0, 1.6443510429624732e-109, 0.0, 0.0, 0.0]},
+              "deformation": {"alpha": [[0, 0.04, 0], [-0.04, 0, 0], [0, 0, 0]]},
+              "integrator": {"n_steps": 1}})
 def test_simulate_in_process_exits_cleanly(doc, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz-simulate")
     config = work / "scenario.json"

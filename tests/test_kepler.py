@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from nckepler import duals
-from nckepler.cli import _MONITOR_BUILDERS
 from nckepler.deformation import DeformationParams, nc_symplectic_structures, transform_coordinates
 from nckepler.errors import ChartDomainError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product
 from nckepler.kepler import (
-    MONITOR_NAMES,
     Trajectory,
     deformed_radius,
     flow_rhs,
@@ -20,10 +18,9 @@ from nckepler.kepler import (
     hamiltonian_vector_field_nc,
     integrate,
     integrate_field,
-    state_observables,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
-from nckepler.symmetry import angular_momentum, bracket_H_with_L, lrl_vector
+from nckepler.symmetry import bracket_H_with_L
 
 COMM = DeformationParams()
 
@@ -120,18 +117,16 @@ def test_hoisted_flow_equals_closed_form_exactly():
             assert rhs(list(x.coords)) == hamilton_rhs_closed_form(x, params)
 
 
-def test_state_observables_equal_reference_evaluators_exactly():
-    assert tuple(_MONITOR_BUILDERS) == MONITOR_NAMES
-    for params in sample_deformations(10):
-        fields = [_MONITOR_BUILDERS[name](params) for name in MONITOR_NAMES]
-        for x in sample_cartesian(200, params=params):
-            y2, *values = state_observables(x.coords, params)
-            assert math.sqrt(y2) == deformed_radius(x, params)
-            assert values[0] == hamiltonian(x, params)
-            assert values[1:4] == angular_momentum(x, params)
-            assert values[4:] == lrl_vector(x, params)
-            assert values == [f.func(list(x.coords)) for f in fields]
-            assert state_observables(x.coords, params, vectors=False) == (y2, values[0])
+@pytest.mark.parametrize("params", [COMM, pair_deformation(0.04, 0.0)], ids=["commutative", "deformed"])
+def test_flow_at_a_radius_whose_cube_underflows_is_singular(params):
+    # r^3 underflows to 0 below r of about 1.4e-108: the force is not a
+    # float, and the run ends as at r = 0
+    x0 = PhasePoint((0.0, 0.0, 1.6443510429624732e-109, 0.0, 0.0, 0.0), Chart.CARTESIAN)
+    with pytest.raises(SingularConfigurationError):
+        flow_rhs(params)(x0.coords)
+    traj = integrate(x0, params, dt=1e-3, n_steps=3)
+    assert len(traj.states) == 1
+    assert traj.termination_reason.startswith("singular configuration: ")
 
 
 def test_rk4_circular_orbit_energy_drift():
@@ -207,17 +202,17 @@ def test_trajectory_csv_row_is_each_value_at_17_significant_digits():
     values = (0.0, -0.0, 1.0, -2.5e-300, 5e-324, 1.7976931348623157e308, 1 / 3,
               math.inf, -math.inf, math.nan, 0.1)
     traj = Trajectory(times=[values[0]], states=[values[1:7]],
-                      monitor_names=["H", "L1", "L2", "L3"], monitors=[list(values[7:])])
+                      monitor_names=["H", "L1", "L2", "L3"], monitors=[[v] for v in values[7:]])
     assert traj.to_csv().split("\n")[1] == ",".join(f"{v:.17g}" for v in values)
 
 
 def test_trajectory_drift_scales_h_by_its_start_and_others_by_at_least_one():
     traj = Trajectory(monitor_names=["H", "L1", "A1"],
-                      monitors=[[-0.5, 0.25, 4.0], [-0.25, 0.75, 5.0], [-0.625, 0.0, 3.0]])
+                      monitors=[[-0.5, -0.25, -0.625], [0.25, 0.75, 0.0], [4.0, 5.0, 3.0]])
     assert traj.drift("H") == 0.5  # 0.25 / |-0.5|
     assert traj.drift("L1") == 0.5  # 0.5 / max(0.25, 1)
     assert traj.drift("A1") == 0.25  # 1 / max(4, 1)
-    zero = Trajectory(monitor_names=["H", "L1"], monitors=[[0.0, 0.0], [0.375, -0.5]])
+    zero = Trajectory(monitor_names=["H", "L1"], monitors=[[0.0, 0.375], [0.0, -0.5]])
     assert zero.drift("H") == 0.375  # H0 == 0 is measured against 1.0
     assert zero.drift("L1") == 0.5
 
@@ -236,7 +231,8 @@ def test_trajectory_invariants():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
     traj = integrate(x0, COMM, dt=1e-3, n_steps=50, method="rk4", monitors=["H"])
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-    assert len(traj.monitors) == len(traj.states) == len(traj.times)
+    assert len(traj.monitors) == 1
+    assert len(traj.monitors[0]) == len(traj.states) == len(traj.times)
     assert all(len(s) == 6 and all(map(math.isfinite, s)) for s in traj.states)
 
 

@@ -256,14 +256,21 @@ def test_angle_formula_outside_turning_region_raises():
         angles_from_state(far, J, RP)
 
 
+def _energy_monitor(cols):
+    E = spherical_hamiltonian(cols, RP)
+    return None, E, (E,)
+
+
 def test_angle_rates_match_frequencies_along_flow():
     s0 = _bound_state()
-    E = spherical_hamiltonian(s0, RP)
-    _, d, lt = first_integrals(s0, RP)
-    J = actions_from_integrals(E, lt, d, RP)
     traj = integrate_field(s0, spherical_rhs(RP), 5e-4, 1500, method="rk4",
-                           observe=lambda c: (None, spherical_hamiltonian(c, RP), ()))
+                           observe=_energy_monitor, monitor_names=("H",))
     assert traj.completed
+    energy = traj.monitor_series("H")
+    assert [E.hex() for E in energy] == [spherical_hamiltonian(st, RP).hex() for st in traj.states]
+    assert max(abs(E - energy[0]) for E in energy) < 1e-10
+    _, d, lt = first_integrals(s0, RP)
+    J = actions_from_integrals(energy[0], lt, d, RP)
     phi_seq = np.unwrap([st[2] for st in traj.states])
     angles = np.array([
         continuous_angles(st, J, RP, phi_unwrapped=float(pu))

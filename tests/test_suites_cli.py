@@ -58,6 +58,48 @@ GOLDEN_SCENARIOS = {
 }
 
 
+# Truncated ``simulate`` runs: the SHA-256 of the trajectory CSV, the stdout
+# (``{csv}`` stands for the CSV's path) and the stderr line of each.
+_MONITOR_LINES = (
+    "monitor L1: initial +0.000000000000e+00 max drift 0.000e+00\n"
+    "monitor L2: initial {L2} max drift 0.000e+00\n"
+    "monitor L3: initial +0.000000000000e+00 max drift 0.000e+00\n"
+    "monitor A1: initial -1.000000000000e+00 max drift 0.000e+00\n"
+    "monitor A2: initial +0.000000000000e+00 max drift 0.000e+00\n"
+    "monitor A3: initial +0.000000000000e+00 max drift 0.000e+00\n"
+)
+GOLDEN_TRUNCATED = {
+    "collision": (
+        {
+            "initial_state": {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+            "integrator": {"method": "rk4", "dt": 1e-3, "n_steps": 2000},
+            "monitors": ["H", "L1", "L2", "L3", "A1", "A2", "A3"],
+        },
+        "1f0ee71488180b69f99a81ee9d95a639a232cd96a854810aa6b9bd9ea9b19b36",
+        "trajectory written to {csv} (1110 states)\n"
+        "terminated early: singular configuration: energy step error exploded (collision)\n"
+        "monitor H: initial -1.000000000000e+00 max drift 1.763e-02  (over budget)\n"
+        + _MONITOR_LINES.format(L2="+0.000000000000e+00"),
+        "simulate: 1109/2000 steps; stop: singular configuration: energy step error exploded "
+        "(collision); max energy jump 2.861e-01 (relative to 1 + |H0|)\n",
+    ),
+    "radius-floor": (
+        {
+            "initial_state": {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, -1e6, 0.0, 0.0]},
+            "integrator": {"method": "rk4", "dt": 2.5e-8, "n_steps": 100},
+            "monitors": ["H", "L1", "L2", "L3", "A1", "A2", "A3"],
+        },
+        "2cecd9a4d5ab1923d93928d991b548927fd2d1b59bf1ac4fba294b133b676b01",
+        "trajectory written to {csv} (40 states)\n"
+        "terminated early: singular configuration: deformed radius below 1e-9 of its initial value\n"
+        "monitor H: initial +4.999999999990e+11 max drift 3.876e-13\n"
+        + _MONITOR_LINES.format(L2="-0.000000000000e+00"),
+        "simulate: 39/100 steps; stop: singular configuration: deformed radius below 1e-9 of its "
+        "initial value; max energy jump 3.702e-13 (relative to 1 + |H0|)\n",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def small_reports():
     return {name: SUITES[name](SMALL) for name in SUITE_NAMES}
@@ -112,6 +154,17 @@ def test_simulate_csv_matches_golden_digest(scenario, tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == digest
 
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_TRUNCATED))
+def test_truncated_simulate_matches_golden_output(scenario, tmp_path, capsys):
+    doc, digest, stdout, stderr = GOLDEN_TRUNCATED[scenario]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({**doc, "output": {"trajectory_csv": "traj.csv"}}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == stdout.format(csv=tmp_path / "traj.csv")
+    assert captured.err == stderr
+    assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == digest
 
 def test_reports_are_deterministic():
     a = SUITES["brackets"](SMALL).to_json()

@@ -7,12 +7,18 @@ from nckepler import duals, symmetry
 from nckepler.deformation import (
     DeformationParams,
     nc_bracket,
-    primed_coordinate_function,
     transform_coordinates,
 )
 from nckepler.errors import ChartDomainError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, ScalarField, coords_of
-from nckepler.kepler import deformed_radius, hamiltonian, hamiltonian_field, primed_radius
+from nckepler.kepler import (
+    deformed_radius,
+    hamiltonian,
+    hamiltonian_field,
+    primed_angular_momentum,
+    primed_lrl_vector,
+    primed_radius,
+)
 from nckepler.sampling import sample_cartesian, sample_deformations
 from nckepler.symmetry import (
     EnergySign,
@@ -27,8 +33,6 @@ from nckepler.symmetry import (
     lrl_field,
     lrl_vector,
     pairwise_bracket_table,
-    primed_angular_momentum,
-    primed_lrl_vector,
     scaled_basis,
     structure_matrices,
 )
@@ -92,7 +96,7 @@ def test_structure_matrices_commutative():
 
 def test_structure_matrices_match_weighted_brackets():
     sm = structure_matrices(GENERIC)
-    primed = [primed_coordinate_function(i, GENERIC) for i in range(6)]
+    primed = [ScalarField(lambda c, i=i: transform_coordinates(c, GENERIC)[i]) for i in range(6)]
     for i in range(3):
         for j in range(3):
             assert abs(nc_bracket(primed[3 + i], primed[j], X, GENERIC) - sm.F[i][j]) < 1e-12
