@@ -9,7 +9,9 @@ A ``Dual`` carries one tangent per seeded direction (ForwardDiff's chunk
 mode), so a single evaluator pass on :func:`seed`-ed coordinates gives the
 whole gradient or Jacobian.  Each tangent component is updated with exactly
 the operations a one-direction pass would apply to it, so every derivative
-is bit-for-bit the one a per-direction pass computes.
+is bit-for-bit the one a per-direction pass computes.  The value part of
+every operation is the float operation itself (``a / b``, ``c / a``,
+``a ** n``), so a :func:`seeded_pass` carries the float values as well.
 
 Second derivatives come from nesting: the value and the tangents of a
 ``Dual`` may themselves be ``Dual`` values of an outer layer.
@@ -82,14 +84,14 @@ class Dual:
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.a
-            val = self.a * inv
+            val = self.a / other.a
             return Dual(val, tuple([(x - val * y) * inv for x, y in zip(self.b, other.b)]))
         inv = 1.0 / other
-        return Dual(self.a * inv, tuple([x * inv for x in self.b]))
+        return Dual(self.a / other, tuple([x * inv for x in self.b]))
 
     def __rtruediv__(self, other):
         inv = 1.0 / self.a
-        val = other * inv
+        val = other / self.a
         scale = -val * inv
         return Dual(val, tuple([scale * x for x in self.b]))
 
@@ -99,20 +101,14 @@ class Dual:
     def __pos__(self):
         return self
 
-    def __pow__(self, exponent):
-        # constant exponent only; integer powers keep exactness at a = 0
-        if isinstance(exponent, int):
-            if exponent == 0:
-                return Dual(1.0, tuple([x * 0.0 for x in self.b]))
-            if exponent == 1:
-                return self
-            if exponent >= 2:
-                ap = power(self.a, exponent - 1)
-                scale = exponent * ap
-                return Dual(ap * self.a, tuple([x * scale for x in self.b]))
-        ap = power(self.a, exponent - 1.0)
-        scale = exponent * ap
-        return Dual(ap * self.a, tuple([x * scale for x in self.b]))
+    def __pow__(self, n):
+        # constant exponent only
+        if n == 0:
+            return Dual(power(self.a, 0), tuple([x * 0.0 for x in self.b]))
+        if n == 1:
+            return self
+        scale = n * power(self.a, n - 1)
+        return Dual(power(self.a, n), tuple([x * scale for x in self.b]))
 
 
 def power(x, n):
@@ -206,22 +202,27 @@ def log(x):
     return _each(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
 
 
+def seeded_pass(func, coords):
+    """``func`` on :func:`seed`-ed ``coords``: each result carries its float
+    value (``.a``) and all its first derivatives (``.b``)."""
+    return func(seed(list(coords)))
+
+
 def grad(func, coords):
     """Exact gradient of ``func`` with respect to each coordinate.
 
-    One evaluator pass on :func:`seed`-ed coordinates.  ``coords`` may
-    itself contain ``Dual`` entries (nested differentiation); the gradient
-    entries are then duals of that outer layer.
+    One :func:`seeded_pass`.  ``coords`` may itself contain ``Dual``
+    entries (nested differentiation); the gradient entries are then duals
+    of that outer layer.
     """
     coords = list(coords)
-    return list(tangents(func(seed(coords)), len(coords)))
+    return list(tangents(seeded_pass(func, coords), len(coords)))
 
 
 def jacobian(vec_func, coords):
     """Exact Jacobian J[i][j] = d(vec_func_i)/d(coords_j), in one pass."""
     coords = list(coords)
-    n = len(coords)
-    return [list(tangents(v, n)) for v in vec_func(seed(coords))]
+    return [list(tangents(v, len(coords))) for v in seeded_pass(vec_func, coords)]
 
 
 def hessian(func, coords):
@@ -237,7 +238,6 @@ def hessian(func, coords):
     for i in range(n):
         outer = list(coords)
         outer[i] = Dual(coords[i], (1.0,))
-        gi = grad(func, outer)
-        for j in range(n):
-            H[j][i] = tangents(gi[j], 1)[0]
+        for j, g in enumerate(grad(func, outer)):
+            H[j][i] = tangents(g, 1)[0]
     return H

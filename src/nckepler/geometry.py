@@ -232,31 +232,30 @@ def bivector_bracket(P: TensorField, f: ScalarField, g: ScalarField) -> ScalarFi
 
 
 class Jet(NamedTuple):
-    """A vector or tensor field at one point: its plain ``value`` and its
-    first derivatives ``d``, with ``d[i][l] = d_l F^i`` for a vector and
+    """A vector or tensor field at one point: its ``value`` and its first
+    derivatives ``d``, with ``d[i][l] = d_l F^i`` for a vector and
     ``d[a][b][l] = d_l T^{ab}`` for a tensor; ``slots`` is ``"u"`` for a
     vector and the tensor's slots otherwise."""
 
-    value: list
-    d: list
+    value: tuple
+    d: tuple
     slots: str
 
 
-def jet(F, x) -> Jet:
-    """The :class:`Jet` of a vector or tensor field at ``x``: one plain pass
-    for the value and one seeded pass for every derivative.
+def _split(v):
+    """The value part and the tangents of one component of a seeded pass."""
+    return (v.a, v.b) if isinstance(v, Dual) else (v, (0.0,) * DIM)
 
-    The value comes from its own pass because the value part of a seeded
-    pass can differ in the last bit (``Dual.__pow__`` forms ``a**(n-1)*a``).
-    At dual-seeded coordinates both parts are duals of the outer layer.
-    """
-    coords = coords_of(x)
+
+def jet(F, x) -> Jet:
+    """The :class:`Jet` of a vector or tensor field at ``x``, from one
+    :func:`~duals.seeded_pass`: its values are the field's float values to
+    the bit.  At dual-seeded coordinates both are duals of the outer layer."""
     if isinstance(F, VectorField):
-        return Jet(F.func(coords), duals.jacobian(F.func, coords), "u")
+        return Jet(*zip(*map(_split, duals.seeded_pass(F.func, coords_of(x)))), "u")
     if isinstance(F, TensorField):
-        mat = F.func(coords)
-        d = [[duals.tangents(e, DIM) for e in row] for row in F.func(duals.seed(coords))]
-        return Jet(mat, d, F.slots)
+        rows = [tuple(zip(*map(_split, row))) for row in duals.seeded_pass(F.func, coords_of(x))]
+        return Jet(*zip(*rows), F.slots)
     raise TypeError(f"unsupported tensor type {type(F)!r}")
 
 
@@ -326,11 +325,11 @@ def nijenhuis_torsion(T: TensorField, x) -> list:
         N^i = sum_j (m[j][a] d[i][b][j] - m[j][b] d[i][a][j])
               - sum_k m[i][k] (-d[k][a][b]) - sum_k m[i][k] d[k][b][a].
 
-    ``T.func`` runs twice per point: one plain pass for ``m`` and one
-    seeded pass for every ``d``.  The terms are summed in the order the
-    four Lie brackets of the definition produce them, so each component
-    equals the bracket-by-bracket value exactly.  ``N[b][a]`` is stored
-    as ``-N[a][b]``, so the result is antisymmetric to the bit.
+    ``m`` and every ``d`` come from one seeded pass of ``T.func``.  The
+    terms are summed in the order the four Lie brackets of the definition
+    produce them, so each component equals the bracket-by-bracket value
+    exactly.  ``N[b][a]`` is stored as ``-N[a][b]``, so the result is
+    antisymmetric to the bit.
     """
     m, d, _ = jet(T, x)
 
@@ -355,7 +354,9 @@ def schouten_bracket(P: TensorField, Q: TensorField, x) -> list:
 
     Convention: ``[P,Q]^{ijk} = sum_cyc(i,j,k) sum_l (P^{li} d_l Q^{jk}
     + Q^{li} d_l P^{jk})``, then antisymmetrized over (i,j,k); the result
-    vanishes for P = Q exactly when the bracket of P satisfies Jacobi.
+    vanishes for P = Q exactly when the bracket of P satisfies Jacobi.  The
+    cyclic sum ``C`` is invariant under cyclic shifts, so the average over
+    the six permutations is ``(C(i,j,k) - C(j,i,k)) / 2``.
     """
     coords = coords_of(x)
     Pm, dP, _ = jet(P, coords)  # dP[i][j][l] = d_l P^{ij}
@@ -374,18 +375,10 @@ def schouten_bracket(P: TensorField, Q: TensorField, x) -> list:
     for i in range(DIM):
         for j in range(i + 1, DIM):
             for k in range(j + 1, DIM):
-                s = 0.0
-                for (a, b, c), sgn in (
-                    ((i, j, k), 1.0), ((j, k, i), 1.0), ((k, i, j), 1.0),
-                    ((j, i, k), -1.0), ((i, k, j), -1.0), ((k, j, i), -1.0),
-                ):
-                    s += sgn * cyc_term(a, b, c)
-                s /= 6.0
-                for (a, b, c), sgn in (
-                    ((i, j, k), 1.0), ((j, k, i), 1.0), ((k, i, j), 1.0),
-                    ((j, i, k), -1.0), ((i, k, j), -1.0), ((k, j, i), -1.0),
-                ):
-                    out[a][b][c] = sgn * s
+                s = (cyc_term(i, j, k) - cyc_term(j, i, k)) / 2.0
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    out[a][b][c] = s
+                    out[b][a][c] = -s
     return out
 
 

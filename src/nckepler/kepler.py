@@ -177,9 +177,9 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
     :func:`hamilton_rhs_closed_form` with every alpha/lambda-only
     subexpression computed here instead of on each call.  The result is
     bit-identical to that reference: each hoisted constant is a
-    left-to-right prefix of the reference expression, and the ``**``,
-    ``math.sqrt`` and ``sum()`` calls are kept (``sum()`` starts from the
-    integer 0, which turns a -0.0 first term into 0.0).
+    left-to-right prefix of the reference expression, ``**`` and
+    ``math.sqrt`` are kept, and a three-term ``sum()`` is ``0.0 + a + b +
+    c``, the additions ``sum()`` makes on CPython 3.11.
     """
     m, k = params.mass, params.k
     if params.is_commutative:
@@ -219,9 +219,9 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
 
     def rhs(c):
         q1, q2, q3, p1, p2, p3 = c
-        x1 = q1 - 0.5 * sum((a11 * p1, a12 * p2, a13 * p3))
-        x2 = q2 - 0.5 * sum((a21 * p1, a22 * p2, a23 * p3))
-        x3 = q3 - 0.5 * sum((a31 * p1, a32 * p2, a33 * p3))
+        x1 = q1 - 0.5 * (0.0 + a11 * p1 + a12 * p2 + a13 * p3)
+        x2 = q2 - 0.5 * (0.0 + a21 * p1 + a22 * p2 + a23 * p3)
+        x3 = q3 - 0.5 * (0.0 + a31 * p1 + a32 * p2 + a33 * p3)
         y2 = x1**2 + x2**2 + x3**2
         y3 = math.sqrt(y2) ** 3
         if y3 <= 0.0:  # also when Y^3 underflows to 0, below Y of about 1.4e-108
@@ -231,22 +231,22 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
         r11, r12, r13 = rl11 - ra11 * ky3, rl12 - ra12 * ky3, rl13 - ra13 * ky3
         r21, r22, r23 = rl21 - ra21 * ky3, rl22 - ra22 * ky3, rl23 - ra23 * ky3
         r31, r32, r33 = rl31 - ra31 * ky3, rl32 - ra32 * ky3, rl33 - ra33 * ky3
-        dq1 = (inv_m + k4 * sa1) * p1 + sum((r11 * q1, r12 * q2, r13 * q3))
+        dq1 = (inv_m + k4 * sa1) * p1 + (0.0 + r11 * q1 + r12 * q2 + r13 * q3)
         dq1 += k4 * saa12 * p2
         dq1 += k4 * saa13 * p3
-        dq2 = (inv_m + k4 * sa2) * p2 + sum((r21 * q1, r22 * q2, r23 * q3))
+        dq2 = (inv_m + k4 * sa2) * p2 + (0.0 + r21 * q1 + r22 * q2 + r23 * q3)
         dq2 += k4 * saa21 * p1
         dq2 += k4 * saa23 * p3
-        dq3 = (inv_m + k4 * sa3) * p3 + sum((r31 * q1, r32 * q2, r33 * q3))
+        dq3 = (inv_m + k4 * sa3) * p3 + (0.0 + r31 * q1 + r32 * q2 + r33 * q3)
         dq3 += k4 * saa31 * p1
         dq3 += k4 * saa32 * p2
-        dp1 = (ky3 + cl1) * q1 - sum((r11 * p1, r12 * p2, r13 * p3))
+        dp1 = (ky3 + cl1) * q1 - (0.0 + r11 * p1 + r12 * p2 + r13 * p3)
         dp1 += cll12 * q2
         dp1 += cll13 * q3
-        dp2 = (ky3 + cl2) * q2 - sum((r21 * p1, r22 * p2, r23 * p3))
+        dp2 = (ky3 + cl2) * q2 - (0.0 + r21 * p1 + r22 * p2 + r23 * p3)
         dp2 += cll21 * q1
         dp2 += cll23 * q3
-        dp3 = (ky3 + cl3) * q3 - sum((r31 * p1, r32 * p2, r33 * p3))
+        dp3 = (ky3 + cl3) * q3 - (0.0 + r31 * p1 + r32 * p2 + r33 * p3)
         dp3 += cll31 * q1
         dp3 += cll32 * q2
         return [dq1 / th1, dq2 / th2, dq3 / th3, -dp1 / th1, -dp2 / th2, -dp3 / th3]

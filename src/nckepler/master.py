@@ -215,6 +215,13 @@ def _floats(values) -> list:
     return [duals.value(v) for v in values]
 
 
+def _values(jets: list, family, coords, degrees) -> list:
+    """Float values of ``family(n)`` at each degree ``n``, read off
+    ``jets[n]`` where there is one; a tensor's rows one after another."""
+    values = [jets[n].value if n < len(jets) else family(n)(coords) for n in degrees]
+    return [_floats(v if jets[0].slots == "u" else chain(*v)) for v in values]
+
+
 def _residual(Z: Jet, F: Jet, coeff: float, rhs):
     """``max |L_Z F - coeff rhs|`` over the components of the Lie derivative
     of jet ``F`` along jet ``Z``, at each point; ``rhs`` holds values, row
@@ -237,9 +244,9 @@ def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> 
 
     Each differentiated field (Gamma'_{i,n} for n <= max(h_max, l_max), X'_l,
     P'_l, omega'_l and T_1) is read once as a :class:`~geometry.Jet`, each
-    right-hand side is evaluated once per degree, and the derivative of
-    T_1, which does not depend on l, once per (i, h).  Over a batch, that
-    is once for all the points.
+    right-hand side once per degree, off a jet where there is one, and the
+    derivative of T_1, which does not depend on l, once per (i, h).  Over a
+    batch, that is once for all the points.
     """
     coords = coords_of(x)
     m, k = rp.m, rp.k
@@ -249,21 +256,20 @@ def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> 
     bivectors = [jet(level_bivector(l, rp), coords) for l in levels]
     two_forms = [jet(family_two_form(l, rp), coords) for l in levels]
     T1 = jet(recursion_operator(1, rp), coords)
-    flow_rhs = [_floats(family_flow_field(n, rp)(coords)) for n in degrees]
-    bivector_rhs = [_floats(chain(*level_bivector(n, rp)(coords))) for n in degrees]
-    two_form_rhs = [_floats(chain(*family_two_form(n, rp)(coords))) for n in degrees]
+    flow_rhs = _values(flows, lambda n: family_flow_field(n, rp), coords, degrees)
+    bivector_rhs = _values(bivectors, lambda n: level_bivector(n, rp), coords, degrees)
+    two_form_rhs = _values(two_forms, lambda n: family_two_form(n, rp), coords, degrees)
+    recursion_rhs = _values([T1], lambda n: recursion_operator(1 + n, rp), coords, range(h_max + 1))
     energies = [None if n == 2 else duals.value(family_energy_field(n, rp)(coords))
                 for n in degrees]
     entries = []
     for i in range(i_max + 1):
         den = 3.0 + i
         gammas = [jet(family_gamma_field(i, n, rp), coords) for n in range(max(h_max, l_max) + 1)]
-        gamma_rhs = [_floats(gammas[n].value if n < len(gammas)
-                             else family_gamma_field(i, n, rp)(coords)) for n in degrees]
+        gamma_rhs = _values(gammas, lambda n: family_gamma_field(i, n, rp), coords, degrees)
         for h in range(h_max + 1):
             g = gammas[h]
-            resid_T = _residual(g, T1, 1.0 / den,
-                                _floats(chain(*recursion_operator(1 + h, rp)(coords))))
+            resid_T = _residual(g, T1, 1.0 / den, recursion_rhs[h])
             for l in levels:
                 n = l + h
                 for identity, F, coeff, rhs in (

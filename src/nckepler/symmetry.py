@@ -406,13 +406,13 @@ def closure_fit(points: Sequence[PhasePoint], params: DeformationParams, tau: En
 
     Fits each bracket value against the basis values at the sample points;
     the so(4) pattern has the GG coefficient equal to the LL one, the
-    so(1,3) pattern flips its sign.  The points form one batch: one plain
-    pass of the six fields gives their values and one seeded pass all their
-    gradients.  The fit rows run point by point, each point's pairs in turn.
+    so(1,3) pattern flips its sign.  The points form one batch: one seeded
+    pass of the six fields gives their values and all their gradients.  The
+    fit rows run point by point, each point's pairs in turn.
     """
-    c = batch(points)
-    values = [duals.value(v) for v in scaled_basis(c, params, tau)]
-    grads = duals.jacobian(lambda z: scaled_basis(z, params, tau), c)
+    basis = duals.seeded_pass(lambda z: scaled_basis(z, params, tau), batch(points))
+    values = [v.a for v in basis]
+    grads = [v.b for v in basis]
 
     # {L_i, L_j} ~ c_LL eps_ijh L_h ; {G_i, G_j} ~ c_GG eps_ijh L_h ;
     # {L_i, G_j} ~ c_LG eps_ijh G_h    (single-coefficient fits per block,

@@ -519,9 +519,10 @@ def test_guards_test_every_point_of_a_batch():
 
 
 def _count_passes(monkeypatch, samples: int) -> dict:
-    """``duals.grad`` and ``duals.jacobian`` calls of the brackets suite,
-    and of it and the other batched checks, at ``samples`` points."""
-    counts = {"grad": 0, "jacobian": 0}
+    """``duals.grad`` and ``duals.jacobian`` calls, and all seeded passes
+    (theirs included), of the brackets suite, and of it and the other
+    batched checks, at ``samples`` points."""
+    counts = {"grad": 0, "jacobian": 0, "seeded_pass": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -545,8 +546,10 @@ def test_batched_checks_take_as_many_passes_at_any_sample_count(monkeypatch):
     # one pass per field over all of a check's points: the count does not
     # grow with the points (per point, the brackets suite took 7 124 grad
     # calls at 100 samples); the primed-coordinate brackets read one
-    # Jacobian per check where they took 54 gradients
+    # Jacobian per check where they took 54 gradients.  The vector jets and
+    # the closure fits take their one seeded pass directly, not through
+    # ``jacobian``
     small, full = _count_passes(monkeypatch, 24), _count_passes(monkeypatch, 100)
     assert small == full
-    assert full["brackets"] == {"grad": 100, "jacobian": 2}
-    assert full["batched checks"] == {"grad": 118, "jacobian": 18}
+    assert full["brackets"] == {"grad": 100, "jacobian": 2, "seeded_pass": 102}
+    assert full["batched checks"] == {"grad": 118, "jacobian": 10, "seeded_pass": 151}

@@ -17,10 +17,10 @@ SMALL = VerifyConfig(samples=24, deformation_sets=3)
 # A refactor that claims byte-identical output must leave these unchanged.
 GOLDEN_REPORTS = {
     "brackets": "94a9f146d643f2fb4b188f8490df0917e4ca47e0cae642bc51b97c6a72a97de3",
-    "algebra": "b42b5044801a8255d312c3473c5e212a7bca1a87a352127f6fe1317f75799897",
+    "algebra": "f5f239150595c9831bccfa2fcd8578e3ad94b306e311667d65345cf406398ff8",
     "action-angle": "25fbe3639f5e64b99cb1325c1a0b9c87b6745fb21de9d5b434cc683678c7a18c",
-    "hierarchy": "41e0393929e45fd55a17ad660a4f72916ca8e2015340246dc5249baddf7e8051",
-    "master": "d65eecac99d2242874408c18f229ee6cdfdda8d1ab847231a3610c8234b44a8c",
+    "hierarchy": "d04dd2ab0e16249547f48867059aab5cec372519839d9762289c4745269665d1",
+    "master": "66fe417e21b119929a00dd37668332cfdaca5cdb96247c09e7e632d93252e3ba",
 }
 
 # Short ``simulate`` scenarios and the SHA-256 of the trajectory CSV each writes.

@@ -332,11 +332,14 @@ def test_closure_fit_equals_the_nc_bracket_route_bitwise(sign, monkeypatch):
         points = sample_cartesian(30, seed=14, params=params, energy_sign=sign)
         ref = _ref_closure_fit(points, params, tau)
         calls = []
-        seed = duals.seed
-        monkeypatch.setattr(duals, "seed", lambda coords: calls.append(1) or seed(coords))
+        basis = symmetry.scaled_basis
+        monkeypatch.setattr(symmetry, "scaled_basis",
+                            lambda c, *args: calls.append(isinstance(c[0], duals.Dual)) or basis(c, *args))
         fit = closure_fit(points, params, tau)
-        monkeypatch.setattr(duals, "seed", seed)
-        assert len(calls) == 1  # one seeded pass for the batch; the reference takes 18 per point
+        monkeypatch.setattr(symmetry, "scaled_basis", basis)
+        # one seeded pass of the six fields for the batch gives values and
+        # gradients; the reference takes 18 per point
+        assert calls == [True]
         got = (fit.coefficient_LL, fit.coefficient_GG, fit.coefficient_LG, fit.residual)
         assert [v.hex() for v in got] == [v.hex() for v in ref], params
 
