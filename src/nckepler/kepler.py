@@ -14,6 +14,7 @@ what remains after absorbing the diagonal into those coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -300,36 +301,49 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-# The steppers are unrolled over the six coordinates.  Each keeps the
-# operations and their order of the per-coordinate loop form, so every state
-# is bit-identical to it: ``h`` and ``w`` are the left-hand products
-# ``0.5 * dt`` and ``dt / 6.0`` of that form.
+# The steppers are generators of the successive states from ``c``, unrolled
+# over the six coordinates.  Each keeps the operations and their order of
+# the per-coordinate loop form, so every state is bit-identical to it: ``h``
+# and ``w`` are the left-hand products ``0.5 * dt`` and ``dt / 6.0`` of that
+# form.
 
 
-def _rk4_step(rhs, c, dt):
-    c1, c2, c3, c4, c5, c6 = c
+def _rk4_states(rhs, c, dt):
     h = 0.5 * dt
-    a1, a2, a3, a4, a5, a6 = rhs(c)
-    b1, b2, b3, b4, b5, b6 = rhs((c1 + h * a1, c2 + h * a2, c3 + h * a3,
-                                  c4 + h * a4, c5 + h * a5, c6 + h * a6))
-    d1, d2, d3, d4, d5, d6 = rhs((c1 + h * b1, c2 + h * b2, c3 + h * b3,
-                                  c4 + h * b4, c5 + h * b5, c6 + h * b6))
-    e1, e2, e3, e4, e5, e6 = rhs((c1 + dt * d1, c2 + dt * d2, c3 + dt * d3,
-                                  c4 + dt * d4, c5 + dt * d5, c6 + dt * d6))
     w = dt / 6.0
-    return (
-        c1 + w * (a1 + 2.0 * b1 + 2.0 * d1 + e1),
-        c2 + w * (a2 + 2.0 * b2 + 2.0 * d2 + e2),
-        c3 + w * (a3 + 2.0 * b3 + 2.0 * d3 + e3),
-        c4 + w * (a4 + 2.0 * b4 + 2.0 * d4 + e4),
-        c5 + w * (a5 + 2.0 * b5 + 2.0 * d5 + e5),
-        c6 + w * (a6 + 2.0 * b6 + 2.0 * d6 + e6),
-    )
+    while True:
+        c1, c2, c3, c4, c5, c6 = c
+        a1, a2, a3, a4, a5, a6 = rhs(c)
+        b1, b2, b3, b4, b5, b6 = rhs((c1 + h * a1, c2 + h * a2, c3 + h * a3,
+                                      c4 + h * a4, c5 + h * a5, c6 + h * a6))
+        d1, d2, d3, d4, d5, d6 = rhs((c1 + h * b1, c2 + h * b2, c3 + h * b3,
+                                      c4 + h * b4, c5 + h * b5, c6 + h * b6))
+        e1, e2, e3, e4, e5, e6 = rhs((c1 + dt * d1, c2 + dt * d2, c3 + dt * d3,
+                                      c4 + dt * d4, c5 + dt * d5, c6 + dt * d6))
+        c = (
+            c1 + w * (a1 + 2.0 * b1 + 2.0 * d1 + e1),
+            c2 + w * (a2 + 2.0 * b2 + 2.0 * d2 + e2),
+            c3 + w * (a3 + 2.0 * b3 + 2.0 * d3 + e3),
+            c4 + w * (a4 + 2.0 * b4 + 2.0 * d4 + e4),
+            c5 + w * (a5 + 2.0 * b5 + 2.0 * d5 + e5),
+            c6 + w * (a6 + 2.0 * b6 + 2.0 * d6 + e6),
+        )
+        yield c
 
 
-def _implicit_midpoint_step(rhs, c, dt, residual_tol=1e-12, max_iter=50):
-    """Fixed-point iteration on the midpoint stage until successive stages
-    differ by less than ``residual_tol`` in every coordinate.
+def _implicit_midpoint_states(rhs, c, dt, residual_tol=1e-12, max_iter=50):
+    """Implicit midpoint steps: a fixed-point iteration on each step's
+    midpoint stage until successive stages differ by less than
+    ``residual_tol`` in every coordinate, else :class:`StepFailureError`.
+
+    The iteration starts from an extrapolation of the converged stages of
+    the steps before (Hairer, Lubich & Wanner, *Geometric Numerical
+    Integration*, VIII.6): the first step from ``rhs(c)``, the second from
+    the first stage ``s``, the third from ``2 s - t`` and each later one
+    from ``3 (s - t) + u``, with ``s``, ``t`` and ``u`` the last three
+    stages, latest first.  Only the start differs from an iteration from
+    ``rhs(c)``: the stopping test, the iteration cap and the failure are
+    the same.
 
     ``max`` keeps its first argument when that is NaN and skips a later
     NaN: a NaN in the first stage coordinate fails the iteration, while one
@@ -338,18 +352,40 @@ def _implicit_midpoint_step(rhs, c, dt, residual_tol=1e-12, max_iter=50):
     c1, c2, c3, c4, c5, c6 = c
     h = 0.5 * dt
     s1, s2, s3, s4, s5, s6 = rhs(c)
-    for _ in range(max_iter):
-        n1, n2, n3, n4, n5, n6 = rhs((c1 + h * s1, c2 + h * s2, c3 + h * s3,
-                                      c4 + h * s4, c5 + h * s5, c6 + h * s6))
-        resid = max(abs(n1 - s1), abs(n2 - s2), abs(n3 - s3),
-                    abs(n4 - s4), abs(n5 - s5), abs(n6 - s6))
-        s1, s2, s3, s4, s5, s6 = n1, n2, n3, n4, n5, n6
-        if resid < residual_tol:
-            return (c1 + dt * s1, c2 + dt * s2, c3 + dt * s3,
-                    c4 + dt * s4, c5 + dt * s5, c6 + dt * s6)
-    raise StepFailureError(
-        f"implicit midpoint stage iteration did not reach {residual_tol} in {max_iter} iterations"
-    )
+    steps = 0
+    while True:
+        for _ in range(max_iter):
+            n1, n2, n3, n4, n5, n6 = rhs((c1 + h * s1, c2 + h * s2, c3 + h * s3,
+                                          c4 + h * s4, c5 + h * s5, c6 + h * s6))
+            resid = max(abs(n1 - s1), abs(n2 - s2), abs(n3 - s3),
+                        abs(n4 - s4), abs(n5 - s5), abs(n6 - s6))
+            s1, s2, s3, s4, s5, s6 = n1, n2, n3, n4, n5, n6
+            if resid < residual_tol:
+                break
+        else:
+            raise StepFailureError(
+                f"implicit midpoint stage iteration did not reach {residual_tol} in {max_iter} iterations"
+            )
+        c1, c2, c3, c4, c5, c6 = (c1 + dt * s1, c2 + dt * s2, c3 + dt * s3,
+                                  c4 + dt * s4, c5 + dt * s5, c6 + dt * s6)
+        yield c1, c2, c3, c4, c5, c6
+        steps += 1
+        if steps > 2:
+            s1, t1, u1 = 3.0 * (s1 - t1) + u1, s1, t1
+            s2, t2, u2 = 3.0 * (s2 - t2) + u2, s2, t2
+            s3, t3, u3 = 3.0 * (s3 - t3) + u3, s3, t3
+            s4, t4, u4 = 3.0 * (s4 - t4) + u4, s4, t4
+            s5, t5, u5 = 3.0 * (s5 - t5) + u5, s5, t5
+            s6, t6, u6 = 3.0 * (s6 - t6) + u6, s6, t6
+        elif steps == 2:
+            s1, t1, u1 = 2.0 * s1 - t1, s1, t1
+            s2, t2, u2 = 2.0 * s2 - t2, s2, t2
+            s3, t3, u3 = 2.0 * s3 - t3, s3, t3
+            s4, t4, u4 = 2.0 * s4 - t4, s4, t4
+            s5, t5, u5 = 2.0 * s5 - t5, s5, t5
+            s6, t6, u6 = 2.0 * s6 - t6, s6, t6
+        else:
+            t1, t2, t3, t4, t5, t6 = s1, s2, s3, s4, s5, s6
 
 
 # States ``integrate_field`` steps before it observes them in one hook call.
@@ -406,7 +442,9 @@ def integrate_field(
     """Fixed-step integration with singularity guards.
 
     ``rhs`` takes and returns six coordinates; states are tuples of six
-    floats in ``x0``'s chart.
+    floats in ``x0``'s chart.  One stepper generator makes every state of
+    the run, so the implicit midpoint method's stage history, from which it
+    starts each stage iteration, carries across blocks.
 
     ``observe`` gets the six floats of ``x0``, then six float64 arrays over
     each block of up to ``_BLOCK`` stepped states, and returns ``(stop,
@@ -429,7 +467,7 @@ def integrate_field(
         raise ValueError("dt must be positive")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    stepper = _rk4_step if method == "rk4" else _implicit_midpoint_step
+    stepper = _rk4_states if method == "rk4" else _implicit_midpoint_states
 
     chart = x0.chart
     c = x0.coords
@@ -437,12 +475,12 @@ def integrate_field(
     traj = Trajectory(times=[0.0], states=[c], monitor_names=list(monitor_names),
                       monitors=[[v] for v in row])
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
+    stepped = stepper(rhs, c, dt)
     step = 0
     while step < n_steps:
         block, outcome = [], None
         try:
-            for _ in range(min(_BLOCK, n_steps - step)):
-                c = stepper(rhs, c, dt)
+            for c in itertools.islice(stepped, min(_BLOCK, n_steps - step)):
                 block.append(c)
         except Exception as err:  # raised or reported once the states before it pass
             outcome = _reason(err)

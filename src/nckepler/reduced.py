@@ -127,23 +127,30 @@ def quadratic_condition_value(x, rp: ReducedParams) -> float:
 
 
 def _azimuthal_factor(rp: ReducedParams, phi):
-    return 1.0 + (rp.thetadot / rp.m) * duals.sin(2.0 * phi)
+    two_phi = 2.0 * phi
+    if duals.anywhere(~np.isfinite(duals.value(two_phi))):
+        raise ChartDomainError("coordinate phi must be finite, with 2 phi in the float range")
+    return 1.0 + (rp.thetadot / rp.m) * duals.sin(two_phi)
 
 
 def spherical_hamiltonian(s, rp: ReducedParams):
     """Energy of a spherical state, or of each state of a batch, under the
-    reduced Hamiltonian; raises when any state is off the chart."""
+    reduced Hamiltonian; raises when any state is off the chart, a
+    denominator ``r^2`` or ``r^2 sin(theta)^2`` underflowing to 0 included."""
     r, theta, phi, p_r, p_t, p_p = coords_of(s)
     st = duals.sin(theta)
     rv = duals.value(r)
     if duals.anywhere(rv <= 0.0):
         raise ChartDomainError(f"coordinate r must be positive, got {rv}")
-    if duals.anywhere(abs(duals.value(st)) < 1e-300):
+    r2 = duals.power(r, 2)
+    if duals.anywhere(duals.value(r2) <= 0.0):
+        raise ChartDomainError(f"coordinate r is too small: r**2 underflows to 0 at r = {rv}")
+    r2st2 = r2 * duals.power(st, 2)
+    if duals.anywhere(duals.value(r2st2) <= 0.0):
         raise ChartDomainError("coordinate theta hit the polar axis (sin theta = 0)")
     u = _azimuthal_factor(rp, phi)
-    r2 = duals.power(r, 2)
     kin = (duals.power(p_r, 2) + rp.M_squared * duals.power(p_t, 2) / r2
-           + u * duals.power(p_p, 2) / (r2 * duals.power(st, 2)))
+           + u * duals.power(p_p, 2) / r2st2)
     return kin / (2.0 * rp.m) - rp.k / r
 
 
@@ -162,13 +169,23 @@ def spherical_rhs(rp: ReducedParams):
         u = 1.0 + (td / m) * math.sin(2.0 * phi)
         r2 = r * r
         s2 = st * st
+        # of the five denominators, m r^3 is 0 whenever r^2 or m r^2 is, and
+        # m r^2 sin(theta)^3 whenever m r^2 sin(theta)^2 is, as |sin| <= 1
+        mr2 = m * r2
+        mr3 = mr2 * r
+        mr2s3 = mr2 * st * s2
+        if mr3 == 0.0:
+            raise ChartDomainError("radius left the chart")
+        if mr2s3 == 0.0:
+            raise ChartDomainError("polar axis reached")
+        mr2s2 = mr2 * s2
         return [
             p_r / m,
-            M2 * p_t / (m * r2),
-            u * p_p / (m * r2 * s2),
-            (M2 * p_t**2 + u * p_p**2 / s2) / (m * r2 * r) - k / r2,
-            u * p_p**2 * ct / (m * r2 * st * s2),
-            -(td / m) * math.cos(2.0 * phi) * p_p**2 / (m * r2 * s2),
+            M2 * p_t / mr2,
+            u * p_p / mr2s2,
+            (M2 * p_t**2 + u * p_p**2 / s2) / mr3 - k / r2,
+            u * p_p**2 * ct / mr2s3,
+            -(td / m) * math.cos(2.0 * phi) * p_p**2 / mr2s2,
         ]
 
     return rhs
@@ -179,8 +196,10 @@ def first_integrals(s, rp: ReducedParams) -> tuple:
     _, theta, phi, _, p_t, p_p = coords_of(s)
     u = _azimuthal_factor(rp, phi)
     d_phi = duals.sqrt(u) * p_p
-    st = duals.sin(theta)
-    lt2 = rp.M_squared * p_t**2 + d_phi**2 / st**2
+    st2 = duals.sin(theta) ** 2
+    if duals.anywhere(duals.value(st2) <= 0.0):
+        raise ChartDomainError("coordinate theta hit the polar axis (sin theta = 0)")
+    lt2 = rp.M_squared * p_t**2 + d_phi**2 / st2
     return rp.M, d_phi, duals.sqrt(lt2)
 
 

@@ -134,7 +134,13 @@ class _Frame(NamedTuple):
 
 def _frame(x, params: DeformationParams) -> _Frame:
     z = [duals.value(v) for v in transform_coordinates(x, params)]
-    H, *LA = primed_observables(z, params)
+    return _frame_at(z, primed_observables(z, params))
+
+
+def _frame_at(z, observables) -> _Frame:
+    """The frame at the primed coordinates ``z``, given the values of (H,
+    L, A) there."""
+    H, *LA = observables
     return _Frame(z[:3], z[3:], primed_radius(z), H, LA[:3], LA[3:])
 
 
@@ -265,11 +271,13 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
     and ``closed`` is the structure-constant pattern (exact in the
     commutative limit; residuals elsewhere are reported, not suppressed).
     """
-    fr = _frame(x, params)
+    z = [duals.value(v) for v in transform_coordinates(x, params)]
+    jet = duals.seeded_pass(lambda w: primed_observables(w, params), z)
+    fr = _frame_at(z, [v.a for v in jet])
+    cz = [list(duals.tangents(v, 6)) for v in jet]
     sm = structure_matrices(params)
     B = sm.chain_matrix
     ad = observables_jacobian(x, params)
-    cz = duals.jacobian(lambda z: primed_observables(z, params), fr.qp + fr.pp)
     table = {"LL": {}, "AA": {}, "LA": {}}
     for i in range(3):
         for j in range(3):

@@ -546,10 +546,10 @@ def test_batched_checks_take_as_many_passes_at_any_sample_count(monkeypatch):
     # one pass per field over all of a check's points: the count does not
     # grow with the points (per point, the brackets suite took 7 124 grad
     # calls at 100 samples); the primed-coordinate brackets read one
-    # Jacobian per check where they took 54 gradients.  The vector jets and
-    # the closure fits take their one seeded pass directly, not through
-    # ``jacobian``
+    # Jacobian per check where they took 54 gradients.  The vector jets, the
+    # closure fits and the pairwise bracket tables take their one seeded
+    # pass directly, not through ``jacobian``
     small, full = _count_passes(monkeypatch, 24), _count_passes(monkeypatch, 100)
     assert small == full
     assert full["brackets"] == {"grad": 100, "jacobian": 2, "seeded_pass": 102}
-    assert full["batched checks"] == {"grad": 118, "jacobian": 10, "seeded_pass": 151}
+    assert full["batched checks"] == {"grad": 118, "jacobian": 8, "seeded_pass": 151}

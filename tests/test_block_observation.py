@@ -3,10 +3,13 @@
 The references below are the integration loop and the ``integrate`` hook as
 they were written before observation went to blocks: one hook call per
 stepped state, on its six floats, with the observables computed by a float
-copy of the primed evaluators.  The block loop must give the same run: its
-times, states and monitor columns, termination reason and largest energy
-jump by ``float.hex``, or the same error with the same message, on runs that
-end in every way a run can end, inside the first block and in later ones.
+copy of the primed evaluators.  Their steppers are per-coordinate loops; the
+implicit midpoint one starts each stage iteration from the run's earlier
+stages, a history that spans the whole run.  The block loop must give the
+same run: its times, states and monitor columns, termination reason and
+largest energy jump by ``float.hex``, or the same error with the same
+message, on runs that end in every way a run can end, inside the first
+block and in later ones.
 """
 
 import math
@@ -63,8 +66,40 @@ def _ref_state_observables(c, params, vectors=True):
     )
 
 
+def _ref_rk4_step(rhs, c, dt, stages):
+    k1 = rhs(c)
+    k2 = rhs([c[i] + 0.5 * dt * k1[i] for i in range(6)])
+    k3 = rhs([c[i] + 0.5 * dt * k2[i] for i in range(6)])
+    k4 = rhs([c[i] + dt * k3[i] for i in range(6)])
+    return tuple(c[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(6))
+
+
+def _ref_midpoint_step(rhs, c, dt, stages, residual_tol=1e-12, max_iter=50):
+    """One implicit midpoint step; ``stages`` holds the converged stages of
+    the run's earlier steps, latest last, and gets this step's."""
+    if not stages:
+        s = rhs(c)
+    elif len(stages) == 1:
+        s = stages[-1]
+    elif len(stages) == 2:
+        s = [2.0 * a - b for a, b in zip(stages[-1], stages[-2])]
+    else:
+        s = [3.0 * (a - b) + u for a, b, u in zip(stages[-1], stages[-2], stages[-3])]
+    for _ in range(max_iter):
+        s_new = rhs([c[i] + 0.5 * dt * s[i] for i in range(6)])
+        resid = max(abs(s_new[i] - s[i]) for i in range(6))
+        s = s_new
+        if resid < residual_tol:
+            stages.append(s)
+            return tuple(c[i] + dt * s[i] for i in range(6))
+    raise StepFailureError(
+        f"implicit midpoint stage iteration did not reach {residual_tol} in {max_iter} iterations"
+    )
+
+
 def _ref_integrate_field(x0, rhs, dt, n_steps, method="rk4", *, observe, monitor_names=()):
-    stepper = kepler._rk4_step if method == "rk4" else kepler._implicit_midpoint_step
+    stepper = _ref_rk4_step if method == "rk4" else _ref_midpoint_step
+    stages = []
     traj = Trajectory(monitor_names=list(monitor_names))
     rows = []
     chart = x0.chart
@@ -77,7 +112,7 @@ def _ref_integrate_field(x0, rhs, dt, n_steps, method="rk4", *, observe, monitor
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
     for step in range(1, n_steps + 1):
         try:
-            c_new = stepper(rhs, c, dt)
+            c_new = stepper(rhs, c, dt, stages)
             if not all(map(math.isfinite, c_new)):
                 reason = "singular configuration: state left the chart (non-finite)"
             else:

@@ -142,6 +142,13 @@ def test_simulate_in_process_exits_cleanly(doc, tmp_path_factory):
          target="action_angle", params=None)
 @example(state={"coords": [0.5, 5e-324, 0.0, 0.0, 0.0, 0.0], "chart": "spherical"},
          target="cartesian", params=None)
+# r**2, r**2 sin(theta)**2 underflowing to 0, and 2 phi overflowing
+@example(state={"coords": [7.9e-300, 1.0, 0.5, 0.1, 0.2, 0.3], "chart": "spherical"},
+         target="action_angle", params=None)
+@example(state={"coords": [1.0, 7.9e-300, 0.5, 0.1, 0.2, 0.3], "chart": "spherical"},
+         target="action_angle", params=None)
+@example(state={"coords": [1.0, 1.0, 1e308, 0.1, 0.2, 0.3], "chart": "spherical"},
+         target="action_angle", params=None)
 def test_chart_in_process_exits_cleanly(state, target, params, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz-chart")
     argv = ["chart", "--state", str(work / "state.json"), "--to", target]

@@ -102,6 +102,25 @@ def test_spherical_domain_errors():
         _spherical(1.0, 0.0, 0.0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("fn, coords, message", [
+    ("hamiltonian", (7.9e-300, 1.0, 0.5, 0.1, 0.2, 0.3), r"r\*\*2 underflows"),
+    ("hamiltonian", (1.0, 7.9e-300, 0.5, 0.1, 0.2, 0.3), "polar axis"),
+    ("hamiltonian", (1.0, 1.0, 1e308, 0.1, 0.2, 0.3), "coordinate phi"),
+    ("integrals", (1.0, 1e-170, 0.5, 0.1, 0.2, 0.3), "polar axis"),
+    ("rhs", (1e-110, 1.0, 0.5, 0.1, 0.2, 0.3), "radius left the chart"),
+], ids=["hamiltonian-r", "hamiltonian-theta", "hamiltonian-phi", "integrals-theta", "rhs-r"])
+def test_underflowing_denominators_leave_the_chart(fn, coords, message):
+    """A denominator r^2 or r^2 sin(theta)^2 that underflows to 0, or a 2 phi
+    that overflows, is off the chart, not a ZeroDivisionError or ValueError."""
+    call = {
+        "hamiltonian": lambda c: spherical_hamiltonian(c, RP),
+        "integrals": lambda c: first_integrals(c, RP),
+        "rhs": spherical_rhs(RP),
+    }[fn]
+    with pytest.raises(ChartDomainError, match=message):
+        call(coords)
+
+
 def test_first_integrals_classical_limit():
     s = _spherical(1.2, 1.1, 0.4, 0.2, 0.3, 0.5)
     M, d, lt = first_integrals(s, CLASSICAL)

@@ -1,17 +1,24 @@
-"""The unrolled fixed-step methods are bit-identical to their loop forms.
+"""The fixed-step methods against their per-coordinate loop forms.
 
-The references below are the per-coordinate loop forms of ``_rk4_step`` and
-``_implicit_midpoint_step``; the unrolled steppers must reproduce every
-coordinate by ``float.hex`` and every stage failure by its message.
+The references below are the loop forms of one RK4 step and of one implicit
+midpoint step whose stage iteration starts from the explicit slope
+``rhs(c)``.  ``_rk4_states`` must reproduce every coordinate of several
+steps by ``float.hex``.  ``_implicit_midpoint_states`` must reproduce its
+first step, which starts from ``rhs(c)`` too, and every stage failure by
+its message; its later steps start from extrapolated stages, so they agree
+with the explicit-start step from the same state only within the bound
+derived in ``test_later_midpoint_steps_agree_with_the_explicit_start``.
 """
 
+import itertools
 import math
 
 import pytest
 
 from nckepler.deformation import DeformationParams
 from nckepler.errors import NCKeplerError, StepFailureError
-from nckepler.kepler import _implicit_midpoint_step, _rk4_step, flow_rhs
+from nckepler.geometry import Chart, PhasePoint
+from nckepler.kepler import _BLOCK, _implicit_midpoint_states, _rk4_states, flow_rhs, integrate_field
 from nckepler.reduced import ReducedParams, spherical_rhs
 from nckepler.sampling import sample_cartesian, sample_deformations, sample_spherical_bound
 
@@ -40,12 +47,27 @@ def implicit_midpoint_reference(rhs, c, dt, residual_tol=1e-12, max_iter=50):
     )
 
 
-def outcome(step, rhs, c, dt):
-    """The state a step reaches, as hex strings, or the error that ends it."""
+def rk4_reference_states(rhs, c, dt):
+    while True:
+        c = rk4_reference(rhs, c, dt)
+        yield c
+
+
+def implicit_midpoint_reference_states(rhs, c, dt):
+    """The explicit-start step from ``c``: the first step only."""
+    yield implicit_midpoint_reference(rhs, c, dt)
+
+
+def outcome(states, rhs, c, dt, n=1):
+    """The first ``n`` states a stepper reaches, as hex strings, then the
+    error that ends them, if any."""
+    got = []
     try:
-        return [float.hex(v) for v in step(rhs, c, dt)]
+        for state in itertools.islice(states(rhs, c, dt), n):
+            got.append([float.hex(v) for v in state])
     except (NCKeplerError, OverflowError) as err:
-        return f"{type(err).__name__}: {err}"
+        got.append(f"{type(err).__name__}: {err}")
+    return got
 
 
 DEFORMED = sample_deformations(1, seed=11)[0]
@@ -57,17 +79,55 @@ FLOWS = {
     "deformed": (flow_rhs(DEFORMED), sample_cartesian(70, seed=4, params=DEFORMED)),
     "spherical": (spherical_rhs(RP), sample_spherical_bound(60, seed=5, rp=RP)),
 }
-PAIRS = [(_rk4_step, rk4_reference), (_implicit_midpoint_step, implicit_midpoint_reference)]
+# (stepper, reference, steps compared)
+PAIRS = [(_rk4_states, rk4_reference_states, 5),
+         (_implicit_midpoint_states, implicit_midpoint_reference_states, 1)]
 
 
 @pytest.mark.parametrize("flow", sorted(FLOWS))
-@pytest.mark.parametrize("step, reference", PAIRS, ids=["rk4", "implicit-midpoint"])
-def test_unrolled_step_is_bit_identical_to_loop_form(flow, step, reference):
-    rhs, states = FLOWS[flow]
-    for x in states:
+@pytest.mark.parametrize("states, reference, n", PAIRS, ids=["rk4", "implicit-midpoint"])
+def test_unrolled_step_is_bit_identical_to_loop_form(flow, states, reference, n):
+    rhs, points = FLOWS[flow]
+    for x in points:
         for dt in (1e-3, 0.05, 0.7):
             c = x.coords
-            assert outcome(step, rhs, c, dt) == outcome(reference, rhs, list(c), dt)
+            assert outcome(states, rhs, c, dt, n) == outcome(reference, rhs, list(c), dt, n)
+
+
+# unit roundoff, and a count of the roundings in one coordinate of any of the
+# three right-hand sides, each up to the largest |rhs| coordinate
+U = 2.0**-53
+KAPPA = 32
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_later_midpoint_steps_agree_with_the_explicit_start(flow):
+    """Every step after the first lands within ``bound`` of the
+    explicit-start step from the same state ``c``.
+
+    Derivation, in the max norm and to first order in ``U``.  The stage is
+    the fixed point ``s*`` of ``G(s) = rhs(c + h s)``, ``h = dt / 2``.
+    Assume ``G`` contracts by ``L = h Lip(rhs) <= 1/2`` (``dt Lip(rhs) <=
+    1``: the sampled radii are of order one), and that its float evaluation
+    errs by at most ``delta``.  An iteration that stops at ``|s_K -
+    s_{K-1}| < tol`` has ``|s_K - s*| <= (L tol + delta) / (1 - L) <= tol +
+    2 delta``, from whatever start, so two such stages differ by at most ``2
+    tol + 4 delta``.  ``delta`` is the midpoint's rounding ``U (|c| + 2
+    step)`` carried by ``Lip(rhs) <= 1/dt``, plus ``KAPPA U |rhs|`` with
+    ``dt |rhs| ~ step = |c_new - c|``.  The update ``c + dt s`` rounds
+    once more in each run: ``U (|c| + 2 step)`` each.  Summed:
+    ``2 dt tol + 6 U |c| + (4 KAPPA + 12) U step``.
+    """
+    rhs, points = FLOWS[flow]
+    dt, tol = 1e-3, 1e-12
+    for x in points[:12]:
+        states = [x.coords, *itertools.islice(_implicit_midpoint_states(rhs, x.coords, dt), 24)]
+        for c, got in zip(states[1:], states[2:]):
+            want = implicit_midpoint_reference(rhs, list(c), dt)
+            size = max(map(abs, c))
+            step = max(abs(a - b) for a, b in zip(want, c))
+            bound = 2.0 * dt * tol + 6.0 * U * size + (4 * KAPPA + 12) * U * step
+            assert max(abs(a - b) for a, b in zip(got, want)) <= bound
 
 
 def _with_nan(rhs, index):
@@ -95,10 +155,30 @@ def test_implicit_midpoint_nan_stage_ends_as_the_loop_form(base, index, expected
     and is skipped by ``max`` otherwise, leaving a non-finite state."""
     rhs = _with_nan(base, index)
     c = (0.9, 0.1, -0.2, 0.05, 1.0, 0.1)
-    got = outcome(_implicit_midpoint_step, rhs, c, 1e-3)
-    assert got == outcome(implicit_midpoint_reference, rhs, list(c), 1e-3)
+    [got] = outcome(_implicit_midpoint_states, rhs, c, 1e-3)
+    assert [got] == outcome(implicit_midpoint_reference_states, rhs, list(c), 1e-3)
     if expected == "failure":
         assert got.startswith("StepFailureError: implicit midpoint stage iteration")
     else:
         assert got[index] == "nan"
         assert all(math.isfinite(float.fromhex(h)) for i, h in enumerate(got) if i != index)
+
+
+def test_midpoint_rhs_calls_over_two_blocks():
+    """A deterministic count: the extrapolated start needs 4657 rhs calls
+    (2.27 a step) over this commutative run of two blocks, where the
+    explicit start needed 10 240 (5.0 a step).  Restarting the stage
+    history at the block boundary would add calls."""
+    kepler_rhs = flow_rhs(DeformationParams())
+    calls = 0
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return kepler_rhs(c)
+
+    x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.05, 0.0), Chart.CARTESIAN)
+    traj = integrate_field(x0, counted, 1e-3, 2 * _BLOCK, "implicit_midpoint",
+                           observe=lambda c: (None, None, ()))
+    assert traj.completed and len(traj.states) == 2 * _BLOCK + 1
+    assert calls <= 4657
