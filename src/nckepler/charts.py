@@ -9,8 +9,8 @@ linear recombination
     phi3 = varphi1,
 
 which preserves the weighted canonical structure.  Spherical to action-angle
-goes through the integrals of motion and the closed-form angle expressions
-(bound states only).
+goes through the integrals of motion and the time-continuous angles of
+``reduced.continuous_angles`` (bound states only).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .geometry import Chart, PhasePoint
 from .reduced import (
     ReducedParams,
     actions_from_integrals,
-    angles_from_state,
+    continuous_angles,
     first_integrals,
     spherical_hamiltonian,
 )
@@ -116,7 +116,7 @@ def spherical_to_action_angle(x: PhasePoint, rp: ReducedParams) -> PhasePoint:
     E = spherical_hamiltonian(x, rp)
     _, d_phi, l_tilde = first_integrals(x, rp)
     J = actions_from_integrals(E, l_tilde, d_phi, rp)
-    return PhasePoint(J + angles_from_state(x, J, rp), Chart.ACTION_ANGLE)
+    return PhasePoint(J + continuous_angles(x, J, rp), Chart.ACTION_ANGLE)
 
 
 _CONVERSIONS = {

@@ -41,6 +41,7 @@ from .errors import (
 from .geometry import PhasePoint, VectorField, constant_tensor, coords_of, pair_matrix
 
 TWO_PI = 2.0 * math.pi
+_PHI_RANGE = "coordinate phi must be finite, with 2 phi in the float range"
 
 # Largest |thetadot| / m: below it the azimuthal identification J3 = D_phi
 # sits in its expansion regime.
@@ -129,7 +130,7 @@ def quadratic_condition_value(x, rp: ReducedParams) -> float:
 def _azimuthal_factor(rp: ReducedParams, phi):
     two_phi = 2.0 * phi
     if duals.anywhere(~np.isfinite(duals.value(two_phi))):
-        raise ChartDomainError("coordinate phi must be finite, with 2 phi in the float range")
+        raise ChartDomainError(_PHI_RANGE)
     return 1.0 + (rp.thetadot / rp.m) * duals.sin(two_phi)
 
 
@@ -166,7 +167,11 @@ def spherical_rhs(rp: ReducedParams):
         ct = math.cos(theta)
         if abs(st) < 1e-12:
             raise ChartDomainError("polar axis reached")
-        u = 1.0 + (td / m) * math.sin(2.0 * phi)
+        try:
+            sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
+        except ValueError:  # 2 phi overflowed to inf
+            raise ChartDomainError(_PHI_RANGE) from None
+        u = 1.0 + (td / m) * sin2
         r2 = r * r
         s2 = st * st
         # of the five denominators, m r^3 is 0 whenever r^2 or m r^2 is, and
@@ -185,7 +190,7 @@ def spherical_rhs(rp: ReducedParams):
             u * p_p / mr2s2,
             (M2 * p_t**2 + u * p_p**2 / s2) / mr3 - k / r2,
             u * p_p**2 * ct / mr2s3,
-            -(td / m) * math.cos(2.0 * phi) * p_p**2 / mr2s2,
+            -(td / m) * cos2 * p_p**2 / mr2s2,
         ]
 
     return rhs
@@ -332,59 +337,16 @@ def _clamped_arcsin(arg: float, which: str) -> float:
     return math.asin(max(-1.0, min(1.0, arg)))
 
 
-def angles_from_state(s: PhasePoint, J, rp: ReducedParams) -> tuple:
-    """Principal-branch angle variables ``(phi1, phi2, phi3)`` at a spherical
-    state; :func:`continuous_angles` gives the time-continuous
-    representatives, which also read the signs of p_r and p_theta.
-    """
-    m, k, M = rp.m, rp.k, rp.M
-    j1, j2, j3 = J[0], J[1], J[2]
-    S = j1 + M * j2 + j3
-    lt = M * j2 + j3
-    d = j3
-    r, theta, phi = s.coords[:3]
+def continuous_angles(s: PhasePoint | Sequence[float], J, rp: ReducedParams) -> tuple:
+    """Angle variables ``(phi1, phi2, phi3)`` of the actions ``J`` at a
+    spherical state ``s``: a point, or six coordinates whose azimuth may be
+    unwrapped past 2 pi.
 
-    G = -(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S
-    if G < -1e-9 * (m * k * r) ** 2:
-        raise TurningPointError("radial polynomial negative: point outside the turning region")
-    G = max(G, 0.0)
-    disc = S * S - lt * lt
-    circular = disc <= 1e-14 * S * S
-    if circular:
-        phi1 = 0.0
-        v_term = 0.0
-    else:
-        Q = S * math.sqrt(disc)
-        phi1 = -math.sqrt(G) / (S * S) + _clamped_arcsin((m * k * r - S * S) / Q, "radial")
-        v_term = _clamped_arcsin((1.0 - lt * lt / (m * k * r)) * S * S / Q, "radial-apsidal")
-
-    planar = lt * lt - d * d <= 1e-14 * lt * lt
-    if planar:
-        lat_term = 0.0
-        node_term = 0.0
-    else:
-        u_hat = lt / math.sqrt(lt * lt - d * d)
-        lat_term = _clamped_arcsin(u_hat * math.cos(theta), "latitude")
-        node_term = _clamped_arcsin(
-            d / math.tan(theta) / math.sqrt(lt * lt - d * d), "node"
-        )
-
-    phi2 = M * phi1 - M * v_term - lat_term
-    phi3 = phi2 / M + node_term / M + azimuthal_phase(phi, rp)
-    return phi1, phi2, phi3
-
-
-def continuous_angles(s: PhasePoint | Sequence[float], J, rp: ReducedParams,
-                      phi_unwrapped: float | None = None) -> tuple:
-    """Time-continuous angle representatives over one orbital revolution
-    at a spherical state ``s``: a point or its six coordinates, such as a
-    trajectory state.
-
-    Reflects each principal arcsin across its turning points using the
+    Each principal arcsin is reflected across its turning points by the
     signs of p_r and p_theta, so that along the flow every angle advances
-    linearly.
-    ``phi_unwrapped`` supplies the cumulative azimuth when the trajectory
-    wraps past 2 pi.
+    linearly and (J, phi) are canonical.  A circular orbit has no radial
+    terms and a planar one no latitude or node terms; a state outside the
+    turning region of ``J`` raises :class:`TurningPointError`.
     """
     m, k, M = rp.m, rp.k, rp.M
     j1, j2, j3 = J[0], J[1], J[2]
@@ -392,17 +354,15 @@ def continuous_angles(s: PhasePoint | Sequence[float], J, rp: ReducedParams,
     lt = M * j2 + j3
     d = j3
     r, theta, phi, p_r, p_theta, _ = coords_of(s)
-    if phi_unwrapped is not None:
-        phi = phi_unwrapped
 
-    G = max(-(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S, 0.0)
-    disc = max(S * S - lt * lt, 0.0)
-    Q = S * math.sqrt(disc) if disc > 0.0 else None
-
-    if Q is None:
+    disc = S * S - lt * lt
+    if disc <= 1e-14 * S * S:
         ell = 0.0
         v = 0.0
     else:
+        # G = Q^2 - (m k r - S^2)^2, so the radial guard |arg| <= 1 is G >= 0
+        G = max(-(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S, 0.0)
+        Q = S * math.sqrt(disc)
         base = _clamped_arcsin((m * k * r - S * S) / Q, "radial") - math.sqrt(G) / (S * S) + 0.5 * math.pi
         ell = base if p_r >= 0.0 else TWO_PI - base
         vb = _clamped_arcsin((1.0 - lt * lt / (m * k * r)) * S * S / Q, "radial-apsidal") + 0.5 * math.pi

@@ -643,7 +643,7 @@ def _reduced_flow(ctx: Context):
 
     phi_series = np.unwrap([st[2] for st in traj.states])
     angles = np.array([
-        continuous_angles(st, J0, rp, phi_unwrapped=float(pu))
+        continuous_angles((st[0], st[1], float(pu), *st[3:]), J0, rp)
         for st, pu in zip(traj.states, phi_series)
     ])
     t = np.array(traj.times)

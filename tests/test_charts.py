@@ -13,12 +13,13 @@ from nckepler.charts import (
     spherical_to_cartesian,
 )
 from nckepler.errors import ChartDomainError
-from nckepler.geometry import Chart, PhasePoint
+from nckepler.geometry import Chart, PhasePoint, pair_matrix
 from nckepler.reduced import (
     ReducedParams,
     energy_from_actions,
     spherical_hamiltonian,
 )
+from nckepler.sampling import sample_spherical_bound
 
 RP = ReducedParams(thetadot=0.006, phidot=0.3)
 
@@ -87,6 +88,29 @@ def test_spherical_to_action_angle_energy_consistency():
     E_direct = spherical_hamiltonian(s, RP)
     E_actions = energy_from_actions(aa.coords[:3], RP)
     assert abs(E_direct - E_actions) < 1e-12
+
+
+def test_spherical_to_action_angle_is_canonical():
+    # (J, phi) are canonical when the spherical Poisson matrix of the chart
+    # map, D Pc D^T with D its Jacobian, is the canonical one: {phi_i, J_j}
+    # = delta_ij, that is -Pc in the (J, phi) slot order.  D is a central
+    # difference whose worst miss here is 7.5e-8, so 1e-6 leaves a factor
+    # of 13 and sits far below the O(1) miss (up to 2.56) of principal
+    # branches that ignore the signs of p_r and p_theta.
+    points = sample_spherical_bound(40, 3, RP)
+    assert any(s.coords[3] < 0.0 for s in points)
+    assert any(s.coords[4] < 0.0 for s in points)
+    pc = np.array(pair_matrix([1.0] * 3))
+    h = 1e-6
+
+    def chart_map(c):
+        return np.array(spherical_to_action_angle(PhasePoint(tuple(c), Chart.SPHERICAL), RP).coords)
+
+    for s in points:
+        c = np.array(s.coords)
+        D = np.column_stack([(chart_map(c + h * e) - chart_map(c - h * e)) / (2.0 * h)
+                             for e in np.eye(6)])
+        assert np.max(np.abs(D @ pc @ D.T + pc)) < 1e-6, s.coords
 
 
 def test_convert_dispatch_and_undefined_pairs():

@@ -4,12 +4,16 @@ The config parsers may raise only ``ValueError`` or an ``NCKeplerError``,
 which the CLI reports as ``configuration error:`` with exit code 2.  The
 ``simulate`` and ``chart`` commands, run in-process on random documents,
 end with exit code 0, 1 or 2 and raise nothing.  Numbers are drawn up to
-1e300 in magnitude, where squaring a coordinate leaves the float range.
+1e300 in magnitude, where squaring a coordinate leaves the float range; a
+fixed-seed sweep of ``chart`` draws them from every binade of the floats.
 """
 
 import contextlib
 import io
 import json
+import math
+
+import numpy as np
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -157,3 +161,27 @@ def test_chart_in_process_exits_cleanly(state, target, params, tmp_path_factory)
         (work / "params.json").write_text(json.dumps(params))
         argv += ["--params", str(work / "params.json")]
     assert _run(argv) in (0, 1, 2)
+
+
+def _binade_number(rng, top=1023):
+    """A float of magnitude in a uniformly drawn binade from 2^-1074
+    (5e-324) to 2^top (1.7e308 for the default)."""
+    return math.ldexp(float(rng.uniform(1.0, 2.0)), int(rng.integers(-1074, top + 1)))
+
+
+def test_chart_binade_sweep_exits_cleanly(tmp_path):
+    """1 000 fixed-seed cartesian and spherical states, each coordinate from
+    a random binade and sign, through ``chart`` to each target chart in turn:
+    every run converts (exit 0) or rejects the state (exit 2), and none
+    raises.  A spherical state keeps r > 0 and draws theta below 4, so that
+    about half of them reach the conversion."""
+    rng = np.random.default_rng(2022)
+    path = tmp_path / "state.json"
+    for i in range(1000):
+        source = ("cartesian", "spherical")[i // 4 % 2]
+        coords = [_binade_number(rng) * rng.choice((-1.0, 1.0)) for _ in range(6)]
+        if source == "spherical":
+            coords[0], coords[1] = abs(coords[0]), _binade_number(rng, top=1)
+        path.write_text(json.dumps({"coords": coords, "chart": source}))
+        target = CHART_NAMES[i % 4]
+        assert _run(["chart", "--state", str(path), "--to", target]) in (0, 2), (coords, source, target)

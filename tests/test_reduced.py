@@ -22,7 +22,6 @@ from nckepler.reduced import (
     ReducedParams,
     action_hessian,
     actions_from_integrals,
-    angles_from_state,
     azimuthal_phase,
     continuous_angles,
     energy_from_actions,
@@ -108,7 +107,9 @@ def test_spherical_domain_errors():
     ("hamiltonian", (1.0, 1.0, 1e308, 0.1, 0.2, 0.3), "coordinate phi"),
     ("integrals", (1.0, 1e-170, 0.5, 0.1, 0.2, 0.3), "polar axis"),
     ("rhs", (1e-110, 1.0, 0.5, 0.1, 0.2, 0.3), "radius left the chart"),
-], ids=["hamiltonian-r", "hamiltonian-theta", "hamiltonian-phi", "integrals-theta", "rhs-r"])
+    ("rhs", (1.0, 1.0, 1e308, 0.1, 0.1, 0.1), "coordinate phi"),
+], ids=["hamiltonian-r", "hamiltonian-theta", "hamiltonian-phi", "integrals-theta", "rhs-r",
+        "rhs-phi"])
 def test_underflowing_denominators_leave_the_chart(fn, coords, message):
     """A denominator r^2 or r^2 sin(theta)^2 that underflows to 0, or a 2 phi
     that overflows, is off the chart, not a ZeroDivisionError or ValueError."""
@@ -246,9 +247,7 @@ def test_angles_at_pericenter_hit_branch_value():
     theta = 1.2
     p_theta = math.sqrt(max(lt**2 - d**2 / math.sin(theta) ** 2, 0.0)) / RP.M
     s_peri = _spherical(r_peri * (1 + 1e-14), theta, 0.4, 0.0, p_theta, p_phi)
-    phi1, _, _ = angles_from_state(s_peri, J, RP)
-    assert abs(phi1 - (-math.pi / 2)) < 1e-5
-    # p_r = 0 counts as outgoing: the continuous radial angle starts at 0
+    # p_r = 0 counts as outgoing: the radial angle starts at 0
     assert abs(continuous_angles(s_peri, J, RP)[0]) < 1e-5
 
 
@@ -260,7 +259,7 @@ def test_angles_circular_orbit_defined():
     E = spherical_hamiltonian(s, rp)
     _, d, lt = first_integrals(s, rp)
     J = actions_from_integrals(E, lt, d, rp)
-    ang = angles_from_state(s, J, rp)
+    ang = continuous_angles(s, J, rp)
     assert ang[0] == 0.0
     assert all(math.isfinite(v) for v in ang)
 
@@ -272,7 +271,7 @@ def test_angle_formula_outside_turning_region_raises():
     J = actions_from_integrals(E, lt, d, RP)
     far = _spherical(50.0, 1.1, 0.4, 0.0, 0.1, 0.5)
     with pytest.raises(TurningPointError):
-        angles_from_state(far, J, RP)
+        continuous_angles(far, J, RP)
 
 
 def _energy_monitor(cols):
@@ -292,7 +291,7 @@ def test_angle_rates_match_frequencies_along_flow():
     J = actions_from_integrals(energy[0], lt, d, RP)
     phi_seq = np.unwrap([st[2] for st in traj.states])
     angles = np.array([
-        continuous_angles(st, J, RP, phi_unwrapped=float(pu))
+        continuous_angles((st[0], st[1], float(pu), *st[3:]), J, RP)
         for st, pu in zip(traj.states, phi_seq)
     ])
     t = np.array(traj.times)
