@@ -102,7 +102,11 @@ class Dual:
         return self
 
     def __pow__(self, n):
-        # constant exponent only
+        """``a ** n`` for a constant integral ``n``, with the tangent ``n a **
+        (n - 1)`` times ``b``.  The tangent's power is formed first and
+        raises ``OverflowError`` where it leaves the float range, as float
+        ``**`` does, even where ``a ** n`` is finite: ``n = -1`` raises for
+        |a| below about 7.5e-155, where ``a ** -2`` is not representable."""
         if n == 0:
             return Dual(power(self.a, 0), tuple([x * 0.0 for x in self.b]))
         if n == 1:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
@@ -266,8 +267,9 @@ def lie_derivative_of_jets(Z: Jet, T: Jet) -> list:
     A vector gives the Lie bracket ``[Z, T]^i = sum_j (Z^j d_j T^i - T^j
     d_j Z^i)``.  A tensor gives the directional derivative of each component
     (components of ``Z`` that are zero at every point skipped) plus one
-    Leibniz term per slot (see the module docstring for the signs); its
-    values are read as floats.
+    Leibniz sum per slot (see the module docstring for the signs); its
+    values are read as floats.  A Leibniz term whose tensor entry is the
+    float ``0.0`` is skipped too, so it forms no ``0.0 * inf`` NaN.
     """
     if T.slots == "u":
         Zv, dZ, Tv, dT = Z.value, Z.d, T.value, T.d
@@ -276,7 +278,8 @@ def lie_derivative_of_jets(Z: Jet, T: Jet) -> list:
     dZ = Z.d  # dZ[i][j] = d_j Z^i
     dZt = list(zip(*dZ))
     mat = [[value(e) for e in row] for row in T.value]
-    cols = list(zip(*mat))
+    live = [[type(e) is not float or e != 0.0 for e in row] for row in mat]
+    cols, live_cols = list(zip(*mat)), list(zip(*live))
     moving = [l for l in range(DIM) if duals.anywhere(Zv[l] != 0.0)]
     up0, up1 = (slot == "u" for slot in T.slots)
     left = dZ if up0 else dZt
@@ -288,9 +291,9 @@ def lie_derivative_of_jets(Z: Jet, T: Jet) -> list:
             s = 0.0
             for l in moving:
                 s += Zv[l] * d[l]
-            t = sum(map(mul, cols[b], left[a]))
+            t = sum(map(mul, compress(cols[b], live_cols[b]), compress(left[a], live_cols[b])))
             s = s - t if up0 else s + t
-            t = sum(map(mul, mat[a], right[b]))
+            t = sum(map(mul, compress(mat[a], live[a]), compress(right[b], live[a])))
             s = s - t if up1 else s + t
             out[a][b] = s
     return out

@@ -336,14 +336,15 @@ def _implicit_midpoint_states(rhs, c, dt, residual_tol=1e-12, max_iter=50):
     midpoint stage until successive stages differ by less than
     ``residual_tol`` in every coordinate, else :class:`StepFailureError`.
 
-    The iteration starts from an extrapolation of the converged stages of
-    the steps before (Hairer, Lubich & Wanner, *Geometric Numerical
-    Integration*, VIII.6): the first step from ``rhs(c)``, the second from
-    the first stage ``s``, the third from ``2 s - t`` and each later one
-    from ``3 (s - t) + u``, with ``s``, ``t`` and ``u`` the last three
-    stages, latest first.  Only the start differs from an iteration from
-    ``rhs(c)``: the stopping test, the iteration cap and the failure are
-    the same.
+    The iteration starts from the quartic extrapolation ``5 (s - v) - 10 (t
+    - u) + w`` of the last five converged stages ``s``, ``t``, ``u``, ``v``
+    and ``w``, latest first (Hairer, Lubich & Wanner, *Geometric Numerical
+    Integration*, VIII.6).  The history starts as five copies of
+    ``rhs(c)``, so the first step starts from ``rhs(c)``.  Past the fifth
+    step the start is within O(dt^5) of the stage, so on a smooth orbit at
+    ``dt = 1e-3`` one rhs call ends the step.  Only the start differs from
+    an iteration from ``rhs(c)``: the stopping test, the iteration cap and
+    the failure are the same.
 
     ``max`` keeps its first argument when that is NaN and skips a later
     NaN: a NaN in the first stage coordinate fails the iteration, while one
@@ -351,8 +352,8 @@ def _implicit_midpoint_states(rhs, c, dt, residual_tol=1e-12, max_iter=50):
     ``integrate_field`` reports."""
     c1, c2, c3, c4, c5, c6 = c
     h = 0.5 * dt
-    s1, s2, s3, s4, s5, s6 = rhs(c)
-    steps = 0
+    s1, s2, s3, s4, s5, s6 = t1, t2, t3, t4, t5, t6 = u1, u2, u3, u4, u5, u6 = rhs(c)
+    v1, v2, v3, v4, v5, v6 = w1, w2, w3, w4, w5, w6 = s1, s2, s3, s4, s5, s6
     while True:
         for _ in range(max_iter):
             n1, n2, n3, n4, n5, n6 = rhs((c1 + h * s1, c2 + h * s2, c3 + h * s3,
@@ -369,23 +370,12 @@ def _implicit_midpoint_states(rhs, c, dt, residual_tol=1e-12, max_iter=50):
         c1, c2, c3, c4, c5, c6 = (c1 + dt * s1, c2 + dt * s2, c3 + dt * s3,
                                   c4 + dt * s4, c5 + dt * s5, c6 + dt * s6)
         yield c1, c2, c3, c4, c5, c6
-        steps += 1
-        if steps > 2:
-            s1, t1, u1 = 3.0 * (s1 - t1) + u1, s1, t1
-            s2, t2, u2 = 3.0 * (s2 - t2) + u2, s2, t2
-            s3, t3, u3 = 3.0 * (s3 - t3) + u3, s3, t3
-            s4, t4, u4 = 3.0 * (s4 - t4) + u4, s4, t4
-            s5, t5, u5 = 3.0 * (s5 - t5) + u5, s5, t5
-            s6, t6, u6 = 3.0 * (s6 - t6) + u6, s6, t6
-        elif steps == 2:
-            s1, t1, u1 = 2.0 * s1 - t1, s1, t1
-            s2, t2, u2 = 2.0 * s2 - t2, s2, t2
-            s3, t3, u3 = 2.0 * s3 - t3, s3, t3
-            s4, t4, u4 = 2.0 * s4 - t4, s4, t4
-            s5, t5, u5 = 2.0 * s5 - t5, s5, t5
-            s6, t6, u6 = 2.0 * s6 - t6, s6, t6
-        else:
-            t1, t2, t3, t4, t5, t6 = s1, s2, s3, s4, s5, s6
+        s1, t1, u1, v1, w1 = 5.0 * (s1 - v1) - 10.0 * (t1 - u1) + w1, s1, t1, u1, v1
+        s2, t2, u2, v2, w2 = 5.0 * (s2 - v2) - 10.0 * (t2 - u2) + w2, s2, t2, u2, v2
+        s3, t3, u3, v3, w3 = 5.0 * (s3 - v3) - 10.0 * (t3 - u3) + w3, s3, t3, u3, v3
+        s4, t4, u4, v4, w4 = 5.0 * (s4 - v4) - 10.0 * (t4 - u4) + w4, s4, t4, u4, v4
+        s5, t5, u5, v5, w5 = 5.0 * (s5 - v5) - 10.0 * (t5 - u5) + w5, s5, t5, u5, v5
+        s6, t6, u6, v6, w6 = 5.0 * (s6 - v6) - 10.0 * (t6 - u6) + w6, s6, t6, u6, v6
 
 
 # States ``integrate_field`` steps before it observes them in one hook call.

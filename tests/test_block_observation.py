@@ -75,16 +75,15 @@ def _ref_rk4_step(rhs, c, dt, stages):
 
 
 def _ref_midpoint_step(rhs, c, dt, stages, residual_tol=1e-12, max_iter=50):
-    """One implicit midpoint step; ``stages`` holds the converged stages of
-    the run's earlier steps, latest last, and gets this step's."""
+    """One implicit midpoint step; ``stages`` holds four copies of the first
+    step's start ``rhs(c)``, then the converged stages of the run's earlier
+    steps, latest last, and gets this step's."""
     if not stages:
         s = rhs(c)
-    elif len(stages) == 1:
-        s = stages[-1]
-    elif len(stages) == 2:
-        s = [2.0 * a - b for a, b in zip(stages[-1], stages[-2])]
+        stages.extend([s] * 4)
     else:
-        s = [3.0 * (a - b) + u for a, b, u in zip(stages[-1], stages[-2], stages[-3])]
+        w, v, u, t, s = stages[-5:]
+        s = [5.0 * (si - vi) - 10.0 * (ti - ui) + wi for si, ti, ui, vi, wi in zip(s, t, u, v, w)]
     for _ in range(max_iter):
         s_new = rhs([c[i] + 0.5 * dt * s[i] for i in range(6)])
         resid = max(abs(s_new[i] - s[i]) for i in range(6))

@@ -175,6 +175,15 @@ def test_power_zero_has_zero_tangents():
     assert grad(lambda c: c[2] ** 0, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == [0.0] * 6
 
 
+@pytest.mark.parametrize("a", [1e-160, np.array([1.0, 1e-160])], ids=["point", "batch"])
+def test_reciprocal_of_a_tiny_dual_overflows_in_its_tangent(a):
+    """``a ** -1`` is finite, but the tangent ``-a ** -2`` is not
+    representable, so the seeded pass raises as float ``**`` does."""
+    assert math.isfinite(1e-160 ** -1)
+    with pytest.raises(OverflowError):
+        Dual(a, (1.0,)) ** -1
+
+
 @pytest.mark.parametrize("n", range(-6, 7))
 def test_power_of_an_array_rounds_as_python_at_every_element(n):
     rng = np.random.default_rng(15 + n)

@@ -5,9 +5,10 @@ midpoint step whose stage iteration starts from the explicit slope
 ``rhs(c)``.  ``_rk4_states`` must reproduce every coordinate of several
 steps by ``float.hex``.  ``_implicit_midpoint_states`` must reproduce its
 first step, which starts from ``rhs(c)`` too, and every stage failure by
-its message; its later steps start from extrapolated stages, so they agree
-with the explicit-start step from the same state only within the bound
-derived in ``test_later_midpoint_steps_agree_with_the_explicit_start``.
+its message; its later steps start from the quartic extrapolation of the
+last five stages, so they agree with the explicit-start step from the same
+state only within the bound derived in
+``test_later_midpoint_steps_agree_with_the_explicit_start``.
 """
 
 import itertools
@@ -164,21 +165,46 @@ def test_implicit_midpoint_nan_stage_ends_as_the_loop_form(base, index, expected
         assert all(math.isfinite(float.fromhex(h)) for i, h in enumerate(got) if i != index)
 
 
-def test_midpoint_rhs_calls_over_two_blocks():
-    """A deterministic count: the extrapolated start needs 4657 rhs calls
-    (2.27 a step) over this commutative run of two blocks, where the
-    explicit start needed 10 240 (5.0 a step).  Restarting the stage
-    history at the block boundary would add calls."""
-    kepler_rhs = flow_rhs(DeformationParams())
-    calls = 0
+class _Counted:
+    """The commutative flow, counting its calls."""
 
-    def counted(c):
-        nonlocal calls
-        calls += 1
-        return kepler_rhs(c)
+    def __init__(self):
+        self.calls = 0
+        self.rhs = flow_rhs(DeformationParams())
 
-    x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.05, 0.0), Chart.CARTESIAN)
-    traj = integrate_field(x0, counted, 1e-3, 2 * _BLOCK, "implicit_midpoint",
-                           observe=lambda c: (None, None, ()))
+    def __call__(self, c):
+        self.calls += 1
+        return self.rhs(c)
+
+
+# a commutative bound orbit, run over two blocks
+ORBIT = (1.0, 0.0, 0.0, 0.0, 1.05, 0.0)
+
+
+def _calls_over_two_blocks():
+    counted = _Counted()
+    traj = integrate_field(PhasePoint(ORBIT, Chart.CARTESIAN), counted, 1e-3, 2 * _BLOCK,
+                           "implicit_midpoint", observe=lambda c: (None, None, ()))
     assert traj.completed and len(traj.states) == 2 * _BLOCK + 1
-    assert calls <= 4657
+    return counted.calls
+
+
+def test_midpoint_rhs_calls_over_two_blocks():
+    """A deterministic count: the quartic start needs 2064 rhs calls (1.008
+    a step) over this commutative run of two blocks, where the quadratic
+    start needed 4657 (2.27 a step) and the explicit start 10 240 (5.0 a
+    step)."""
+    assert _calls_over_two_blocks() <= 2064
+
+
+def test_midpoint_takes_one_rhs_call_a_step_after_the_fifth():
+    """Every step after the fifth ends at its first iterate, across the
+    block boundary too.  A step makes at least one rhs call, so the total
+    over the run exceeds the first five steps' calls by the number of later
+    steps only if each of them makes exactly one.  A start of lower order
+    needs a second iterate on some steps, and a history restarted at the
+    block boundary needs several on the first steps after it."""
+    counted = _Counted()
+    for _ in itertools.islice(_implicit_midpoint_states(counted, ORBIT, 1e-3), 5):
+        pass
+    assert _calls_over_two_blocks() == counted.calls + 2 * _BLOCK - 5
