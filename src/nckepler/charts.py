@@ -8,7 +8,15 @@ linear recombination
     phi1 = varphi3 - varphi2 / M,  phi2 = varphi2 - M varphi1,
     phi3 = varphi1,
 
-which preserves the weighted canonical structure.  Spherical to action-angle
+which preserves the weighted canonical structure, and its inverse
+
+    J1 = I3 - I2,  J2 = (I2 - I1) / M,  J3 = I1,
+    varphi1 = phi3,  varphi2 = phi2 + M phi3,
+    varphi3 = phi1 + phi2 / M + phi3.
+
+Each is written once, generic in the scalar type (:func:`delaunay_coords`
+and :func:`action_angle_coords`); their Jacobians are one derivative pass
+each.  Spherical to action-angle
 goes through the integrals of motion and the time-continuous angles of
 ``reduced.continuous_angles`` (bound states only).
 """
@@ -19,6 +27,7 @@ import math
 
 import numpy as np
 
+from . import duals
 from .errors import ChartDomainError
 from .geometry import Chart, PhasePoint
 from .reduced import (
@@ -72,42 +81,42 @@ def spherical_to_cartesian(x: PhasePoint) -> PhasePoint:
     return PhasePoint(q + p, Chart.CARTESIAN)
 
 
-def action_block_matrix(rp: ReducedParams) -> np.ndarray:
+def delaunay_coords(c, rp: ReducedParams) -> list:
+    """The Delaunay coordinates (I, phi) of the action-angle coordinates
+    ``c = (J, varphi)``: floats, ``Dual`` values or batched arrays."""
+    J1, J2, J3, v1, v2, v3 = c
     M = rp.M
-    return np.array([[0.0, 0.0, 1.0], [0.0, M, 1.0], [1.0, M, 1.0]])
+    return [J3, M * J2 + J3, J1 + M * J2 + J3, (-1 / M) * v2 + v3, (-M) * v1 + v2, v1]
 
 
-def angle_block_matrix(rp: ReducedParams) -> np.ndarray:
+def action_angle_coords(c, rp: ReducedParams) -> list:
+    """The action-angle coordinates (J, varphi) of the Delaunay coordinates
+    ``c = (I, phi)``: floats, ``Dual`` values or batched arrays."""
+    I1, I2, I3, f1, f2, f3 = c
     M = rp.M
-    return np.array([[0.0, -1.0 / M, 1.0], [-M, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    return [-I2 + I3, (-1 / M) * I1 + (1 / M) * I2, I1, f3, f2 + M * f3, f1 + (1 / M) * f2 + f3]
 
 
 def forward_jacobian(rp: ReducedParams) -> np.ndarray:
     """Constant Jacobian of the (J, varphi) -> (I, phi) map."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = action_block_matrix(rp)
-    out[3:, 3:] = angle_block_matrix(rp)
-    return out
+    return np.array(duals.jacobian(lambda c: delaunay_coords(c, rp), [0.0] * 6))
 
 
 def inverse_jacobian(rp: ReducedParams) -> np.ndarray:
-    return np.linalg.inv(forward_jacobian(rp))
+    """Constant Jacobian of the (I, phi) -> (J, varphi) map."""
+    return np.array(duals.jacobian(lambda c: action_angle_coords(c, rp), [0.0] * 6))
 
 
 def action_angle_to_delaunay(x: PhasePoint, rp: ReducedParams) -> PhasePoint:
     if x.chart is not Chart.ACTION_ANGLE:
         raise ChartDomainError("expected an action-angle point")
-    c = np.array(x.coords)
-    out = forward_jacobian(rp) @ c
-    return PhasePoint(tuple(out), Chart.DELAUNAY)
+    return PhasePoint(tuple(delaunay_coords(x.coords, rp)), Chart.DELAUNAY)
 
 
 def delaunay_to_action_angle(x: PhasePoint, rp: ReducedParams) -> PhasePoint:
     if x.chart is not Chart.DELAUNAY:
         raise ChartDomainError("expected a Delaunay point")
-    c = np.array(x.coords)
-    out = inverse_jacobian(rp) @ c
-    return PhasePoint(tuple(out), Chart.ACTION_ANGLE)
+    return PhasePoint(tuple(action_angle_coords(x.coords, rp)), Chart.ACTION_ANGLE)
 
 
 def spherical_to_action_angle(x: PhasePoint, rp: ReducedParams) -> PhasePoint:

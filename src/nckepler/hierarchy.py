@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from . import duals
-from .charts import forward_jacobian, inverse_jacobian
+from .charts import delaunay_coords, forward_jacobian, inverse_jacobian
 from .geometry import (
     ScalarField,
     TensorField,
@@ -118,27 +118,22 @@ def _antisymmetric(entries) -> list:
 
 def transported(F: ScalarField | TensorField, rp: ReducedParams) -> ScalarField | TensorField:
     """``F``, a field on the Delaunay chart, carried to the action-angle
-    chart by the constant chart map ``fwd`` with Jacobian ``D``.
+    chart by the constant chart map :func:`~nckepler.charts.delaunay_coords`
+    with Jacobian ``D``.
 
-    A scalar field is composed with ``fwd``.  A tensor field becomes
-    ``L F(fwd(c)) R`` with ``(L, R)`` by slots: ``(D^-1, D^-T)`` for
+    A scalar field is composed with the map.  A tensor field becomes
+    ``L F(map(c)) R`` with ``(L, R)`` by slots: ``(D^-1, D^-T)`` for
     ``"uu"``, ``(D^T, D)`` for ``"dd"`` and ``(D^-1, D)`` for ``"ud"``.  The
     antisymmetric kinds are rebuilt from their upper triangle.
     """
-    D = forward_jacobian(rp)
-    Dfwd = D.tolist()
-
-    def fwd(c):
-        return [sum(Dfwd[i][j] * c[j] for j in range(6) if Dfwd[i][j] != 0.0) for i in range(6)]
-
     if isinstance(F, ScalarField):
-        return ScalarField(lambda c: F.func(fwd(c)))
-    Dinv = inverse_jacobian(rp)
+        return ScalarField(lambda c: F.func(delaunay_coords(c, rp)))
+    D, Dinv = forward_jacobian(rp), inverse_jacobian(rp)
     L, R = {"uu": (Dinv, Dinv.T), "dd": (D.T, D), "ud": (Dinv, D)}[F.slots]
     L, R = L.tolist(), R.tolist()
 
     def func(c):
-        full = _matmul(_matmul(L, F.func(fwd(c))), R)
+        full = _matmul(_matmul(L, F.func(delaunay_coords(c, rp))), R)
         if F.slots == "ud":
             return full
         return _antisymmetric({(i, j): full[i][j] for i in range(6) for j in range(i + 1, 6)})

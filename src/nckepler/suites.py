@@ -518,9 +518,10 @@ def _algebra_jacobi(ctx: AlgebraContext):
 
 
 def _involution_search(ctx: AlgebraContext):
-    search = involution_parameter_search(ctx.cfg.seed, 300)
-    yield (f"involution-condition search: feasible instance found = {search.found}; "
-           f"best residual {search.best_residual:.3e}; {search.note}")
+    s, theta = involution_parameter_search()
+    yield (f"involution condition 1, solved exactly: lam_ij alpha_ij = {s} for the pairs "
+           f"(1,2), (1,3), (2,3), where the theta weights are {theta}; every weight "
+           f"vanishes, so no valid deformation satisfies it")
 
 
 def _conservation(ctx: AlgebraContext):

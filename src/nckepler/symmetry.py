@@ -26,7 +26,6 @@ so(1,3) algebras, which :func:`closure_fit` fits and
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import duals
 from .deformation import DeformationParams, transform_coordinates, weighted_bracket
-from .errors import ChartDomainError, InvalidDeformationError
+from .errors import ChartDomainError
 from .geometry import PhasePoint, ScalarField, batch, coords_of
 from .kepler import (
     hamiltonian,
@@ -147,12 +146,14 @@ def _frame_at(z, observables) -> _Frame:
 # -- closed forms for the brackets with the Hamiltonian ----------------------
 
 
-def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> list:
+def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> tuple:
+    """The closed forms of {H, L_i} and the rows ``G_rho = (D p')_rho / m +
+    ky3 (F q')_rho`` they are built from, which the {H, A_i} forms share."""
     qp, pp = fr.qp, fr.pp
     m, k = params.mass, params.k
     ky3 = k / duals.power(fr.y, 3)
-    Dp = [sum(sm.D[nu][j] * pp[j] for j in range(3)) for nu in range(3)]
-    Fq = [sum(sm.F[nu][j] * qp[j] for j in range(3)) for nu in range(3)]
+    G = [sum(sm.D[nu][j] * pp[j] for j in range(3)) / m
+         + ky3 * sum(sm.F[nu][j] * qp[j] for j in range(3)) for nu in range(3)]
     Fp = [sum(sm.F[j][nu] * pp[j] for j in range(3)) for nu in range(3)]
     Eq = [sum(sm.E[j][nu] * qp[j] for j in range(3)) for nu in range(3)]
     out = []
@@ -163,16 +164,14 @@ def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> l
                 eps = levi_civita(mu, i, nu)
                 if eps == 0.0:
                     continue
-                total += eps * (
-                    (Dp[nu] / m + ky3 * Fq[nu]) * qp[mu] + (Fp[nu] / m + ky3 * Eq[nu]) * pp[mu]
-                )
+                total += eps * (G[nu] * qp[mu] + (Fp[nu] / m + ky3 * Eq[nu]) * pp[mu])
         out.append(total)
-    return out
+    return out, G
 
 
 def bracket_H_with_L(x, params: DeformationParams) -> list:
     """Closed forms of the brackets of H with L_1, L_2, L_3 at a cartesian point."""
-    return _H_with_L(_frame(x, params), structure_matrices(params), params)
+    return _H_with_L(_frame(x, params), structure_matrices(params), params)[0]
 
 
 def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
@@ -190,12 +189,7 @@ def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
     sm = structure_matrices(params)
     m, k = params.mass, params.k
     ky3 = k / duals.power(y, 3)
-    G = [
-        sum(sm.D[rho][j] * pp[j] for j in range(3)) / m
-        + ky3 * sum(sm.F[rho][j] * qp[j] for j in range(3))
-        for rho in range(3)
-    ]
-    B = _H_with_L(fr, sm, params)
+    B, G = _H_with_L(fr, sm, params)
     out = []
     for i in range(3):
         total = 0.0
@@ -294,66 +288,20 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
 # -- involution conditions ----------------------------------------------------
 
 
-def _condition1_residual(a, l) -> float:
-    """Largest violation of ``lam_ij alpha_ij = -((lam_ik alpha_ik +
-    lam_jk alpha_jk) / 2 + 4)`` over the ordered pairs ``i != j``."""
-    r1 = 0.0
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            kap = 3 - i - j
-            lhs = l[i][j] * a[i][j]
-            rhs = -(0.5 * (l[i][kap] * a[i][kap] + l[j][kap] * a[j][kap]) + 4.0)
-            r1 = max(r1, abs(lhs - rhs))
-    return r1
+def involution_parameter_search() -> tuple:
+    """Condition 1 solved exactly: ``(s, theta)``.
 
-
-def _condition3_residual(sm: StructureMatrices) -> float:
-    """Largest asymmetry of ``F`` or spread of its diagonal."""
-    r3 = 0.0
-    for i in range(3):
-        for j in range(3):
-            r3 = max(r3, abs(sm.F[i][j] - sm.F[j][i]))
-    return max(r3, abs(sm.F[0][0] - sm.F[1][1]), abs(sm.F[0][0] - sm.F[2][2]))
-
-
-@dataclass(frozen=True)
-class InvolutionSearchResult:
-    found: bool
-    best_residual: float
-    note: str
-
-
-def involution_parameter_search(seed: int = 42, n_draws: int = 400) -> InvolutionSearchResult:
-    """Search deformation space for parameters meeting conditions 1 and 3.
-
-    Condition 1 is a linear system in the products s_ij = lam_ij alpha_ij
-    whose unique solution is s_ij = -2 for every pair; that forces every
-    theta weight to 1 + (s_i. sum)/4 = 0, which the bracket excludes.  The
-    random search documents how close valid deformations can get.
+    Condition 1 is the linear system ``s_ij + (s_ik + s_jk) / 2 = -4`` in
+    the products ``s_ij = lam_ij alpha_ij`` of the pairs (1,2), (1,3),
+    (2,3), with determinant 1/2.  ``s`` is its unique solution, ``-2`` for
+    every pair, and ``theta`` the weights ``1 + (1/4) sum_mu s_mu,nu``
+    there, which all vanish: no valid deformation meets condition 1, so
+    condition 3 needs no check.
     """
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(n_draws):
-        vals = rng.uniform(-2.0, 2.0, size=6)
-        a = [[0.0, vals[0], vals[1]], [-vals[0], 0.0, vals[2]], [-vals[1], -vals[2], 0.0]]
-        l = [[0.0, vals[3], vals[4]], [-vals[3], 0.0, vals[5]], [-vals[4], -vals[5], 0.0]]
-        try:
-            params = DeformationParams(alpha=a, lam=l)
-        except InvalidDeformationError:
-            continue
-        best = min(best, max(_condition1_residual(a, l),
-                             _condition3_residual(structure_matrices(params))))
-    return InvolutionSearchResult(
-        found=best <= 1e-9,
-        best_residual=best,
-        note=(
-            "the pairwise-product system behind condition 1 forces lam_ij alpha_ij = -2 "
-            "for every pair, which makes every theta weight vanish; no valid deformation "
-            "can satisfy it exactly"
-        ),
-    )
+    s = np.linalg.solve([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], [-4.0] * 3).tolist()
+    s12, s13, s23 = s
+    theta = [1.0 + 0.25 * (s12 + s13), 1.0 + 0.25 * (s12 + s23), 1.0 + 0.25 * (s13 + s23)]
+    return s, theta
 
 
 # -- scaled vectors and generator matrices -------------------------------------

@@ -9,6 +9,7 @@ from nckepler.charts import (
     convert,
     delaunay_to_action_angle,
     forward_jacobian,
+    inverse_jacobian,
     spherical_to_action_angle,
     spherical_to_cartesian,
 )
@@ -66,6 +67,28 @@ def test_action_angle_delaunay_round_trip():
         x = PhasePoint(tuple(c), Chart.ACTION_ANGLE)
         back = delaunay_to_action_angle(action_angle_to_delaunay(x, RP), RP)
         assert max(abs(a - b) for a, b in zip(x.coords, back.coords)) < 1e-14
+
+
+def displayed_jacobians(M):
+    """The forward and inverse Jacobians of the action-angle / Delaunay
+    recombination, as the charts module docstring displays them."""
+    forward = [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, M, 1.0, 0.0, 0.0, 0.0],
+               [1.0, M, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -1.0 / M, 1.0],
+               [0.0, 0.0, 0.0, -M, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
+    inverse = [[0.0, -1.0, 1.0, 0.0, 0.0, 0.0], [-1.0 / M, 1.0 / M, 0.0, 0.0, 0.0, 0.0],
+               [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+               [0.0, 0.0, 0.0, 0.0, 1.0, M], [0.0, 0.0, 0.0, 1.0, 1.0 / M, 1.0]]
+    return forward, inverse
+
+
+@pytest.mark.parametrize("phidot", [0.0, 0.006, -0.3, 0.3, 0.5, 2.0])
+def test_chart_jacobians_are_the_displayed_matrices_exactly(phidot):
+    # an entry where the displayed map has no term is exactly 0.0, not a
+    # rounding residue of a numerical inverse
+    rp = ReducedParams(thetadot=0.005, phidot=phidot)
+    forward, inverse = displayed_jacobians(rp.M)
+    assert forward_jacobian(rp).tolist() == forward
+    assert inverse_jacobian(rp).tolist() == inverse
 
 
 def test_delaunay_map_symplectic_congruence():

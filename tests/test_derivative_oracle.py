@@ -229,11 +229,12 @@ def chart_map(convert, source: Chart, *args):
 def test_recombination_jacobians_match_finite_differences(rp, x):
     forward = chart_map(action_angle_to_delaunay, Chart.ACTION_ANGLE, rp)
     inverse = chart_map(delaunay_to_action_angle, Chart.DELAUNAY, rp)
-    # the map multiplies by forward_jacobian, so pin it to the displayed
-    # recombination first; otherwise its differences only show linearity
+    # each Jacobian is a derivative pass of its map, so pin both maps to the
+    # displayed recombination first; a wrong map would match its own Jacobian
     J1, J2, J3, v1, v2, v3 = x
     M = rp.M
     assert_matches([J3, M * J2 + J3, J1 + M * J2 + J3, v3 - v2 / M, v2 - M * v1, v1], forward(x))
+    assert_matches([-J2 + J3, (J2 - J1) / M, J1, v3, v2 + M * v3, v1 + v2 / M + v3], inverse(x))
     assert_matches(forward_jacobian(rp), *fd_jacobian(forward, x))
     assert_matches(inverse_jacobian(rp), *fd_jacobian(inverse, x))
 

@@ -29,7 +29,6 @@ from nckepler.hierarchy import (
     transported,
     weight_vector,
 )
-from nckepler.charts import forward_jacobian, inverse_jacobian
 from nckepler.errors import ChartDomainError
 from nckepler.master import dynamical_symmetry
 from nckepler.reduced import ReducedParams, reduced_structures
@@ -303,9 +302,9 @@ def test_batched_level_checks_equal_the_per_point_route_bitwise():
 
 # -- the one transport against the hand-written ones --------------------------
 #
-# References: the three per-kind transports and the action-angle energy
-# written on the recombined action.  ``transported`` must reproduce every
-# value and tangent by ``float.hex``.
+# References: the three per-kind transports, built on the displayed chart
+# matrices, and the action-angle energy written on the recombined action.
+# ``transported`` must reproduce every value and tangent by ``float.hex``.
 
 
 def _ref_matmul(A, B):
@@ -322,8 +321,21 @@ def _ref_upper(full):
     return out
 
 
+def _ref_inverse(rp):
+    """The (I, phi) -> (J, varphi) Jacobian as the charts module displays it."""
+    M = rp.M
+    return [[0.0, -1.0, 1.0, 0.0, 0.0, 0.0], [-1.0 / M, 1.0 / M, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, M], [0.0, 0.0, 0.0, 1.0, 1.0 / M, 1.0]]
+
+
 def _ref_fwd_map(rp):
-    Dfwd = [list(row) for row in forward_jacobian(rp)]
+    """The (J, varphi) -> (I, phi) map as a sum over the nonzero entries of
+    its displayed Jacobian, and that Jacobian."""
+    M = rp.M
+    Dfwd = [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, M, 1.0, 0.0, 0.0, 0.0],
+            [1.0, M, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -1.0 / M, 1.0],
+            [0.0, 0.0, 0.0, -M, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
 
     def fwd(c):
         return [sum(Dfwd[i][j] * c[j] for j in range(6) if Dfwd[i][j] != 0.0) for i in range(6)]
@@ -333,7 +345,7 @@ def _ref_fwd_map(rp):
 
 def ref_transported_bivector(h, rp):
     fwd, _ = _ref_fwd_map(rp)
-    Dinv = [list(row) for row in inverse_jacobian(rp)]
+    Dinv = _ref_inverse(rp)
 
     def func(c):
         M1 = _ref_matmul(Dinv, level_bivector(h, rp).func(fwd(c)))
@@ -356,7 +368,7 @@ def ref_transported_two_form(h, rp):
 
 def ref_transported_recursion(h, rp):
     fwd, Dfwd = _ref_fwd_map(rp)
-    Dinv = [list(row) for row in inverse_jacobian(rp)]
+    Dinv = _ref_inverse(rp)
     return lambda c: _ref_matmul(_ref_matmul(Dinv, recursion_operator(h, rp).func(fwd(c))), Dfwd)
 
 

@@ -17,7 +17,7 @@ SMALL = VerifyConfig(samples=24, deformation_sets=3)
 # A refactor that claims byte-identical output must leave these unchanged.
 GOLDEN_REPORTS = {
     "brackets": "94a9f146d643f2fb4b188f8490df0917e4ca47e0cae642bc51b97c6a72a97de3",
-    "algebra": "f5f239150595c9831bccfa2fcd8578e3ad94b306e311667d65345cf406398ff8",
+    "algebra": "12a4bf93b814da46740dd32bc2e1688edd63719f636482338780c682a2a100ab",
     "action-angle": "25fbe3639f5e64b99cb1325c1a0b9c87b6745fb21de9d5b434cc683678c7a18c",
     "hierarchy": "d04dd2ab0e16249547f48867059aab5cec372519839d9762289c4745269665d1",
     "master": "66fe417e21b119929a00dd37668332cfdaca5cdb96247c09e7e632d93252e3ba",

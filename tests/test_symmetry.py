@@ -9,7 +9,7 @@ from nckepler.deformation import (
     nc_bracket,
     transform_coordinates,
 )
-from nckepler.errors import ChartDomainError, SingularConfigurationError
+from nckepler.errors import ChartDomainError, InvalidDeformationError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, ScalarField, coords_of
 from nckepler.kepler import (
     deformed_radius,
@@ -171,29 +171,14 @@ def test_aa_bracket_scales_with_energy():
     assert abs(v - pairwise_bracket_table(x, COMM)["AA"][(0, 1)].closed) < 1e-12
 
 
-def test_involution_conditional_assertion():
-    # the search documents that no valid deformation satisfies condition 1
-    search = involution_parameter_search(seed=9, n_draws=150)
-    assert not search.found
-    assert search.best_residual > 1e-3
-
-
-@pytest.mark.parametrize("seed, best", [
-    (0, "0x1.dd745ead3daf1p+0"), (7, "0x1.04b9a90a657f3p+1"), (42, "0x1.aad665f080596p+0"),
-])
-def test_involution_search_best_residual_is_pinned(seed, best):
-    search = involution_parameter_search(seed, 300)
-    assert not search.found and search.best_residual.hex() == best
-
-
-def test_involution_search_propagates_unexpected_errors(monkeypatch):
-    # only an invalid deformation is skipped; any other error is a fault
-    def broken(**kwargs):
-        raise TypeError("broken constructor")
-
-    monkeypatch.setattr(symmetry, "DeformationParams", broken)
-    with pytest.raises(TypeError, match="broken constructor"):
-        involution_parameter_search(seed=0, n_draws=5)
+def test_involution_condition_1_is_solved_exactly():
+    # s_ij = lam_ij alpha_ij = -2 for every pair, where every theta weight vanishes
+    s, theta = involution_parameter_search()
+    assert s == [-2.0, -2.0, -2.0] and theta == [0.0, 0.0, 0.0]
+    one = [[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]]
+    two = [[-2.0 * v for v in row] for row in one]
+    with pytest.raises(InvalidDeformationError, match="theta weight 1 vanishes"):
+        DeformationParams(alpha=one, lam=two)
 
 
 def test_scaled_runge_lenz_matches_unit_scale_at_half_energy():
