@@ -15,10 +15,10 @@ which preserves the weighted canonical structure, and its inverse
     varphi3 = phi1 + phi2 / M + phi3.
 
 Each is written once, generic in the scalar type (:func:`delaunay_coords`
-and :func:`action_angle_coords`); their Jacobians are one derivative pass
-each.  Spherical to action-angle
-goes through the integrals of motion and the time-continuous angles of
-``reduced.continuous_angles`` (bound states only).
+and :func:`action_angle_coords`); each Jacobian is the matrix of the linear
+map.  Spherical to action-angle goes through the integrals of motion and
+the time-continuous angles of ``reduced.continuous_angles`` (bound states
+only).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from . import duals
 from .errors import ChartDomainError
 from .geometry import Chart, PhasePoint
 from .reduced import (
@@ -97,14 +96,19 @@ def action_angle_coords(c, rp: ReducedParams) -> list:
     return [-I2 + I3, (-1 / M) * I1 + (1 / M) * I2, I1, f3, f2 + M * f3, f1 + (1 / M) * f2 + f3]
 
 
+def _matrix(linear_map, rp: ReducedParams) -> np.ndarray:
+    """The matrix of ``linear_map``, column j its image of unit vector j."""
+    return np.array([linear_map(e, rp) for e in np.eye(6).tolist()]).T
+
+
 def forward_jacobian(rp: ReducedParams) -> np.ndarray:
     """Constant Jacobian of the (J, varphi) -> (I, phi) map."""
-    return np.array(duals.jacobian(lambda c: delaunay_coords(c, rp), [0.0] * 6))
+    return _matrix(delaunay_coords, rp)
 
 
 def inverse_jacobian(rp: ReducedParams) -> np.ndarray:
     """Constant Jacobian of the (I, phi) -> (J, varphi) map."""
-    return np.array(duals.jacobian(lambda c: action_angle_coords(c, rp), [0.0] * 6))
+    return _matrix(action_angle_coords, rp)
 
 
 def action_angle_to_delaunay(x: PhasePoint, rp: ReducedParams) -> PhasePoint:

@@ -357,21 +357,21 @@ def _implicit_midpoint_states(rhs, c, dt):
     ``integrate_field`` reports."""
     c1, c2, c3, c4, c5, c6 = c
     h = 0.5 * dt
+    tol, max_iter = _STAGE_TOL, _STAGE_MAX_ITER
     s1, s2, s3, s4, s5, s6 = t1, t2, t3, t4, t5, t6 = u1, u2, u3, u4, u5, u6 = rhs(c)
     v1, v2, v3, v4, v5, v6 = w1, w2, w3, w4, w5, w6 = s1, s2, s3, s4, s5, s6
     while True:
-        for _ in range(_STAGE_MAX_ITER):
+        for _ in range(max_iter):
             n1, n2, n3, n4, n5, n6 = rhs((c1 + h * s1, c2 + h * s2, c3 + h * s3,
                                           c4 + h * s4, c5 + h * s5, c6 + h * s6))
             resid = max(abs(n1 - s1), abs(n2 - s2), abs(n3 - s3),
                         abs(n4 - s4), abs(n5 - s5), abs(n6 - s6))
             s1, s2, s3, s4, s5, s6 = n1, n2, n3, n4, n5, n6
-            if resid < _STAGE_TOL:
+            if resid < tol:
                 break
         else:
             raise StepFailureError(
-                f"implicit midpoint stage iteration did not reach {_STAGE_TOL} "
-                f"in {_STAGE_MAX_ITER} iterations"
+                f"implicit midpoint stage iteration did not reach {tol} in {max_iter} iterations"
             )
         c1, c2, c3, c4, c5, c6 = (c1 + dt * s1, c2 + dt * s2, c3 + dt * s3,
                                   c4 + dt * s4, c5 + dt * s5, c6 + dt * s6)

@@ -293,15 +293,16 @@ def involution_parameter_search() -> tuple:
 
     Condition 1 is the linear system ``s_ij + (s_ik + s_jk) / 2 = -4`` in
     the products ``s_ij = lam_ij alpha_ij`` of the pairs (1,2), (1,3),
-    (2,3), with determinant 1/2.  ``s`` is its unique solution, ``-2`` for
-    every pair, and ``theta`` the weights ``1 + (1/4) sum_mu s_mu,nu``
-    there, which all vanish: no valid deformation meets condition 1, so
-    condition 3 needs no check.
+    (2,3).  Row ij reads ``s_ij / 2 + S / 2 = -4`` in the sum ``S`` of the
+    products, and the rows sum to ``2 S = -12``, so ``s`` is ``-8 - S =
+    -2`` for every pair, exact in floats.  ``theta`` holds the weights
+    ``1 + (1/4) sum_mu s_mu,nu`` there, which all vanish: no valid
+    deformation meets condition 1, so condition 3 needs no check.
     """
-    s = np.linalg.solve([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], [-4.0] * 3).tolist()
-    s12, s13, s23 = s
+    S = -12.0 / 2.0
+    s12 = s13 = s23 = -8.0 - S
     theta = [1.0 + 0.25 * (s12 + s13), 1.0 + 0.25 * (s12 + s23), 1.0 + 0.25 * (s13 + s23)]
-    return s, theta
+    return [s12, s13, s23], theta
 
 
 # -- scaled vectors and generator matrices -------------------------------------

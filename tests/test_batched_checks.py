@@ -548,10 +548,8 @@ def test_batched_checks_take_as_many_passes_at_any_sample_count(monkeypatch):
     # calls at 100 samples); the primed-coordinate brackets read one
     # Jacobian per check where they took 54 gradients.  The vector jets, the
     # closure fits and the pairwise bracket tables take their one seeded
-    # pass directly, not through ``jacobian``.  Each tensor the transport
-    # carries adds the two constant chart Jacobians, one pass each at one
-    # point: 24 for the 12 tensors of ``_transport``
+    # pass directly, not through ``jacobian``
     small, full = _count_passes(monkeypatch, 24), _count_passes(monkeypatch, 100)
     assert small == full
     assert full["brackets"] == {"grad": 100, "jacobian": 2, "seeded_pass": 102}
-    assert full["batched checks"] == {"grad": 118, "jacobian": 32, "seeded_pass": 175}
+    assert full["batched checks"] == {"grad": 118, "jacobian": 8, "seeded_pass": 151}

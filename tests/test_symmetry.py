@@ -172,8 +172,12 @@ def test_aa_bracket_scales_with_energy():
 
 
 def test_involution_condition_1_is_solved_exactly():
-    # s_ij = lam_ij alpha_ij = -2 for every pair, where every theta weight vanishes
+    # s_ij = lam_ij alpha_ij = -2 for every pair, where every theta weight
+    # vanishes; each row s_ij + (s_ik + s_jk) / 2 = -4 holds with no residue
     s, theta = involution_parameter_search()
+    s12, s13, s23 = s
+    assert [s12 + (s13 + s23) / 2 + 4.0, s13 + (s12 + s23) / 2 + 4.0,
+            s23 + (s12 + s13) / 2 + 4.0] == [0.0, 0.0, 0.0]
     assert s == [-2.0, -2.0, -2.0] and theta == [0.0, 0.0, 0.0]
     one = [[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]]
     two = [[-2.0 * v for v in row] for row in one]
