@@ -102,11 +102,12 @@ class Dual:
         return self
 
     def __pow__(self, n):
-        """``a ** n`` for a constant integral ``n``, with the tangent ``n a **
-        (n - 1)`` times ``b``.  The tangent's power is formed first and
-        raises ``OverflowError`` where it leaves the float range, as float
-        ``**`` does, even where ``a ** n`` is finite: ``n = -1`` raises for
-        |a| below about 7.5e-155, where ``a ** -2`` is not representable."""
+        """``a ** n`` for a constant ``n``, integral or, for a positive
+        ``a``, any real, with the tangent ``n a ** (n - 1)`` times ``b``.
+        The tangent's power is formed first and raises ``OverflowError``
+        where it leaves the float range, as float ``**`` does, even where
+        ``a ** n`` is finite: ``n = -1`` raises for |a| below about
+        7.5e-155, where ``a ** -2`` is not representable."""
         if n == 0:
             return Dual(power(self.a, 0), tuple([x * 0.0 for x in self.b]))
         if n == 1:
@@ -116,9 +117,10 @@ class Dual:
 
 
 def power(x, n):
-    """``x ** n`` for an integral ``n``; on an ndarray ``np.float_power``,
-    which rounds as Python's ``**`` at every element and raises its
-    ``ZeroDivisionError`` and ``OverflowError`` (finite base only)."""
+    """``x ** n`` for an integral ``n`` or, for a positive ``x``, any real
+    ``n``; on an ndarray ``np.float_power``, which rounds as Python's ``**``
+    at every element and raises its ``ZeroDivisionError`` and
+    ``OverflowError`` (finite base only)."""
     if isinstance(x, np.ndarray):
         if n < 0 and (x == 0.0).any():
             raise ZeroDivisionError("0.0 cannot be raised to a negative power")
@@ -140,6 +142,11 @@ def anywhere(mask) -> bool:
     """Whether ``mask``, a comparison at one point (a bool) or over a batch
     of points (a bool ndarray), holds at any point."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def first(v, mask):
+    """``v`` at the first point where ``mask`` holds; ``v`` itself at one point."""
+    return float(v[mask][0]) if isinstance(v, np.ndarray) else v
 
 
 def value(x):
@@ -197,6 +204,15 @@ def cos(x):
         s = sin(x.a)
         return Dual(cos(x.a), tuple([(-y) * s for y in x.b]))
     return _each(math.cos, x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+# tan and asin take floats and batches only: no evaluator seeds them yet
+def tan(x):
+    return _each(math.tan, x) if isinstance(x, np.ndarray) else math.tan(x)
+
+
+def asin(x):
+    return _each(math.asin, x) if isinstance(x, np.ndarray) else math.asin(x)
 
 
 def log(x):

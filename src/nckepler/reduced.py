@@ -23,7 +23,6 @@ differentiating the energy in its action).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,12 +92,6 @@ class ReducedParams:
     @property
     def M(self) -> float:
         return math.sqrt(self.M_squared)
-
-    @functools.cached_property
-    def azimuthal_period(self) -> float:
-        """``int_0^{2 pi} (1 + (thetadot/m) sin 2t)^{-1/2} dt``, integrated
-        once per instance (the instance is frozen)."""
-        return _azimuthal_integral(0.0, TWO_PI, self)
 
 
 def lambda_matrix(rp: ReducedParams, phi) -> tuple:
@@ -257,28 +250,27 @@ def kolmogorov_determinant(J, rp: ReducedParams) -> float:
 _GAUSS_NODES, _GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(64))
 
 
-def _quad(f, a: float, b: float) -> float:
+def _quad(f, a, b):
+    """64-node Gauss-Legendre rule over ``[a, b]``, float or array limits,
+    summed as one left fold from 0.0 so that no ``sum()`` rounds it."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * float(sum(w * f(mid + half * t) for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)))
+    total = 0.0
+    for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+        total = total + w * f(mid + half * t)
+    return half * total
 
 
-def _azimuthal_integral(a: float, b: float, rp: ReducedParams) -> float:
-    """``int_a^b (1 + (thetadot/m) sin 2t)^{-1/2} dt``: :func:`_quad` with
-    the integrand written into its 64 terms, each rounded as ``_quad``
-    rounds it."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def azimuthal_phase(phi, rp: ReducedParams):
+    """Exact ``int_0^phi (1 + (thetadot/m) sin 2t)^{-1/2} dt`` for any real
+    phi, or for each azimuth of a batch: whole periods plus the remainder."""
     ratio = rp.thetadot / rp.m
-    return half * float(sum([w * (1.0 / math.sqrt(1.0 + ratio * math.sin(2.0 * (mid + half * t))))
-                             for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)]))
 
+    def integrand(t):
+        return 1.0 / duals.sqrt(1.0 + ratio * duals.sin(2.0 * t))
 
-def azimuthal_phase(phi: float, rp: ReducedParams) -> float:
-    """Exact ``int_0^phi (1 + (thetadot/m) sin 2t)^{-1/2} dt`` for any real phi."""
-    k = math.floor(phi / TWO_PI)
-    rem = phi - TWO_PI * k
-    return k * rp.azimuthal_period + _azimuthal_integral(0.0, rem, rp)
+    k = (phi / TWO_PI) // 1.0  # floor, of a float or of each point
+    return k * _quad(integrand, 0.0, TWO_PI) + _quad(integrand, 0.0, phi - TWO_PI * k)
 
 
 def polar_action_quadrature(l_tilde: float, d_phi: float, rp: ReducedParams) -> float:
@@ -329,24 +321,28 @@ def radial_action_quadrature(E: float, l_tilde: float, rp: ReducedParams) -> flo
 # -- angle variables ---------------------------------------------------------
 
 
-def _clamped_arcsin(arg: float, which: str) -> float:
-    if abs(arg) > 1.0 + 1e-9:
+def _clamped_arcsin(arg, which: str):
+    outside = abs(arg) > 1.0 + 1e-9
+    if duals.anywhere(outside):
         raise TurningPointError(
-            f"arcsin argument {arg} outside [-1, 1] in the {which} angle formula"
+            f"arcsin argument {duals.first(arg, outside)} outside [-1, 1] in the {which} angle formula"
         )
-    return math.asin(max(-1.0, min(1.0, arg)))
+    # fmin and fmax clamp as min and max do, a NaN argument to 1 included
+    return duals.asin(np.fmax(-1.0, np.fmin(1.0, arg)))
 
 
 def continuous_angles(s: PhasePoint | Sequence[float], J, rp: ReducedParams) -> tuple:
     """Angle variables ``(phi1, phi2, phi3)`` of the actions ``J`` at a
-    spherical state ``s``: a point, or six coordinates whose azimuth may be
-    unwrapped past 2 pi.
+    spherical state ``s``, or at each state of a batch (six float64
+    arrays, see :func:`geometry.batch`); the azimuth may be unwrapped past
+    2 pi.  One state gives three floats, a batch three arrays.
 
     Each principal arcsin is reflected across its turning points by the
     signs of p_r and p_theta, so that along the flow every angle advances
     linearly and (J, phi) are canonical.  A circular orbit has no radial
     terms and a planar one no latitude or node terms; a state outside the
-    turning region of ``J`` raises :class:`TurningPointError`.
+    turning region of ``J`` raises :class:`TurningPointError`, and so does
+    a batch that holds one.
     """
     m, k, M = rp.m, rp.k, rp.M
     j1, j2, j3 = J[0], J[1], J[2]
@@ -357,30 +353,29 @@ def continuous_angles(s: PhasePoint | Sequence[float], J, rp: ReducedParams) -> 
 
     disc = S * S - lt * lt
     if disc <= 1e-14 * S * S:
-        ell = 0.0
-        v = 0.0
+        ell = v = np.zeros_like(r)
     else:
         # G = Q^2 - (m k r - S^2)^2, so the radial guard |arg| <= 1 is G >= 0
-        G = max(-(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S, 0.0)
+        G = np.maximum(-(m * k) ** 2 * r * r + 2.0 * m * k * S * S * r - lt * lt * S * S, 0.0)
         Q = S * math.sqrt(disc)
-        base = _clamped_arcsin((m * k * r - S * S) / Q, "radial") - math.sqrt(G) / (S * S) + 0.5 * math.pi
-        ell = base if p_r >= 0.0 else TWO_PI - base
+        base = _clamped_arcsin((m * k * r - S * S) / Q, "radial") - duals.sqrt(G) / (S * S) + 0.5 * math.pi
+        ell = np.where(p_r >= 0.0, base, TWO_PI - base)
         vb = _clamped_arcsin((1.0 - lt * lt / (m * k * r)) * S * S / Q, "radial-apsidal") + 0.5 * math.pi
-        v = vb if p_r >= 0.0 else TWO_PI - vb
+        v = np.where(p_r >= 0.0, vb, TWO_PI - vb)
 
     if lt * lt - d * d <= 1e-14 * lt * lt:
-        u_lat = 0.0
-        node = 0.0
+        u_lat = node = np.zeros_like(r)
     else:
-        C = _clamped_arcsin(lt / math.sqrt(lt * lt - d * d) * math.cos(theta), "latitude")
-        u_lat = math.pi - C if p_theta >= 0.0 else (C if C >= 0.0 else TWO_PI + C)
-        chi = _clamped_arcsin(d / math.tan(theta) / math.sqrt(lt * lt - d * d), "node")
-        node = math.pi - chi if p_theta >= 0.0 else (chi if chi >= 0.0 else TWO_PI + chi)
+        C = _clamped_arcsin(lt / math.sqrt(lt * lt - d * d) * duals.cos(theta), "latitude")
+        u_lat = np.where(p_theta >= 0.0, math.pi - C, np.where(C >= 0.0, C, TWO_PI + C))
+        chi = _clamped_arcsin(d / duals.tan(theta) / math.sqrt(lt * lt - d * d), "node")
+        node = np.where(p_theta >= 0.0, math.pi - chi, np.where(chi >= 0.0, chi, TWO_PI + chi))
 
     phi1 = ell
     phi2 = M * ell - M * v + u_lat
     phi3 = phi2 / M - node / M + azimuthal_phase(phi, rp)
-    return (phi1, phi2, phi3)
+    angles = (phi1, phi2, phi3)
+    return angles if isinstance(r, np.ndarray) else tuple(map(float, angles))
 
 
 def reduced_structures(rp: ReducedParams):

@@ -642,17 +642,15 @@ def _reduced_flow(ctx: Context):
     yield Entry("integral-drift", "azimuthal and total angular-momentum integrals hold along the flow",
                 drift, 1e-6)
 
-    phi_series = np.unwrap([st[2] for st in traj.states])
-    angles = np.array([
-        continuous_angles((st[0], st[1], float(pu), *st[3:]), J0, rp)
-        for st, pu in zip(traj.states, phi_series)
-    ])
+    states = batch(traj.states)
+    states[2] = np.unwrap(states[2])
+    angles = continuous_angles(states, J0, rp)
     t = np.array(traj.times)
     A = np.vstack([t, np.ones_like(t)]).T
     fr = frequencies(J0, rp)
     rates = []
     for kk in range(3):
-        coef, *_ = np.linalg.lstsq(A, np.unwrap(angles[:, kk]), rcond=None)
+        coef, *_ = np.linalg.lstsq(A, np.unwrap(angles[kk]), rcond=None)
         rates.append(abs(coef[0] - fr[kk]) / abs(fr[kk]))
     yield Entry("angle-rates", "each angle advances linearly at its action frequency", rates, 1e-5)
     yield ("two displayed angle arguments were re-derived before use: the apsidal "
@@ -771,16 +769,10 @@ def _levels(ctx: HierarchyContext):
 
 
 def _recursion_semigroup(ctx: HierarchyContext):
-    rp = ctx.cfg.reduced
-    gaps = []
-    for x in ctx.points[:10]:
-        for h1 in range(0, 3):
-            for h2 in range(0, 3):
-                T1 = recursion_operator(h1, rp).func(list(x.coords))
-                T2 = recursion_operator(h2, rp).func(list(x.coords))
-                T12 = recursion_operator(h1 + h2, rp).func(list(x.coords))
-                gaps.append([[sum(T1[i][kk] * T2[kk][j] for kk in range(6)) - T12[i][j]
-                              for j in range(6)] for i in range(6)])
+    rp, first10 = ctx.cfg.reduced, batch(ctx.points[:10])
+    T = [recursion_operator(h, rp).func(first10) for h in range(5)]
+    gaps = [[[sum(T[h1][i][kk] * T[h2][kk][j] for kk in range(6)) - T[h1 + h2][i][j]
+              for j in range(6)] for i in range(6)] for h1 in range(3) for h2 in range(3)]
     yield Entry("recursion-semigroup", "recursion operators compose by adding their levels",
                 gaps, ctx.cfg.tol_exact)
 

@@ -308,11 +308,6 @@ def involution_parameter_search() -> tuple:
 # -- scaled vectors and generator matrices -------------------------------------
 
 
-def _first(v, mask):
-    """``v`` at the first point where ``mask`` holds; ``v`` itself at one point."""
-    return float(v[mask][0]) if isinstance(v, np.ndarray) else v
-
-
 def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
     """``[L1, L2, L3, G1, G2, G3]`` at the coordinates ``c`` (generic in the
     scalar type), with ``G = A / sqrt(-2mH)`` on the negative-energy region
@@ -324,7 +319,7 @@ def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
         raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
     wrong = Hv >= 0.0 if tau is EnergySign.MINUS else Hv <= 0.0
     if duals.anywhere(wrong):
-        raise ChartDomainError(f"energy sign mismatch: H = {_first(Hv, wrong)} is not "
+        raise ChartDomainError(f"energy sign mismatch: H = {duals.first(Hv, wrong)} is not "
                                f"{'negative' if tau is EnergySign.MINUS else 'positive'}")
     scale = duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
     return angular_momentum(c, params) + [a / scale for a in lrl_vector(c, params)]

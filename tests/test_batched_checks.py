@@ -1,5 +1,5 @@
-"""The batched dual-based checks of the brackets, algebra, hierarchy and
-master suites against their per-point forms, and the work they take.
+"""The batched checks of the brackets, algebra, action-angle, hierarchy
+and master suites against their per-point forms, and the work they take.
 
 Each reference below is the check as it was written before it was batched:
 a Python loop that evaluates one point (or one random draw) at a time on
@@ -9,6 +9,7 @@ sample counts and seeds, the acceptance configuration among them.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from nckepler.deformation import (
     transform_coordinates,
     weighted_bracket,
 )
-from nckepler.errors import ChartDomainError, SingularConfigurationError
+from nckepler.errors import ChartDomainError, SingularConfigurationError, TurningPointError
 from nckepler.geometry import (
     ScalarField,
     batch,
@@ -40,6 +41,7 @@ from nckepler.hierarchy import (
     displayed_bivector_table,
     hierarchy_in_action_angle,
     ladder_energy_field,
+    recursion_operator,
     transported,
 )
 from nckepler.kepler import (
@@ -49,6 +51,7 @@ from nckepler.kepler import (
     hamiltonian,
     hamiltonian_field,
     hamiltonian_vector_field_nc,
+    integrate_field,
 )
 from nckepler.master import (
     apply_recursion_to_vector,
@@ -60,7 +63,18 @@ from nckepler.master import (
     master_symmetry_field,
     pairing_residual,
 )
-from nckepler.reduced import reduced_structures
+from nckepler.reduced import (
+    TWO_PI,
+    ReducedParams,
+    actions_from_integrals,
+    azimuthal_phase,
+    continuous_angles,
+    first_integrals,
+    frequencies,
+    reduced_structures,
+    spherical_hamiltonian,
+    spherical_rhs,
+)
 from nckepler.report import SuiteReport
 from nckepler.sampling import (
     polynomial_field,
@@ -68,6 +82,7 @@ from nckepler.sampling import (
     sample_cartesian,
     sample_deformations,
     sample_delaunay,
+    sample_spherical_bound,
 )
 from nckepler.suites import Entry, VerifyConfig, run_checks
 from nckepler.symmetry import (
@@ -366,6 +381,51 @@ def _ref_recursion_families(ctx):
                 "family energies differentiate to the family differentials", gaps, 1e-10)
 
 
+def _ref_reduced_flow(ctx):
+    rp, s0 = ctx.cfg.reduced, ctx.points[0]
+    traj = integrate_field(s0, spherical_rhs(rp), 2e-4, 4000, method="rk4",
+                           observe=suites._energy_monitor(rp), monitor_names=("H",))
+    E0 = traj.monitor_series("H")[0]
+    _, d0, lt0 = first_integrals(s0, rp)
+    J0 = actions_from_integrals(E0, lt0, d0, rp)
+    drift = [(d - d0, lt - lt0) for _, d, lt in (first_integrals(st, rp) for st in traj.states[::100])]
+    yield Entry("integral-drift", "azimuthal and total angular-momentum integrals hold along the flow",
+                drift, 1e-6)
+    phi_series = np.unwrap([st[2] for st in traj.states])
+    angles = np.array([
+        continuous_angles((st[0], st[1], float(pu), *st[3:]), J0, rp)
+        for st, pu in zip(traj.states, phi_series)
+    ])
+    t = np.array(traj.times)
+    A = np.vstack([t, np.ones_like(t)]).T
+    fr = frequencies(J0, rp)
+    rates = []
+    for kk in range(3):
+        coef, *_ = np.linalg.lstsq(A, np.unwrap(angles[:, kk]), rcond=None)
+        rates.append(abs(coef[0] - fr[kk]) / abs(fr[kk]))
+    yield Entry("angle-rates", "each angle advances linearly at its action frequency", rates, 1e-5)
+    yield ("two displayed angle arguments were re-derived before use: the apsidal "
+           "arcsin takes (1 - L~^2/(m k r)) S^2 over the turning factor (the "
+           "displayed variant is not dimensionless), the latitude term carries no "
+           "extra M factor and enters with a minus sign, and the node term carries "
+           "1/M; the linear-rate test pins all three")
+
+
+def _ref_recursion_semigroup(ctx):
+    rp = ctx.cfg.reduced
+    gaps = []
+    for x in ctx.points[:10]:
+        for h1 in range(0, 3):
+            for h2 in range(0, 3):
+                T1 = recursion_operator(h1, rp).func(list(x.coords))
+                T2 = recursion_operator(h2, rp).func(list(x.coords))
+                T12 = recursion_operator(h1 + h2, rp).func(list(x.coords))
+                gaps.append([[sum(T1[i][kk] * T2[kk][j] for kk in range(6)) - T12[i][j]
+                              for j in range(6)] for i in range(6)])
+    yield Entry("recursion-semigroup", "recursion operators compose by adding their levels",
+                gaps, ctx.cfg.tol_exact)
+
+
 # (suite, batched check, its per-point reference)
 PAIRS = [
     ("brackets", suites._bracket_patterns, _ref_bracket_patterns),
@@ -377,6 +437,8 @@ PAIRS = [
     ("algebra", suites._pairwise_tables, _ref_pairwise_tables),
     ("algebra", suites._closure_fits, _ref_closure_fits),
     ("algebra", suites._algebra_jacobi, _ref_algebra_jacobi),
+    ("action-angle", suites._reduced_flow, _ref_reduced_flow),
+    ("hierarchy", suites._recursion_semigroup, _ref_recursion_semigroup),
     ("hierarchy", suites._transport, _ref_transport),
     ("master", suites._master_pairing, _ref_master_pairing),
     ("master", suites._conformal, _ref_conformal),
@@ -494,6 +556,39 @@ def test_float_evaluators_of_a_large_batch_equal_the_float_route_bitwise():
         _assert_pointwise(family_flow_field(h, rp).func, at_i3)
 
 
+def _torus(s, rp: ReducedParams):
+    """The actions of the bound state ``s``, and ``s`` under every sign of
+    p_r and p_theta with its azimuth moved by whole turns, past -2 pi and
+    2 pi: every state lies on the torus of those actions."""
+    E = spherical_hamiltonian(s, rp)
+    _, d, lt = first_integrals(s, rp)
+    J = actions_from_integrals(E, lt, d, rp)
+    r, theta, phi, p_r, p_t, p_p = s.coords
+    return J, [(r, theta, phi + turns * TWO_PI, sr * p_r, st * p_t, p_p)
+               for turns in (-3, -1, 0, 1, 5) for sr in (1.0, -1.0) for st in (1.0, -1.0)]
+
+
+ANGLE_PARAMS = [VerifyConfig().reduced, ReducedParams(),
+                ReducedParams(thetadot=-0.009, phidot=-0.2, m=1.3, k=0.7)]
+
+
+@pytest.mark.parametrize("rp", ANGLE_PARAMS, ids=["acceptance", "classical", "negative-rates"])
+def test_angle_map_of_a_batch_equals_each_states_float_call_bitwise(rp):
+    # with J1 = 0 the orbit is circular and has no radial terms; with J2 = 0
+    # (and the same S and L~) it is planar and has no latitude or node terms
+    for s in sample_spherical_bound(12, 3, rp):
+        J, states = _torus(s, rp)
+        for actions in (J, (0.0, J[1], J[2]), (J[0], 0.0, rp.M * J[1] + J[2])):
+            _assert_pointwise(lambda x: continuous_angles(x, actions, rp), states)
+            assert all(type(v) is float for v in continuous_angles(states[0], actions, rp))
+        _assert_pointwise(lambda x: azimuthal_phase(coords_of(x)[2], rp), states)
+    phis = np.linspace(-15.0, 40.0, 241).tolist() + [
+        0.0, -0.0, 1e-300, -1e-9, math.pi, TWO_PI, -TWO_PI, 3 * TWO_PI + 0.25]
+    _assert_pointwise(lambda x: azimuthal_phase(coords_of(x)[2], rp),
+                      [(1.0, 1.0, phi, 0.0, 0.0, 0.0) for phi in phis])
+    assert type(azimuthal_phase(0.5, rp)) is float
+
+
 def test_guards_test_every_point_of_a_batch():
     # one failing point fails the batch, with the message that point gives
     comm = DeformationParams()
@@ -513,6 +608,14 @@ def test_guards_test_every_point_of_a_batch():
     flow = reduced_structures(VerifyConfig().reduced)[2]
     with pytest.raises(ChartDomainError, match="action sum S must be positive"):
         flow.func(batch([[0.5, 0.5, 0.5, 0.0, 0.0, 0.0], [-2.0, 0.5, 0.5, 0.0, 0.0, 0.0]]))
+    rp = VerifyConfig().reduced
+    J, states = _torus(sample_spherical_bound(1, 4, rp)[0], rp)
+    far = (50.0, 1.1, 0.4, 0.0, 0.1, 0.5)
+    with pytest.raises(TurningPointError) as want:
+        continuous_angles(far, J, rp)
+    with pytest.raises(TurningPointError) as got:
+        continuous_angles(batch(states[:7] + [far] + states[7:]), J, rp)
+    assert str(got.value) == str(want.value)
 
 
 # -- work counts ---------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""The verify reports do not depend on how ``sum()`` rounds floats.
+
+From CPython 3.12, ``sum()`` adds exact floats with Neumaier's compensated
+algorithm (gh-100425); 3.11 and earlier add them left to right.  The
+package supports both, so no report may rest on a float ``sum()``.
+``neumaier_sum`` models the 3.12 ``builtin_sum`` step by step: an int fast
+path, a compensated float fast path that also takes ints, and the generic
+``+`` for anything else (numpy scalars and arrays among them), with the
+compensation added in before it leaves the float path.
+"""
+
+import builtins
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from nckepler.suites import SUITES, VerifyConfig
+
+LONG_MAX = 2**63 - 1
+
+
+def neumaier_sum(iterable, /, start=0):
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) in (int, bool):  # exact, whatever the C fast path's range
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in it:
+            if type(item) is float:
+                t = total + item
+                comp += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and abs(item) <= LONG_MAX:
+                total += float(item)
+                continue
+            if comp and math.isfinite(comp):
+                total += comp
+            result = total + item
+            break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in it:
+        result = result + item
+    return result
+
+
+def test_the_model_compensates_floats_only():
+    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert neumaier_sum([0.1] * 10) == 1.0
+    assert neumaier_sum([-0.0, -0.0], -0.0).hex() == (-0.0).hex()
+    assert neumaier_sum([3, True, 2**70]) == 4 + 2**70
+    assert neumaier_sum([[1], [2.5]], []) == [1, 2.5]
+    # a numpy scalar or array leaves the float path, compensation added in
+    got = neumaier_sum([1e100, 1.0, -1e100, np.float64(0.5), np.array([1.0, 2.0])])
+    assert got.tolist() == [2.5, 3.5]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum() compensates from CPython 3.12")
+def test_the_model_equals_the_builtin_sum():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        terms = (rng.standard_normal(50) * 10.0 ** rng.uniform(-20, 20, 50)).tolist()
+        assert neumaier_sum(terms).hex() == sum(terms).hex()
+
+
+def _reports() -> dict:
+    cfg = VerifyConfig(samples=24)
+    return {name: suite(cfg).to_json() for name, suite in SUITES.items()}
+
+
+def test_every_report_keeps_its_bytes_under_a_compensated_sum(monkeypatch):
+    plain = _reports()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    compensated = _reports()
+    assert [name for name in plain if compensated[name] != plain[name]] == []

@@ -320,3 +320,14 @@ def test_elementary_functions_of_a_batched_dual_equal_each_points_pass_bitwise()
             ref = fn(Dual(float(a[p]), (float(t[p]), 1.0)))
             assert float(r.a[p]).hex() == float(ref.a).hex()
             assert [float(np.broadcast_to(v, 40)[p]).hex() for v in r.b] == [float(v).hex() for v in ref.b]
+
+
+def test_non_integral_power_of_a_positive_base_rounds_as_float_pow():
+    # hierarchy.energy_rescaled_map raises a Dual to 1.5 under jacobian
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(1e-3, 50.0, 200), rng.standard_normal(200)
+    r = Dual(a, (b,)) ** 1.5
+    for p, (x, t) in enumerate(zip(a.tolist(), b.tolist())):
+        point = Dual(x, (t,)) ** 1.5
+        assert point.a.hex() == (x**1.5).hex() == float(r.a[p]).hex()
+        assert point.b[0].hex() == (1.5 * x**0.5 * t).hex() == float(r.b[0][p]).hex()
