@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ChartDomainError
-from .geometry import Chart, PhasePoint
+from .geometry import Chart, PhasePoint, dot
 from .reduced import (
     ReducedParams,
     actions_from_integrals,
@@ -55,9 +55,9 @@ def cartesian_to_spherical(x: PhasePoint) -> PhasePoint:
     that = (math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -st)
     phat = (-math.sin(phi), math.cos(phi), 0.0)
     p = (p1, p2, p3)
-    p_r = sum(a * b for a, b in zip(rhat, p))
-    p_t = r * sum(a * b for a, b in zip(that, p))
-    p_p = r * st * sum(a * b for a, b in zip(phat, p))
+    p_r = dot(rhat, p)
+    p_t = r * dot(that, p)
+    p_p = r * st * dot(phat, p)
     return PhasePoint((r, theta, phi, p_r, p_t, p_p), Chart.SPHERICAL)
 
 

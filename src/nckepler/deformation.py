@@ -192,12 +192,6 @@ def coordinate_function(index: int) -> ScalarField:
     return ScalarField(lambda c, i=index: c[i])
 
 
-def canonical_bracket(df, dg):
-    """The undeformed bracket from the cartesian gradients ``df`` and ``dg``:
-    ``sum_i (df/dq^i dg/dp_i - df/dp_i dg/dq^i)``."""
-    return sum(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
-
-
 def nc_symplectic_structures(params: DeformationParams) -> tuple[TensorField, TensorField]:
     """Constant two-form ``sum theta_nu dp_nu ^ dq^nu`` and its inverse bivector.
 

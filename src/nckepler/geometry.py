@@ -445,6 +445,16 @@ def max_abs(x) -> float:
     return worst
 
 
+def dot(u, v):
+    """``sum_i u[i] v[i]`` as one left fold from 0.0, so that no ``sum()``
+    rounds it: CPython 3.12's ``sum()`` compensates float additions, earlier
+    versions do not."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
 def max_abs_per_point(values):
     """:func:`max_abs` over ``values`` at each point: a float at a single
     point and an array over a batch, NaN wherever any value is NaN."""

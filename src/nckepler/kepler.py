@@ -5,11 +5,13 @@ The Hamiltonian on the cartesian chart is
     H = (1/2m) sum_i (p_i + (1/2) sum_j lam[i][j] q^j)^2 - k / Y,
 
 where ``Y = |q - (1/2) alpha p|`` is the deformed radius.  The closed-form
-equations of motion below were re-derived from this Hamiltonian and are
-cross-checked against the bivector route ``P(dH, .)`` in the test suite; the
-radial coefficients carry the coupling constant k (sigma has k/(4 Y^3) and
-sigma-tilde has k/Y^3), and the excluded-diagonal double sums are exactly
-what remains after absorbing the diagonal into those coefficients.
+equations of motion, :func:`flow_rhs`, were re-derived from this Hamiltonian.
+They are written once: the integrators run them, and the brackets suite
+checks them against the bivector route ``P(dH, .)`` at every sampled point
+through :func:`hamilton_rhs_closed_form`.  The radial coefficients carry the
+coupling constant k (sigma has k/(4 Y^3) and sigma-tilde has k/Y^3), and the
+excluded-diagonal double sums are exactly what remains after absorbing the
+diagonal into those coefficients.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .geometry import (
     VectorField,
     check_chart_domain,
     coords_of,
+    dot,
     hamiltonian_vector_field,
 )
 
@@ -113,30 +116,9 @@ METHODS = ("rk4", "implicit_midpoint")
 
 
 def hamilton_rhs_closed_form(x, params: DeformationParams) -> list:
-    """Closed-form (qdot, pdot) from the radial coefficients sigma,
-    sigma-tilde and R; the double sums skip the nu = mu diagonal."""
-    coords = coords_of(x)
-    q, p = coords[:3], coords[3:]
-    a, l = params.alpha, params.lam
-    th = params.theta
-    m, k = params.mass, params.k
-    ky3 = k / duals.power(duals.value(deformed_radius(coords, params)), 3)
-    sigma = [1.0 / m + 0.25 * ky3 * sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3)]
-    sigma_tilde = [ky3 + 0.25 / m * sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3)]
-    R = [[l[mu][s] / (2.0 * m) - a[s][mu] * 0.5 * ky3 for s in range(3)] for mu in range(3)]
-    qdot = [0.0] * 3
-    pdot = [0.0] * 3
-    for mu in range(3):
-        dq = sigma[mu] * p[mu] + sum(R[mu][s] * q[s] for s in range(3))
-        dp = sigma_tilde[mu] * q[mu] - sum(R[mu][s] * p[s] for s in range(3))
-        for nu in range(3):
-            if nu == mu:
-                continue
-            dq += 0.25 * ky3 * sum(a[li][mu] * a[li][nu] for li in range(3)) * p[nu]
-            dp += 0.25 / m * sum(l[li][mu] * l[li][nu] for li in range(3)) * q[nu]
-        qdot[mu] = dq / th[mu]
-        pdot[mu] = -dp / th[mu]
-    return qdot + pdot
+    """Closed-form (qdot, pdot) at one cartesian point: the integrators'
+    right-hand side :func:`flow_rhs`, evaluated there."""
+    return flow_rhs(params)(coords_of(x))
 
 
 def hamilton_rhs_primed_form(x, params: DeformationParams) -> list:
@@ -175,12 +157,14 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
     """Closed-form right-hand side for the integrators, built once per params.
 
     In the commutative limit it is the plain Kepler force.  Otherwise it is
-    :func:`hamilton_rhs_closed_form` with every alpha/lambda-only
-    subexpression computed here instead of on each call.  The result is
-    bit-identical to that reference: each hoisted constant is a
-    left-to-right prefix of the reference expression, ``**`` and
-    ``math.sqrt`` are kept, and a three-term ``sum()`` is ``0.0 + a + b +
-    c``, the additions ``sum()`` makes on CPython 3.11.
+    ``qdot_mu = (sigma_mu p_mu + sum_s R_mu,s q^s + (1/4) ky3 sum_(nu != mu)
+    (alpha^T alpha)_mu,nu p_nu) / theta_mu`` and ``pdot_mu = -(sigma-tilde_mu
+    q^mu - sum_s R_mu,s p_s + (1/4m) sum_(nu != mu) (lam^T lam)_mu,nu q^nu) /
+    theta_mu``, with ``ky3 = k / Y^3``, ``sigma = 1/m + (1/4) ky3 diag(alpha^T
+    alpha)``, ``sigma-tilde = ky3 + (1/4m) diag(lam^T lam)`` and ``R = lam /
+    2m - (1/2) ky3 alpha^T``.  Every alpha/lambda-only subexpression is
+    computed here instead of on each call, and every sum is a left fold from
+    ``0.0``, so the result does not depend on how ``sum()`` rounds.
     """
     m, k = params.mass, params.k
     if params.is_commutative:
@@ -201,8 +185,8 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
     th1, th2, th3 = params.theta
     inv_m = 1.0 / m
     # sigma = 1/m + (0.25 ky3) sa, sigma-tilde = ky3 + cl, R = rl - ra ky3
-    sa1, sa2, sa3 = (sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3))
-    cl1, cl2, cl3 = (0.25 / m * sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3))
+    sa1, sa2, sa3 = (0.0 + a[0][mu] ** 2 + a[1][mu] ** 2 + a[2][mu] ** 2 for mu in range(3))
+    cl1, cl2, cl3 = (0.25 / m * (0.0 + l[0][mu] ** 2 + l[1][mu] ** 2 + l[2][mu] ** 2) for mu in range(3))
     (rl11, rl12, rl13), (rl21, rl22, rl23), (rl31, rl32, rl33) = (
         [l[mu][s] / (2.0 * m) for s in range(3)] for mu in range(3)
     )
@@ -211,11 +195,10 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
     )
     # off-diagonal couplings (0.25 ky3) saa[mu][nu] and cll[mu][nu], nu != mu
     pairs = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-    saa12, saa13, saa21, saa23, saa31, saa32 = (
-        sum(a[li][mu] * a[li][nu] for li in range(3)) for mu, nu in pairs
-    )
+    a_cols, l_cols = tuple(zip(*a)), tuple(zip(*l))
+    saa12, saa13, saa21, saa23, saa31, saa32 = (dot(a_cols[mu], a_cols[nu]) for mu, nu in pairs)
     cll12, cll13, cll21, cll23, cll31, cll32 = (
-        0.25 / m * sum(l[li][mu] * l[li][nu] for li in range(3)) for mu, nu in pairs
+        0.25 / m * dot(l_cols[mu], l_cols[nu]) for mu, nu in pairs
     )
 
     def rhs(c):

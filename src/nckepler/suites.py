@@ -21,8 +21,9 @@ bits of its own float evaluation.  Random draws batch the same way: the
 random-observable brackets draw their coefficients row by row and stack
 them into arrays over the rows, and the algebra Jacobi rows each read
 their own entries of one Jacobian of the basis and one of its brackets.
-Only the action identities, the chart structures and the canonical maps
-still evaluate point by point.
+Only the action identities, the chart structures, the canonical maps and
+the closed-form flow still evaluate point by point; the flow is the
+integrators' own right-hand side, which takes one point at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .charts import (
 from .deformation import (
     DeformationParams,
     beta_bracket_table,
-    canonical_bracket,
     coordinate_function,
     nc_bracket,
     nc_bracket_field,
@@ -59,6 +59,7 @@ from .geometry import (
     TensorField,
     batch,
     bivector_bracket,
+    dot,
     flow_pairing_residual,
     gradient,
     inverse_pair_residual,
@@ -136,7 +137,6 @@ from .symmetry import (
     EnergySign,
     angular_momentum,
     bracket_H_closed_forms,
-    bracket_H_with_L,
     closure_fit,
     generator_matrix,
     involution_parameter_search,
@@ -339,7 +339,9 @@ def _beta_table(ctx: BracketsContext):
     tol = ctx.cfg.tol_exact
     table = beta_bracket_table(ctx.params)
     q, p = _primed_gradients(ctx, ctx.points[:10])
-    qq, qp, pp = _table_gaps(canonical_bracket, ((q, q, table.qq), (q, p, table.qp), (p, p, table.pp)))
+    # the canonical bracket {f, g} is the weighted bracket of (g, f) at unit weights
+    qq, qp, pp = _table_gaps(lambda df, dg: weighted_bracket(dg, df, (1.0, 1.0, 1.0)),
+                             ((q, q, table.qq), (q, p, table.qp), (p, p, table.pp)))
     yield Entry("beta-table-qq", "canonical {q'_i, q'_j} reproduces the declared qq block", qq, tol)
     yield Entry("beta-table-qp", "canonical {q'_i, p'_j} reproduces identity + gamma", qp, tol)
     yield Entry("beta-table-pp", "canonical {p'_i, p'_j} reproduces the declared pp block", pp, tol)
@@ -386,10 +388,11 @@ def _equations_of_motion(ctx: BracketsContext):
     defs = sample_deformations(cfg.deformation_sets, cfg.seed + 2)
     closed, primed, iota = [], [], []
     for pset in defs:
-        x = batch(sample_cartesian(max(10, cfg.samples // len(defs)), cfg.seed + 3, pset))
+        pts = sample_cartesian(max(10, cfg.samples // len(defs)), cfg.seed + 3, pset)
+        x = batch(pts)
         X = hamiltonian_vector_field_nc(pset)
         omega_p, _ = nc_symplectic_structures(pset)
-        cf = hamilton_rhs_closed_form(x, pset)
+        cf = batch([hamilton_rhs_closed_form(p, pset) for p in pts])
         closed.append(_gaps(cf, X(x)))
         primed.append(_gaps(cf, hamilton_rhs_primed_form(x, pset)))
         iota.append(flow_pairing_residual(X, omega_p, hamiltonian_field(pset), x))
@@ -557,9 +560,12 @@ def _flow_bracket_consistency(ctx: AlgebraContext):
     x_nc = sample_cartesian(1, ctx.cfg.seed + 7, params, energy_sign="minus")[0]
     dt = 2e-4
     traj = integrate(x_nc, params, dt=dt, n_steps=400, method="rk4", monitors=("L1", "L2", "L3"))
+    picked = range(5, len(traj.states) - 5, 25)
+    closed = bracket_H_closed_forms(batch([traj.states[idx] for idx in picked]), params)[0]
     gaps, rates = [], []
-    for idx in range(5, len(traj.states) - 5, 25):
-        for i, cf in enumerate(bracket_H_with_L(traj.states[idx], params)):
+    for n, idx in enumerate(picked):
+        for i, column in enumerate(closed):
+            cf = float(column[n])
             s = traj.monitor_series(f"L{i + 1}")
             fd = (-s[idx + 2] + 8.0 * s[idx + 1] - 8.0 * s[idx - 1] + s[idx - 2]) / (12.0 * dt)
             rates.append(cf)
@@ -673,9 +679,8 @@ def _chart_reduction_oracle(ctx: Context):
         lam = ((0.0, -td0 * pd0 * math.sin(2 * phi), math.sqrt(2) * td0 * pd0 * math.cos(phi)),
                (td0 * pd0 * math.sin(2 * phi), 0.0, math.sqrt(2) * td0 * pd0 * math.sin(phi)),
                (-math.sqrt(2) * td0 * pd0 * math.cos(phi), -math.sqrt(2) * td0 * pd0 * math.sin(phi), 0.0))
-        lq = [sum(lam[i][j] * q[j] for j in range(3)) for i in range(3)]
-        h_cart = (sum(v * v for v in p) + sum(p[i] * lq[i] for i in range(3))) / (2.0 * rp.m) \
-            - rp.k / math.sqrt(sum(v * v for v in q))
+        lq = [dot(row, q) for row in lam]
+        h_cart = (dot(p, p) + dot(p, lq)) / (2.0 * rp.m) - rp.k / math.sqrt(dot(q, q))
         m2t = 1.0 + math.sqrt(2.0) * pd0 / rp.m
         u = 1.0 + (td0 / rp.m) * math.sin(2.0 * phi)
         h_sph = (p_r**2 + m2t * p_t**2 / r**2

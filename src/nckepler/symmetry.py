@@ -34,7 +34,7 @@ import numpy as np
 from . import duals
 from .deformation import DeformationParams, transform_coordinates, weighted_bracket
 from .errors import ChartDomainError
-from .geometry import PhasePoint, ScalarField, batch, coords_of
+from .geometry import PhasePoint, ScalarField, batch, coords_of, dot
 from .kepler import (
     hamiltonian,
     primed_angular_momentum,
@@ -152,10 +152,9 @@ def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> t
     qp, pp = fr.qp, fr.pp
     m, k = params.mass, params.k
     ky3 = k / duals.power(fr.y, 3)
-    G = [sum(sm.D[nu][j] * pp[j] for j in range(3)) / m
-         + ky3 * sum(sm.F[nu][j] * qp[j] for j in range(3)) for nu in range(3)]
-    Fp = [sum(sm.F[j][nu] * pp[j] for j in range(3)) for nu in range(3)]
-    Eq = [sum(sm.E[j][nu] * qp[j] for j in range(3)) for nu in range(3)]
+    G = [dot(sm.D[nu], pp) / m + ky3 * dot(sm.F[nu], qp) for nu in range(3)]
+    Fp = [dot(column, pp) for column in zip(*sm.F)]
+    Eq = [dot(column, qp) for column in zip(*sm.E)]
     out = []
     for i in range(3):
         total = 0.0
@@ -167,11 +166,6 @@ def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> t
                 total += eps * (G[nu] * qp[mu] + (Fp[nu] / m + ky3 * Eq[nu]) * pp[mu])
         out.append(total)
     return out, G
-
-
-def bracket_H_with_L(x, params: DeformationParams) -> list:
-    """Closed forms of the brackets of H with L_1, L_2, L_3 at a cartesian point."""
-    return _H_with_L(_frame(x, params), structure_matrices(params), params)[0]
 
 
 def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:

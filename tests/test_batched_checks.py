@@ -502,7 +502,6 @@ def test_batched_evaluators_equal_each_points_float_route_bitwise(samples, seed)
             (pset, sample_cartesian(10, seed + 3, pset)) for pset in sample_deformations(3, seed + 2)]:
         X = hamiltonian_vector_field_nc(params)
         for evaluate in (
-            lambda x: hamilton_rhs_closed_form(x, params),
             lambda x: hamilton_rhs_primed_form(x, params),
             lambda x: X(x),
             lambda x: duals.grad(hamiltonian_field(params).func, coords_of(x)),
@@ -539,7 +538,6 @@ def test_float_evaluators_of_a_large_batch_equal_the_float_route_bitwise():
         for evaluate in (
             lambda x: deformed_radius(x, params),
             lambda x: hamiltonian(x, params),
-            lambda x: hamilton_rhs_closed_form(x, params),
             lambda x: hamilton_rhs_primed_form(x, params),
             lambda x: bracket_H_closed_forms(x, params),
         ):

@@ -16,6 +16,9 @@ import sys
 import numpy as np
 import pytest
 
+from nckepler.charts import convert
+from nckepler.errors import NCKeplerError
+from nckepler.geometry import Chart, PhasePoint
 from nckepler.suites import SUITES, VerifyConfig
 
 LONG_MAX = 2**63 - 1
@@ -76,13 +79,41 @@ def test_the_model_equals_the_builtin_sum():
         assert neumaier_sum(terms).hex() == sum(terms).hex()
 
 
-def _reports() -> dict:
-    cfg = VerifyConfig(samples=24)
+def _reports(seed: int) -> dict:
+    cfg = VerifyConfig(samples=24, seed=seed)
     return {name: suite(cfg).to_json() for name, suite in SUITES.items()}
 
 
-def test_every_report_keeps_its_bytes_under_a_compensated_sum(monkeypatch):
-    plain = _reports()
+@pytest.mark.parametrize("seed", [0, 4, 5, 7, 42])
+def test_every_report_keeps_its_bytes_under_a_compensated_sum(seed, monkeypatch):
+    plain = _reports(seed)
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
-    compensated = _reports()
+    compensated = _reports(seed)
     assert [name for name in plain if compensated[name] != plain[name]] == []
+
+
+def _conversions(states, rp) -> list:
+    """Each state's coordinates by ``float.hex`` in the spherical,
+    action-angle and Delaunay charts, or the message it fails with."""
+    out = []
+    for c in states:
+        for target in (Chart.SPHERICAL, Chart.ACTION_ANGLE, Chart.DELAUNAY):
+            try:
+                out.append([v.hex() for v in convert(PhasePoint(c, Chart.CARTESIAN), target, rp).coords])
+            except NCKeplerError as err:
+                out.append(f"{type(err).__name__}: {err}")
+    return out
+
+
+def test_chart_conversions_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # about half the states are unbound, so the action-angle and Delaunay
+    # conversions fail with a message there
+    rng = np.random.default_rng(11)
+    states = [tuple(c) for c in rng.uniform([-1.6] * 3 + [-1.1] * 3, [1.6] * 3 + [1.1] * 3,
+                                            size=(3_000, 6)).tolist()]
+    rp = VerifyConfig().reduced
+    plain = _conversions(states, rp)
+    assert 0 < sum(isinstance(v, str) for v in plain) < len(plain)
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    compensated = _conversions(states, rp)
+    assert [i for i, v in enumerate(plain) if compensated[i] != v] == []

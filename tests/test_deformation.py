@@ -7,12 +7,12 @@ from nckepler import duals
 from nckepler.deformation import (
     DeformationParams,
     beta_bracket_table,
-    canonical_bracket,
     coordinate_function,
     nc_bracket,
     nc_bracket_field,
     nc_symplectic_structures,
     transform_coordinates,
+    weighted_bracket,
 )
 from nckepler.errors import InvalidDeformationError
 from nckepler.geometry import Chart, PhasePoint, batch, bivector_bracket, flat_sharp_composition
@@ -127,11 +127,15 @@ def test_beta_table_matches_canonical_brackets_of_primed_coordinates():
     params = pair_deformation(0.3, 0.2)
     table = beta_bracket_table(params)
     primed = duals.jacobian(lambda c: transform_coordinates(c, params), X.coords)
+    # the canonical bracket {f, g} is the weighted one of (g, f) at unit weights
+    def canonical(df, dg):
+        return weighted_bracket(dg, df, (1.0, 1.0, 1.0))
+
     for i in range(3):
         for j in range(3):
-            assert abs(canonical_bracket(primed[i], primed[j]) - table.qq[i][j]) < 1e-14
-            assert abs(canonical_bracket(primed[i], primed[3 + j]) - table.qp[i][j]) < 1e-14
-            assert abs(canonical_bracket(primed[3 + i], primed[3 + j]) - table.pp[i][j]) < 1e-14
+            assert abs(canonical(primed[i], primed[j]) - table.qq[i][j]) < 1e-14
+            assert abs(canonical(primed[i], primed[3 + j]) - table.qp[i][j]) < 1e-14
+            assert abs(canonical(primed[3 + i], primed[3 + j]) - table.pp[i][j]) < 1e-14
     assert table.qq == params.alpha
     assert table.pp == params.lam
 

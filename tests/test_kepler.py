@@ -1,9 +1,11 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from nckepler import duals
+from nckepler import duals, kepler, suites
 from nckepler.deformation import DeformationParams, nc_symplectic_structures, transform_coordinates
 from nckepler.errors import ChartDomainError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product
@@ -20,7 +22,9 @@ from nckepler.kepler import (
     integrate_field,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
-from nckepler.symmetry import bracket_H_with_L
+from nckepler.report import SuiteReport
+from nckepler.suites import VerifyConfig, run_checks
+from nckepler.symmetry import bracket_H_closed_forms
 
 COMM = DeformationParams()
 
@@ -109,12 +113,82 @@ def test_flow_satisfies_interior_product_identity():
         assert max(abs(duals.value(ip[i]) + duals.value(dH[i])) for i in range(6)) < 1e-10
 
 
+def _left_sum(terms):
+    """``sum()`` as CPython 3.11 adds floats: left to right from 0.0."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+def _ref_closed_form(x, params):
+    """The deformed flow from the radial coefficients sigma, sigma-tilde and
+    R, written generically, coordinate by coordinate; the double sums skip
+    the nu = mu diagonal."""
+    coords = list(x)
+    q, p = coords[:3], coords[3:]
+    a, l = params.alpha, params.lam
+    th = params.theta
+    m, k = params.mass, params.k
+    ky3 = k / duals.power(duals.value(deformed_radius(coords, params)), 3)
+    sigma = [1.0 / m + 0.25 * ky3 * _left_sum(a[i][mu] ** 2 for i in range(3)) for mu in range(3)]
+    sigma_tilde = [ky3 + 0.25 / m * _left_sum(l[i][mu] ** 2 for i in range(3)) for mu in range(3)]
+    R = [[l[mu][s] / (2.0 * m) - a[s][mu] * 0.5 * ky3 for s in range(3)] for mu in range(3)]
+    qdot = [0.0] * 3
+    pdot = [0.0] * 3
+    for mu in range(3):
+        dq = sigma[mu] * p[mu] + _left_sum(R[mu][s] * q[s] for s in range(3))
+        dp = sigma_tilde[mu] * q[mu] - _left_sum(R[mu][s] * p[s] for s in range(3))
+        for nu in range(3):
+            if nu == mu:
+                continue
+            dq += 0.25 * ky3 * _left_sum(a[li][mu] * a[li][nu] for li in range(3)) * p[nu]
+            dp += 0.25 / m * _left_sum(l[li][mu] * l[li][nu] for li in range(3)) * q[nu]
+        qdot[mu] = dq / th[mu]
+        pdot[mu] = -dp / th[mu]
+    return qdot + pdot
+
+
+def _awkward_states() -> list:
+    """States whose coordinates square differently under ``**`` and ``*``
+    (about 1 in 1 000 random floats do), with random signs."""
+    rng = np.random.default_rng(5)
+    awkward = [v for v in rng.uniform(0.2, 1.5, 400_000).tolist() if v**2 != v * v][:300]
+    signs = rng.choice([-1.0, 1.0], size=(50, 6))
+    return (signs * rng.choice(awkward, size=(50, 6))).tolist()
+
+
 def test_hoisted_flow_equals_closed_form_exactly():
-    for params in sample_deformations(10):
+    awkward = _awkward_states()
+    for params in sample_deformations(10) + sample_deformations(1, 5):
         assert not params.is_commutative
         rhs = flow_rhs(params)
-        for x in sample_cartesian(200, params=params):
-            assert rhs(list(x.coords)) == hamilton_rhs_closed_form(x, params)
+        for c in [list(x.coords) for x in sample_cartesian(200, params=params)] + awkward:
+            want = [v.hex() for v in _ref_closed_form(c, params)]
+            assert [v.hex() for v in rhs(c)] == want, c
+            x = PhasePoint(tuple(c), Chart.CARTESIAN)
+            assert [v.hex() for v in hamilton_rhs_closed_form(x, params)] == want, c
+
+
+def test_the_flow_entry_checks_the_integrators_right_hand_side(monkeypatch):
+    ctx = suites.SUITES["brackets"].context(VerifyConfig(samples=24, seed=0))
+
+    def entry():
+        rep = run_checks(SuiteReport("brackets"), ctx, (suites._equations_of_motion,))
+        return next(e for e in rep.entries if e.identity == "eom-closed-vs-bivector")
+
+    assert entry().passed
+    exact = kepler.flow_rhs
+
+    def skewed(params):
+        rhs = exact(params)
+
+        def off(c):
+            out = rhs(c)
+            out[4] *= 1.0 + 1e-6
+            return out
+
+        return off
+
+    monkeypatch.setattr(kepler, "flow_rhs", skewed)
+    assert not entry().passed
 
 
 @pytest.mark.parametrize("params", [COMM, pair_deformation(0.04, 0.0)], ids=["commutative", "deformed"])
@@ -179,7 +253,7 @@ def test_deformed_monitor_derivative_matches_bracket():
     traj = integrate(x0, params, dt=dt, n_steps=200, method="rk4", monitors=["L1", "L2", "L3"])
     assert traj.completed
     for idx in (50, 100, 150):
-        for i, cf in enumerate(bracket_H_with_L(traj.states[idx], params)):
+        for i, cf in enumerate(bracket_H_closed_forms(traj.states[idx], params)[0]):
             s = traj.monitor_series(f"L{i + 1}")
             fd = (-s[idx + 2] + 8 * s[idx + 1] - 8 * s[idx - 1] + s[idx - 2]) / (12 * dt)
             assert abs(fd - cf) / max(abs(cf), 1e-3) < 1e-6

@@ -25,7 +25,6 @@ from nckepler.symmetry import (
     angular_momentum,
     angular_momentum_field,
     bracket_H_closed_forms,
-    bracket_H_with_L,
     closure_fit,
     generator_matrix,
     involution_parameter_search,
@@ -105,8 +104,9 @@ def test_structure_matrices_match_weighted_brackets():
 
 
 def test_bracket_H_L_closed_form_vanishes_commutative():
-    assert max(abs(v) for v in bracket_H_with_L(X, COMM)) < 1e-14
-    assert max(abs(v) for v in bracket_H_closed_forms(X, COMM)[1]) < 1e-13
+    cL, cA = bracket_H_closed_forms(X, COMM)
+    assert max(abs(v) for v in cL) < 1e-14
+    assert max(abs(v) for v in cA) < 1e-13
 
 
 def test_bracket_H_closed_forms_match_autodiff():
@@ -127,7 +127,7 @@ def test_reduced_bracket_forms_when_de_vanish():
     assert all(v == 0.0 for row in sm.D for v in row)
     assert all(v == 0.0 for row in sm.E for v in row)
     for x in sample_cartesian(5, seed=4):
-        assert abs(bracket_H_with_L(x, COMM)[0]) < 1e-13
+        assert abs(bracket_H_closed_forms(x, COMM)[0][0]) < 1e-13
 
 
 def test_pairwise_table_chain_route_everywhere():
@@ -612,10 +612,8 @@ def test_bracket_tables_equal_the_per_pair_route_bitwise():
                     e = got[block][key]
                     assert [_bits(v) for v in (e.ad, e.chain, e.closed)] == \
                         [_bits(v) for v in fields], (block, key)
-            ref_L = [_bits(_ref_bracket_H_with_L(x, params, i)) for i in range(3)]
-            assert [_bits(v) for v in bracket_H_with_L(x, params)] == ref_L
             cL, cA = bracket_H_closed_forms(x, params)
-            assert [_bits(v) for v in cL] == ref_L
+            assert [_bits(v) for v in cL] == [_bits(_ref_bracket_H_with_L(x, params, i)) for i in range(3)]
             assert [_bits(v) for v in cA] == \
                 [_bits(_ref_bracket_H_with_A(x, params, i)) for i in range(3)]
 
