@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     try:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "w") as fh:
-            fh.write(traj.to_csv())
+            traj.to_csv(fh)
     except OSError as err:
         return _cannot_write("the trajectory", err)
     print(f"trajectory written to {out_path} ({len(traj.states)} states)")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import duals
 from .errors import InvalidDeformationError, config_number, config_object, is_number
-from .geometry import ScalarField, TensorField, constant_tensor, coords_of, pair_matrix
+from .geometry import ScalarField, TensorField, constant_tensor, coords_of, dot, pair_matrix
 
 _ZERO3 = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -156,8 +156,8 @@ def transform_coordinates(x, params: DeformationParams):
     q = coords[:3]
     p = coords[3:]
     a, l = params.alpha, params.lam
-    qp = [q[i] - 0.5 * sum(a[i][j] * p[j] for j in range(3)) for i in range(3)]
-    pp = [p[i] + 0.5 * sum(l[i][j] * q[j] for j in range(3)) for i in range(3)]
+    qp = [q[i] - 0.5 * dot(a[i], p) for i in range(3)]
+    pp = [p[i] + 0.5 * dot(l[i], q) for i in range(3)]
     return qp + pp
 
 

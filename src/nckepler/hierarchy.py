@@ -34,6 +34,7 @@ from .geometry import (
     ScalarField,
     TensorField,
     bivector_bracket,
+    dot,
     pair_matrix,
 )
 from .reduced import ReducedParams
@@ -100,10 +101,8 @@ def lambda_bracket(f: ScalarField, g: ScalarField, x, h: int, rp: ReducedParams)
 
 
 def _matmul(A, B):
-    n, mlen, p = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(mlen)) for j in range(p)] for i in range(n)
-    ]
+    columns = list(zip(*B))
+    return [[dot(row, col) for col in columns] for row in A]
 
 
 def _antisymmetric(entries) -> list:

@@ -273,15 +273,16 @@ class Trajectory:
             deviations = np.abs(np.subtract(series, ref))
         return max(deviations.tolist()) / scale
 
-    def to_csv(self) -> str:
-        """One header line, then one line per state: ``t``, the six
-        coordinates and the monitor values, each as ``%.17g``."""
+    def to_csv(self, fh) -> None:
+        """Write the trajectory to the text file ``fh`` as CSV: one header
+        line, then one line per state with ``t``, the six coordinates and
+        the monitor values, each as ``%.17g``.  The rows are streamed, so
+        no copy of the whole text is held in memory."""
         names = ("t", "q1", "q2", "q3", "p1", "p2", "p3", *self.monitor_names)
-        line = ",".join(["%.17g"] * len(names))
-        lines = [",".join(names)]
-        lines += [line % (t, *state, *row)
-                  for t, state, *row in zip(self.times, self.states, *self.monitors)]
-        return "\n".join(lines) + "\n"
+        line = ",".join(["%.17g"] * len(names)) + "\n"
+        fh.write(",".join(names) + "\n")
+        fh.writelines(line % (t, *state, *row)
+                      for t, state, *row in zip(self.times, self.states, *self.monitors))
 
 
 # The steppers are generators of the successive states from ``c``, unrolled

@@ -37,7 +37,7 @@ from .errors import (
     config_number,
     config_object,
 )
-from .geometry import PhasePoint, VectorField, constant_tensor, coords_of, pair_matrix
+from .geometry import PhasePoint, VectorField, constant_tensor, coords_of, dot, pair_matrix
 
 TWO_PI = 2.0 * math.pi
 _PHI_RANGE = "coordinate phi must be finite, with 2 phi in the float range"
@@ -116,7 +116,8 @@ def quadratic_condition_value(x, rp: ReducedParams) -> float:
     q = coords[:3]
     phi = math.atan2(duals.value(q[1]), duals.value(q[0]))
     lam = lambda_matrix(rp, phi)
-    lq = [sum(lam[i][j] * duals.value(q[j]) for j in range(3)) for i in range(3)]
+    qv = [duals.value(v) for v in q]
+    lq = [dot(row, qv) for row in lam]
     return lq[0] ** 2 + lq[1] ** 2 + lq[2] ** 2
 
 

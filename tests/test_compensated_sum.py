@@ -12,13 +12,17 @@ compensation added in before it leaves the float path.
 import builtins
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nckepler import reduced
 from nckepler.charts import convert
+from nckepler.deformation import transform_coordinates
 from nckepler.errors import NCKeplerError
 from nckepler.geometry import Chart, PhasePoint
+from nckepler.hierarchy import _matmul
 from nckepler.suites import SUITES, VerifyConfig
 
 LONG_MAX = 2**63 - 1
@@ -77,6 +81,35 @@ def test_the_model_equals_the_builtin_sum():
     for _ in range(200):
         terms = (rng.standard_normal(50) * 10.0 ** rng.uniform(-20, 20, 50)).tolist()
         assert neumaier_sum(terms).hex() == sum(terms).hex()
+
+
+# ``1e100 + 1.0`` rounds the 1.0 away, so a left fold of these terms gives
+# 0.0 where the compensated sum gives 1.0.
+CANCELLING = [1e100, 1.0, -1e100]
+
+
+def test_matmul_folds_left(monkeypatch):
+    assert neumaier_sum(CANCELLING) == 1.0
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert _matmul([CANCELLING, [0.5, 0.25, 0.0]], [[1.0], [1.0], [1.0]]) == [[0.0], [0.75]]
+
+
+def test_transform_coordinates_folds_left(monkeypatch):
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    zero = [[0.0] * 3] * 3
+    ones = (1.0,) * 6
+    # transform_coordinates reads only the two matrices, here not antisymmetric
+    assert transform_coordinates(ones, SimpleNamespace(alpha=[CANCELLING] * 3, lam=zero)) \
+        == [1.0] * 6
+    assert transform_coordinates(ones, SimpleNamespace(alpha=zero, lam=[CANCELLING] * 3)) \
+        == [1.0] * 6
+
+
+def test_quadratic_condition_value_folds_left(monkeypatch):
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    monkeypatch.setattr(reduced, "lambda_matrix", lambda rp, phi: [CANCELLING] * 3)
+    x = PhasePoint((1.0, 1.0, 1.0, 0.0, 0.0, 0.0), Chart.CARTESIAN)
+    assert reduced.quadratic_condition_value(x, VerifyConfig().reduced) == 0.0
 
 
 def _reports(seed: int) -> dict:

@@ -1,6 +1,8 @@
 import functools
+import io
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,11 +261,37 @@ def test_deformed_monitor_derivative_matches_bracket():
             assert abs(fd - cf) / max(abs(cf), 1e-3) < 1e-6
 
 
+def _csv(traj) -> str:
+    fh = io.StringIO()
+    traj.to_csv(fh)
+    return fh.getvalue()
+
+
+def _joined_csv(traj) -> str:
+    """The CSV as one string, built the way ``to_csv`` built it before it
+    streamed its rows: a list of lines, joined, plus the last newline."""
+    names = ("t", "q1", "q2", "q3", "p1", "p2", "p3", *traj.monitor_names)
+    line = ",".join(["%.17g"] * len(names))
+    lines = [",".join(names)]
+    lines += [line % (t, *state, *row)
+              for t, state, *row in zip(traj.times, traj.states, *traj.monitors)]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = (0.0, -0.0, 1.0, -2.5e-300, 5e-324, 1.7976931348623157e308, 1 / 3,
+               math.inf, -math.inf, math.nan, 0.1)
+
+
+def _edge_row():
+    return Trajectory(times=[EDGE_VALUES[0]], states=[EDGE_VALUES[1:7]],
+                      monitor_names=["H", "L1", "L2", "L3"],
+                      monitors=[[v] for v in EDGE_VALUES[7:]])
+
+
 def test_trajectory_csv_format():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
     traj = integrate(x0, COMM, dt=1e-3, n_steps=5, method="rk4", monitors=["H", "L3"])
-    text = traj.to_csv()
-    lines = text.strip().split("\n")
+    lines = _csv(traj).strip().split("\n")
     assert lines[0] == "t,q1,q2,q3,p1,p2,p3,H,L3"
     assert len(lines) == 7
     row = lines[2].split(",")
@@ -273,11 +301,58 @@ def test_trajectory_csv_format():
 
 
 def test_trajectory_csv_row_is_each_value_at_17_significant_digits():
-    values = (0.0, -0.0, 1.0, -2.5e-300, 5e-324, 1.7976931348623157e308, 1 / 3,
-              math.inf, -math.inf, math.nan, 0.1)
-    traj = Trajectory(times=[values[0]], states=[values[1:7]],
-                      monitor_names=["H", "L1", "L2", "L3"], monitors=[[v] for v in values[7:]])
-    assert traj.to_csv().split("\n")[1] == ",".join(f"{v:.17g}" for v in values)
+    assert _csv(_edge_row()).split("\n")[1] == ",".join(f"{v:.17g}" for v in EDGE_VALUES)
+
+
+def _deformed_run():
+    params = sample_deformations(1, seed=17)[0]
+    x0 = sample_cartesian(1, seed=7, params=params, energy_sign="minus")[0]
+    return integrate(x0, params, dt=1e-3, n_steps=50, method="rk4", monitors=kepler.MONITOR_NAMES)
+
+
+def _collision_run():
+    x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), Chart.CARTESIAN)
+    traj = integrate(x0, COMM, dt=1e-3, n_steps=2000, method="rk4", monitors=["H"])
+    assert not traj.completed and len(traj.states) == 1110
+    return traj
+
+
+def _unmonitored_run():
+    x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
+    return integrate(x0, COMM, dt=1e-3, n_steps=20, method="implicit_midpoint")
+
+
+def _single_state():
+    x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
+    return Trajectory(times=[0.0], states=[x0.coords], monitor_names=["H"],
+                      monitors=[[hamiltonian(x0, COMM)]])
+
+
+@pytest.mark.parametrize("build", [_unmonitored_run, _deformed_run, _single_state,
+                                   _collision_run, _edge_row, Trajectory],
+                         ids=["no-monitors", "all-monitors", "single-state", "collision",
+                              "edge-values", "no-states"])
+def test_trajectory_csv_streams_the_bytes_of_the_joined_string(build):
+    traj = build()
+    assert _csv(traj) == _joined_csv(traj)
+
+
+def test_trajectory_csv_holds_no_copy_of_the_text(tmp_path):
+    """Writing 40 001 rows holds a write buffer, not the 6.35 MB of text:
+    building the whole string first peaked at about 20 MiB."""
+    n = 40_001
+    traj = Trajectory(times=[i * 1e-3 for i in range(n)],
+                      states=[(1 / 3, -2 / 3, 0.1, 1 / 7, 2 / 9, -1 / 11)] * n,
+                      monitor_names=["H"], monitors=[[-0.5123456789012345] * n])
+    with open(tmp_path / "traj.csv", "w") as fh:
+        tracemalloc.start()
+        try:
+            traj.to_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "traj.csv").stat().st_size == 6_350_129
+    assert peak < 2**20
 
 
 def test_trajectory_drift_scales_h_by_its_start_and_others_by_at_least_one():

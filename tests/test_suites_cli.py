@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -305,6 +306,25 @@ def test_cli_simulate_unwritable_output_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error: cannot write the trajectory" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_cli_simulate_write_failing_part_way_is_config_error(tmp_path):
+    """``/dev/full`` opens but takes no byte.  The 200 rows overflow the write
+    buffer, so the streamed CSV fails at the first flush, mid-file."""
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({
+        "initial_state": {"coords": [1, 0, 0, 0, 1, 0]},
+        "integrator": {"n_steps": 200},
+        "output": {"trajectory_csv": "/dev/full"},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nckepler.cli", "simulate", "--config", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "configuration error: cannot write the trajectory" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
