@@ -8,6 +8,7 @@ drift out of budget), 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -255,7 +256,9 @@ def cmd_report(args) -> int:
     except (ValueError, OSError, NCKeplerError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    created = False
     if args.out:  # fail before the run, not after it
+        created = not os.path.lexists(args.out)
         try:
             with open(args.out, "a"):
                 pass
@@ -263,6 +266,9 @@ def cmd_report(args) -> int:
             return _cannot_write(f"the report {args.out}", err)
     rep = _run_suite(args.command, cfg)
     if rep is None:
+        if created:  # take back the empty file the probe made
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
         return EXIT_CONFIG
     doc = [e.to_dict() for e in rep.entries] if args.command == "hierarchy" else rep.to_dict()
     payload = json.dumps(doc, sort_keys=True, indent=1)

@@ -121,7 +121,7 @@ def theta_weights(params: DeformationParams) -> tuple:
     """
     out = []
     for nu in range(3):
-        t = 1.0 + 0.25 * sum(params.lam[mu][nu] * params.alpha[mu][nu] for mu in range(3))
+        t = 1.0 + 0.25 * dot([row[nu] for row in params.lam], [row[nu] for row in params.alpha])
         if t == 0.0 or not math.isfinite(t):
             raise InvalidDeformationError(
                 f"theta weight {nu + 1} vanishes; the deformation is invalid"

@@ -180,10 +180,10 @@ def energy_rescaled_map(rp: ReducedParams):
     weighted canonical structure; the congruence test in the suite checks it.
     """
     m, k = rp.m, rp.k
+    energy = ladder_energy_field(0, rp).func
 
     def fwd(c):
-        i3 = c[2]
-        H = -m * k**2 / (2.0 * i3**2)
+        H = energy(c)
         scale = k * math.sqrt(m) / (-2.0 * H) ** 1.5
         return [c[0], c[1], H, c[3], c[4], scale * c[5]]
 

@@ -136,14 +136,8 @@ def hamilton_rhs_primed_form(x, params: DeformationParams) -> list:
     th = params.theta
     m, k = params.mass, params.k
     ky3 = k / duals.power(y, 3)
-    qdot = [
-        (pp[i] / m + 0.5 * ky3 * sum(a[i][j] * qp[j] for j in range(3))) / th[i]
-        for i in range(3)
-    ]
-    pdot = [
-        (0.5 / m * sum(l[i][j] * pp[j] for j in range(3)) - ky3 * qp[i]) / th[i]
-        for i in range(3)
-    ]
+    qdot = [(pp[i] / m + 0.5 * ky3 * dot(a[i], qp)) / th[i] for i in range(3)]
+    pdot = [(0.5 / m * dot(l[i], pp) - ky3 * qp[i]) / th[i] for i in range(3)]
     return qdot + pdot
 
 

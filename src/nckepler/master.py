@@ -35,6 +35,7 @@ from .geometry import (
     TensorField,
     VectorField,
     coords_of,
+    dot,
     flow_pairing_residual,
     jet,
     lie_derivative,
@@ -194,7 +195,7 @@ def apply_recursion_to_vector(X: VectorField, power: int, rp: ReducedParams) -> 
         mat = T.func(c)
         v = X.func(c)
         for _ in range(power):
-            v = [sum(mat[a][b] * v[b] for b in range(6)) for a in range(6)]
+            v = [dot(row, v) for row in mat]
         return v
 
     return VectorField(f)
@@ -284,8 +285,9 @@ def scaling_ledger(rp: ReducedParams, x, i_max: int, h_max: int, l_max: int) -> 
                 ):
                     entries.append(LedgerEntry(identity, _residual(g, F, coeff, rhs)))
                 entries.append(LedgerEntry("L_Gamma'ih (T) = (1/(3+i)) T^(1+h)", resid_T))
-                # the I3-component of the l-th differential, paired with Gamma'ih
-                pair = duals.value(g.value[2]) * (m * k**2 * duals.power(coords[2], l - 3))
+                # the I3-component of the l-th differential, the phi3 rate of
+                # X'l, paired with Gamma'ih
+                pair = duals.value(g.value[2]) * flow_rhs[l][5]
                 if n == 2:
                     resid = abs(pair - m * k**2 / den)
                 else:

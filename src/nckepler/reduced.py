@@ -225,9 +225,12 @@ def energy_from_actions(J, rp: ReducedParams):
 
 
 def frequencies(J, rp: ReducedParams) -> tuple:
-    """Angle rates (dE/dJ_i) = (m k^2 / S^3) (1, M, 1)."""
+    """Angle rates (dE/dJ_i) = (m k^2 / S^3) (1, M, 1), at one point or at
+    each point of a batch; raises unless ``S = J1 + M J2 + J3 > 0``."""
     s = J[0] + rp.M * J[1] + J[2]
-    base = rp.m * rp.k**2 / s**3
+    if duals.anywhere(duals.value(s) <= 0.0):
+        raise ChartDomainError("action sum S must be positive")
+    base = rp.m * rp.k**2 / duals.power(s, 3)
     return (base, rp.M * base, base)
 
 
@@ -384,14 +387,4 @@ def reduced_structures(rp: ReducedParams):
     mat = pair_matrix([1.0] * 3)
     bivector = constant_tensor(mat, "uu")
     omega = constant_tensor(mat, "dd")
-
-    M = rp.M
-
-    def flow(c):
-        s = c[0] + M * c[1] + c[2]
-        if duals.anywhere(duals.value(s) <= 0.0):
-            raise ChartDomainError("action sum S must be positive")
-        base = rp.m * rp.k**2 / duals.power(s, 3)
-        return [0.0, 0.0, 0.0, base, M * base, base]
-
-    return bivector, omega, VectorField(flow)
+    return bivector, omega, VectorField(lambda c: [0.0, 0.0, 0.0, *frequencies(c, rp)])

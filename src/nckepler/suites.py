@@ -37,6 +37,7 @@ import numpy as np
 from . import duals
 from .charts import (
     action_angle_to_delaunay,
+    delaunay_coords,
     delaunay_to_action_angle,
     forward_jacobian,
     spherical_to_cartesian,
@@ -63,6 +64,7 @@ from .geometry import (
     flow_pairing_residual,
     gradient,
     inverse_pair_residual,
+    jet,
     lie_bracket,
     lie_bracket_field,
     max_abs,
@@ -93,6 +95,8 @@ from .kepler import (
     hamiltonian_vector_field_nc,
     integrate,
     integrate_field,
+    primed_angular_momentum,
+    primed_lrl_vector,
 )
 from .master import (
     coefficient_pattern_table,
@@ -135,12 +139,10 @@ from .sampling import (
 )
 from .symmetry import (
     EnergySign,
-    angular_momentum,
     bracket_H_closed_forms,
     closure_fit,
     generator_matrix,
     involution_parameter_search,
-    lrl_vector,
     observables_jacobian,
     pairwise_bracket_table,
     structure_matrices,
@@ -434,8 +436,8 @@ def _algebra_context(cfg: VerifyConfig) -> AlgebraContext:
 
 def _bracket_closed_forms(ctx: AlgebraContext):
     params, th, x = ctx.params, ctx.params.theta, batch(ctx.points)
-    J = observables_jacobian(x, params)
-    cL, cA = bracket_H_closed_forms(x, params)
+    frame, J = observables_jacobian(x, params)
+    cL, cA = bracket_H_closed_forms(frame, params)
     yield Entry("bracket-H-L", "closed form of {H, L_i} matches autodiff at generic deformation",
                 [weighted_bracket(J[0], J[1 + i], th) - cL[i] for i in range(3)], ctx.cfg.tol_bracket)
     yield Entry("bracket-H-A", "closed form of {H, A_i} matches autodiff at generic deformation",
@@ -504,7 +506,8 @@ def _algebra_jacobi(ctx: AlgebraContext):
     pairs = sorted({pair for row in terms for _, pair in row})
 
     def basis(c):
-        return angular_momentum(c, comm) + lrl_vector(c, comm)
+        z = transform_coordinates(c, comm)
+        return primed_angular_momentum(z) + primed_lrl_vector(z, comm)
 
     def pair_brackets(c):
         J = duals.jacobian(basis, c)
@@ -561,7 +564,8 @@ def _flow_bracket_consistency(ctx: AlgebraContext):
     dt = 2e-4
     traj = integrate(x_nc, params, dt=dt, n_steps=400, method="rk4", monitors=("L1", "L2", "L3"))
     picked = range(5, len(traj.states) - 5, 25)
-    closed = bracket_H_closed_forms(batch([traj.states[idx] for idx in picked]), params)[0]
+    frame = observables_jacobian(batch([traj.states[idx] for idx in picked]), params)[0]
+    closed = bracket_H_closed_forms(frame, params)[0]
     gaps, rates = [], []
     for n, idx in enumerate(picked):
         for i, column in enumerate(closed):
@@ -729,7 +733,7 @@ def _hierarchy_context(cfg: VerifyConfig) -> HierarchyContext:
 
 
 def _levels(ctx: HierarchyContext):
-    cfg, points, N = ctx.cfg, ctx.points, ctx.weights
+    cfg, points = ctx.cfg, ctx.points
     rp = cfg.reduced
     P0 = level_bivector(0, rp)
     X = dynamical_symmetry(0, rp)
@@ -756,15 +760,11 @@ def _levels(ctx: HierarchyContext):
         yield Entry(f"torsion-h{h}", "recursion operator has vanishing torsion on the coordinate frame",
                     nijenhuis_torsion(Th, subset), cfg.tol_bracket)
 
-        # eigenvalues constant along the flow (pointwise directional derivative)
-        Xv = X(first20)
-        rates = []
-        for j in range(3):
-            eig = ScalarField(lambda c, j=j: N[j] ** h * duals.power(c[j], h))
-            deig = gradient(eig, first20)
-            rates.append(sum(duals.value(Xv[a]) * duals.value(deig[a]) for a in range(6)))
+        # eigenvalues constant along the flow: the flow's derivative of each
+        # diagonal entry of T_h
+        Xv, dT = X(first20), jet(Th, first20).d
         yield Entry(f"eigenvalue-invariance-h{h}", "recursion eigenvalues are annihilated by the flow",
-                    rates, cfg.tol_exact)
+                    [dot(Xv, dT[j][j]) for j in range(3)], cfg.tol_exact)
 
         # lambda bracket generates the same flow from F_h
         Xv = X(first10)
@@ -836,22 +836,23 @@ def _classical_elements(ctx: HierarchyContext):
     rp = ctx.cfg.reduced
     a = 1.3
     i3 = classical_delaunay(a, rp.m, rp.k)
+    energy = ladder_energy_field(0, rp)([0.0, 0.0, i3, 0.0, 0.0, 0.0])
     yield Entry("classical-elements-energy", "classical element actions reproduce the orbit energy",
-                -rp.m * rp.k**2 / (2.0 * i3**2) - (-rp.k / (2.0 * a)), ctx.cfg.tol_exact)
+                energy - (-rp.k / (2.0 * a)), ctx.cfg.tol_exact)
 
 
 def _eigenvalue_drift(ctx: HierarchyContext):
     """Eigenvalue drift along an integrated bound orbit."""
-    rp, N = ctx.cfg.reduced, ctx.weights
+    rp = ctx.cfg.reduced
+    T1 = recursion_operator(1, rp)
     s0 = sample_spherical_bound(1, ctx.cfg.seed + 2, rp)[0]
     traj = integrate_field(s0, spherical_rhs(rp), 1e-3, 10_000, method="rk4",
                            observe=_energy_monitor(rp), monitor_names=("H",))
     eigs = []
     for st, E in zip(traj.states[::50], traj.monitor_series("H")[::50]):
         _, d, lt = first_integrals(st, rp)
-        j1, j2, j3 = actions_from_integrals(E, lt, d, rp)
-        I = (j3, rp.M * j2 + j3, j1 + rp.M * j2 + j3)
-        eigs.append(tuple(N[j] ** 1 * I[j] ** 1 for j in range(3)))
+        T = T1(delaunay_coords([*actions_from_integrals(E, lt, d, rp), 0.0, 0.0, 0.0], rp))
+        eigs.append([T[j][j] for j in range(3)])
     yield Entry("eigenvalue-flow-drift",
                 "recursion eigenvalues drift below tolerance along an integrated orbit",
                 [[(a - b) / b for a, b in zip(eig, eigs[0])] for eig in eigs], ctx.cfg.tol_drift)

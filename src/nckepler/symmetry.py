@@ -14,8 +14,9 @@ brackets close in several layered forms:
 
 Each evaluator takes one point or a batch of points (six float64 arrays,
 ``geometry.batch``): each route differentiates (H, L, A) in one pass per
-chart, and the closed forms read one float frame (q', p', Y, H, L, A), over
-every point of the batch at once.
+chart, over every point of the batch at once.  The closed forms read the
+frame (q', p', Y, H, L, A) off the values of the cartesian seeded pass,
+which :func:`observables_jacobian` returns with the rows.
 
 Scaled Runge-Lenz vectors live on the negative/positive-energy regions;
 :func:`scaled_basis` gives them with L as the six fields of the so(4) and
@@ -36,7 +37,6 @@ from .deformation import DeformationParams, transform_coordinates, weighted_brac
 from .errors import ChartDomainError
 from .geometry import PhasePoint, ScalarField, batch, coords_of, dot
 from .kepler import (
-    hamiltonian,
     primed_angular_momentum,
     primed_lrl_vector,
     primed_observables,
@@ -108,15 +108,7 @@ def lrl_field(params: DeformationParams, i: int) -> ScalarField:
     return ScalarField(lambda c: lrl_vector(c, params)[i])
 
 
-# -- one seeded pass and one float frame per point ---------------------------
-
-
-def observables_jacobian(x, params: DeformationParams) -> list:
-    """Rows ``dH, dL1..dL3, dA1..dA3`` in the cartesian coordinates of ``x``,
-    all from one seeded pass."""
-    return duals.jacobian(
-        lambda c: primed_observables(transform_coordinates(c, params), params), coords_of(x)
-    )
+# -- one seeded pass per point; its values are the frame ---------------------
 
 
 class _Frame(NamedTuple):
@@ -131,16 +123,21 @@ class _Frame(NamedTuple):
     A: list
 
 
-def _frame(x, params: DeformationParams) -> _Frame:
-    z = [duals.value(v) for v in transform_coordinates(x, params)]
-    return _frame_at(z, primed_observables(z, params))
+def _primed_and_observables(c, params: DeformationParams) -> list:
+    """``(q', p', H, L1, L2, L3, A1, A2, A3)`` at the cartesian coordinates ``c``."""
+    z = transform_coordinates(c, params)
+    return z + primed_observables(z, params)
 
 
-def _frame_at(z, observables) -> _Frame:
-    """The frame at the primed coordinates ``z``, given the values of (H,
-    L, A) there."""
-    H, *LA = observables
-    return _Frame(z[:3], z[3:], primed_radius(z), H, LA[:3], LA[3:])
+def observables_jacobian(x, params: DeformationParams) -> tuple:
+    """The frame at ``x`` and the rows ``dH, dL1..dL3, dA1..dA3`` in the
+    cartesian coordinates of ``x``, all from one seeded pass: the frame is
+    its values, float to the bit."""
+    out = duals.seeded_pass(lambda c: _primed_and_observables(c, params), coords_of(x))
+    z = [duals.value(v) for v in out[:6]]
+    H, *LA = [duals.value(v) for v in out[6:]]
+    frame = _Frame(z[:3], z[3:], primed_radius(z), H, LA[:3], LA[3:])
+    return frame, [list(duals.tangents(v, 6)) for v in out[6:]]
 
 
 # -- closed forms for the brackets with the Hamiltonian ----------------------
@@ -168,17 +165,17 @@ def _H_with_L(fr: _Frame, sm: StructureMatrices, params: DeformationParams) -> t
     return out, G
 
 
-def bracket_H_closed_forms(x, params: DeformationParams) -> tuple:
+def bracket_H_closed_forms(fr: _Frame, params: DeformationParams) -> tuple:
     """Closed forms of the brackets of H with L_1, L_2, L_3 and with A_1,
-    A_2, A_3 at a cartesian point, from one frame; the {H, A_i} forms
-    reuse the {H, L_i} ones.
+    A_2, A_3 at the frame ``fr`` of a cartesian point or batch (see
+    :func:`observables_jacobian`); the {H, A_i} forms reuse the {H, L_i}
+    ones.
 
     The middle group of {H, A_i} pairs the coefficient row with the
     Levi-Civita index that also labels the momentum derivative of H
     (pairing it with the angular-momentum index instead fails the autodiff
     cross-check).
     """
-    fr = _frame(x, params)
     qp, pp, y, L = fr.qp, fr.pp, fr.y, fr.L
     sm = structure_matrices(params)
     m, k = params.mass, params.k
@@ -259,13 +256,11 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
     and ``closed`` is the structure-constant pattern (exact in the
     commutative limit; residuals elsewhere are reported, not suppressed).
     """
-    z = [duals.value(v) for v in transform_coordinates(x, params)]
-    jet = duals.seeded_pass(lambda w: primed_observables(w, params), z)
-    fr = _frame_at(z, [v.a for v in jet])
+    fr, ad = observables_jacobian(x, params)
+    jet = duals.seeded_pass(lambda w: primed_observables(w, params), fr.qp + fr.pp)
     cz = [list(duals.tangents(v, 6)) for v in jet]
     sm = structure_matrices(params)
     B = sm.chain_matrix
-    ad = observables_jacobian(x, params)
     table = {"LL": {}, "AA": {}, "LA": {}}
     for i in range(3):
         for j in range(3):
@@ -307,7 +302,7 @@ def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
     scalar type), with ``G = A / sqrt(-2mH)`` on the negative-energy region
     and ``G = A / sqrt(2mH)`` on the positive one; zero energy and the other
     region are excluded."""
-    H = hamiltonian(c, params)
+    H, *LA = primed_observables(transform_coordinates(c, params), params)
     Hv = duals.value(H)
     if duals.anywhere(abs(Hv) < 1e-12):
         raise ChartDomainError("scaled Runge-Lenz vector undefined at zero energy")
@@ -316,7 +311,7 @@ def scaled_basis(c, params: DeformationParams, tau: EnergySign) -> list:
         raise ChartDomainError(f"energy sign mismatch: H = {duals.first(Hv, wrong)} is not "
                                f"{'negative' if tau is EnergySign.MINUS else 'positive'}")
     scale = duals.sqrt(-2.0 * params.mass * H if tau is EnergySign.MINUS else 2.0 * params.mass * H)
-    return angular_momentum(c, params) + [a / scale for a in lrl_vector(c, params)]
+    return LA[:3] + [a / scale for a in LA[3:]]
 
 
 def generator_matrix(params: DeformationParams, kind: str, x) -> list:

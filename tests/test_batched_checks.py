@@ -133,11 +133,20 @@ def _ref_primed(params):
     return [ScalarField(lambda c, i=i: transform_coordinates(c, params)[i]) for i in range(6)]
 
 
+def _fold(terms):
+    """``terms`` added left to right from 0.0, as CPython's ``sum()`` added
+    floats before 3.12 compensated them."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def _ref_canonical_bracket(f, g, x):
     coords = coords_of(x)
     df = duals.grad(f.func, coords)
     dg = duals.grad(g.func, coords)
-    return sum(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
+    return _fold(df[i] * dg[3 + i] - df[3 + i] * dg[i] for i in range(3))
 
 
 def _ref_structure_brackets(ctx):
@@ -221,8 +230,8 @@ def _ref_bracket_closed_forms(ctx):
     params, th = ctx.params, ctx.params.theta
     wL, wA = [], []
     for x in ctx.points:
-        J = observables_jacobian(x, params)
-        cL, cA = bracket_H_closed_forms(x, params)
+        frame, J = observables_jacobian(x, params)
+        cL, cA = bracket_H_closed_forms(frame, params)
         for i in range(3):
             wL.append(weighted_bracket(J[0], J[1 + i], th) - cL[i])
             wA.append(weighted_bracket(J[0], J[4 + i], th) - cA[i])
@@ -420,7 +429,7 @@ def _ref_recursion_semigroup(ctx):
                 T1 = recursion_operator(h1, rp).func(list(x.coords))
                 T2 = recursion_operator(h2, rp).func(list(x.coords))
                 T12 = recursion_operator(h1 + h2, rp).func(list(x.coords))
-                gaps.append([[sum(T1[i][kk] * T2[kk][j] for kk in range(6)) - T12[i][j]
+                gaps.append([[_fold(T1[i][kk] * T2[kk][j] for kk in range(6)) - T12[i][j]
                               for j in range(6)] for i in range(6)])
     yield Entry("recursion-semigroup", "recursion operators compose by adding their levels",
                 gaps, ctx.cfg.tol_exact)
@@ -506,7 +515,7 @@ def test_batched_evaluators_equal_each_points_float_route_bitwise(samples, seed)
             lambda x: X(x),
             lambda x: duals.grad(hamiltonian_field(params).func, coords_of(x)),
             lambda x: observables_jacobian(x, params),
-            lambda x: bracket_H_closed_forms(x, params),
+            lambda x: bracket_H_closed_forms(observables_jacobian(x, params)[0], params),
             lambda x: pairwise_bracket_table(x, params),
             lambda x: nc_bracket(f, nc_bracket_field(g, f, params), x, params),
             lambda x: bivector_bracket(br.bivector, f, g)(x),
@@ -539,7 +548,7 @@ def test_float_evaluators_of_a_large_batch_equal_the_float_route_bitwise():
             lambda x: deformed_radius(x, params),
             lambda x: hamiltonian(x, params),
             lambda x: hamilton_rhs_primed_form(x, params),
-            lambda x: bracket_H_closed_forms(x, params),
+            lambda x: bracket_H_closed_forms(observables_jacobian(x, params)[0], params),
         ):
             _assert_pointwise(evaluate, cart)
     # the action sum S = J1 + M J2 + J3 is J1 where J2 = J3 = 0
@@ -648,9 +657,10 @@ def test_batched_checks_take_as_many_passes_at_any_sample_count(monkeypatch):
     # grow with the points (per point, the brackets suite took 7 124 grad
     # calls at 100 samples); the primed-coordinate brackets read one
     # Jacobian per check where they took 54 gradients.  The vector jets, the
-    # closure fits and the pairwise bracket tables take their one seeded
-    # pass directly, not through ``jacobian``
+    # closure fits, the pairwise bracket tables and the observables pass
+    # (``observables_jacobian``, which returns the frame with the rows) take
+    # their one seeded pass directly, not through ``jacobian``
     small, full = _count_passes(monkeypatch, 24), _count_passes(monkeypatch, 100)
     assert small == full
     assert full["brackets"] == {"grad": 100, "jacobian": 2, "seeded_pass": 102}
-    assert full["batched checks"] == {"grad": 118, "jacobian": 8, "seeded_pass": 151}
+    assert full["batched checks"] == {"grad": 118, "jacobian": 5, "seeded_pass": 151}

@@ -9,14 +9,17 @@ path, a compensated float fast path that also takes ints, and the generic
 compensation added in before it leaves the float path.
 """
 
+import ast
 import builtins
 import math
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nckepler
 from nckepler import reduced
 from nckepler.charts import convert
 from nckepler.deformation import transform_coordinates
@@ -110,6 +113,29 @@ def test_quadratic_condition_value_folds_left(monkeypatch):
     monkeypatch.setattr(reduced, "lambda_matrix", lambda rp, phi: [CANCELLING] * 3)
     x = PhasePoint((1.0, 1.0, 1.0, 0.0, 0.0, 0.0), Chart.CARTESIAN)
     assert reduced.quadratic_condition_value(x, VerifyConfig().reduced) == 0.0
+
+
+# Package modules whose float sums are all explicit left folds
+# (``geometry.dot`` or a loop from 0.0).  Their sums have at most two
+# nonzero terms, of antisymmetric or diagonal matrices, where the
+# compensated sum and a left fold agree, so the guard below keeps them so.
+FOLDED_MODULES = ("charts", "deformation", "hierarchy", "kepler", "master", "reduced")
+
+
+def sum_calls(source: str) -> list:
+    """Line numbers of the calls of the bare name ``sum`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+
+
+def test_scan_finds_a_bare_sum_call_only():
+    assert sum_calls("a = sum(v for v in x)\nb = np.sum(x)\nc = dot(u, v)\n") == [1]
+
+
+@pytest.mark.parametrize("module", FOLDED_MODULES)
+def test_folded_module_calls_no_sum(module):
+    source = (Path(nckepler.__file__).parent / f"{module}.py").read_text()
+    assert sum_calls(source) == []
 
 
 def _reports(seed: int) -> dict:

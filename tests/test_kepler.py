@@ -26,7 +26,7 @@ from nckepler.kepler import (
 from nckepler.sampling import sample_cartesian, sample_deformations
 from nckepler.report import SuiteReport
 from nckepler.suites import VerifyConfig, run_checks
-from nckepler.symmetry import bracket_H_closed_forms
+from nckepler.symmetry import bracket_H_closed_forms, observables_jacobian
 
 COMM = DeformationParams()
 
@@ -255,7 +255,8 @@ def test_deformed_monitor_derivative_matches_bracket():
     traj = integrate(x0, params, dt=dt, n_steps=200, method="rk4", monitors=["L1", "L2", "L3"])
     assert traj.completed
     for idx in (50, 100, 150):
-        for i, cf in enumerate(bracket_H_closed_forms(traj.states[idx], params)[0]):
+        frame = observables_jacobian(traj.states[idx], params)[0]
+        for i, cf in enumerate(bracket_H_closed_forms(frame, params)[0]):
             s = traj.monitor_series(f"L{i + 1}")
             fd = (-s[idx + 2] + 8 * s[idx + 1] - 8 * s[idx - 1] + s[idx - 2]) / (12 * dt)
             assert abs(fd - cf) / max(abs(cf), 1e-3) < 1e-6

@@ -181,6 +181,37 @@ def test_frequencies_and_isochronous_derivative():
     assert abs(fr[0] - isochronous_derivative(E, RP)) < 1e-12
 
 
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def test_frequencies_of_a_batch_equal_each_points_float_call_bitwise():
+    rng = np.random.default_rng(28)
+    J = rng.uniform([0.01, 0.01, 0.01], [2.0, 2.0, 2.0], size=(2_000, 3))
+    got = frequencies(list(J.T), RP)
+    for p, point in enumerate(J.tolist()):
+        assert _bits(v[p] for v in got) == _bits(frequencies(point, RP))
+
+
+def test_chart_flow_is_zero_actions_then_the_frequencies_bitwise():
+    rng = np.random.default_rng(29)
+    c = list(rng.uniform(0.01, 2.0, size=(6, 500)))
+    field = reduced_structures(RP)[2]
+    flow = field(c)
+    assert all(v == 0.0 for v in flow[:3])
+    assert [_bits(v) for v in flow[3:]] == [_bits(v) for v in frequencies(c[:3], RP)]
+    for p in range(500):
+        point = [float(v[p]) for v in c]
+        assert _bits(field(point)) == _bits([0.0, 0.0, 0.0, *frequencies(point, RP)])
+
+
+def test_frequencies_need_a_positive_action_sum():
+    with pytest.raises(ChartDomainError, match="action sum S must be positive"):
+        frequencies((-1.0, 0.0, 0.5), RP)
+    with pytest.raises(ChartDomainError, match="action sum S must be positive"):
+        frequencies([np.array([0.3, -1.0]), np.zeros(2), np.array([0.5, 0.5])], RP)
+
+
 def test_kolmogorov_determinant_vanishes():
     assert abs(kolmogorov_determinant((0.3, 0.5, 0.7), RP)) < 1e-14
 

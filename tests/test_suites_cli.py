@@ -393,6 +393,25 @@ def test_cli_verify_overflowing_parameters_are_config_error(tmp_path, capsys):
     assert err.startswith("configuration error: suite brackets: arithmetic failure")
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new-file", "existing-file"])
+def test_cli_report_failing_run_leaves_no_new_empty_file(existed, tmp_path, capsys):
+    """A run that returns no report takes back the file its write probe
+    made, and leaves a file that existed before as it was."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"reduced": {"m": 1e200, "k": 1e200}}))
+    out = tmp_path / "out.json"
+    if existed:
+        out.write_text("earlier report\n")
+    assert main(["hierarchy", "--config", str(path), "--samples", "12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: suite hierarchy: arithmetic failure")
+    assert "OverflowError" in err
+    if existed:
+        assert out.read_text() == "earlier report\n"
+    else:
+        assert not out.exists()
+
+
 _STATE = {"chart": "cartesian", "coords": [1.0, 0.0, 0.0, 0.0, 1.05, 0.0]}
 
 MALFORMED = [

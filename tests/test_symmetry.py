@@ -10,13 +10,14 @@ from nckepler.deformation import (
     transform_coordinates,
 )
 from nckepler.errors import ChartDomainError, InvalidDeformationError, SingularConfigurationError
-from nckepler.geometry import Chart, PhasePoint, ScalarField, coords_of
+from nckepler.geometry import Chart, PhasePoint, ScalarField, batch, coords_of
 from nckepler.kepler import (
     deformed_radius,
     hamiltonian,
     hamiltonian_field,
     primed_angular_momentum,
     primed_lrl_vector,
+    primed_observables,
     primed_radius,
 )
 from nckepler.sampling import sample_cartesian, sample_deformations
@@ -31,6 +32,7 @@ from nckepler.symmetry import (
     levi_civita,
     lrl_field,
     lrl_vector,
+    observables_jacobian,
     pairwise_bracket_table,
     scaled_basis,
     structure_matrices,
@@ -103,8 +105,36 @@ def test_structure_matrices_match_weighted_brackets():
             assert abs(nc_bracket(primed[i], primed[j], X, GENERIC) - sm.E[i][j]) < 1e-12
 
 
+def _closed_forms(x, params):
+    """The {H, L_i} and {H, A_i} closed forms at the frame of ``x``."""
+    return bracket_H_closed_forms(observables_jacobian(x, params)[0], params)
+
+
+def _hexes(values) -> list:
+    """Each value, a float or an array over points, as exact hex strings."""
+    return [[e.hex() for e in np.ravel(v).tolist()] for v in values]
+
+
+def test_observables_frame_is_the_float_evaluation_bitwise(monkeypatch):
+    calls = []
+    seed = duals.seed
+    monkeypatch.setattr(duals, "seed", lambda coords: calls.append(1) or seed(coords))
+    for params in sample_deformations(5) + [COMM]:
+        points = sample_cartesian(20, params=params)
+        for coords in [coords_of(x) for x in points] + [batch(points)]:
+            calls.clear()
+            fr, rows = observables_jacobian(coords, params)
+            assert len(calls) == 1 and len(rows) == 7
+            z = transform_coordinates(coords, params)
+            H, *LA = primed_observables(z, params)
+            want = [*z, primed_radius(z), H, *LA]
+            got = [*fr.qp, *fr.pp, fr.y, fr.H, *fr.L, *fr.A]
+            assert _hexes(got) == _hexes(want)
+            assert all(type(v) is type(coords[0]) for v in got)
+
+
 def test_bracket_H_L_closed_form_vanishes_commutative():
-    cL, cA = bracket_H_closed_forms(X, COMM)
+    cL, cA = _closed_forms(X, COMM)
     assert max(abs(v) for v in cL) < 1e-14
     assert max(abs(v) for v in cA) < 1e-13
 
@@ -112,7 +142,7 @@ def test_bracket_H_L_closed_form_vanishes_commutative():
 def test_bracket_H_closed_forms_match_autodiff():
     Hf = hamiltonian_field(GENERIC)
     for x in sample_cartesian(30, seed=3, params=GENERIC):
-        cL, cA = bracket_H_closed_forms(x, GENERIC)
+        cL, cA = _closed_forms(x, GENERIC)
         for i in range(3):
             ad = nc_bracket(Hf, angular_momentum_field(GENERIC, i), x, GENERIC)
             assert abs(ad - cL[i]) < 1e-9
@@ -127,7 +157,7 @@ def test_reduced_bracket_forms_when_de_vanish():
     assert all(v == 0.0 for row in sm.D for v in row)
     assert all(v == 0.0 for row in sm.E for v in row)
     for x in sample_cartesian(5, seed=4):
-        assert abs(bracket_H_closed_forms(x, COMM)[0][0]) < 1e-13
+        assert abs(_closed_forms(x, COMM)[0][0]) < 1e-13
 
 
 def test_pairwise_table_chain_route_everywhere():
@@ -612,7 +642,7 @@ def test_bracket_tables_equal_the_per_pair_route_bitwise():
                     e = got[block][key]
                     assert [_bits(v) for v in (e.ad, e.chain, e.closed)] == \
                         [_bits(v) for v in fields], (block, key)
-            cL, cA = bracket_H_closed_forms(x, params)
+            cL, cA = _closed_forms(x, params)
             assert [_bits(v) for v in cL] == [_bits(_ref_bracket_H_with_L(x, params, i)) for i in range(3)]
             assert [_bits(v) for v in cA] == \
                 [_bits(_ref_bracket_H_with_A(x, params, i)) for i in range(3)]
