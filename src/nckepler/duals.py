@@ -135,7 +135,7 @@ def power(x, n):
 def _each(f, x: np.ndarray) -> np.ndarray:
     """``f`` of each element of ``x`` as a Python float: every point of a
     batch rounds, and fails, as its float evaluation does."""
-    return np.array([f(v) for v in x.tolist()])
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
 
 
 def anywhere(mask) -> bool:

@@ -455,6 +455,15 @@ def dot(u, v):
     return total
 
 
+def fold(terms):
+    """The sum of ``terms`` as one left fold from 0.0, for the sums that are
+    not a :func:`dot`: no ``sum()`` rounds it either."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def max_abs_per_point(values):
     """:func:`max_abs` over ``values`` at each point: a float at a single
     point and an array over a batch, NaN wherever any value is NaN."""

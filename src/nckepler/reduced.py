@@ -152,6 +152,7 @@ def spherical_hamiltonian(s, rp: ReducedParams):
 def spherical_rhs(rp: ReducedParams):
     """Closed-form flow of the reduced Hamiltonian (fast path for integrators)."""
     m, k, td, M2 = rp.m, rp.k, rp.thetadot, rp.M_squared
+    tdm = td / m
 
     def rhs(c):
         r, theta, phi, p_r, p_t, p_p = c
@@ -165,7 +166,7 @@ def spherical_rhs(rp: ReducedParams):
             sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
         except ValueError:  # 2 phi overflowed to inf
             raise ChartDomainError(_PHI_RANGE) from None
-        u = 1.0 + (td / m) * sin2
+        u = 1.0 + tdm * sin2
         r2 = r * r
         s2 = st * st
         # of the five denominators, m r^3 is 0 whenever r^2 or m r^2 is, and
@@ -178,13 +179,15 @@ def spherical_rhs(rp: ReducedParams):
         if mr2s3 == 0.0:
             raise ChartDomainError("polar axis reached")
         mr2s2 = mr2 * s2
+        pp2 = p_p**2
+        upp2 = u * pp2
         return [
             p_r / m,
             M2 * p_t / mr2,
             u * p_p / mr2s2,
-            (M2 * p_t**2 + u * p_p**2 / s2) / mr3 - k / r2,
-            u * p_p**2 * ct / mr2s3,
-            -(td / m) * cos2 * p_p**2 / mr2s2,
+            (M2 * p_t**2 + upp2 / s2) / mr3 - k / r2,
+            upp2 * ct / mr2s3,
+            -tdm * cos2 * pp2 / mr2s2,
         ]
 
     return rhs

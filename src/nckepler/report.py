@@ -62,7 +62,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> int:
-        return sum(1 for e in self.entries if e.passed)
+        return len([e for e in self.entries if e.passed])
 
     @property
     def failed(self) -> int:

@@ -776,7 +776,7 @@ def _levels(ctx: HierarchyContext):
 def _recursion_semigroup(ctx: HierarchyContext):
     rp, first10 = ctx.cfg.reduced, batch(ctx.points[:10])
     T = [recursion_operator(h, rp).func(first10) for h in range(5)]
-    gaps = [[[sum(T[h1][i][kk] * T[h2][kk][j] for kk in range(6)) - T[h1 + h2][i][j]
+    gaps = [[[dot(T[h1][i], [T[h2][kk][j] for kk in range(6)]) - T[h1 + h2][i][j]
               for j in range(6)] for i in range(6)] for h1 in range(3) for h2 in range(3)]
     yield Entry("recursion-semigroup", "recursion operators compose by adding their levels",
                 gaps, ctx.cfg.tol_exact)

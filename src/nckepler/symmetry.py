@@ -35,7 +35,7 @@ import numpy as np
 from . import duals
 from .deformation import DeformationParams, transform_coordinates, weighted_bracket
 from .errors import ChartDomainError
-from .geometry import PhasePoint, ScalarField, batch, coords_of, dot
+from .geometry import PhasePoint, ScalarField, batch, coords_of, dot, fold
 from .kepler import (
     primed_angular_momentum,
     primed_lrl_vector,
@@ -81,7 +81,7 @@ def structure_matrices(params: DeformationParams) -> StructureMatrices:
     E = [[0.0] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            F[i][j] = (1.0 / th[i] if i == j else 0.0) + 0.25 * sum(
+            F[i][j] = (1.0 / th[i] if i == j else 0.0) + 0.25 * fold(
                 l[i][r] * a[j][r] / th[r] for r in range(3)
             )
             D[i][j] = 0.5 * l[j][i] * (1.0 / th[i] + 1.0 / th[j])
@@ -190,10 +190,10 @@ def bracket_H_closed_forms(fr: _Frame, params: DeformationParams) -> tuple:
                 if eps == 0.0:
                     continue
                 total += eps * (B[rho] * pp[eta] + G[rho] * L[eta])
-        total -= (m * k / y) * sum(
+        total -= (m * k / y) * fold(
             sm.F[j][i] * pp[j] / m + ky3 * sm.E[j][i] * qp[j] for j in range(3)
         )
-        total += (m * k / duals.power(y, 3)) * sum(
+        total += (m * k / duals.power(y, 3)) * fold(
             (sm.F[j][h] * pp[j] / m + ky3 * sm.E[j][h] * qp[j]) * qp[h] * qp[i]
             for j in range(3)
             for h in range(3)
@@ -213,13 +213,13 @@ def _structure_pattern(block: str, i: int, j: int, fr: _Frame, sm: StructureMatr
     eps_ijh (Fprime_hh A_h - Fprime_hj (mk/Y) q'^j + Fprime_hj L_i p'_h)``."""
     F = sm.F
     if block == "LL":
-        return sum(levi_civita(i, j, h) * (-F[h][h]) * fr.L[h] for h in range(3))
+        return fold(levi_civita(i, j, h) * (-F[h][h]) * fr.L[h] for h in range(3))
     if block == "AA":
-        return -2.0 * params.mass * sum(
+        return -2.0 * params.mass * fold(
             levi_civita(i, j, h) * (-F[h][h]) * fr.H * fr.L[h] for h in range(3)
         )
     if i == j:
-        return sum(
+        return fold(
             -F[u][v] * (fr.L[v] * fr.pp[u] + fr.L[u] * fr.pp[v]) for u in range(3) for v in range(3)
         )
     mky = params.mass * params.k / fr.y
@@ -265,7 +265,7 @@ def pairwise_bracket_table(x, params: DeformationParams) -> dict:
     for i in range(3):
         for j in range(3):
             for block, r, s in (("LL", 1 + i, 1 + j), ("AA", 4 + i, 4 + j), ("LA", 1 + i, 4 + j)):
-                chain = sum(cz[r][u] * B[u][v] * cz[s][v]
+                chain = fold(cz[r][u] * B[u][v] * cz[s][v]
                             for u in range(6) for v in range(6) if B[u][v] != 0.0)
                 table[block][(i, j)] = BracketEntry(
                     weighted_bracket(ad[r], ad[s], params.theta), chain,
@@ -328,7 +328,7 @@ def generator_matrix(params: DeformationParams, kind: str, x) -> list:
     basis = scaled_basis(coords_of(x), params, tau)
     L, G = basis[:3], basis[3:]
     corner = [corner_sign * (-sm.F[h][h]) * G[h] for h in range(3)]
-    rows = [[sum(levi_civita(h, j, i) * (-sm.F[i][i]) * L[i] for i in range(3)) for j in range(3)]
+    rows = [[fold(levi_civita(h, j, i) * (-sm.F[i][i]) * L[i] for i in range(3)) for j in range(3)]
             + [corner[h]] for h in range(3)]
     rows.append([-v if kind == "so4" else v for v in corner] + [0.0])
     return rows

@@ -8,6 +8,7 @@ residual, lhs and rhs by ``float.hex``, its point and every note, at several
 sample counts and seeds, the acceptance configuration among them.
 """
 
+import builtins
 import functools
 import math
 
@@ -97,6 +98,8 @@ from nckepler.symmetry import (
     scaled_basis,
     structure_matrices,
 )
+
+from test_compensated_sum import neumaier_sum
 
 CONFIGS = [(24, 0), (24, 7), (24, 42), (137, 3), (100, 42)]
 
@@ -473,6 +476,20 @@ def _report(suite, check, ctx) -> tuple:
 def test_batched_check_equals_its_per_point_form_bitwise(suite, check, reference, samples, seed):
     ctx = _context(suite, samples, seed)
     got, want = _report(suite, check, ctx), _report(suite, reference, ctx)
+    assert got[0] and got == want
+
+
+@pytest.mark.parametrize("samples, seed", CONFIGS)
+@pytest.mark.parametrize("check, reference", [(suites._bracket_closed_forms, _ref_bracket_closed_forms),
+                                              (suites._pairwise_tables, _ref_pairwise_tables)],
+                         ids=["_bracket_closed_forms", "_pairwise_tables"])
+def test_symmetry_checks_equal_their_per_point_form_under_a_compensated_sum(check, reference, samples,
+                                                                            seed, monkeypatch):
+    # ``symmetry`` folds its sums left, so the per-point references, on
+    # floats, add as the batched checks do under CPython 3.12's sum() too
+    ctx = _context("algebra", samples, seed)
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    got, want = _report("algebra", check, ctx), _report("algebra", reference, ctx)
     assert got[0] and got == want
 
 

@@ -1,13 +1,19 @@
 import functools
+import importlib
 import io
 import math
 import operator
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nckepler import duals, kepler, suites
+from nckepler.cli import SimulateConfig
 from nckepler.deformation import DeformationParams, nc_symplectic_structures, transform_coordinates
 from nckepler.errors import ChartDomainError, SingularConfigurationError
 from nckepler.geometry import Chart, PhasePoint, gradient, interior_product
@@ -354,6 +360,97 @@ def test_trajectory_csv_holds_no_copy_of_the_text(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "traj.csv").stat().st_size == 6_350_129
     assert peak < 2**20
+
+
+def _first_wrong_row(values):
+    """The first CSV row of a trajectory holding ``values``, eight to a row
+    (``t``, the six coordinates and one monitor; the last row padded with
+    1.0), that ``to_csv`` writes otherwise than ``'%.17g'``, as ``(to_csv's
+    row, '%.17g' row)``, or None."""
+    values = list(values)
+    values += [1.0] * (-len(values) % 8)
+    rows = [values[i:i + 8] for i in range(0, len(values), 8)]
+    traj = Trajectory(times=[r[0] for r in rows], states=[tuple(r[1:7]) for r in rows],
+                      monitor_names=["H"], monitors=[[r[7] for r in rows]])
+    got, want = _csv(traj).split("\n"), _joined_csv(traj).split("\n")
+    assert len(got) == len(want) == len(rows) + 2
+    return next(((g, w) for g, w in zip(got, want) if g != w), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.floats()] * 8), min_size=1, max_size=70))
+def test_trajectory_csv_is_percent_17g_of_any_floats(rows):
+    assert _first_wrong_row(v for row in rows for v in row) is None
+
+
+def test_trajectory_csv_is_percent_17g_of_random_bit_patterns():
+    # every exponent and sign, NaNs and infinities among them, across row
+    # blocks of the kernel
+    bits = np.random.default_rng(29).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    assert _first_wrong_row(bits.view(np.float64).tolist()) is None
+
+
+def _ties() -> list:
+    """Doubles whose scaled value ``|v| 10^(16 - e10)`` is a tie, or lies
+    within 3 / 2^48 (about 1e-14) of one, so that the kernel's rounding
+    error could tip it.
+
+    Where ``10^j`` is an integer and ``v = m 2^q``, the scaled value is ``m
+    5^j / 2^s`` with ``s = -(q + j)``, whose fraction is ``1/2 + d / 2^s``
+    when ``m 5^j = 2^(s - 1) + d`` modulo ``2^s``.  With ``j`` at most 22
+    the kernel's arithmetic is exact, beyond it the power is rounded."""
+    out = []
+    for j in range(3, 60):
+        q0 = math.floor(math.log2(10.0 ** (16 - j))) - 52
+        for q in range(q0, q0 + 4):
+            s = -(q + j)
+            inverse = pow(5**j, -1, 2**s)
+            for d in range(-3, 4) if s >= 48 else (0,):
+                m = (2 ** (s - 1) + d) * inverse % 2**s
+                if s < 53:
+                    m += ((2**52 - m) // 2**s + 1) * 2**s
+                v = math.ldexp(m, q)
+                if 2**52 <= m < 2**53 and 10**16 <= Fraction(v) * 10**j < 10**17:
+                    out += [v, -v]
+    return out
+
+
+def _boundary_values() -> list:
+    """Values next to every edge of the kernel's fast path: zeros,
+    subnormals, the float range, each power of ten and its two neighbours,
+    the doubles just below a power of ten, some of which round up to it at
+    17 digits, and rounding ties."""
+    tiny = 2.2250738585072014e-308
+    values = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0),
+              1.7976931348623157e308, math.inf, -math.inf, math.nan, 1e-248, 9.99999999999999999e-5,
+              100.0, -100.0, 1e16 + 2.0, 123456789012345678.0, 0.5, 0.25]
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf), -p,
+                   float(f"9.99999999999999999e{k - 1}"), float(f"9.9999999999999999e{k - 1}")]
+    return values + _ties()
+
+
+def test_trajectory_csv_is_percent_17g_at_the_fast_path_boundaries():
+    # 1e-248 is 9.9999999999999998e-249: its scaled value rounds up to 10^16
+    assert "%.17g" % 1e-248 == "9.9999999999999998e-249"
+    # the double nearest 1e-176 lies below it and prints as it
+    assert Fraction(1e-176) < Fraction(1, 10**176) and "%.17g" % 1e-176 == "1e-176"
+    ties = _ties()
+    assert len(ties) > 100 and not kepler._decimal_digits(np.array(ties))[0].any()
+    assert _first_wrong_row(_boundary_values()) is None
+
+
+def test_only_the_exact_zeros_of_the_kepler_workload_take_the_fallback(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cfg = SimulateConfig.from_dict(workloads.SimulateKepler.inputs(0))
+    traj = integrate(cfg.x0, cfg.params, dt=cfg.dt, n_steps=cfg.n_steps, method=cfg.method,
+                     monitors=cfg.monitors)
+    assert len(traj.states) == 40_001
+    table = np.column_stack([traj.times, np.array(traj.states), *traj.monitors]).ravel()
+    exact = kepler._decimal_digits(table)[0]
+    assert np.flatnonzero(~exact).tolist() == np.flatnonzero(table == 0.0).tolist() == [0]
 
 
 def test_trajectory_drift_scales_h_by_its_start_and_others_by_at_least_one():

@@ -333,6 +333,48 @@ def test_angle_rates_match_frequencies_along_flow():
         assert abs(coef[0] - fr[k]) / fr[k] < 1e-5
 
 
+def _unhoisted_spherical_rhs(rp):
+    """``spherical_rhs`` as written before ``td / m``, ``p_phi^2`` and ``u
+    p_phi^2`` were computed once: the same operations in the same order."""
+    m, k, td, M2 = rp.m, rp.k, rp.thetadot, rp.M_squared
+
+    def rhs(c):
+        r, theta, phi, p_r, p_t, p_p = c
+        st, ct = math.sin(theta), math.cos(theta)
+        sin2, cos2 = math.sin(2.0 * phi), math.cos(2.0 * phi)
+        u = 1.0 + (td / m) * sin2
+        r2 = r * r
+        s2 = st * st
+        mr2 = m * r2
+        mr3 = mr2 * r
+        mr2s3 = mr2 * st * s2
+        mr2s2 = mr2 * s2
+        return [
+            p_r / m,
+            M2 * p_t / mr2,
+            u * p_p / mr2s2,
+            (M2 * p_t**2 + u * p_p**2 / s2) / mr3 - k / r2,
+            u * p_p**2 * ct / mr2s3,
+            -(td / m) * cos2 * p_p**2 / mr2s2,
+        ]
+
+    return rhs
+
+
+def test_hoisted_spherical_rhs_is_bitwise_the_unhoisted_one():
+    # p_phi values whose squares differ under ** and * (about 1 in 1 000)
+    # sit among the seeded states
+    rng = np.random.default_rng(31)
+    awkward = [v for v in rng.uniform(-2.0, 2.0, 400_000).tolist() if v**2 != v * v][:200]
+    states = rng.uniform([0.2, 0.05, -7.0, -2.0, -2.0, -2.0], [3.0, 3.09, 7.0, 2.0, 2.0, 2.0],
+                         size=(2_000, 6))
+    states[:200, 5] = awkward
+    for rp in (RP, ReducedParams(thetadot=-0.013, phidot=0.2, m=1.7, k=0.6)):
+        rhs, want = spherical_rhs(rp), _unhoisted_spherical_rhs(rp)
+        for c in states.tolist():
+            assert [v.hex() for v in rhs(c)] == [v.hex() for v in want(c)], c
+
+
 def test_integrals_conserved_exactly_by_flow_equations():
     # directional derivative of D and L~ along the closed-form flow vanishes
     rhs = spherical_rhs(RP)
