@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -235,16 +235,13 @@ def flow_rhs(params: DeformationParams) -> Callable[[Sequence[float]], list]:
 
 @dataclass
 class Trajectory:
-    """Fixed-step trajectory with monitor values recorded at every state.
+    """Fixed-step trajectory: one float64 row of ``table`` per state, in CSV
+    column order: ``t``, the six coordinates in the chart of the run's initial
+    point and a value per name of ``monitor_names``, of which ``times``,
+    ``states`` and ``monitors`` (a row per name) are views."""
 
-    Each state is a tuple of six finite floats in the chart of the run's
-    initial point; ``monitors`` holds one column of floats per name of
-    ``monitor_names``, a value per state."""
-
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    monitor_names: list = field(default_factory=list)
-    monitors: list = field(default_factory=list)  # one column per monitor name
+    table: np.ndarray
+    monitor_names: list
     termination_reason: str | None = None
     # largest per-step energy change over 1 + |E0|, the collision
     # detector's scale; the step that stopped a run counts
@@ -254,7 +251,19 @@ class Trajectory:
     def completed(self) -> bool:
         return self.termination_reason is None
 
-    def monitor_series(self, name: str) -> list:
+    @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.table[:, 1:7]
+
+    @property
+    def monitors(self) -> np.ndarray:
+        return self.table[:, 7:].T
+
+    def monitor_series(self, name: str) -> np.ndarray:
         return self.monitors[self.monitor_names.index(name)]
 
     def drift(self, name: str) -> float:
@@ -262,30 +271,22 @@ class Trajectory:
         ``ref``, relative to ``|ref|`` for ``H`` (1.0 when ``ref == 0``) and
         to ``max(|ref|, 1)`` for every other monitor."""
         series = self.monitor_series(name)
-        ref = series[0]
+        ref = float(series[0])
         scale = (abs(ref) or 1.0) if name == "H" else max(abs(ref), 1.0)
         with np.errstate(all="ignore"):  # inf - inf is NaN, as in Python
-            deviations = np.abs(np.subtract(series, ref))
+            deviations = np.abs(series - ref)
         return max(deviations.tolist()) / scale
 
     def to_csv(self, fh) -> None:
         """Write the trajectory to the text file ``fh`` as CSV: one header
-        line, then one line per state with ``t``, the six coordinates and
-        the monitor values, each as ``%.17g``.  The rows are formatted
-        ``_CSV_ROWS`` at a time by :func:`_format_rows` and streamed, so no
-        copy of the whole text is held in memory."""
+        line, then one line per row of ``table``, each value as ``%.17g``.
+        The rows are formatted ``_CSV_ROWS`` at a time by
+        :func:`_format_rows` and streamed, so no copy of the whole text is
+        held in memory."""
         names = ("t", "q1", "q2", "q3", "p1", "p2", "p3", *self.monitor_names)
         fh.write(",".join(names) + "\n")
-        n = len(self.times)
-        for start in range(0, n, _CSV_ROWS):
-            stop = min(start + _CSV_ROWS, n)
-            table = np.empty((stop - start, 7 + len(self.monitors)))
-            table[:, 0] = self.times[start:stop]
-            table[:, 1:7] = np.fromiter(itertools.chain.from_iterable(self.states[start:stop]),
-                                        float, 6 * (stop - start)).reshape(-1, 6)
-            for j, series in enumerate(self.monitors, 7):
-                table[:, j] = series[start:stop]
-            fh.write(_format_rows(table))
+        for start in range(0, len(self.table), _CSV_ROWS):
+            fh.write(_format_rows(self.table[start:start + _CSV_ROWS]))
 
 
 # Rows of a trajectory that ``Trajectory.to_csv`` formats in one call: at 8
@@ -596,10 +597,11 @@ def integrate_field(
 ) -> Trajectory:
     """Fixed-step integration with singularity guards.
 
-    ``rhs`` takes and returns six coordinates; states are tuples of six
-    floats in ``x0``'s chart.  One stepper generator makes every state of
-    the run, so the implicit midpoint method's stage history, from which it
-    starts each stage iteration, carries across blocks.
+    ``rhs`` takes and returns six coordinates in ``x0``'s chart.  One
+    stepper generator makes every state of the run, so the implicit
+    midpoint method's stage history, from which it starts each stage
+    iteration, carries across blocks.  Each block's rows of the table are
+    built once and joined at the end, so nothing is sized from ``n_steps``.
 
     ``observe`` gets the six floats of ``x0``, then six float64 arrays over
     each block of up to ``_BLOCK`` stepped states, and returns ``(stop,
@@ -627,13 +629,12 @@ def integrate_field(
     chart = x0.chart
     c = x0.coords
     _, e_prev, row = observe(c)
-    traj = Trajectory(times=[0.0], states=[c], monitor_names=list(monitor_names),
-                      monitors=[[v] for v in row])
+    tables = [np.array([[0.0, *c, *row]], dtype=float)]
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
     stepped = stepper(rhs, c, dt)
-    step = 0
-    while step < n_steps:
-        block, outcome = [], None
+    step, outcome, max_jump = 0, None, 0.0
+    while step < n_steps and outcome is None:
+        block = []
         try:
             for c in itertools.islice(stepped, min(_BLOCK, n_steps - step)):
                 block.append(c)
@@ -641,14 +642,14 @@ def integrate_field(
             outcome = _reason(err)
         # ``end`` is the first state that ends the run, by ``outcome``
         end = len(block)
-        states = np.array(block, dtype=float).reshape(end, 6)
+        states = np.fromiter(itertools.chain.from_iterable(block), float, 6 * end).reshape(end, 6)
         finite = np.isfinite(states).all(axis=1)
         if not finite.all():
             end = int(np.argmin(finite))
             outcome = "singular configuration: state left the chart (non-finite)"
         stop, energy, columns = None, None, ()
         if end:
-            stop, energy, columns = _observe_block(observe, states[:end], len(traj.monitors))
+            stop, energy, columns = _observe_block(observe, states[:end], len(row))
         if stop is not None:
             end, outcome = stop
         if e_scale is not None and end:
@@ -660,22 +661,20 @@ def integrate_field(
                     end = int(exploded[0])
                     outcome = "singular configuration: energy step error exploded (collision)"
                     jumps = jumps[:end + 1]
-                traj.max_energy_jump = max([traj.max_energy_jump] + (jumps / e_scale).tolist())
+                max_jump = max([max_jump] + (jumps / e_scale).tolist())
             e_prev = e[-1]
-        if chart is not Chart.CARTESIAN:
-            for state in block[:end]:
-                check_chart_domain(state, chart)
-        traj.times += [s * dt for s in range(step + 1, step + end + 1)]
-        traj.states += block[:end]
-        for series, col in zip(traj.monitors, columns):
-            series.extend(col[:end].tolist())
+        if chart is Chart.SPHERICAL:  # the states check_chart_domain rejects
+            r, theta = states[:end, 0], states[:end, 1]
+            outside = np.flatnonzero((r <= 0.0) | ~((theta > 0.0) & (theta < math.pi)))
+            if outside.size:
+                check_chart_domain(states[outside[0]].tolist(), chart)
+        if end:
+            tables.append(np.column_stack([np.arange(step + 1, step + end + 1) * dt, states[:end],
+                                           *(col[:end] for col in columns)]))
         if isinstance(outcome, Exception):
             raise outcome
-        if outcome is not None:
-            traj.termination_reason = outcome
-            return traj
         step += end
-    return traj
+    return Trajectory(np.concatenate(tables), list(monitor_names), outcome, max_jump)
 
 
 def integrate(

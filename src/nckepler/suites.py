@@ -143,6 +143,7 @@ from .symmetry import (
     closure_fit,
     generator_matrix,
     involution_parameter_search,
+    observables_frame,
     observables_jacobian,
     pairwise_bracket_table,
     structure_matrices,
@@ -564,13 +565,13 @@ def _flow_bracket_consistency(ctx: AlgebraContext):
     dt = 2e-4
     traj = integrate(x_nc, params, dt=dt, n_steps=400, method="rk4", monitors=("L1", "L2", "L3"))
     picked = range(5, len(traj.states) - 5, 25)
-    frame = observables_jacobian(batch([traj.states[idx] for idx in picked]), params)[0]
+    frame = observables_frame(list(traj.states[picked].T.copy()), params)
     closed = bracket_H_closed_forms(frame, params)[0]
+    series = [traj.monitor_series(f"L{i + 1}").tolist() for i in range(3)]
     gaps, rates = [], []
     for n, idx in enumerate(picked):
-        for i, column in enumerate(closed):
+        for s, column in zip(series, closed):
             cf = float(column[n])
-            s = traj.monitor_series(f"L{i + 1}")
             fd = (-s[idx + 2] + 8.0 * s[idx + 1] - 8.0 * s[idx - 1] + s[idx - 2]) / (12.0 * dt)
             rates.append(cf)
             gaps.append(abs(fd - cf) / max(abs(cf), 1e-3))
@@ -645,17 +646,18 @@ def _reduced_flow(ctx: Context):
     rp, s0 = ctx.cfg.reduced, ctx.points[0]
     traj = integrate_field(s0, spherical_rhs(rp), 2e-4, 4000, method="rk4",
                            observe=_energy_monitor(rp), monitor_names=("H",))
-    E0 = traj.monitor_series("H")[0]
+    E0 = float(traj.monitor_series("H")[0])
     _, d0, lt0 = first_integrals(s0, rp)
     J0 = actions_from_integrals(E0, lt0, d0, rp)
-    drift = [(d - d0, lt - lt0) for _, d, lt in (first_integrals(st, rp) for st in traj.states[::100])]
+    drift = [(d - d0, lt - lt0)
+             for _, d, lt in (first_integrals(st, rp) for st in traj.states[::100].tolist())]
     yield Entry("integral-drift", "azimuthal and total angular-momentum integrals hold along the flow",
                 drift, 1e-6)
 
-    states = batch(traj.states)
+    states = list(traj.states.T.copy())  # six contiguous columns, as batch() gives
     states[2] = np.unwrap(states[2])
     angles = continuous_angles(states, J0, rp)
-    t = np.array(traj.times)
+    t = traj.times
     A = np.vstack([t, np.ones_like(t)]).T
     fr = frequencies(J0, rp)
     rates = []
@@ -849,7 +851,7 @@ def _eigenvalue_drift(ctx: HierarchyContext):
     traj = integrate_field(s0, spherical_rhs(rp), 1e-3, 10_000, method="rk4",
                            observe=_energy_monitor(rp), monitor_names=("H",))
     eigs = []
-    for st, E in zip(traj.states[::50], traj.monitor_series("H")[::50]):
+    for st, E in zip(traj.states[::50].tolist(), traj.monitor_series("H")[::50].tolist()):
         _, d, lt = first_integrals(st, rp)
         T = T1(delaunay_coords([*actions_from_integrals(E, lt, d, rp), 0.0, 0.0, 0.0], rp))
         eigs.append([T[j][j] for j in range(3)])

@@ -16,7 +16,8 @@ Each evaluator takes one point or a batch of points (six float64 arrays,
 ``geometry.batch``): each route differentiates (H, L, A) in one pass per
 chart, over every point of the batch at once.  The closed forms read the
 frame (q', p', Y, H, L, A) off the values of the cartesian seeded pass,
-which :func:`observables_jacobian` returns with the rows.
+which :func:`observables_jacobian` returns with the rows, or off the same
+evaluators on floats (:func:`observables_frame`) where no row is needed.
 
 Scaled Runge-Lenz vectors live on the negative/positive-energy regions;
 :func:`scaled_basis` gives them with L as the six fields of the so(4) and
@@ -129,15 +130,24 @@ def _primed_and_observables(c, params: DeformationParams) -> list:
     return z + primed_observables(z, params)
 
 
+def _frame_of(values: list) -> _Frame:
+    """The frame of the float values of :func:`_primed_and_observables`."""
+    z, (H, *LA) = values[:6], values[6:]
+    return _Frame(z[:3], z[3:], primed_radius(z), H, LA[:3], LA[3:])
+
+
+def observables_frame(x, params: DeformationParams) -> _Frame:
+    """The frame at ``x``, evaluated on floats: the frame of
+    :func:`observables_jacobian` without the tangents."""
+    return _frame_of(_primed_and_observables(coords_of(x), params))
+
+
 def observables_jacobian(x, params: DeformationParams) -> tuple:
     """The frame at ``x`` and the rows ``dH, dL1..dL3, dA1..dA3`` in the
     cartesian coordinates of ``x``, all from one seeded pass: the frame is
     its values, float to the bit."""
     out = duals.seeded_pass(lambda c: _primed_and_observables(c, params), coords_of(x))
-    z = [duals.value(v) for v in out[:6]]
-    H, *LA = [duals.value(v) for v in out[6:]]
-    frame = _Frame(z[:3], z[3:], primed_radius(z), H, LA[:3], LA[3:])
-    return frame, [list(duals.tangents(v, 6)) for v in out[6:]]
+    return _frame_of([duals.value(v) for v in out]), [list(duals.tangents(v, 6)) for v in out[6:]]
 
 
 # -- closed forms for the brackets with the Hamiltonian ----------------------

@@ -681,3 +681,23 @@ def test_batched_checks_take_as_many_passes_at_any_sample_count(monkeypatch):
     assert small == full
     assert full["brackets"] == {"grad": 100, "jacobian": 2, "seeded_pass": 102}
     assert full["batched checks"] == {"grad": 118, "jacobian": 5, "seeded_pass": 151}
+
+
+def test_the_flow_bracket_check_builds_no_dual(monkeypatch):
+    """``flow-bracket-consistency`` reads only the frame of its sampled
+    states, so it evaluates them on floats.  The seeded pass it took for
+    that frame built 110 duals at the acceptance configuration."""
+    made = []
+    init = duals.Dual.__init__
+
+    def counted(self, a, b):
+        made.append(None)
+        init(self, a, b)
+
+    ctx = suites._algebra_context(VerifyConfig())
+    monkeypatch.setattr(duals.Dual, "__init__", counted)
+    entry = next(suites._flow_bracket_consistency(ctx))
+    assert entry.identity == "flow-bracket-consistency" and len(made) == 0
+
+    observables_jacobian(batch(ctx.points[:16]), ctx.params)
+    assert len(made) == 110

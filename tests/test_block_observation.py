@@ -14,6 +14,7 @@ block and in later ones.
 
 import math
 
+import numpy as np
 import pytest
 
 from nckepler import duals, kepler, suites
@@ -99,14 +100,14 @@ def _ref_midpoint_step(rhs, c, dt, stages, residual_tol=1e-12, max_iter=50):
 def _ref_integrate_field(x0, rhs, dt, n_steps, method="rk4", *, observe, monitor_names=()):
     stepper = _ref_rk4_step if method == "rk4" else _ref_midpoint_step
     stages = []
-    traj = Trajectory(monitor_names=list(monitor_names))
-    rows = []
+    times, states, rows = [], [], []
+    reason, max_energy_jump = None, 0.0
     chart = x0.chart
     bounded = chart is not Chart.CARTESIAN
     c = x0.coords
     _, e_prev, row = observe(c)
-    traj.times.append(0.0)
-    traj.states.append(c)
+    times.append(0.0)
+    states.append(c)
     rows.append(row)
     e_scale = 1.0 + abs(e_prev) if e_prev is not None else None
     for step in range(1, n_steps + 1):
@@ -124,21 +125,20 @@ def _ref_integrate_field(x0, rhs, dt, n_steps, method="rk4", *, observe, monitor
             reason = "overflow: the state left the float range"
         if reason is None and e_scale is not None:
             jump = abs(e_new - e_prev)
-            traj.max_energy_jump = max(traj.max_energy_jump, jump / e_scale)
+            max_energy_jump = max(max_energy_jump, jump / e_scale)
             if not math.isfinite(e_new) or jump > 1e-2 * e_scale:
                 reason = "singular configuration: energy step error exploded (collision)"
             e_prev = e_new
         if reason is not None:
-            traj.termination_reason = reason
             break
         c = c_new
         if bounded:
             check_chart_domain(c, chart)
-        traj.times.append(step * dt)
-        traj.states.append(c)
+        times.append(step * dt)
+        states.append(c)
         rows.append(row)
-    traj.monitors = [list(col) for col in zip(*rows)] if rows[0] else []
-    return traj
+    table = [[t, *state, *row] for t, state, row in zip(times, states, rows)]
+    return Trajectory(np.array(table, dtype=float), list(monitor_names), reason, max_energy_jump)
 
 
 def _ref_integrate(x0, params, dt, n_steps, method="rk4", monitors=(), rhs=None):
@@ -351,3 +351,40 @@ def test_a_division_by_zero_in_the_hook_fails_the_run_as_the_float_route_does():
     want = _outcome(run(_ref_integrate_field))
     assert want[0] == "ZeroDivisionError"
     assert _outcome(run(integrate_field)) == want
+
+
+# -- the trajectory table ---------------------------------------------------------
+
+CUT_RUNS = ("collision", "non-finite", "radius-floor")
+
+
+def _cut_run(name, n_steps, monkeypatch):
+    x0, params, dt, _, method, monitors, rhs = CARTESIAN_RUNS[name]
+    if rhs is not None:
+        monkeypatch.setattr(kepler, "flow_rhs", lambda p: rhs)
+    return integrate(x0, params, dt, n_steps, method=method, monitors=monitors)
+
+
+@pytest.mark.parametrize("name", CUT_RUNS)
+def test_a_run_cut_inside_a_block_keeps_its_columns_of_one_length(name, monkeypatch):
+    traj = _cut_run(name, CARTESIAN_RUNS[name][3], monkeypatch)
+    n = len(traj.table)
+    assert traj.termination_reason is not None and (n - 1) % BLOCK != 0
+    assert len(traj.times) == n and traj.states.shape == (n, 6)
+    assert len(traj.monitors) == len(traj.monitor_names) == len(CARTESIAN_RUNS[name][5])
+    assert all(len(col) == n for col in traj.monitors)
+
+
+@pytest.mark.parametrize("name", CUT_RUNS)
+def test_no_allocation_grows_with_n_steps(name, monkeypatch):
+    """A run that ends early gives the same trajectory at any step budget:
+    a table sized from ``n_steps`` would fail here on valid input."""
+    want = _outcome(lambda: _cut_run(name, 2_000, monkeypatch))
+    assert want[4] is not None
+    assert _outcome(lambda: _cut_run(name, 10**15, monkeypatch)) == want
+
+
+def test_times_are_the_step_index_times_dt():
+    dt = 0.1
+    traj = integrate(_cart(0.9, 0.1, 0.2, -0.1, 1.0, 0.15), DEFORMED, dt, 2 * BLOCK + 452, monitors=("H",))
+    assert [t.hex() for t in traj.times.tolist()] == [(s * dt).hex() for s in range(2 * BLOCK + 453)]

@@ -290,9 +290,7 @@ EDGE_VALUES = (0.0, -0.0, 1.0, -2.5e-300, 5e-324, 1.7976931348623157e308, 1 / 3,
 
 
 def _edge_row():
-    return Trajectory(times=[EDGE_VALUES[0]], states=[EDGE_VALUES[1:7]],
-                      monitor_names=["H", "L1", "L2", "L3"],
-                      monitors=[[v] for v in EDGE_VALUES[7:]])
+    return Trajectory(np.array([EDGE_VALUES]), ["H", "L1", "L2", "L3"])
 
 
 def test_trajectory_csv_format():
@@ -331,12 +329,15 @@ def _unmonitored_run():
 
 def _single_state():
     x0 = PhasePoint((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), Chart.CARTESIAN)
-    return Trajectory(times=[0.0], states=[x0.coords], monitor_names=["H"],
-                      monitors=[[hamiltonian(x0, COMM)]])
+    return Trajectory(np.array([[0.0, *x0.coords, hamiltonian(x0, COMM)]]), ["H"])
+
+
+def _no_states():
+    return Trajectory(np.empty((0, 7)), [])
 
 
 @pytest.mark.parametrize("build", [_unmonitored_run, _deformed_run, _single_state,
-                                   _collision_run, _edge_row, Trajectory],
+                                   _collision_run, _edge_row, _no_states],
                          ids=["no-monitors", "all-monitors", "single-state", "collision",
                               "edge-values", "no-states"])
 def test_trajectory_csv_streams_the_bytes_of_the_joined_string(build):
@@ -348,9 +349,11 @@ def test_trajectory_csv_holds_no_copy_of_the_text(tmp_path):
     """Writing 40 001 rows holds a write buffer, not the 6.35 MB of text:
     building the whole string first peaked at about 20 MiB."""
     n = 40_001
-    traj = Trajectory(times=[i * 1e-3 for i in range(n)],
-                      states=[(1 / 3, -2 / 3, 0.1, 1 / 7, 2 / 9, -1 / 11)] * n,
-                      monitor_names=["H"], monitors=[[-0.5123456789012345] * n])
+    table = np.empty((n, 8))
+    table[:, 0] = [i * 1e-3 for i in range(n)]
+    table[:, 1:7] = (1 / 3, -2 / 3, 0.1, 1 / 7, 2 / 9, -1 / 11)
+    table[:, 7] = -0.5123456789012345
+    traj = Trajectory(table, ["H"])
     with open(tmp_path / "traj.csv", "w") as fh:
         tracemalloc.start()
         try:
@@ -370,8 +373,7 @@ def _first_wrong_row(values):
     values = list(values)
     values += [1.0] * (-len(values) % 8)
     rows = [values[i:i + 8] for i in range(0, len(values), 8)]
-    traj = Trajectory(times=[r[0] for r in rows], states=[tuple(r[1:7]) for r in rows],
-                      monitor_names=["H"], monitors=[[r[7] for r in rows]])
+    traj = Trajectory(np.array(rows, dtype=float), ["H"])
     got, want = _csv(traj).split("\n"), _joined_csv(traj).split("\n")
     assert len(got) == len(want) == len(rows) + 2
     return next(((g, w) for g, w in zip(got, want) if g != w), None)
@@ -454,12 +456,16 @@ def test_only_the_exact_zeros_of_the_kepler_workload_take_the_fallback(monkeypat
 
 
 def test_trajectory_drift_scales_h_by_its_start_and_others_by_at_least_one():
-    traj = Trajectory(monitor_names=["H", "L1", "A1"],
-                      monitors=[[-0.5, -0.25, -0.625], [0.25, 0.75, 0.0], [4.0, 5.0, 3.0]])
+    def monitored(*columns):
+        # t and the six coordinates are zero: drift reads the monitors alone
+        return np.column_stack([np.zeros((len(columns[0]), 7)), *columns])
+
+    traj = Trajectory(monitored([-0.5, -0.25, -0.625], [0.25, 0.75, 0.0], [4.0, 5.0, 3.0]),
+                      ["H", "L1", "A1"])
     assert traj.drift("H") == 0.5  # 0.25 / |-0.5|
     assert traj.drift("L1") == 0.5  # 0.5 / max(0.25, 1)
     assert traj.drift("A1") == 0.25  # 1 / max(4, 1)
-    zero = Trajectory(monitor_names=["H", "L1"], monitors=[[0.0, 0.375], [0.0, -0.5]])
+    zero = Trajectory(monitored([0.0, 0.375], [0.0, -0.5]), ["H", "L1"])
     assert zero.drift("H") == 0.375  # H0 == 0 is measured against 1.0
     assert zero.drift("L1") == 0.5
 

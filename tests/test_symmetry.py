@@ -32,6 +32,7 @@ from nckepler.symmetry import (
     levi_civita,
     lrl_field,
     lrl_vector,
+    observables_frame,
     observables_jacobian,
     pairwise_bracket_table,
     scaled_basis,
@@ -131,6 +132,8 @@ def test_observables_frame_is_the_float_evaluation_bitwise(monkeypatch):
             got = [*fr.qp, *fr.pp, fr.y, fr.H, *fr.L, *fr.A]
             assert _hexes(got) == _hexes(want)
             assert all(type(v) is type(coords[0]) for v in got)
+            fl = observables_frame(coords, params)
+            assert _hexes([*fl.qp, *fl.pp, fl.y, fl.H, *fl.L, *fl.A]) == _hexes(want)
 
 
 def test_bracket_H_L_closed_form_vanishes_commutative():
